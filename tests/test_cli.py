@@ -5,6 +5,8 @@ import pytest
 
 from btkit import cli
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -125,3 +127,12 @@ def test_export_ops(tmp_path, capsys):
         row, col, scalar = line.split(None, 2)
         int(row), int(col)
         assert scalar
+
+
+@pytest.mark.parametrize("suite", ["relations", "quotient", "rank", "trace"])
+def test_golden_report(suite, capsys):
+    # each golden file is `btkit <suite> --format json` at the default n and
+    # seed; any change to a report's bytes must be deliberate
+    cli.main([suite, "--format", "json"])
+    with open(os.path.join(GOLDEN, suite + ".json")) as fh:
+        assert capsys.readouterr().out == fh.read()
