@@ -16,7 +16,6 @@ from .quotient import (FReducedWord, IdealBasis, build_ideal, catalan_number,
 from .scalars import Scalar, parse_scalar
 from .tensor import (classical_jimbo_check, represent, representation_rank,
                      verify_relations_in_rep)
-from .trace import (TraceFunctional, evaluate_trace, factorization_condition,
-                    solve_trace)
+from .trace import TraceFunctional, factorization_condition, solve_trace
 
 __version__ = "0.1.0"

@@ -24,8 +24,6 @@ The defining relations implemented here (for |i-j| as indicated):
     (9) E_i T_j T_i = T_j T_i E_j         |i-j| = 1
 """
 
-import random
-
 from . import scalars
 from .domains import SYMBOLIC
 from .partitions import (SetPartition, arc_partition, bell_number,
@@ -282,17 +280,6 @@ def E_arc(i, j, n, dom=SYMBOLIC):
     return basis_element(arc_partition(i, j, n), Permutation.identity(n), dom)
 
 
-def E_arc_by_conjugation(i, j, n, dom=SYMBOLIC):
-    """E_{ij} built the long way: T_i ... T_{j-2} E_{j-1} T_{j-2}^{-1} ... T_i^{-1};
-    must equal :func:`E_arc` (checked in tests)."""
-    if not 1 <= i < j <= n:
-        raise IndexError("need 1 <= i < j <= n")
-    out = E(j - 1, n, dom)
-    for k in range(j - 2, i - 1, -1):
-        out = T(k, n, dom) * out * inverse_T(k, n, dom)
-    return out
-
-
 def E_of_partition(I, dom=SYMBOLIC):
     """E_I as a basis term; products of E_{ij} over the arcs of I collapse
     to this by partition join."""
@@ -333,12 +320,6 @@ def L(i, n, dom=SYMBOLIC):
     half = dom.one / dom.of_int(2)
     return ((one(n, dom) + T(i, n, dom)) *
             (one(n, dom) + E(i, n, dom).scale(delta))).scale(half)
-
-
-def ideal_generator(n, dom=SYMBOLIC):
-    """E_1 E_2 T_{12}, the element whose two-sided ideal defines the
-    partition Temperley-Lieb quotient."""
-    return E(1, n, dom) * E(2, n, dom) * steinberg(1, 2, n, dom)
 
 
 def random_basis_element(n, rng, dom=SYMBOLIC):
@@ -637,16 +618,3 @@ def verify_relations(n, dom=SYMBOLIC, include_lemmas=True):
                 entry["rhs"] = str(rhs)
             checks.append(entry)
     return checks
-
-
-def associativity_sample(n, count, seed=0, dom=SYMBOLIC):
-    """(a*b)*c == a*(b*c) on random basis triples; returns failure count."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(count):
-        a = random_basis_element(n, rng, dom)
-        b = random_basis_element(n, rng, dom)
-        c = random_basis_element(n, rng, dom)
-        if (a * b) * c != a * (b * c):
-            failures += 1
-    return failures

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import suites, tensor
+from .domains import PointError
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
 MAX_N = {"relations": 4, "quotient": 5, "rank": 4, "trace": 4}
@@ -22,11 +23,14 @@ def _parse_points(text):
     points = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "/" in chunk:
-            num, den = chunk.split("/")
-            points.append(Fraction(int(num), int(den)))
-        else:
-            points.append(Fraction(chunk))
+        try:
+            if "/" in chunk:
+                num, den = chunk.split("/")
+                points.append(Fraction(int(num), int(den)))
+            else:
+                points.append(Fraction(chunk))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("bad specialization point %r" % chunk) from None
     return points
 
 
@@ -50,7 +54,7 @@ def build_parser():
                        help="strand count (default: suite-specific)")
         p.add_argument("--n-max", type=int, default=None,
                        help="run for every n from --n up to this value")
-        p.add_argument("--points", type=_parse_points, default=None,
+        p.add_argument("--points", default=None,
                        help="specialization points for sqrt(u), e.g. 5/7,3/2")
         p.add_argument("--jobs", type=int,
                        default=int(os.environ.get("BTKIT_JOBS", "1")),
@@ -86,7 +90,8 @@ def _n_values(args):
 
 def run_suite(args):
     ns = _n_values(args)
-    points = args.points if args.points is not None else list(suites.DEFAULT_POINTS)
+    points = (_parse_points(args.points) if args.points is not None
+              else list(suites.DEFAULT_POINTS))
     if args.suite == "relations":
         report = suites.relations_suite(ns, seed=args.seed, jobs=args.jobs)
     elif args.suite == "quotient":
@@ -181,7 +186,7 @@ def main(argv=None):
         return 2
     try:
         report = run_suite(args)
-    except UsageError as exc:
+    except (UsageError, PointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.fmt == "json":

@@ -11,12 +11,20 @@ exactly when zero, so engine code is agnostic to the domain:
   elements are :class:`IntMod`; used for bulk eliminations where exact
   rational growth is prohibitive.  Agreement across two (point, prime)
   choices is reported as genericity evidence, never as proof.
+
+Each domain names the echelon class for its rows (``echelon(width)``), so
+the linear algebra above the engine never asks which domain it runs in.
 """
 
 from fractions import Fraction
 
 from . import scalars
+from .linalg import Echelon, ModPEchelon
 from .scalars import Scalar
+
+
+class PointError(ValueError):
+    """A specialization point at which a domain cannot be built."""
 
 
 class SymbolicDomain:
@@ -36,6 +44,10 @@ class SymbolicDomain:
     def scalar(sc):
         return sc
 
+    @staticmethod
+    def echelon(width):
+        return Echelon(width)
+
     def describe(self):
         return {"kind": "symbolic"}
 
@@ -51,14 +63,14 @@ class RationalDomain:
     def __init__(self, s):
         self.s = Fraction(s)
         if self.s == 0:
-            raise ValueError("s = 0 is a pole of the engine constants")
+            raise PointError("s = 0 is a pole of the engine constants")
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.u = self.s * self.s
         self.sqrt_u = self.s
         self.u_minus_1 = self.u - 1
         if self.u == -1:
-            raise ValueError("1 + u must not vanish")
+            raise PointError("1 + u must not vanish")
 
     @staticmethod
     def of_int(k):
@@ -66,6 +78,10 @@ class RationalDomain:
 
     def scalar(self, sc):
         return sc.evaluate(s=self.s)
+
+    @staticmethod
+    def echelon(width):
+        return Echelon(width)
 
     def describe(self):
         return {"kind": "rational", "sqrt_u": str(self.s)}
@@ -139,7 +155,7 @@ class PrimeDomain:
         num = self.point.numerator % p
         den = self.point.denominator % p
         if den == 0 or num == 0:
-            raise ValueError("specialization point degenerates mod p")
+            raise PointError("point %s degenerates mod %d" % (self.point, p))
         self.s = num * pow(den, p - 2, p) % p
         self.zero = IntMod(0, p)
         self.one = IntMod(1, p)
@@ -147,7 +163,7 @@ class PrimeDomain:
         self.u = self.sqrt_u * self.sqrt_u
         self.u_minus_1 = self.u - self.one
         if not (self.u + self.one):
-            raise ValueError("1 + u vanishes mod p at this point")
+            raise PointError("1 + u vanishes mod %d at %s" % (p, self.point))
 
     def of_int(self, k):
         return IntMod(k, self.p)
@@ -158,6 +174,9 @@ class PrimeDomain:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes mod p")
         return IntMod(q.numerator * pow(den, self.p - 2, self.p), self.p)
+
+    def echelon(self, width):
+        return ModPEchelon(width, self.p)
 
     def describe(self):
         return {"kind": "prime", "sqrt_u": str(self.point), "p": self.p}

@@ -1,18 +1,26 @@
 """Exact row-echelon machinery shared by the quotient, trace and rank
 computations.
 
-Both classes maintain a reduced row echelon form (every pivot column is zero
-in all other rows), so reducing a vector against the span is a single pass
-and yields the unique representative with zero coordinates at the pivots.
+Both echelon classes maintain a reduced row echelon form (every pivot column
+is zero in all other rows), so reducing a vector against the span is a single
+pass and yields the unique representative with zero coordinates at the pivots.
 
-:class:`Echelon` works over any exact coefficient type with operator
-overloads (Scalar, Fraction); :class:`ModPEchelon` is the numpy fast path
-for prime fields.
+There is one echelon class per kind of field, and each owns its row format:
+:class:`Echelon` serves the exact fields (lists of Scalar or Fraction),
+:class:`ModPEchelon` serves GF(p) (int64 numpy rows, numpy imported on first
+use).  Each converts domain coefficient lists to rows and back, and packs and
+applies the generator action tables of :func:`btkit.quotient.generator_actions`
+(``pack``, ``scatter``), so callers run one body of code in every domain.
 """
 
 import bisect
 
-import numpy as np
+np = None
+
+
+def _import_numpy():
+    global np
+    import numpy as np
 
 
 class Echelon:
@@ -58,6 +66,33 @@ class Echelon:
 
     def is_zero_mod(self, row):
         return not any(self.reduce(row))
+
+    def spans(self, rows):
+        """True iff every row lies in the span."""
+        return all(self.is_zero_mod(row) for row in rows)
+
+    @staticmethod
+    def from_coeffs(vec):
+        return vec
+
+    @staticmethod
+    def to_coeffs(row):
+        return row
+
+    @staticmethod
+    def pack(src, dst, coeff):
+        # c - c is the field's zero, for the targets no source reaches
+        return list(zip(src, dst, coeff)), coeff[0] - coeff[0]
+
+    def scatter(self, action, row):
+        """The image of row under a packed action table."""
+        entries, zero = action
+        out = [zero] * self.width
+        for s, d, c in entries:
+            x = row[s]
+            if x:
+                out[d] = out[d] + x * c
+        return out
 
 
 class LinearSystem:
@@ -140,6 +175,7 @@ class ModPLinearSystem:
                                       LinearSystem.INCONSISTENT)
 
     def __init__(self, width, p, rhs_scale):
+        _import_numpy()
         self.width = width
         self.p = p
         self.rhs_scale = rhs_scale    # (rhs, int c) -> rhs * c
@@ -203,10 +239,13 @@ class ModPEchelon:
     reductions stay inside int64 (see ``PRIMES`` in domains)."""
 
     def __init__(self, width, p):
+        if width * (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError("int64 row products overflow at width %d, p %d"
+                             % (width, p))
+        _import_numpy()
         self.width = width
         self.p = p
         self.pivots = []
-        self._pivot_row = {}
         self._mat = np.zeros((64, width), dtype=np.int64)
 
     @property
@@ -215,7 +254,7 @@ class ModPEchelon:
 
     @property
     def rows(self):
-        return list(self._mat[:self.rank])
+        return self._mat[:self.rank]
 
     def _coerce(self, row):
         arr = np.asarray(row, dtype=np.int64) % self.p
@@ -261,8 +300,31 @@ class ModPEchelon:
             self._mat = grown
         self._mat[r] = row
         self.pivots.append(piv)
-        self._pivot_row[piv] = r
         return True
 
     def is_zero_mod(self, row):
         return not np.any(self.reduce(row))
+
+    def spans(self, rows):
+        """True iff every row lies in the span."""
+        return not np.any(self.reduce_batch(rows))
+
+    @staticmethod
+    def from_coeffs(vec):
+        return np.array([c.v for c in vec], dtype=np.int64)
+
+    def to_coeffs(self, row):
+        from .domains import IntMod
+        return [IntMod(int(c), self.p) for c in row]
+
+    def pack(self, src, dst, coeff):
+        return np.array(src), np.array(dst), self.from_coeffs(coeff)
+
+    def scatter(self, action, row):
+        """The image of row under a packed action table.  Entries are below
+        p, so each product is below p^2 and the few summed per target stay
+        inside int64."""
+        src, dst, coeff = action
+        out = np.zeros(self.width, dtype=np.int64)
+        np.add.at(out, dst, row[src] * coeff)
+        return out % self.p

@@ -169,18 +169,6 @@ def intern_partition(rgs):
     return part
 
 
-def join(I, J):
-    return I.join(J)
-
-
-def leq(I, J):
-    return I.leq(J)
-
-
-def apply_permutation(w, I):
-    return I.apply(w)
-
-
 def generator_partition(i, n):
     """The one-arc partition {{i, i+1}, singletons}."""
     return arc_partition(i, i + 1, n)

@@ -7,14 +7,20 @@ the span of the generator under left/right multiplication by every T_i and
 E_i; closure is verified, which certifies the span IS the two-sided ideal.
 Cosets are represented by reduction against the echelon (unique
 representative with zero coordinates at the pivots).
+
+Every generator multiplication here is a table scatter on coefficient rows
+(:func:`generator_actions`).  The tables are read off the engine's own
+one-generator products, and the domain's echelon class packs and applies
+them, so the closure, the closure check and the spanning check have one body
+for every domain.
 """
 
+from collections import deque
 from math import comb
 
 from . import algebra
-from .algebra import BasisIndex, E, F, L, T, one, steinberg
-from .domains import SYMBOLIC, IntMod, PrimeDomain
-from .linalg import Echelon, ModPEchelon
+from .algebra import AlgebraElement, BasisIndex, E, F, L, one, steinberg
+from .domains import SYMBOLIC
 from .partitions import enumerate_partitions
 
 
@@ -25,13 +31,11 @@ def catalan_number(n):
 class IdealBasis:
     """Echelonized span of a two-sided ideal, with coset reduction."""
 
-    def __init__(self, n, dom, ech, index, generator_pair, tied=True):
+    def __init__(self, n, dom, ech, index):
         self.n = n
         self.dom = dom
         self.ech = ech
         self.index = index
-        self.generator_pair = generator_pair
-        self.tied = tied
 
     @property
     def dim(self):
@@ -42,18 +46,10 @@ class IdealBasis:
         return len(self.index) - self.ech.rank
 
     def _to_row(self, elem):
-        vec = self.index.vector(elem)
-        if isinstance(self.ech, ModPEchelon):
-            return [c.v if isinstance(c, IntMod) else int(c) for c in vec]
-        return vec
+        return self.ech.from_coeffs(self.index.vector(elem))
 
     def _to_element(self, row):
-        if isinstance(self.ech, ModPEchelon):
-            p = self.ech.p
-            vec = [IntMod(int(c), p) for c in row]
-        else:
-            vec = row
-        return self.index.element(vec)
+        return self.index.element(self.ech.to_coeffs(row))
 
     def reduce(self, elem):
         """Canonical coset representative of elem (idempotent, linear)."""
@@ -66,90 +62,50 @@ class IdealBasis:
         return [self._to_element(r) for r in self.ech.rows]
 
 
-def _generators(n, dom):
-    gens = []
-    for i in range(1, n):
-        gens.append(("T", i, T(i, n, dom)))
-    for i in range(1, n):
-        gens.append(("E", i, E(i, n, dom)))
-    return gens
+_ACTIONS = {}
 
 
-class _PrimeOps:
-    """Vectorized one-generator multiplication on coefficient rows over
-    GF(p): every generator acts as a scatter with at most three targets per
-    basis element, precomputed once per basis."""
+def generator_actions(index, ech):
+    """{(name, i): table}: the action tables of left ("L") and right ("R")
+    multiplication by every T_i and E_i, and of right multiplication by F_i
+    ("RF"), on coefficient rows over ``index``, packed by ``ech`` (an
+    echelon of the index's domain).  Each T_i or E_i table is read off the
+    engine's one-generator products of the basis elements: basis element k
+    contributes c times basis element l for each term c E_I T_w of its
+    product, with (I, w) at position l, and c is 1 or u - 1.  The F_i table
+    is that of (1 + T_i)/(u + 1).  Built once per (n, domain) and process."""
+    n, dom = index.n, index.dom
+    key = (n, tuple(dom.describe().items()))
+    if key not in _ACTIONS:
+        products = {"LT": AlgebraElement.left_mul_T,
+                    "RT": AlgebraElement.right_mul_T,
+                    "LE": AlgebraElement.left_mul_E,
+                    "RE": AlgebraElement.right_mul_E}
+        basis = [index.basis_elem(k) for k in range(len(index))]
+        ks = list(range(len(index)))
+        cu = dom.one / (dom.u + dom.one)
+        tables = {}
+        for name, product in products.items():
+            for i in range(1, n):
+                src, dst, coeff = [], [], []
+                for k, x in enumerate(basis):
+                    for pair, c in product(x, i).terms.items():
+                        src.append(k)
+                        dst.append(index.index[pair])
+                        coeff.append(c)
+                tables[name, i] = ech.pack(src, dst, coeff)
+                if name == "RT":
+                    tables["RF", i] = ech.pack(
+                        ks + src, ks + dst,
+                        [c * cu for c in [dom.one] * len(ks) + coeff])
+        _ACTIONS[key] = tables
+    return _ACTIONS[key]
 
-    def __init__(self, index, dom):
-        import numpy as np
-        from .permutations import Permutation
-        self.np = np
-        self.p = dom.p
-        self.u1 = dom.u_minus_1.v
-        n = index.n
-        pairs = index.pairs
-        pos = index.index
-        self.tables = {}
-        for i in range(1, n):
-            s_i = Permutation.transposition(i, n)
-            # right multiplication by T_i
-            asc_s, asc_t, dsc_s, dsc1, dsc2, dsc3 = [], [], [], [], [], []
-            for k, (I, w) in enumerate(pairs):
-                if not w.has_right_descent(i):
-                    asc_s.append(k)
-                    asc_t.append(pos[(I, w.right_mul_gen(i))])
-                else:
-                    v = w.right_mul_gen(i)
-                    Ip = I.join_arc(v.apply(i), v.apply(i + 1))
-                    dsc_s.append(k)
-                    dsc1.append(pos[(I, v)])
-                    dsc2.append(pos[(Ip, v)])
-                    dsc3.append(pos[(Ip, w)])
-            self.tables[("R", "T", i)] = tuple(
-                np.asarray(a) for a in (asc_s, asc_t, dsc_s, dsc1, dsc2, dsc3))
-            # left multiplication by T_i
-            asc_s, asc_t, dsc_s, dsc1, dsc2, dsc3 = [], [], [], [], [], []
-            for k, (I, w) in enumerate(pairs):
-                Ii = I.apply(s_i)
-                if not w.has_left_descent(i):
-                    asc_s.append(k)
-                    asc_t.append(pos[(Ii, w.left_mul_gen(i))])
-                else:
-                    wp = w.left_mul_gen(i)
-                    Ip = Ii.join_arc(i, i + 1)
-                    dsc_s.append(k)
-                    dsc1.append(pos[(Ii, wp)])
-                    dsc2.append(pos[(Ip, wp)])
-                    dsc3.append(pos[(Ip, w)])
-            self.tables[("L", "T", i)] = tuple(
-                np.asarray(a) for a in (asc_s, asc_t, dsc_s, dsc1, dsc2, dsc3))
-            # tie generators: a single target each
-            self.tables[("R", "E", i)] = np.asarray(
-                [pos[(I.join_arc(w.apply(i), w.apply(i + 1)), w)]
-                 for I, w in pairs])
-            self.tables[("L", "E", i)] = np.asarray(
-                [pos[(I.join_arc(i, i + 1), w)] for I, w in pairs])
 
-    def keys(self):
-        return sorted(self.tables)
-
-    def apply(self, key, row):
-        np = self.np
-        out = np.zeros_like(row)
-        table = self.tables[key]
-        if key[1] == "E":
-            np.add.at(out, table, row)
-        else:
-            asc_s, asc_t, dsc_s, dsc1, dsc2, dsc3 = table
-            if asc_s.size:
-                np.add.at(out, asc_t, row[asc_s])
-            if dsc_s.size:
-                src = row[dsc_s]
-                np.add.at(out, dsc1, src)
-                scaled = (src * self.u1) % self.p
-                np.add.at(out, dsc2, scaled)
-                np.add.at(out, dsc3, scaled)
-        return out % self.p
+def _closure_actions(index, ech):
+    """The tables of left and right multiplication by every T_i and E_i."""
+    return [table for (name, i), table in generator_actions(index, ech).items()
+            if name != "RF"]
 
 
 def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
@@ -163,16 +119,6 @@ def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     return E(i, n, dom) * E(j, n, dom) * st
 
 
-_PRIME_OPS_CACHE = {}
-
-
-def _prime_ops(index, dom):
-    key = (index.n, dom.p, dom.s)
-    if key not in _PRIME_OPS_CACHE:
-        _PRIME_OPS_CACHE[key] = _PrimeOps(index, dom)
-    return _PRIME_OPS_CACHE[key]
-
-
 def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
                 generator=None):
     """Echelon basis of the two-sided ideal generated by E_i E_j T_{ij}
@@ -183,69 +129,23 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
     index = index or BasisIndex(n, dom)
     seed = generator if generator is not None else \
         ideal_generator_element(n, dom, pair, tied)
-    if isinstance(dom, PrimeDomain):
-        ech = ModPEchelon(width=len(index), p=dom.p)
-        ib = IdealBasis(n, dom, ech, index, pair, tied)
-        ops = _prime_ops(index, dom)
-        queue = [ib._to_row(seed)]
-        while queue:
-            row = queue.pop(0)
-            if not ech.insert(row):
-                continue
-            new = ech._mat[ech.rank - 1].copy()
-            for key in ops.keys():
-                queue.append(ops.apply(key, new))
-        return ib
-    ech = Echelon(width=len(index))
-    ib = IdealBasis(n, dom, ech, index, pair, tied)
-    gens = _generators(n, dom)
-    queue = [seed]
+    ech = dom.echelon(len(index))
+    ib = IdealBasis(n, dom, ech, index)
+    actions = _closure_actions(index, ech)
+    queue = deque([ib._to_row(seed)])
     while queue:
-        elem = queue.pop(0)
-        row = ib._to_row(elem)
-        if not ech.insert(row):
-            continue
-        new = ib._to_element(ech.rows[-1])
-        for _, _, g in gens:
-            queue.append(g * new)
-            queue.append(new * g)
+        if ech.insert(queue.popleft()):
+            new = ech.rows[-1]
+            queue.extend(ech.scatter(table, new) for table in actions)
     return ib
 
 
 def verify_ideal_closure(ib):
     """reduce(x*r) == 0 == reduce(r*x) for every echelon row r and every
     generator x; certifies the span is the whole two-sided ideal."""
-    if isinstance(ib.dom, PrimeDomain):
-        import numpy as np
-        ech = ib.ech
-        mat = ech._mat[:ech.rank]
-        ops = _prime_ops(ib.index, ib.dom)
-        for key in ops.keys():
-            images = np.stack([ops.apply(key, row) for row in mat]) \
-                if ech.rank else mat
-            if ech.rank and np.any(ech.reduce_batch(images)):
-                return False
-        return True
-    gens = _generators(ib.n, ib.dom)
-    for row in ib.row_elements():
-        for _, _, g in gens:
-            if not ib.contains(g * row) or not ib.contains(row * g):
-                return False
-    return True
-
-
-def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
-    """The literal span of {b1 * g * b2} over all basis pairs (the slow
-    oracle for :func:`build_ideal` at small n)."""
-    index = BasisIndex(n, dom)
-    g = ideal_generator_element(n, dom, pair, tied)
-    ech = Echelon(width=len(index))
-    ib = IdealBasis(n, dom, ech, index, pair, tied)
-    left = [index.basis_elem(k) * g for k in range(len(index))]
-    for lg in left:
-        for k in range(len(index)):
-            ech.insert(ib._to_row(lg * index.basis_elem(k)))
-    return ib
+    ech = ib.ech
+    return all(ech.spans([ech.scatter(table, row) for row in ech.rows])
+               for table in _closure_actions(ib.index, ech))
 
 
 def reduce_mod_ideal(elem, ib):
@@ -492,43 +392,22 @@ def spanning_check(n, ib, dom=SYMBOLIC):
     index = ib.index if ib is not None else BasisIndex(n, dom)
     words = enumerate_F_reduced(n)
     parts = enumerate_partitions(n)
+    ech = dom.echelon(len(index))
+    tables = generator_actions(index, ech)
     candidates = 0
     nonzero = 0
-    if isinstance(dom, PrimeDomain):
-        import numpy as np
-        from .permutations import Permutation
-        ech = ModPEchelon(width=len(index), p=dom.p)
-        ops = _prime_ops(index, dom)
-        p = dom.p
-        inv_up1 = pow((dom.u + dom.one).v, p - 2, p)
-        e = Permutation.identity(n)
-        for I in parts:
-            base = np.zeros(len(index), dtype=np.int64)
-            base[index.index[(I, e)]] = 1
-            for w in words:
-                row = base
-                for i in w.letters():
-                    row = ((row + ops.apply(("R", "T", i), row))
-                           * inv_up1) % p
-                if ib is not None:
-                    row = ib.ech.reduce(row)
-                candidates += 1
-                if np.any(row):
-                    nonzero += 1
-                ech.insert(row)
-    else:
-        ech = Echelon(width=len(index))
-        f_elems = {w: w.element(n, dom) for w in words}
-        for I in parts:
-            eI = algebra.E_of_partition(I, dom)
-            for w in words:
-                elem = eI * f_elems[w]
-                if ib is not None:
-                    elem = ib.reduce(elem)
-                candidates += 1
-                if not elem.is_zero():
-                    nonzero += 1
-                ech.insert(index.vector(elem))
+    for I in parts:
+        e_I = ech.from_coeffs(index.vector(algebra.E_of_partition(I, dom)))
+        for w in words:
+            row = e_I
+            for i in w.letters():
+                row = ech.scatter(tables["RF", i], row)
+            if ib is not None:
+                row = ib.ech.reduce(row)
+            candidates += 1
+            if any(row):
+                nonzero += 1
+            ech.insert(row)
     return {
         "n": n,
         "candidates": candidates,

@@ -12,9 +12,12 @@ A tensor basis vector is a tuple of n factors, each factor a pair
                             + sqrt(u) v_j^s (x) v_i^r      if r = s, i < j
                           sqrt(u) v_j^s (x) v_i^r          if r = s, i > j
 
-This representation is not faithful: it kills the two-sided ideal that
-defines the partition Temperley-Lieb quotient.  A small dim-2 harness for
-the classical Hecke/Temperley-Lieb operators lives at the bottom.
+This representation is faithful (Ryom-Hansen, "On the representation theory
+of an algebra of braids and ties", J. Algebraic Combin. 2011): the rank of
+the represented basis equals dim E_n at n = 2, 3 and 4, so it does not kill
+the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
+small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
+at the bottom.
 
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are lazy
 appliers; nothing is ever stored as a dense n^(2n) matrix.
@@ -24,8 +27,7 @@ import itertools
 import random
 
 from .algebra import BasisIndex, relation_instances
-from .domains import SYMBOLIC, PrimeDomain, RationalDomain
-from .linalg import Echelon, ModPEchelon
+from .domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +150,8 @@ class SparseOperator:
     def apply(self, vec):
         return self._apply(vec)
 
-    def compose(self, other):
-        """self after other."""
-        return SparseOperator(self.n, lambda v: self._apply(other._apply(v)),
-                              self.dom)
-
     def column(self, idx):
         return self._apply(unit_vector(idx, self.dom))
-
-
-def identity_operator(n, dom=SYMBOLIC):
-    return SparseOperator(n, lambda v: dict(v), dom)
 
 
 def _basis_word(I, w):
@@ -312,15 +305,6 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
     return checks
 
 
-def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
-    """Same check without the touched-window reduction (oracle for it)."""
-    for x in tensor_basis(n):
-        lhs, rhs = _rel_images(rel, params, x, dom)
-        if lhs != rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # rank of the image of the algebra inside End(V^(x)n)
 # ---------------------------------------------------------------------------
@@ -343,11 +327,10 @@ def _index_type(idx):
 
 def _rank_rows(n, dom):
     """Constraint rows spanning the row space of the flattened-operator
-    matrix, one bundle per index type."""
+    matrix, one bundle per index type, made as they are consumed."""
     idx = BasisIndex(n)
     appliers = [(k, _basis_word(I, w)) for k, (I, w) in enumerate(idx.pairs)]
     seen = set()
-    rows = []
     for x in tensor_basis(n):
         t = _index_type(x)
         if t in seen:
@@ -360,11 +343,21 @@ def _rank_rows(n, dom):
             images.append(img)
             outputs.update(img)
         for y in sorted(outputs):
-            rows.append([img.get(y, dom.zero) for img in images])
-    return rows
+            yield [img.get(y, dom.zero) for img in images]
 
 
-def representation_rank(n, points=(), use_types=True):
+def _rank(n, dom, dim):
+    """Rank of the constraint rows over dom; no row is made once the rank
+    reaches dim, the most it can be."""
+    ech = dom.echelon(dim)
+    for row in _rank_rows(n, dom):
+        ech.insert(ech.from_coeffs(row))
+        if ech.rank == dim:
+            break
+    return ech.rank
+
+
+def representation_rank(n, points=()):
     """Rank of the span of the represented basis matrices.
 
     Symbolic (generic u) for n <= 3; every requested rational point of
@@ -374,31 +367,19 @@ def representation_rank(n, points=(), use_types=True):
     dim = len(BasisIndex(n))
     report = {"n": n, "algebra_dim": dim, "points": [str(p) for p in points],
               "ranks": []}
-    rank_fn = _rank_rows if use_types else _rank_rows_full
     if n <= 3:
-        ech = Echelon(width=dim)
-        for row in rank_fn(n, SYMBOLIC):
-            ech.insert(row)
-        report["symbolic_rank"] = ech.rank
-        report["kernel_dim"] = dim - ech.rank
+        report["symbolic_rank"] = _rank(n, SYMBOLIC, dim)
+        report["kernel_dim"] = dim - report["symbolic_rank"]
     for pt in points:
         if n <= 3:
-            dom = RationalDomain(pt)
-            ech = Echelon(width=dim)
-            for row in rank_fn(n, dom):
-                ech.insert(row)
             report["ranks"].append(
-                {"point": str(pt), "mode": "rational", "rank": ech.rank})
+                {"point": str(pt), "mode": "rational",
+                 "rank": _rank(n, RationalDomain(pt), dim)})
         else:
-            from .domains import PRIMES
             for p in PRIMES:
-                dom = PrimeDomain(pt, p)
-                ech = ModPEchelon(width=dim, p=p)
-                for row in rank_fn(n, dom):
-                    ech.insert([c.v for c in row])
                 report["ranks"].append(
                     {"point": str(pt), "mode": "prime", "p": p,
-                     "rank": ech.rank})
+                     "rank": _rank(n, PrimeDomain(pt, p), dim)})
     ranks = {r["rank"] for r in report["ranks"]}
     if "symbolic_rank" in report:
         ranks.add(report["symbolic_rank"])
@@ -407,23 +388,6 @@ def representation_rank(n, points=(), use_types=True):
         report["rank"] = ranks.pop()
         report["kernel_dim"] = dim - report["rank"]
     return report
-
-
-def _rank_rows_full(n, dom):
-    """Rows from every tensor basis vector (no type dedup); oracle at small n."""
-    idx = BasisIndex(n)
-    appliers = [(k, _basis_word(I, w)) for k, (I, w) in enumerate(idx.pairs)]
-    rows = []
-    for x in tensor_basis(n):
-        images = []
-        outputs = set()
-        for k, word in appliers:
-            img = apply_word(word, unit_vector(x, dom), dom)
-            images.append(img)
-            outputs.update(img)
-        for y in sorted(outputs):
-            rows.append([img.get(y, dom.zero) for img in images])
-    return rows
 
 
 def export_operator_triplets(op, n, stream):

@@ -246,10 +246,6 @@ def solve_trace(n, dom=SYMBOLIC):
     return tf
 
 
-def evaluate_trace(tf, elem):
-    return tf.evaluate(elem)
-
-
 def is_scalar_multiple(p, g):
     """Whether p = c * g for a coefficient c; returns (ok, c)."""
     if p.is_zero():

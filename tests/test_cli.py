@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +104,13 @@ def test_usage_errors(capsys):
     assert cli.main([]) == 2
     assert cli.main(["rank", "--n", "9"]) == 2
     assert cli.main(["rank", "--n", "3", "--n-max", "1"]) == 2
+    # bad specialization points: one `error:` line, no traceback
+    for argv in (["quotient", "--n", "4", "--points", "0,1"],
+                 ["rank", "--n", "2", "--points", "1/0"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
@@ -136,3 +145,15 @@ def test_golden_report(suite, capsys):
     cli.main([suite, "--format", "json"])
     with open(os.path.join(GOLDEN, suite + ".json")) as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_exact_suites_do_not_load_numpy(tmp_path):
+    # numpy serves the GF(p) classes only; the n = 3 quotient is exact
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; from btkit import cli; "
+            "cli.main(['quotient', '--n', '3', '--out', %r]); "
+            "sys.exit('numpy' in sys.modules)" % str(tmp_path / "report.md"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from btkit.domains import IntMod
 from btkit.linalg import Echelon, LinearSystem, ModPEchelon, ModPLinearSystem
 
@@ -115,3 +117,10 @@ def test_modp_batch_reduce_matches_row_reduce():
     # reductions vanish at every pivot column
     for piv in ech.pivots:
         assert not np.any(batch[:, piv])
+
+
+def test_modp_echelon_rejects_int64_overflow():
+    # width * (p-1)^2 must stay below 2^63 for the int64 row products
+    with pytest.raises(ValueError):
+        ModPEchelon(10**6, 9999991)
+    assert ModPEchelon(6240, 9999991).rank == 0

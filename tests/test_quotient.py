@@ -6,12 +6,27 @@ import pytest
 from btkit import algebra as alg
 from btkit import quotient as qt
 from btkit.domains import SYMBOLIC, PRIMES, PrimeDomain
+from btkit.linalg import Echelon
 from btkit.partitions import bell_number, enumerate_partitions
-from btkit.quotient import (FReducedWord, build_ideal, build_ideal_by_pairs,
+from btkit.quotient import (FReducedWord, IdealBasis, build_ideal,
                             catalan_number, enumerate_F_reduced,
                             equal_mod_ideal, ideal_generator_element,
                             reduce_mod_ideal, spanning_check,
                             verify_ideal_closure, verify_presentations)
+
+
+def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
+    """The literal span of {b1 * g * b2} over all basis pairs (the slow
+    oracle for :func:`build_ideal` at small n)."""
+    index = alg.BasisIndex(n, dom)
+    g = ideal_generator_element(n, dom, pair, tied)
+    ech = Echelon(width=len(index))
+    ib = IdealBasis(n, dom, ech, index)
+    left = [index.basis_elem(k) * g for k in range(len(index))]
+    for lg in left:
+        for k in range(len(index)):
+            ech.insert(index.vector(lg * index.basis_elem(k)))
+    return ib
 
 
 def test_catalan():
@@ -191,3 +206,26 @@ def test_dimension_stability_at_u_equals_one():
     dom = RationalDomain(1)
     assert build_ideal(3, dom).dim == 1
     assert build_ideal(3, dom, tied=False).dim == 11
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
+    ids=["n3-symbolic", "n4-prime"])
+def test_action_tables_match_engine_products(n, dom):
+    # every table scatter of a basis row is the row of the engine's general
+    # product with the generator, on the table's side
+    index = alg.BasisIndex(n, dom)
+    ech = dom.echelon(len(index))
+    tables = qt.generator_actions(index, ech)
+    gens = {"T": alg.T, "E": alg.E, "F": alg.F}
+    assert sorted(tables) == sorted(
+        (name, i) for name in ("LT", "RT", "LE", "RE", "RF")
+        for i in range(1, n))
+    for (name, i), table in tables.items():
+        g = gens[name[1]](i, n, dom)
+        for k in range(len(index)):
+            x = index.basis_elem(k)
+            image = ech.to_coeffs(
+                ech.scatter(table, ech.from_coeffs(index.vector(x))))
+            expected = x * g if name[0] == "R" else g * x
+            assert image == index.vector(expected), (name, i, k)

@@ -13,6 +13,40 @@ from btkit.tensor import (act_E, act_T, act_T_inverse, represent,
 U, S, ONE = sc.U, sc.SQRT_U, sc.ONE
 
 
+def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
+    """The operator check of a relation instance on every tensor basis
+    vector, without the touched-window reduction (oracle for it)."""
+    for x in tensor_basis(n):
+        lhs, rhs = tn._rel_images(rel, params, x, dom)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _rank_rows_full(n, dom):
+    """Rows from every tensor basis vector (no type dedup); oracle at small n."""
+    idx = alg.BasisIndex(n)
+    appliers = [(k, tn._basis_word(I, w)) for k, (I, w) in enumerate(idx.pairs)]
+    rows = []
+    for x in tensor_basis(n):
+        images = []
+        outputs = set()
+        for k, word in appliers:
+            img = tn.apply_word(word, unit_vector(x, dom), dom)
+            images.append(img)
+            outputs.update(img)
+        for y in sorted(outputs):
+            rows.append([img.get(y, dom.zero) for img in images])
+    return rows
+
+
+def _naive_rank(n, dom):
+    ech = dom.echelon(len(alg.BasisIndex(n)))
+    for row in _rank_rows_full(n, dom):
+        ech.insert(ech.from_coeffs(row))
+    return ech.rank
+
+
 def test_two_factor_rules():
     # the four branches of the braid action and the tie projector
     v = unit_vector(((1, 1), (1, 2)))
@@ -94,7 +128,7 @@ def test_operator_relations():
 def test_window_reduction_matches_full_space():
     # the touched-window check equals the brute-force full-space check
     for rel, params in alg.relation_instances(3):
-        assert tn.verify_relation_full_space(3, rel, params)
+        assert verify_relation_full_space(3, rel, params)
 
 
 def test_identity_representation():
@@ -121,7 +155,11 @@ def test_representation_rank_small():
 
 
 def test_type_dedup_matches_naive_enumeration():
-    naive = tn.representation_rank(2, points=[Fraction(3, 2)], use_types=False)
+    # the naive ranks use every row, so they also check that stopping at
+    # full rank loses nothing
+    naive = {"symbolic_rank": _naive_rank(2, SYMBOLIC),
+             "ranks": [{"point": "3/2", "mode": "rational",
+                        "rank": _naive_rank(2, RationalDomain(Fraction(3, 2)))}]}
     typed = tn.representation_rank(2, points=[Fraction(3, 2)])
     assert naive["symbolic_rank"] == typed["symbolic_rank"]
     assert naive["ranks"] == typed["ranks"]
@@ -130,7 +168,7 @@ def test_type_dedup_matches_naive_enumeration():
     e1, e2 = Echelon(width=30), Echelon(width=30)
     for row in tn._rank_rows(3, dom):
         e1.insert(row)
-    for row in tn._rank_rows_full(3, dom):
+    for row in _rank_rows_full(3, dom):
         e2.insert(row)
     assert e1.rank == e2.rank
 
