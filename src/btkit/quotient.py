@@ -31,9 +31,8 @@ def catalan_number(n):
 class IdealBasis:
     """Echelonized span of a two-sided ideal, with coset reduction."""
 
-    def __init__(self, n, dom, ech, index):
-        self.n = n
-        self.dom = dom
+    def __init__(self, ech, index):
+        self.n = index.n
         self.ech = ech
         self.index = index
 
@@ -130,7 +129,7 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
     seed = generator if generator is not None else \
         ideal_generator_element(n, dom, pair, tied)
     ech = dom.echelon(len(index))
-    ib = IdealBasis(n, dom, ech, index)
+    ib = IdealBasis(ech, index)
     actions = _closure_actions(index, ech)
     queue = deque([ib._to_row(seed)])
     while queue:

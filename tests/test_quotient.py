@@ -21,7 +21,7 @@ def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     index = alg.BasisIndex(n, dom)
     g = ideal_generator_element(n, dom, pair, tied)
     ech = Echelon(width=len(index))
-    ib = IdealBasis(n, dom, ech, index)
+    ib = IdealBasis(ech, index)
     left = [index.basis_elem(k) * g for k in range(len(index))]
     for lg in left:
         for k in range(len(index)):
