@@ -109,15 +109,6 @@ class SetPartition:
         return intern_partition(
             _canonical_rgs([lo if l == hi else l for l in self.rgs]))
 
-    def arcs(self):
-        """Pairs of adjacent elements within each block, sorted."""
-        out = []
-        for block in self.blocks():
-            for a, b in zip(block, block[1:]):
-                out.append((a, b))
-        out.sort()
-        return out
-
     def apply(self, w):
         """The image partition {w(block)}; blocks map elementwise."""
         if self.n != w.n:

@@ -19,15 +19,30 @@ the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
 small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
 at the bottom.
 
+Ties are projectors.  E_I, for a set partition I, acts as the projector onto
+the indices whose upper values are constant on each block of I (the braid
+operators carry a factor's upper value with it, so conjugating the adjacent
+tie moves its condition to any two positions).  So the basis element
+E_I T_w acts as that projector after T_w.
+
+Every operator here keeps the multiset of lower values, compares lower values
+only by order and upper values only by equality.  So an operator identity
+holds at an index iff it holds at every index of the same order-and-equality
+type, and the relation checks, the exhaustive homomorphism check and the rank
+rows run over one index per type (:func:`index_types`): 6, 65 and 1125 types
+for 2, 3 and 4 factors, against n^(2k) indices.
+
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are lazy
 appliers; nothing is ever stored as a dense n^(2n) matrix.
 """
 
+import functools
 import itertools
 import random
 
-from .algebra import BasisIndex, relation_instances
+from .algebra import BasisIndex, random_basis_element, relation_instances
 from .domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
+from .partitions import enumerate_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -40,24 +55,8 @@ def unit_vector(idx, dom=SYMBOLIC):
 def vec_add(target, src, c=None):
     """target += c * src, dropping zeros."""
     for idx, v in src.items():
-        v2 = v if c is None else v * c
-        v0 = target.get(idx)
-        if v0 is None:
-            if v2:
-                target[idx] = v2
-        else:
-            v0 = v0 + v2
-            if v0:
-                target[idx] = v0
-            else:
-                del target[idx]
+        _vacc(target, idx, v if c is None else v * c)
     return target
-
-def vec_scale(vec, c):
-    if not c:
-        return {}
-    return {idx: v * c for idx, v in vec.items()}
-
 
 def encode_index(idx, n):
     """Bijective integer code of a tensor basis index."""
@@ -67,11 +66,27 @@ def encode_index(idx, n):
     return code
 
 
-def tensor_basis(n, positions=None):
-    """All basis factor tuples for the given positions (default: n factors)."""
-    k = n if positions is None else positions
+def tensor_basis(n):
+    """All basis factor tuples of V^(x)n."""
     factors = [(i, r) for i in range(1, n + 1) for r in range(1, n + 1)]
-    return itertools.product(factors, repeat=k)
+    return itertools.product(factors, repeat=n)
+
+
+@functools.lru_cache(maxsize=None)
+def index_types(k):
+    """One k-factor index per order-and-equality type, in lexicographic
+    order.  The lower values are an ordered set partition (the blocks of a
+    set partition, ranked by one of their orderings), the upper values the
+    restricted growth string of a set partition, plus 1.  Each is the least
+    index of its type, so the order is that of first occurrence in
+    :func:`tensor_basis` for any n >= k."""
+    uppers = [[r + 1 for r in J.rgs] for J in enumerate_partitions(k)]
+    reps = []
+    for I in enumerate_partitions(k):
+        for order in itertools.permutations(range(1, I.block_count() + 1)):
+            lowers = [order[label] for label in I.rgs]
+            reps.extend(tuple(zip(lowers, up)) for up in uppers)
+    return tuple(sorted(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +127,12 @@ def act_T(i, vec, dom=SYMBOLIC):
 def act_T_inverse(i, vec, dom=SYMBOLIC):
     """T_i^{-1} = T_i + (u^{-1} - 1) E_i (1 + T_i) as an operator."""
     t = act_T(i, vec, dom)
-    tmp = dict(vec)
-    vec_add(tmp, t)
-    out = t
-    c = dom.one / dom.u - dom.one
-    vec_add(out, act_E(i, tmp, dom), c)
-    return out
+    return vec_add(t, act_E(i, vec_add(dict(vec), t), dom),
+                   dom.one / dom.u - dom.one)
 
 
 def _vacc(out, idx, c):
+    """out[idx] += c, dropping zeros."""
     c0 = out.get(idx)
     if c0 is None:
         if c:
@@ -154,49 +166,60 @@ class SparseOperator:
         return self._apply(unit_vector(idx, self.dom))
 
 
-def _basis_word(I, w):
-    """Generator word (as (kind, index) pairs, leftmost first) whose image
-    represents E_I T_w.  The tie part decomposes each block into consecutive
-    arcs, every arc into a braid-conjugated adjacent tie."""
-    word = []
-    for a, b in I.arcs():
-        for k in range(a, b - 1):
-            word.append(("T", k))
-        word.append(("E", b - 1))
-        for k in range(b - 2, a - 1, -1):
-            word.append(("Tinv", k))
-    for i in w.reduced_word():
-        word.append(("T", i))
-    return word
+@functools.lru_cache(maxsize=None)
+def _block_leaders(I):
+    """Pairs (m, k) of positions, k the first position of m's block of I."""
+    lead = [I.rgs.index(label) for label in I.rgs]
+    return tuple((m, k) for m, k in enumerate(lead) if m != k)
+
+
+def project(I, vec):
+    """E_I on the tensor space: the projector onto the indices whose upper
+    values are constant on each block of I."""
+    ties = _block_leaders(I)
+    return {x: c for x, c in vec.items()
+            if all(x[m][1] == x[k][1] for m, k in ties)}
+
+
+def _braid_image(word, images, dom):
+    """T_word x for a tuple of braid letters (rightmost acts first), made
+    from the image of the word's suffix; ``images`` caches the images by
+    word and starts as {(): x}."""
+    img = images.get(word)
+    if img is None:
+        img = images[word] = act_T(word[0],
+                                   _braid_image(word[1:], images, dom), dom)
+    return img
 
 
 def apply_word(word, vec, dom=SYMBOLIC):
-    """Apply a generator word to a vector, rightmost letter first."""
+    """Apply a word of ("T", i) and ("E", i) letters to a vector, rightmost
+    letter first."""
     for kind, i in reversed(word):
         if not vec:
             break
-        if kind == "T":
-            vec = act_T(i, vec, dom)
-        elif kind == "E":
-            vec = act_E(i, vec, dom)
-        else:
-            vec = act_T_inverse(i, vec, dom)
+        vec = act_T(i, vec, dom) if kind == "T" else act_E(i, vec, dom)
     return vec
 
 
 def represent(elem):
-    """The algebra homomorphism: images of basis terms composed from
-    generator actions along reduced words, extended linearly."""
-    n, dom = elem.n, elem.dom
-    words = [(c, _basis_word(I, w)) for (I, w), c in elem.terms.items()]
+    """The algebra homomorphism, extended linearly from the basis: E_I T_w
+    sends x to project(I, T_w x), and T_w x is made once per w."""
+    dom = elem.dom
+    ties = {}
+    for (I, w), c in elem.terms.items():
+        ties.setdefault(w.reduced_word(), []).append((I, c))
 
     def apply_fn(vec):
         out = {}
-        for c, word in words:
-            vec_add(out, apply_word(word, vec, dom), c)
+        braided = {(): vec}
+        for word, terms in ties.items():
+            img = _braid_image(word, braided, dom)
+            for I, c in terms:
+                vec_add(out, project(I, img), c)
         return out
 
-    return SparseOperator(n, apply_fn, dom)
+    return SparseOperator(elem.n, apply_fn, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -242,51 +265,37 @@ def _rel_images(rel, params, x, dom):
     return lhs, rhs
 
 
-def _touched_positions(rel, params, n):
-    out = set()
-    for i in params:
-        out.add(i)
-        out.add(i + 1)
-    return sorted(out)
-
-
 def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
     """Exact operator-equality check of every defining-relation instance,
     plus a homomorphism spot check represent(a*b) == represent(a)represent(b)
     on random basis pairs.
 
     Each relation instance only involves the tensor factors its generators
-    touch and acts as the identity elsewhere, so equality is checked on the
-    subtensor of touched factors (equivalent to the full space, and checked
-    against a full-space run in the tests).
+    touch and acts as the identity elsewhere, so equality is checked on one
+    index per type of the subtensor of touched factors (equivalent to the
+    full space, and checked against a full-space run in the tests).  At
+    n <= 3 the homomorphism check is exhaustive, on one index per type; at
+    n >= 4 it samples 64 random indices per pair.
     """
     checks = []
     for rel, params in relation_instances(n):
-        touched = _touched_positions(rel, params, n)
-        width = len(touched)
-        remap = {pos: k + 1 for k, pos in enumerate(touched)}
-        rparams = tuple(remap[i] for i in params)
-        ok = True
-        for x in tensor_basis(n, positions=width):
-            lhs, rhs = _rel_images(rel, rparams, x, dom)
-            if lhs != rhs:
-                ok = False
-                break
+        touched = sorted({p + d for p in params for d in (0, 1)})
+        rparams = tuple(touched.index(i) + 1 for i in params)
+        ok = all(lhs == rhs for lhs, rhs in (
+            _rel_images(rel, rparams, x, dom)
+            for x in index_types(len(touched))))
         checks.append({"id": "rep-" + rel, "instance": list(params), "ok": ok})
     rng = random.Random(seed)
-    idx = BasisIndex(n)
-    sample_all = n <= 3
-    full = list(tensor_basis(n)) if sample_all else None
+    exhaustive = n <= 3
     hom_ok = True
     hom_checked = 0
-    import btkit.algebra as algebra
     for _ in range(hom_pairs):
-        a = algebra.random_basis_element(n, rng, dom)
-        b = algebra.random_basis_element(n, rng, dom)
+        a = random_basis_element(n, rng, dom)
+        b = random_basis_element(n, rng, dom)
         op_ab = represent(a * b)
         op_a, op_b = represent(a), represent(b)
-        if sample_all:
-            vectors = full
+        if exhaustive:
+            vectors = index_types(n)
         else:
             vectors = [tuple((rng.randint(1, n), rng.randint(1, n))
                              for _ in range(n)) for _ in range(64)]
@@ -300,7 +309,7 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
             break
     checks.append({"id": "rep-homomorphism",
                    "instance": [hom_checked, "pairs",
-                                "exhaustive" if sample_all else "sampled"],
+                                "exhaustive" if exhaustive else "sampled"],
                    "ok": hom_ok})
     return checks
 
@@ -309,40 +318,15 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
 # rank of the image of the algebra inside End(V^(x)n)
 # ---------------------------------------------------------------------------
 
-def _index_type(idx):
-    """Order-and-equality type of a tensor index.  Two indices of the same
-    type produce identical constraint rows, because the generator rules only
-    compare lower indices by order and upper indices by equality."""
-    lowers = [i for i, _ in idx]
-    uppers = [r for _, r in idx]
-    ranks = {v: k for k, v in enumerate(sorted(set(lowers)))}
-    relabel = {}
-    up = []
-    for r in uppers:
-        if r not in relabel:
-            relabel[r] = len(relabel)
-        up.append(relabel[r])
-    return (tuple(ranks[v] for v in lowers), tuple(up))
-
-
 def _rank_rows(n, dom):
     """Constraint rows spanning the row space of the flattened-operator
     matrix, one bundle per index type, made as they are consumed."""
-    idx = BasisIndex(n)
-    appliers = [(k, _basis_word(I, w)) for k, (I, w) in enumerate(idx.pairs)]
-    seen = set()
-    for x in tensor_basis(n):
-        t = _index_type(x)
-        if t in seen:
-            continue
-        seen.add(t)
-        images = []
-        outputs = set()
-        for k, word in appliers:
-            img = apply_word(word, unit_vector(x, dom), dom)
-            images.append(img)
-            outputs.update(img)
-        for y in sorted(outputs):
+    pairs = [(I, w.reduced_word()) for I, w in BasisIndex(n).pairs]
+    for x in index_types(n):
+        braided = {(): unit_vector(x, dom)}
+        images = [project(I, _braid_image(word, braided, dom))
+                  for I, word in pairs]
+        for y in sorted(set().union(*images)):
             yield [img.get(y, dom.zero) for img in images]
 
 
@@ -447,83 +431,46 @@ def classical_jimbo_check(dom=SYMBOLIC):
     """Sanity harness on the dim-2 space: quadratic and braid relations for
     the classical operator, vanishing of the Steinberg image, and the
     idempotent generator identities."""
-    checks = []
+    def word(act, *letters):
+        # the operator word, rightmost letter acting first
+        def op(v):
+            for i in reversed(letters):
+                v = act(i, v, dom)
+            return v
+        return op
 
-    def basis2(k):
-        return list(itertools.product((1, 2), repeat=k))
+    def combo(*terms):
+        # the sum of the operators c * op over the (c, op) terms
+        def op(v):
+            out = {}
+            for c, term in terms:
+                vec_add(out, term(v), c)
+            return out
+        return op
 
-    ok = True
-    for x in basis2(2):
-        v = unit_vector(x, dom)
-        lhs = act_J(1, act_J(1, v, dom), dom)
-        rhs = vec_scale(v, dom.u)
-        vec_add(rhs, act_J(1, v, dom), dom.u_minus_1)
-        if lhs != rhs:
-            ok = False
-    checks.append({"id": "classical-quadratic", "instance": [], "ok": ok})
+    def holds(k, lhs, rhs):
+        return all(lhs(unit_vector(x, dom)) == rhs(unit_vector(x, dom))
+                   for x in itertools.product((1, 2), repeat=k))
 
-    ok = True
-    for x in basis2(3):
-        v = unit_vector(x, dom)
-        if act_J(1, act_J(2, act_J(1, v, dom), dom), dom) != \
-           act_J(2, act_J(1, act_J(2, v, dom), dom), dom):
-            ok = False
-    checks.append({"id": "classical-braid", "instance": [], "ok": ok})
-
-    ok = True
-    for x in basis2(4):
-        v = unit_vector(x, dom)
-        if act_J(1, act_J(3, v, dom), dom) != act_J(3, act_J(1, v, dom), dom):
-            ok = False
-    checks.append({"id": "classical-commute", "instance": [], "ok": ok})
-
-    # Steinberg image is the zero operator on the 8-dim space
-    ok = True
-    for x in basis2(3):
-        v = unit_vector(x, dom)
-        total = dict(v)
-        for word in ([1], [2], [2, 1], [1, 2], [1, 2, 1]):
-            img = dict(v)
-            for i in word:
-                img = act_J(i, img, dom)
-            vec_add(total, img)
-        if total:
-            ok = False
-    checks.append({"id": "classical-steinberg-vanishes", "instance": [], "ok": ok})
-
-    # F = (1 + J)/(1 + u), both as formula and by its displayed action
-    c = dom.one / (dom.u + dom.one)
-    ok = True
-    for x in basis2(2):
-        v = unit_vector(x, dom)
-        formula = dict(v)
-        vec_add(formula, act_J(1, v, dom))
-        formula = vec_scale(formula, c)
-        if formula != act_F_direct(1, v, dom):
-            ok = False
-    checks.append({"id": "classical-idempotent-formula", "instance": [], "ok": ok})
-
-    ok = True
-    for x in basis2(2):
-        v = unit_vector(x, dom)
-        if act_F_direct(1, act_F_direct(1, v, dom), dom) != act_F_direct(1, v, dom):
-            ok = False
-    checks.append({"id": "classical-idempotent-square", "instance": [], "ok": ok})
-
-    ok = True
-    for x in basis2(4):
-        v = unit_vector(x, dom)
-        if act_F_direct(1, act_F_direct(3, v, dom), dom) != \
-           act_F_direct(3, act_F_direct(1, v, dom), dom):
-            ok = False
-    checks.append({"id": "classical-idempotent-commute", "instance": [], "ok": ok})
-
-    cc = dom.u / ((dom.u + dom.one) * (dom.u + dom.one))
-    ok = True
-    for x in basis2(3):
-        v = unit_vector(x, dom)
-        lhs = act_F_direct(1, act_F_direct(2, act_F_direct(1, v, dom), dom), dom)
-        if lhs != vec_scale(act_F_direct(1, v, dom), cc):
-            ok = False
-    checks.append({"id": "classical-idempotent-sandwich", "instance": [], "ok": ok})
-    return checks
+    J = functools.partial(word, act_J)
+    F = functools.partial(word, act_F_direct)
+    u = dom.u
+    cu = dom.one / (u + dom.one)
+    steinberg = combo(*[(None, J(*w)) for w in ((), (1,), (2,), (2, 1),
+                                                (1, 2), (1, 2, 1))])
+    checks = [
+        ("classical-quadratic",
+         holds(2, J(1, 1), combo((u, J()), (dom.u_minus_1, J(1))))),
+        ("classical-braid", holds(3, J(1, 2, 1), J(2, 1, 2))),
+        ("classical-commute", holds(4, J(1, 3), J(3, 1))),
+        # the Steinberg image is the zero operator on the 8-dim space
+        ("classical-steinberg-vanishes", holds(3, steinberg, combo())),
+        # F = (1 + J)/(1 + u), both as formula and by its displayed action
+        ("classical-idempotent-formula",
+         holds(2, combo((cu, J()), (cu, J(1))), F(1))),
+        ("classical-idempotent-square", holds(2, F(1, 1), F(1))),
+        ("classical-idempotent-commute", holds(4, F(1, 3), F(3, 1))),
+        ("classical-idempotent-sandwich",
+         holds(3, F(1, 2, 1), combo((u * cu * cu, F(1))))),
+    ]
+    return [{"id": cid, "instance": [], "ok": ok} for cid, ok in checks]

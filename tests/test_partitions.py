@@ -109,15 +109,6 @@ def test_partial_order():
     assert not generator_partition(1, 3).leq(arc_partition(1, 3, 3))
 
 
-def test_arcs():
-    assert SetPartition.full(3).arcs() == [(1, 2), (2, 3)]
-    assert SetPartition.unit(4).arcs() == []
-    assert arc_partition(1, 3, 3).arcs() == [(1, 3)]
-    # arcs join only adjacent elements within a block
-    I = SetPartition.from_blocks([[1, 3, 4], [2]], 4)
-    assert I.arcs() == [(1, 3), (3, 4)]
-
-
 def test_generator_partitions():
     assert generator_partition(1, 3) == parse_partition("{{1,2},{3}}")
     assert generator_partition(2, 3) == parse_partition("{{2,3},{1}}")

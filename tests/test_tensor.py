@@ -6,7 +6,9 @@ from fractions import Fraction
 from btkit import algebra as alg
 from btkit import scalars as sc
 from btkit import tensor as tn
-from btkit.domains import SYMBOLIC, RationalDomain
+from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
+from btkit.partitions import SetPartition, arc_partition, enumerate_partitions
+from btkit.permutations import Permutation
 from btkit.tensor import (act_E, act_T, act_T_inverse, represent,
                           tensor_basis, unit_vector)
 
@@ -23,16 +25,60 @@ def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
     return True
 
 
+def _arcs(I):
+    """Pairs of adjacent elements within each block of I, sorted."""
+    return sorted((a, b) for block in I.blocks()
+                  for a, b in zip(block, block[1:]))
+
+
+def _basis_word(I, w):
+    """Generator word (as (kind, index) pairs, leftmost first) whose image
+    represents E_I T_w by the definition: the tie part decomposes each block
+    into consecutive arcs, every arc into a braid-conjugated adjacent tie
+    (oracle for the projector)."""
+    word = []
+    for a, b in _arcs(I):
+        for k in range(a, b - 1):
+            word.append(("T", k))
+        word.append(("E", b - 1))
+        for k in range(b - 2, a - 1, -1):
+            word.append(("Tinv", k))
+    for i in w.reduced_word():
+        word.append(("T", i))
+    return word
+
+
+def _apply_oracle_word(word, vec, dom=SYMBOLIC):
+    """Apply an oracle word, rightmost letter first."""
+    acts = {"T": act_T, "E": act_E, "Tinv": act_T_inverse}
+    for kind, i in reversed(word):
+        vec = acts[kind](i, vec, dom)
+    return vec
+
+
+def _index_type(idx):
+    """Order-and-equality type of a tensor index: lower values ranked,
+    upper values relabelled in order of first occurrence."""
+    lowers = [i for i, _ in idx]
+    ranks = {v: k for k, v in enumerate(sorted(set(lowers)))}
+    relabel = {}
+    for _, r in idx:
+        relabel.setdefault(r, len(relabel))
+    return (tuple(ranks[v] for v in lowers),
+            tuple(relabel[r] for _, r in idx))
+
+
 def _rank_rows_full(n, dom):
-    """Rows from every tensor basis vector (no type dedup); oracle at small n."""
+    """Rows from every tensor basis vector (no type dedup), with the images
+    of the oracle words; oracle at small n."""
     idx = alg.BasisIndex(n)
-    appliers = [(k, tn._basis_word(I, w)) for k, (I, w) in enumerate(idx.pairs)]
+    words = [_basis_word(I, w) for I, w in idx.pairs]
     rows = []
     for x in tensor_basis(n):
         images = []
         outputs = set()
-        for k, word in appliers:
-            img = tn.apply_word(word, unit_vector(x, dom), dom)
+        for word in words:
+            img = _apply_oracle_word(word, unit_vector(x, dom), dom)
             images.append(img)
             outputs.update(img)
         for y in sorted(outputs):
@@ -59,6 +105,57 @@ def test_two_factor_rules():
     assert act_T(1, v) == {((1, 1), (2, 1)): S}
     v = unit_vector(((2, 2), (2, 2)))
     assert act_T(1, v) == {((2, 2), (2, 2)): -ONE}
+
+
+def test_arcs():
+    assert _arcs(SetPartition.full(3)) == [(1, 2), (2, 3)]
+    assert _arcs(SetPartition.unit(4)) == []
+    assert _arcs(arc_partition(1, 3, 3)) == [(1, 3)]
+    # arcs join only adjacent elements within a block
+    I = SetPartition.from_blocks([[1, 3, 4], [2]], 4)
+    assert _arcs(I) == [(1, 3), (3, 4)]
+
+
+def test_index_types_are_first_occurrences():
+    # one index per type, in the order the types first occur in the
+    # lexicographic scan of all k-tuples
+    for k, count in ((2, 6), (3, 65), (4, 1125)):
+        first = {}
+        for x in tensor_basis(k):
+            first.setdefault(_index_type(x), x)
+        assert len(first) == count
+        assert list(tn.index_types(k)) == list(first.values())
+
+
+def test_tie_projector_matches_conjugation_word():
+    # E_I as the projector equals E_I as the product of braid-conjugated
+    # adjacent ties, for every partition: on all vectors at n = 3, and at
+    # n = 4 on one index per type plus a fixed random sample
+    for I in enumerate_partitions(3):
+        word = _basis_word(I, Permutation.identity(3))
+        for x in tensor_basis(3):
+            v = unit_vector(x)
+            assert tn.project(I, v) == _apply_oracle_word(word, v)
+    rng = random.Random(11)
+    sample = list(tn.index_types(4)) + [
+        tuple((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(4))
+        for _ in range(200)]
+    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
+    for I in enumerate_partitions(4):
+        word = _basis_word(I, Permutation.identity(4))
+        for x in sample:
+            v = unit_vector(x, dom)
+            assert tn.project(I, v) == _apply_oracle_word(word, v, dom)
+
+
+def test_represented_basis_matches_conjugation_words():
+    # the image of every basis element E_I T_w at n = 3, on all vectors
+    for I, w in alg.BasisIndex(3).pairs:
+        op = represent(alg.basis_element(I, w))
+        word = _basis_word(I, w)
+        for x in tensor_basis(3):
+            v = unit_vector(x)
+            assert op.apply(v) == _apply_oracle_word(word, v)
 
 
 def test_braid_inverse_operator():
