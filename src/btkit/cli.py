@@ -56,9 +56,9 @@ def build_parser():
                        help="run for every n from --n up to this value")
         p.add_argument("--points", default=None,
                        help="specialization points for sqrt(u), e.g. 5/7,3/2")
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("BTKIT_JOBS", "1")),
-                       help="worker processes for per-instance checks")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes for per-instance checks "
+                            "(default: $BTKIT_JOBS, else 1)")
         p.add_argument("--format", choices=("json", "markdown"),
                        default="markdown", dest="fmt")
         p.add_argument("--out", default=None, help="write the report here "
@@ -88,12 +88,24 @@ def _n_values(args):
     return [n for n in range(lo, hi + 1) if n >= floor] or [lo]
 
 
+def _jobs(args):
+    text = os.environ.get("BTKIT_JOBS", "1") if args.jobs is None else args.jobs
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise UsageError("BTKIT_JOBS is not an integer: %r" % text) from None
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1, got %d" % jobs)
+    return jobs
+
+
 def run_suite(args):
     ns = _n_values(args)
+    jobs = _jobs(args)
     points = (_parse_points(args.points) if args.points is not None
               else list(suites.DEFAULT_POINTS))
     if args.suite == "relations":
-        report = suites.relations_suite(ns, seed=args.seed, jobs=args.jobs)
+        report = suites.relations_suite(ns, seed=args.seed, jobs=jobs)
     elif args.suite == "quotient":
         report = suites.quotient_suite(ns, points=points, seed=args.seed)
     elif args.suite == "rank":

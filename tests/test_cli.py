@@ -100,17 +100,33 @@ def test_out_file(tmp_path, capsys):
     assert report["suite"] == "rank"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     assert cli.main([]) == 2
     assert cli.main(["rank", "--n", "9"]) == 2
     assert cli.main(["rank", "--n", "3", "--n-max", "1"]) == 2
-    # bad specialization points: one `error:` line, no traceback
-    for argv in (["quotient", "--n", "4", "--points", "0,1"],
-                 ["rank", "--n", "2", "--points", "1/0"]):
+
+    def assert_one_error_line(argv):
         capsys.readouterr()
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # bad specialization points: one `error:` line, no traceback
+    assert_one_error_line(["quotient", "--n", "4", "--points", "0,1"])
+    assert_one_error_line(["rank", "--n", "2", "--points", "1/0"])
+    # worker counts below 1, from the flag or the environment
+    assert_one_error_line(["relations", "--n", "2", "--jobs", "-3"])
+    assert_one_error_line(["relations", "--n", "2", "--jobs", "0"])
+    monkeypatch.setenv("BTKIT_JOBS", "0")
+    assert_one_error_line(["relations", "--n", "2"])
+    # a non-integer BTKIT_JOBS
+    monkeypatch.setenv("BTKIT_JOBS", "abc")
+    assert_one_error_line(["relations", "--n", "2"])
+    assert_one_error_line(["rank", "--n", "2"])
+    # --help runs no suite, so it reads no worker count
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
