@@ -57,9 +57,6 @@ class IdealBasis:
     def contains(self, elem):
         return self.ech.is_zero_mod(self._to_row(elem))
 
-    def row_elements(self):
-        return [self._to_element(r) for r in self.ech.rows]
-
 
 _ACTIONS = {}
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from btkit import algebra as alg
+from btkit import cli
 from btkit import quotient as qt
 from btkit.domains import SYMBOLIC, PRIMES, PrimeDomain
 from btkit.linalg import Echelon
@@ -50,8 +52,8 @@ def test_tied_ideal_matches_pair_enumeration():
     ib = build_ideal(3)
     pairs = build_ideal_by_pairs(3)
     assert pairs.dim == ib.dim
-    assert all(ib.contains(r) for r in pairs.row_elements())
-    assert all(pairs.contains(r) for r in ib.row_elements())
+    assert ib.ech.spans(pairs.ech.rows)
+    assert pairs.ech.spans(ib.ech.rows)
 
 
 def test_steinberg_ideal_n3():
@@ -177,8 +179,8 @@ def test_n4_ideal_independent_of_generator_pair():
     ib12 = build_ideal(4, dom)
     ib23 = build_ideal(4, dom, pair=(2, 3))
     assert ib12.dim == ib23.dim
-    assert all(ib12.contains(r) for r in ib23.row_elements())
-    assert all(ib23.contains(r) for r in ib12.row_elements())
+    assert ib12.ech.spans(ib23.ech.rows)
+    assert ib23.ech.spans(ib12.ech.rows)
 
 
 def test_flipped_generator_same_ideal():
@@ -229,3 +231,15 @@ def test_action_tables_match_engine_products(n, dom):
                 ech.scatter(table, ech.from_coeffs(index.vector(x))))
             expected = x * g if name[0] == "R" else g * x
             assert image == index.vector(expected), (name, i, k)
+
+
+def test_single_point_pairs_with_both_primes(capsys):
+    # one specialization is no genericity evidence: a single n = 4 point is
+    # run in both prime fields, and the two must agree
+    cli.main(["quotient", "--n", "4", "--points", "5/7", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["quotient"][0]["specialization_points"] == [
+        "s=5/7 p=%d" % p for p in PRIMES]
+    agreement = [c for c in report["checks"]
+                 if c["id"] == "quotient-dim-agreement"]
+    assert [c["status"] for c in agreement] == ["pass"]
