@@ -227,7 +227,8 @@ def represent(elem):
 # ---------------------------------------------------------------------------
 
 _REL_WORDS = {
-    # operator words (leftmost acts last); None marks the structured sides
+    # operator words (leftmost acts last); the quadratic relation, whose
+    # right side is a sum, is in _rel_images
     "braid-commute": (lambda i, j: [("T", i), ("T", j)],
                       lambda i, j: [("T", j), ("T", i)]),
     "braid": (lambda i, j: [("T", i), ("T", j), ("T", i)],
@@ -253,12 +254,10 @@ def _rel_images(rel, params, x, dom):
     if rel == "quadratic":
         (i,) = params
         vec = unit_vector(x, dom)
-        lhs = act_T(i, act_T(i, vec, dom), dom)
-        rhs = dict(vec)
-        tmp = dict(vec)
-        vec_add(tmp, act_T(i, vec, dom))
-        vec_add(rhs, act_E(i, tmp, dom), dom.u_minus_1)
-        return lhs, rhs
+        t = act_T(i, vec, dom)
+        # T^2 = 1 + (u-1) E (1 + T)
+        return act_T(i, t, dom), vec_add(
+            dict(vec), act_E(i, vec_add(dict(vec), t), dom), dom.u_minus_1)
     lw, rw = _REL_WORDS[rel]
     lhs = apply_word(lw(*params), unit_vector(x, dom), dom)
     rhs = apply_word(rw(*params), unit_vector(x, dom), dom)
@@ -287,26 +286,17 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
         checks.append({"id": "rep-" + rel, "instance": list(params), "ok": ok})
     rng = random.Random(seed)
     exhaustive = n <= 3
-    hom_ok = True
-    hom_checked = 0
-    for _ in range(hom_pairs):
+    hom_ok, hom_checked = True, 0
+    while hom_ok and hom_checked < hom_pairs:
         a = random_basis_element(n, rng, dom)
         b = random_basis_element(n, rng, dom)
-        op_ab = represent(a * b)
-        op_a, op_b = represent(a), represent(b)
-        if exhaustive:
-            vectors = index_types(n)
-        else:
-            vectors = [tuple((rng.randint(1, n), rng.randint(1, n))
-                             for _ in range(n)) for _ in range(64)]
-        for x in vectors:
-            v = unit_vector(x, dom)
-            if op_ab.apply(v) != op_a.apply(op_b.apply(v)):
-                hom_ok = False
-                break
+        op_ab, op_a, op_b = represent(a * b), represent(a), represent(b)
+        vectors = index_types(n) if exhaustive else [
+            tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
+            for _ in range(64)]
+        hom_ok = all(op_ab.apply(v) == op_a.apply(op_b.apply(v))
+                     for v in (unit_vector(x, dom) for x in vectors))
         hom_checked += 1
-        if not hom_ok:
-            break
     checks.append({"id": "rep-homomorphism",
                    "instance": [hom_checked, "pairs",
                                 "exhaustive" if exhaustive else "sampled"],
