@@ -163,6 +163,14 @@ def test_golden_report(suite, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_golden_trace_n4(capsys):
+    # `btkit trace --n 4 --format json`: the n = 4 trace at both default
+    # (point, prime) combinations
+    cli.main(["trace", "--n", "4", "--format", "json"])
+    with open(os.path.join(GOLDEN, "trace_n4.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the n = 3 quotient is exact
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
