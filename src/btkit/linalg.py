@@ -11,6 +11,13 @@ There is one echelon class per kind of field, and each owns its row format:
 use).  Each converts domain coefficient lists to rows and back, and packs and
 applies the generator action tables of :func:`btkit.quotient.generator_actions`
 (``pack``, ``scatter``), so callers run one body of code in every domain.
+
+The affine systems :class:`LinearSystem` (exact) and
+:class:`ModPLinearSystem` (GF(p)) serve the trace solver, which feeds one
+system per level with rows in the echelon's row format: table scatters of
+unit rows (the commutators x g - g x with the generators, and the tower
+rules).  ``is_implied`` tests a row against the rows added so far; the
+solver counts the implied middle tower rules before it adds them.
 """
 
 import bisect
@@ -97,9 +104,9 @@ class Echelon:
 
 class LinearSystem:
     """Affine system M x = r maintained in reduced row echelon form, with an
-    opaque right-hand side supporting ``rhs - rhs2 * coeff`` and truth
-    testing.  Pivots are chosen in the matrix part only, so inconsistency is
-    detected as a zero matrix row with nonzero rhs."""
+    opaque right-hand side supporting ``rhs - rhs2 * coeff``, ``rhs / coeff``
+    and truth testing.  Pivots are chosen in the matrix part only, so
+    inconsistency is detected as a zero matrix row with nonzero rhs."""
 
     DEPENDENT, PIVOT, INCONSISTENT = "dependent", "pivot", "inconsistent"
 
@@ -132,9 +139,8 @@ class LinearSystem:
             return self.DEPENDENT
         inv = vec[piv]
         if inv != inv * inv:
-            coeff = _one_like(inv) / inv
-            vec = [c * coeff for c in vec]
-            rhs = rhs * coeff
+            vec = [c / inv for c in vec]
+            rhs = rhs / inv
         for k, (pcol, pvec, prhs) in enumerate(self.rows):
             c = pvec[piv]
             if c:
@@ -161,24 +167,20 @@ class LinearSystem:
         return sol
 
 
-def _one_like(c):
-    return c / c
-
-
 class ModPLinearSystem:
     """Affine system over GF(p): forward echelon with numpy rows, opaque
-    right-hand sides (same contract as :class:`LinearSystem`; the solution
-    is recovered by a final back-substitution pass)."""
+    right-hand sides supporting ``rhs - rhs2`` and ``rhs * IntMod`` (same
+    contract as :class:`LinearSystem` otherwise; the solution is recovered
+    by a final back-substitution pass)."""
 
     DEPENDENT, PIVOT, INCONSISTENT = (LinearSystem.DEPENDENT,
                                       LinearSystem.PIVOT,
                                       LinearSystem.INCONSISTENT)
 
-    def __init__(self, width, p, rhs_scale):
+    def __init__(self, width, p):
         _import_numpy()
         self.width = width
         self.p = p
-        self.rhs_scale = rhs_scale    # (rhs, int c) -> rhs * c
         self.rows = {}                # pivot col -> (np row, rhs)
         self._cols = []               # sorted pivot columns
         self.inconsistent = []
@@ -186,6 +188,10 @@ class ModPLinearSystem:
     @property
     def rank(self):
         return len(self.rows)
+
+    def _scale(self, rhs, c):
+        from .domains import IntMod
+        return rhs * IntMod(c, self.p)
 
     def reduce(self, vec, rhs):
         vec = np.asarray(vec, dtype=np.int64) % self.p
@@ -195,7 +201,7 @@ class ModPLinearSystem:
             if c:
                 pvec, prhs = self.rows[col]
                 vec = (vec - c * pvec) % p
-                rhs = rhs - self.rhs_scale(prhs, c)
+                rhs = rhs - self._scale(prhs, c)
         return vec, rhs
 
     def add(self, vec, rhs):
@@ -209,7 +215,7 @@ class ModPLinearSystem:
         piv = int(nz[0])
         inv = pow(int(vec[piv]), self.p - 2, self.p)
         vec = (vec * inv) % self.p
-        rhs = self.rhs_scale(rhs, inv)
+        rhs = self._scale(rhs, inv)
         self.rows[piv] = (vec, rhs)
         bisect.insort(self._cols, piv)
         return self.PIVOT
@@ -228,7 +234,7 @@ class ModPLinearSystem:
             for c in np.nonzero(vec[col + 1:])[0]:
                 c = int(c) + col + 1
                 if sol[c] is not zero_rhs:
-                    val = val - self.rhs_scale(sol[c], int(vec[c]))
+                    val = val - self._scale(sol[c], int(vec[c]))
             sol[col] = val
         return sol
 

@@ -63,13 +63,16 @@ _ACTIONS = {}
 
 def generator_actions(index, ech):
     """{(name, i): table}: the action tables of left ("L") and right ("R")
-    multiplication by every T_i and E_i, and of right multiplication by F_i
-    ("RF"), on coefficient rows over ``index``, packed by ``ech`` (an
-    echelon of the index's domain).  Each T_i or E_i table is read off the
-    engine's one-generator products of the basis elements: basis element k
-    contributes c times basis element l for each term c E_I T_w of its
-    product, with (I, w) at position l, and c is 1 or u - 1.  The F_i table
-    is that of (1 + T_i)/(u + 1).  Built once per (n, domain) and process."""
+    multiplication by every T_i and E_i, of right multiplication by F_i
+    ("RF"), and of the commutators x -> x T_i - T_i x ("CT") and
+    x -> x E_i - E_i x ("CE"), on coefficient rows over ``index``, packed
+    by ``ech`` (an echelon of the index's domain).  Each T_i or E_i table is
+    read off the engine's one-generator products of the basis elements:
+    basis element k contributes c times basis element l for each term
+    c E_I T_w of its product, with (I, w) at position l, and c is 1 or
+    u - 1.  The F_i table is that of (1 + T_i)/(u + 1), and a commutator
+    table joins the right table with the negated left one.  Built once per
+    (n, domain) and process."""
     n, dom = index.n, index.dom
     key = (n, tuple(dom.describe().items()))
     if key not in _ACTIONS:
@@ -80,10 +83,10 @@ def generator_actions(index, ech):
         basis = [index.basis_elem(k) for k in range(len(index))]
         ks = list(range(len(index)))
         cu = dom.one / (dom.u + dom.one)
-        tables = {}
+        tables, raw = {}, {}
         for name, product in products.items():
             for i in range(1, n):
-                src, dst, coeff = [], [], []
+                src, dst, coeff = raw[name, i] = [], [], []
                 for k, x in enumerate(basis):
                     for pair, c in product(x, i).terms.items():
                         src.append(k)
@@ -94,6 +97,11 @@ def generator_actions(index, ech):
                     tables["RF", i] = ech.pack(
                         ks + src, ks + dst,
                         [c * cu for c in [dom.one] * len(ks) + coeff])
+        for g in "TE":
+            for i in range(1, n):
+                (rs, rd, rc), (ls, ld, lc) = raw["R" + g, i], raw["L" + g, i]
+                tables["C" + g, i] = ech.pack(rs + ls, rd + ld,
+                                              rc + [-c for c in lc])
         _ACTIONS[key] = tables
     return _ACTIONS[key]
 
@@ -101,7 +109,7 @@ def generator_actions(index, ech):
 def _closure_actions(index, ech):
     """The tables of left and right multiplication by every T_i and E_i."""
     return [table for (name, i), table in generator_actions(index, ech).items()
-            if name != "RF"]
+            if name in ("LT", "RT", "LE", "RE")]
 
 
 def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):

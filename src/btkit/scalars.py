@@ -56,12 +56,6 @@ def _p_mul(f, g):
     return h
 
 
-def _p_mul_int(f, k):
-    if k == 0:
-        return {}
-    return {m: c * k for m, c in f.items()}
-
-
 def _grlex_key(m):
     return (m[0] + m[1] + m[2], m)
 
@@ -69,15 +63,6 @@ def _grlex_key(m):
 def _p_lead(f):
     """Leading monomial under graded-lex order."""
     return max(f, key=_grlex_key)
-
-
-def _p_content(f):
-    c = 0
-    for v in f.values():
-        c = _igcd(c, v)
-        if c == 1:
-            return 1
-    return c
 
 
 def _p_is_const(f):
@@ -189,13 +174,6 @@ def _cl_prem(f, g):
         while f and not f[-1]:
             f.pop()
     return f
-
-
-def _only_s(f):
-    for m in f:
-        if m[1] or m[2]:
-            return False
-    return True
 
 
 def _s_gcd(f, g):
@@ -366,12 +344,6 @@ class Scalar:
         if k == 0:
             return ZERO
         return Scalar({_MONO_ONE: k}, _P_ONE, _canonical=True)
-
-    @staticmethod
-    def from_fraction(q):
-        q = Fraction(q)
-        num = {_MONO_ONE: q.numerator} if q.numerator else {}
-        return Scalar(num, {_MONO_ONE: q.denominator}, _canonical=True)
 
     @staticmethod
     def variable(name):

@@ -1,25 +1,34 @@
 """Markov-style trace functionals on the tower of braids-and-ties algebras.
 
 The level-n functional rho_n is the solution of an exact linear system over
-the basis {E_I T_w}: normalization rho(1) = 1, full trace symmetry
-rho(ab) = rho(ba) for all basis pairs, and the tower rules relating level n
-to level n-1 through the last generators,
+the basis {E_I T_w}: normalization rho(1) = 1, trace symmetry
+rho(ab) = rho(ba), and the tower rules relating level n to level n-1
+through the last generators (Aicardi and Juyumaya, "Markov trace on the
+algebra of braids and ties", Moscow Math. J., 2016),
 
     rho_n(x T_{n-1})         = A rho_{n-1}(x)
     rho_n(x E_{n-1} T_{n-1}) = A rho_{n-1}(x)
     rho_n(x E_{n-1})         = B rho_{n-1}(x)
 
-with parameters A, B.  Existence (consistency) and uniqueness (full rank)
-are computed, not assumed; the solver also reports how many instances of the
-middle rule family are implied by the remaining constraints.
+with parameters A, B.  Symmetry needs only the commutators [x, g] with x a
+basis element and g a generator T_i or E_i: since [ab, c] = [a, bc] + [b, ca],
+these span every [a, b].  All rows are table scatters of unit rows through
+:func:`btkit.quotient.generator_actions` (the commutator tables for symmetry,
+the right T_{n-1}, E_{n-1} tables for the tower rules), and they feed a
+single system per level.  Existence (consistency) and uniqueness (full rank)
+are computed, not assumed.  The solver also reports how many instances of
+the middle rule are implied by the normalization, symmetry and the other two
+tower rules: each middle row is tested against the system before any middle
+row is added.
 """
 
 from . import scalars
-from .algebra import AlgebraElement, BasisIndex, E, T, one
-from .domains import SYMBOLIC, IntMod, PrimeDomain
+from .algebra import BasisIndex
+from .domains import SYMBOLIC
 from .linalg import LinearSystem, ModPLinearSystem
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
+from .quotient import generator_actions, ideal_generator_element
 
 
 class ParamPoly:
@@ -90,26 +99,18 @@ def embed_pair(I, w, n):
             intern_perm(w.images + (n,)))
 
 
-def embed_element(elem, n, dom):
-    terms = {}
-    for (I, w), c in elem.terms.items():
-        terms[embed_pair(I, w, n)] = c
-    return AlgebraElement(n, terms, dom)
-
-
 class TraceFunctional:
     """Solved level-n trace: a value table over the basis plus the solver's
     existence/uniqueness verdicts."""
 
     def __init__(self, n, dom, table, exists, unique, rank,
-                 inconsistent_rows, implied_middle_rules, middle_rules):
+                 implied_middle_rules, middle_rules):
         self.n = n
         self.dom = dom
         self.table = table
         self.exists = exists
         self.unique = unique
         self.rank = rank
-        self.inconsistent_rows = inconsistent_rows
         self.implied_middle_rules = implied_middle_rules
         self.middle_rules = middle_rules
 
@@ -139,109 +140,87 @@ class TraceFunctional:
         return out
 
 
+def _unit(index, ech, pair):
+    """The row of the basis element E_I T_w at pair = (I, w)."""
+    vec = [index.dom.zero] * len(index)
+    vec[index.index[pair]] = index.dom.one
+    return ech.from_coeffs(vec)
+
+
+def commutator_rows(index, ech):
+    """The rows of x g - g x for every basis element x and every generator
+    g = T_i, E_i: scatters of unit rows through the commutator tables.
+    They span the rows ab - ba of all pairs (see the module docstring)."""
+    actions = generator_actions(index, ech)
+    for pair in index.pairs:
+        x = _unit(index, ech, pair)
+        for name in ("CT", "CE"):
+            for i in range(1, index.n):
+                yield ech.scatter(actions[name, i], x)
+
+
 _CACHE = {}
-
-
-def _dom_key(dom):
-    if dom is SYMBOLIC:
-        return "symbolic"
-    return (dom.name, str(getattr(dom, "point", "")), getattr(dom, "p", 0))
 
 
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
     symbolic path keeps generic u and symbolic A, B; with a PrimeDomain the
     matrix lives in GF(p) and right-hand sides are ParamPoly."""
-    key = (n, _dom_key(dom))
+    key = (n, tuple(dom.describe().items()))
     if key in _CACHE:
         return _CACHE[key]
     if n < 1:
         raise ValueError("n must be positive")
+    symbolic = dom is SYMBOLIC
+    one_rhs = scalars.ONE if symbolic else ParamPoly.constant(dom.one)
     if n == 1:
         pair = (SetPartition.unit(1), Permutation.identity(1))
-        value = scalars.ONE if dom is SYMBOLIC else ParamPoly.constant(dom.one)
-        tf = TraceFunctional(1, dom, {pair: value}, True, True, 1, 0, 0, 0)
+        tf = TraceFunctional(1, dom, {pair: one_rhs}, True, True, 1, 0, 0)
         _CACHE[key] = tf
         return tf
 
     prev = solve_trace(n - 1, dom)
     index = BasisIndex(n, dom)
     width = len(index)
-    symbolic = dom is SYMBOLIC
-    zero_rhs = scalars.ZERO if symbolic else ParamPoly.zero()
+    ech = dom.echelon(width)
+    actions = generator_actions(index, ech)
+    if symbolic:
+        system = LinearSystem(width)
+        zero_rhs = scalars.ZERO
 
-    def rhs_times_A(v):
-        return v * scalars.A if symbolic else v.times_A()
+        def times_A(v):
+            return v * scalars.A
 
-    def rhs_times_B(v):
-        return v * scalars.B if symbolic else v.times_B()
+        def times_B(v):
+            return v * scalars.B
+    else:
+        system = ModPLinearSystem(width, dom.p)
+        zero_rhs = ParamPoly.zero()
+        times_A, times_B = ParamPoly.times_A, ParamPoly.times_B
 
-    rows = []
+    def right(name, row):
+        return ech.scatter(actions[name, n - 1], row)
+
     one_pair = (SetPartition.unit(n), Permutation.identity(n))
-    vec = [dom.zero] * width
-    vec[index.index[one_pair]] = dom.one
-    one_rhs = scalars.ONE if symbolic else ParamPoly.constant(dom.one)
-    rows.append(("normalization", vec, one_rhs))
-
-    t_last = T(n - 1, n, dom)
-    e_last = E(n - 1, n, dom)
-    et_last = e_last * t_last
+    system.add(_unit(index, ech, one_pair), one_rhs)
     middle = []
     for (I, w), pv in prev.table.items():
-        x = AlgebraElement(n, {embed_pair(I, w, n): dom.one}, dom)
-        rows.append(("rule-T", index.vector(x * t_last), rhs_times_A(pv)))
-        middle.append(("rule-ET", index.vector(x * et_last), rhs_times_A(pv)))
-        rows.append(("rule-E", index.vector(x * e_last), rhs_times_B(pv)))
-    rows.extend(middle)
-
-    elems = [index.basis_elem(k) for k in range(width)]
-    for k1 in range(width):
-        a = elems[k1]
-        for k2 in range(k1 + 1, width):
-            b = elems[k2]
-            ab = a * b
-            ba = b * a
-            if ab == ba:
-                continue
-            rows.append(("symmetry", index.vector(ab - ba), zero_rhs))
-
-    if symbolic:
-        def make_system():
-            return LinearSystem(width)
-
-        def to_row(vec):
-            return vec
-    else:
-        def make_system():
-            return ModPLinearSystem(
-                width, dom.p,
-                rhs_scale=lambda rhs, c: rhs * IntMod(c, dom.p))
-
-        def to_row(vec):
-            return [c.v for c in vec]
-
-    system = make_system()
-    for _, vec, rhs in rows:
-        system.add(to_row(vec), rhs)
-
-    # middle-rule redundancy: how many rule-ET rows are implied by everything
-    # else (rank analysis for the tower-rule overlap)
-    other = make_system()
-    for kind, vec, rhs in rows:
-        if kind != "rule-ET":
-            other.add(to_row(vec), rhs)
-    implied = sum(1 for kind, vec, rhs in rows
-                  if kind == "rule-ET" and other.is_implied(to_row(vec), rhs))
+        x = _unit(index, ech, embed_pair(I, w, n))
+        xe = right("RE", x)
+        system.add(right("RT", x), times_A(pv))
+        system.add(xe, times_B(pv))
+        middle.append((right("RT", xe), times_A(pv)))
+    for row in commutator_rows(index, ech):
+        system.add(row, zero_rhs)
+    implied = sum(1 for row, rhs in middle if system.is_implied(row, rhs))
+    for row, rhs in middle:
+        system.add(row, rhs)
 
     exists = not system.inconsistent
     unique = exists and system.rank == width
-    table = {}
-    if exists:
-        sol = system.solution(zero_rhs)
-        for k, pair in enumerate(index.pairs):
-            table[pair] = sol[k]
+    table = dict(zip(index.pairs, system.solution(zero_rhs))) if exists else {}
     tf = TraceFunctional(n, dom, table, exists, unique, system.rank,
-                         len(system.inconsistent), implied, len(middle))
+                         implied, len(middle))
     _CACHE[key] = tf
     return tf
 
@@ -267,7 +246,6 @@ def factorization_condition(tf3=None):
     ideal: rho_3(E_1 E_2 T_{12}) as a polynomial in A, B, its two vanishing
     lines A = -B and A = -B/(1+u), and the scalar-multiple property
     z * g in K g for every basis element z."""
-    from .quotient import ideal_generator_element
     if tf3 is None:
         tf3 = solve_trace(3)
     if not tf3.exists:

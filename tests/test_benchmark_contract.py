@@ -6,6 +6,7 @@ dropped name fails here instead of in a benchmark run.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -37,12 +38,29 @@ def test_parser_accepts_every_workload_run():
             assert args.suite == r.suite
 
 
-def test_tracer_installs():
+def _tracer_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), PERFBENCH]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_tracer_installs():
     code = "import tracer; tracer.install(tracer.Tracer())"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_tracer_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_sees_the_trace_solver(tmp_path):
+    # the trace per-layer metrics count the rows the solver offers
+    out = tmp_path / "trace.json"
+    argv = [sys.executable, os.path.join(PERFBENCH, "tracer.py"), str(out),
+            "trace", "--n", "2", "--n-max", "3", "--format", "json",
+            "--out", str(tmp_path / "report.json")]
+    proc = subprocess.run(argv, env=_tracer_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:
+        assert json.load(fh)["counters"]["linalg.rows_offered"] > 0

@@ -89,8 +89,7 @@ def test_modp_linear_system_matches_exact():
         rows = [([rng.randint(-4, 4) for _ in range(width)], rng.randint(-5, 5))
                 for _ in range(6)]
         exact = LinearSystem(width)
-        modp = ModPLinearSystem(width, P,
-                                rhs_scale=lambda r, c: r * IntMod(c, P))
+        modp = ModPLinearSystem(width, P)
         for vec, rhs in rows:
             exact.add([f(x) for x in vec], f(rhs))
             modp.add(vec, IntMod(rhs, P))

@@ -215,13 +215,13 @@ def test_dimension_stability_at_u_equals_one():
     ids=["n3-symbolic", "n4-prime"])
 def test_action_tables_match_engine_products(n, dom):
     # every table scatter of a basis row is the row of the engine's general
-    # product with the generator, on the table's side
+    # product with the generator, on the table's side, or of the commutator
     index = alg.BasisIndex(n, dom)
     ech = dom.echelon(len(index))
     tables = qt.generator_actions(index, ech)
     gens = {"T": alg.T, "E": alg.E, "F": alg.F}
     assert sorted(tables) == sorted(
-        (name, i) for name in ("LT", "RT", "LE", "RE", "RF")
+        (name, i) for name in ("LT", "RT", "LE", "RE", "RF", "CT", "CE")
         for i in range(1, n))
     for (name, i), table in tables.items():
         g = gens[name[1]](i, n, dom)
@@ -229,7 +229,7 @@ def test_action_tables_match_engine_products(n, dom):
             x = index.basis_elem(k)
             image = ech.to_coeffs(
                 ech.scatter(table, ech.from_coeffs(index.vector(x))))
-            expected = x * g if name[0] == "R" else g * x
+            expected = {"L": g * x, "R": x * g, "C": x * g - g * x}[name[0]]
             assert image == index.vector(expected), (name, i, k)
 
 

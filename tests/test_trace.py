@@ -6,13 +6,20 @@ import pytest
 from btkit import algebra as alg
 from btkit import scalars as sc
 from btkit import trace as tr
-from btkit.domains import PRIMES, PrimeDomain
+from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain
 from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
 from btkit.quotient import ideal_generator_element
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
+
+
+def embed_element(elem, n, dom):
+    terms = {}
+    for (I, w), c in elem.terms.items():
+        terms[tr.embed_pair(I, w, n)] = c
+    return alg.AlgebraElement(n, terms, dom)
 
 
 def test_level2_table():
@@ -69,7 +76,7 @@ def test_tower_rules_on_arbitrary_elements():
     elast = alg.E(2, 3)
     for _ in range(20):
         x2 = alg.random_basis_element(2, rng)
-        x = tr.embed_element(x2, 3, x2.dom)
+        x = embed_element(x2, 3, x2.dom)
         assert tf3.evaluate(x * tlast) == A * tf2.evaluate(x2)
         assert tf3.evaluate(x * elast * tlast) == A * tf2.evaluate(x2)
         assert tf3.evaluate(x * elast) == B * tf2.evaluate(x2)
@@ -146,6 +153,33 @@ def test_table_export():
 
 def test_evaluate_requires_existence():
     tf = tr.solve_trace(2)
-    bad = tr.TraceFunctional(2, tf.dom, {}, False, False, 0, 1, 0, 0)
+    bad = tr.TraceFunctional(2, tf.dom, {}, False, False, 0, 0, 0)
     with pytest.raises(ValueError):
         bad.evaluate(alg.one(2))
+
+
+def _all_pair_rows(index, ech):
+    """Oracle: the rows ab - ba of every pair of basis elements, from the
+    engine's general products."""
+    basis = [index.basis_elem(k) for k in range(len(index))]
+    return [ech.from_coeffs(index.vector(a * b - b * a))
+            for k, a in enumerate(basis) for b in basis[k + 1:]]
+
+
+@pytest.mark.parametrize("dom", [SYMBOLIC, PrimeDomain(Fraction(5, 7),
+                                                       PRIMES[0])],
+                         ids=["symbolic", "prime"])
+def test_commutator_rows_span_all_pair_symmetry(dom):
+    # [ab, c] = [a, bc] + [b, ca], so the commutators with the generators
+    # span the same symmetry rows as all basis pairs
+    index = alg.BasisIndex(3, dom)
+    comm, pairs = dom.echelon(len(index)), dom.echelon(len(index))
+    comm_rows = list(tr.commutator_rows(index, comm))
+    pair_rows = _all_pair_rows(index, pairs)
+    assert len(comm_rows) == 30 * 4
+    for row in comm_rows:
+        comm.insert(row)
+    for row in pair_rows:
+        pairs.insert(row)
+    assert comm.rank == pairs.rank == 22
+    assert comm.spans(pair_rows) and pairs.spans(comm_rows)
