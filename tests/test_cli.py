@@ -171,6 +171,14 @@ def test_golden_trace_n4(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_golden_quotient_n4(capsys):
+    # `btkit quotient --n 4 --format json`: the n = 4 ideals, their closure
+    # and spanning checks at both default (point, prime) combinations
+    cli.main(["quotient", "--n", "4", "--format", "json"])
+    with open(os.path.join(GOLDEN, "quotient_n4.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the n = 3 quotient is exact
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
