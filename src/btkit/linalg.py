@@ -11,6 +11,13 @@ There is one echelon class per kind of field, and each owns its row format:
 use).  Each converts domain coefficient lists to rows and back, and packs and
 applies the generator action tables of :func:`btkit.quotient.generator_actions`
 (``pack``, ``scatter``), so callers run one body of code in every domain.
+Both take blocks of rows (``insert_block``, ``reduce_batch``,
+``scatter_batch``): :class:`Echelon` loops over the rows, and
+:class:`ModPEchelon` inserts a block with two exact float64 BLAS products
+(delayed modular reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet,
+ACM TOMS 35(3), 2008), one reducing the block against the basis and one
+clearing the block's new pivots from the old rows, with the block
+echelonized in between; ``insert`` is its one-row case.
 
 The affine systems :class:`LinearSystem` (exact) and
 :class:`ModPLinearSystem` (GF(p)) serve the trace solver, which feeds one
@@ -23,6 +30,8 @@ solver counts the implied middle tower rules before it adds them.
 import bisect
 
 np = None
+
+LIMB = 12   # bits per limb of the coefficient operand of a float64 product
 
 
 def _import_numpy():
@@ -71,6 +80,13 @@ class Echelon:
         self._pivot_row[piv] = len(self.rows) - 1
         return True
 
+    def insert_block(self, rows):
+        """Insert every row; returns the rank growth."""
+        return sum(self.insert(row) for row in rows)
+
+    def reduce_batch(self, rows):
+        return [self.reduce(row) for row in rows]
+
     def is_zero_mod(self, row):
         return not any(self.reduce(row))
 
@@ -100,6 +116,9 @@ class Echelon:
             if x:
                 out[d] = out[d] + x * c
         return out
+
+    def scatter_batch(self, action, rows):
+        return [self.scatter(action, row) for row in rows]
 
 
 class LinearSystem:
@@ -240,19 +259,30 @@ class ModPLinearSystem:
 
 
 class ModPEchelon:
-    """Same contract over GF(p) with a preallocated numpy matrix of RREF
-    rows.  The prime must satisfy width * (p-1)^2 < 2^63 so that the batched
-    reductions stay inside int64 (see ``PRIMES`` in domains)."""
+    """Same contract over GF(p) with a preallocated int64 numpy matrix of
+    RREF rows.  Every product with the basis is one float64 matmul: the
+    coefficient operand is split into LIMB-bit limbs, so each entry is an
+    integer sum of at most ``width`` terms below 2^LIMB * p, exact while
+    width * (2^LIMB - 1) * (p-1) < 2^53, and reduced mod p in int64.  The
+    rank-one updates inside a block and the scatters stay in int64, which
+    needs width * (p-1)^2 < 2^63 (see ``PRIMES`` in domains)."""
 
     def __init__(self, width, p):
         if width * (p - 1) ** 2 >= 2 ** 63:
             raise ValueError("int64 row products overflow at width %d, p %d"
                              % (width, p))
+        if width * ((1 << LIMB) - 1) * (p - 1) >= 2 ** 53:
+            raise ValueError("float64 limb products are inexact at width %d,"
+                             " p %d" % (width, p))
         _import_numpy()
         self.width = width
         self.p = p
         self.pivots = []
+        self._limbs = -(-(p - 1).bit_length() // LIMB)
         self._mat = np.zeros((64, width), dtype=np.int64)
+        self._pivots = np.array(self.pivots, dtype=np.intp)
+        self._free = np.arange(width)     # the non-pivot columns
+        self._basis = None    # float64 rows at the free columns, on demand
 
     @property
     def rank(self):
@@ -262,51 +292,93 @@ class ModPEchelon:
     def rows(self):
         return self._mat[:self.rank]
 
-    def _coerce(self, row):
-        arr = np.asarray(row, dtype=np.int64) % self.p
-        if arr.shape != (self.width,):
-            raise ValueError("bad row width")
-        return arr
+    def _mul(self, a, b):
+        """An int64 matrix congruent to a @ b mod p and below 2^54, for an
+        int64 a and a float64 b with entries in [0, p): one float64 product
+        of b with the limbs of a stacked, the limb products recombined in
+        int64 and left for the caller to reduce."""
+        m, mask = len(a), (1 << LIMB) - 1
+        limbs = np.concatenate([(a >> (LIMB * k)) & mask
+                                for k in range(self._limbs)])
+        part = (limbs.astype(np.float64) @ b).astype(np.int64)
+        out = part[(self._limbs - 1) * m:]
+        for k in reversed(range(self._limbs - 1)):
+            out = ((out % self.p) << LIMB) + part[k * m:(k + 1) * m]
+        return out
 
     def reduce(self, row):
-        # rows are RREF, so one matrix product eliminates all pivots at once
-        row = self._coerce(row)
-        r = self.rank
-        if r == 0:
-            return row.copy()
-        coeffs = row[self.pivots]
-        return (row - coeffs @ self._mat[:r]) % self.p
+        return self.reduce_batch(np.asarray(row)[None])[0]
 
     def reduce_batch(self, mat):
+        """The rows of mat reduced against the basis.  The basis is RREF, so
+        one product at the free columns eliminates every pivot at once, and
+        the reduced rows are zero at the pivots."""
         mat = np.asarray(mat, dtype=np.int64) % self.p
-        r = self.rank
-        if r == 0:
-            return mat.copy()
-        coeffs = mat[:, self.pivots]
-        return (mat - coeffs @ self._mat[:r]) % self.p
+        if mat.ndim != 2 or mat.shape[1] != self.width:
+            raise ValueError("bad row width")
+        if not self.rank:
+            return mat
+        if self._basis is None:
+            self._basis = self.rows[:, self._free].astype(np.float64)
+        out = np.zeros_like(mat)
+        out[:, self._free] = (mat[:, self._free] - self._mul(
+            mat[:, self._pivots], self._basis)) % self.p
+        return out
 
     def insert(self, row):
-        row = self.reduce(row)
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(row[piv]), self.p - 2, self.p)
-        row = (row * inv) % self.p
-        r = self.rank
-        if r:
-            col = self._mat[:r, piv].copy()
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                self._mat[nzr] -= np.outer(col[nzr], row)
-                self._mat[:r] %= self.p
-        if r == len(self._mat):
-            grown = np.zeros((2 * r, self.width), dtype=np.int64)
-            grown[:r] = self._mat
+        return self.insert_block(np.asarray(row)[None]) > 0
+
+    def insert_block(self, mat):
+        """Insert the rows of mat; returns the rank growth.  The block is
+        reduced against the basis in one product and echelonized within
+        itself, the new pivots are cleared from the old rows in one product,
+        and the new rows are appended."""
+        new, pivs = self._echelonize(self.reduce_batch(mat))
+        if not pivs:
+            return 0
+        r, k = self.rank, len(pivs)
+        free = np.setdiff1d(self._free, pivs, assume_unique=True)
+        coeffs = self._mat[:r, pivs]
+        hit = np.flatnonzero(coeffs.any(axis=1))
+        if hit.size:
+            old = self._mat[hit]
+            old[:, free] = (old[:, free] - self._mul(
+                coeffs[hit], new[:, free].astype(np.float64))) % self.p
+            old[:, pivs] = 0
+            self._mat[hit] = old
+        if r + k > len(self._mat):
+            grown = np.zeros((max(2 * len(self._mat), r + k), self.width),
+                             dtype=np.int64)
+            grown[:r] = self._mat[:r]
             self._mat = grown
-        self._mat[r] = row
-        self.pivots.append(piv)
-        return True
+        self._mat[r:r + k] = new
+        self.pivots.extend(pivs)
+        self._pivots = np.array(self.pivots, dtype=np.intp)
+        self._free = free
+        self._basis = None
+        return k
+
+    def _echelonize(self, block):
+        """RREF of the rows of a reduced block: (rows, pivot columns), each
+        row led by a 1 at the first nonzero column it has once the rows
+        before it are eliminated, as one-row inserts would give."""
+        p = self.p
+        pivs, keep = [], []
+        for i in np.flatnonzero(block.any(axis=1)):
+            nz = np.flatnonzero(block[i])
+            if not nz.size:
+                continue
+            piv = int(nz[0])
+            row = block[i] * pow(int(block[i, piv]), p - 2, p) % p
+            block[i] = row
+            col = block[:, piv].copy()
+            col[i] = 0
+            hit = np.flatnonzero(col)
+            if hit.size:
+                block[hit] = (block[hit] - np.outer(col[hit], row)) % p
+            pivs.append(piv)
+            keep.append(i)
+        return block[keep], pivs
 
     def is_zero_mod(self, row):
         return not np.any(self.reduce(row))
@@ -334,3 +406,7 @@ class ModPEchelon:
         out = np.zeros(self.width, dtype=np.int64)
         np.add.at(out, dst, row[src] * coeff)
         return out % self.p
+
+    def scatter_batch(self, action, rows):
+        """The images of the rows of a matrix under a packed action table."""
+        return np.array([self.scatter(action, row) for row in rows])

@@ -8,6 +8,12 @@ E_i; closure is verified, which certifies the span IS the two-sided ideal.
 Cosets are represented by reduction against the echelon (unique
 representative with zero coordinates at the pivots).
 
+The closure, the closure check and the spanning check work on blocks of at
+most BLOCK rows: a block of basis rows (or of candidates) is scattered
+through a table at once and inserted into, or tested against, the echelon
+as one block, so the GF(p) echelon does its elimination in a few BLAS
+products of bounded size instead of one product per row.
+
 Every generator multiplication here is a table scatter on coefficient rows
 (:func:`generator_actions`).  The tables are read off the engine's own
 one-generator products, and the domain's echelon class packs and applies
@@ -15,13 +21,15 @@ them, so the closure, the closure check and the spanning check have one body
 for every domain.
 """
 
-from collections import deque
 from math import comb
 
 from . import algebra
 from .algebra import AlgebraElement, BasisIndex, E, F, L, one, steinberg
 from .domains import SYMBOLIC
 from .partitions import enumerate_partitions
+
+
+BLOCK = 64   # rows scattered and inserted or tested at once
 
 
 def catalan_number(n):
@@ -127,7 +135,11 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
                 generator=None):
     """Echelon basis of the two-sided ideal generated by E_i E_j T_{ij}
     (or by T_{ij} alone with tied=False, or by an explicit ``generator``
-    element), by closing under generator multiplication on both sides."""
+    element), by closing under generator multiplication on both sides.
+    The basis rows are taken in blocks of at most BLOCK in the order they
+    were appended; each block's images under every table are inserted as
+    one block.  Each row is scattered once, with the value it has then,
+    which keeps its pivot column, so the scattered rows span the result."""
     if n < 3:
         raise ValueError("the quotient relation needs n >= 3")
     index = index or BasisIndex(n, dom)
@@ -136,20 +148,23 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
     ech = dom.echelon(len(index))
     ib = IdealBasis(ech, index)
     actions = _closure_actions(index, ech)
-    queue = deque([ib._to_row(seed)])
-    while queue:
-        if ech.insert(queue.popleft()):
-            new = ech.rows[-1]
-            queue.extend(ech.scatter(table, new) for table in actions)
+    ech.insert(ib._to_row(seed))
+    done = 0
+    while done < ech.rank:
+        lo, done = done, min(done + BLOCK, ech.rank)
+        for table in actions:
+            ech.insert_block(ech.scatter_batch(table, ech.rows[lo:done]))
     return ib
 
 
 def verify_ideal_closure(ib):
     """reduce(x*r) == 0 == reduce(r*x) for every echelon row r and every
-    generator x; certifies the span is the whole two-sided ideal."""
+    generator x, block by block; certifies the span is the whole two-sided
+    ideal."""
     ech = ib.ech
-    return all(ech.spans([ech.scatter(table, row) for row in ech.rows])
-               for table in _closure_actions(ib.index, ech))
+    return all(ech.spans(ech.scatter_batch(table, ech.rows[lo:lo + BLOCK]))
+               for table in _closure_actions(ib.index, ech)
+               for lo in range(0, ech.rank, BLOCK))
 
 
 def reduce_mod_ideal(elem, ib):
@@ -398,23 +413,21 @@ def spanning_check(n, ib, dom=SYMBOLIC):
     parts = enumerate_partitions(n)
     ech = dom.echelon(len(index))
     tables = generator_actions(index, ech)
-    candidates = 0
+    ties = [ech.from_coeffs(index.vector(algebra.E_of_partition(I, dom)))
+            for I in parts]
     nonzero = 0
-    for I in parts:
-        e_I = ech.from_coeffs(index.vector(algebra.E_of_partition(I, dom)))
+    for lo in range(0, len(ties), BLOCK):
         for w in words:
-            row = e_I
+            rows = ties[lo:lo + BLOCK]
             for i in w.letters():
-                row = ech.scatter(tables["RF", i], row)
+                rows = ech.scatter_batch(tables["RF", i], rows)
             if ib is not None:
-                row = ib.ech.reduce(row)
-            candidates += 1
-            if any(row):
-                nonzero += 1
-            ech.insert(row)
+                rows = ib.ech.reduce_batch(rows)
+            nonzero += sum(1 for row in rows if any(row))
+            ech.insert_block(rows)
     return {
         "n": n,
-        "candidates": candidates,
+        "candidates": len(parts) * len(words),
         "nonzero_candidates": nonzero,
         "spanning_rank": ech.rank,
         "quotient_dim": ib.quotient_dim if ib is not None else len(index),

@@ -201,12 +201,10 @@ def _reduction_sanity(n, ib, dom, seed):
 
 
 def _alt_pair_equality(n, dom, ib12):
+    # of equal dimension, one ideal inside the other is the other
     for pair in [(i, i + 1) for i in range(2, n - 1)]:
         other = quotient.build_ideal(n, dom, pair=pair, index=ib12.index)
-        if other.dim != ib12.dim:
-            return False
-        if not (ib12.ech.spans(other.ech.rows)
-                and other.ech.spans(ib12.ech.rows)):
+        if other.dim != ib12.dim or not ib12.ech.spans(other.ech.rows):
             return False
     return True
 

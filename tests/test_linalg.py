@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btkit.domains import IntMod
+from btkit.domains import PRIMES, IntMod
 from btkit.linalg import Echelon, LinearSystem, ModPEchelon, ModPLinearSystem
 
 P = 1000000007
@@ -123,3 +123,97 @@ def test_modp_echelon_rejects_int64_overflow():
     with pytest.raises(ValueError):
         ModPEchelon(10**6, 9999991)
     assert ModPEchelon(6240, 9999991).rank == 0
+    # and width * (2^12 - 1) * (p-1) below 2^53 for the float64 limb
+    # products: 3 * 10^6 * 1048572^2 < 2^63, but the limb sums would not be
+    # exact
+    assert 3 * 10**6 * (1048573 - 1) ** 2 < 2 ** 63
+    with pytest.raises(ValueError):
+        ModPEchelon(3 * 10**6, 1048573)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_modp_products_exact_at_worst_case(p):
+    # every entry p - 1 at width 6240 (dim E_5), against Python integers
+    import numpy as np
+    width = 6240
+    ech = ModPEchelon(width, p)
+    a = np.full((2, width), p - 1, dtype=np.int64)
+    b = np.full((width, 3), p - 1, dtype=np.float64)
+    exact = sum((p - 1) * (p - 1) for _ in range(width)) % p
+    assert (ech._mul(a, b) % p == exact).all()
+    rng = random.Random(p)
+    a = np.array([[rng.randrange(p) for _ in range(width)] for _ in range(2)],
+                 dtype=np.int64)
+    b = [[rng.randrange(p) for _ in range(3)] for _ in range(width)]
+    got = ech._mul(a, np.array(b, dtype=np.float64)) % p
+    for i in range(2):
+        for j in range(3):
+            want = sum(int(a[i, k]) * b[k][j] for k in range(width)) % p
+            assert got[i, j] == want
+
+
+def _rref(ech):
+    order = sorted(range(ech.rank), key=lambda k: ech.pivots[k])
+    return [list(map(int, ech.rows[k])) for k in order]
+
+
+@pytest.mark.parametrize("p", PRIMES + (16777259,))
+def test_block_insert_matches_row_inserts(p):
+    # 150 rows of width 40 spanning 25 dimensions, with zero rows and
+    # repeated rows; inserted one by one, in blocks of 64 (as the quotient
+    # closure does) and as one block, they give the same RREF.  The last
+    # prime is the least above 2^24, whose entries take three limbs.
+    import numpy as np
+    rng = random.Random(p % 1000)
+    width, dim = 40, 25
+    base = [[rng.randrange(p) for _ in range(width)] for _ in range(dim)]
+    rows = []
+    for _ in range(150):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * width)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            cs = [rng.randrange(p) if rng.random() < 0.3 else 0
+                  for _ in range(dim)]
+            rows.append([sum(c * b[j] for c, b in zip(cs, base)) % p
+                         for j in range(width)])
+    one = ModPEchelon(width, p)
+    grown = sum(one.insert(row) for row in rows)
+    chunked = ModPEchelon(width, p)
+    growth = [chunked.insert_block(np.array(rows[lo:lo + 64]))
+              for lo in range(0, len(rows), 64)]
+    whole = ModPEchelon(width, p)
+    assert whole.insert_block(np.array(rows)) == sum(growth) == grown
+    assert one.rank == chunked.rank == whole.rank == dim
+    for ech in (chunked, whole):
+        assert sorted(ech.pivots) == sorted(one.pivots)
+        assert _rref(ech) == _rref(one)
+    assert whole.spans(rows) and not any(map(any, _rref(whole)[dim:]))
+    mat = np.array(rows[:70])
+    for k, red in enumerate(chunked.reduce_batch(mat)):
+        assert np.array_equal(red, one.reduce(mat[k]))
+        assert not red.any()
+
+
+def test_exact_batch_methods_are_loops_over_rows():
+    # on the symbolic n = 3 tables, Echelon's batch methods agree with its
+    # one-row insert, reduce and scatter
+    from btkit.algebra import BasisIndex
+    from btkit.domains import SYMBOLIC
+    from btkit.quotient import build_ideal, generator_actions
+    index = BasisIndex(3)
+    ib = build_ideal(3, tied=False)
+    tables = generator_actions(index, ib.ech)
+    rows = [SYMBOLIC.echelon(len(index)).from_coeffs(index.vector(
+        index.basis_elem(k))) for k in range(0, len(index), 3)]
+    for table in tables.values():
+        images = ib.ech.scatter_batch(table, rows)
+        assert images == [ib.ech.scatter(table, row) for row in rows]
+        assert (ib.ech.reduce_batch(images)
+                == [ib.ech.reduce(row) for row in images])
+        one, block = Echelon(len(index)), Echelon(len(index))
+        grown = sum(one.insert(row) for row in images)
+        assert block.insert_block(images) == grown == block.rank
+        assert (block.rows, block.pivots) == (one.rows, one.pivots)

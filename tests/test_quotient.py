@@ -183,6 +183,26 @@ def test_n4_ideal_independent_of_generator_pair():
     assert ib23.ech.spans(ib12.ech.rows)
 
 
+def test_closure_check_sees_a_missing_last_row():
+    # the n = 4 bare-Steinberg ideal (262 rows, five blocks) without its
+    # last RREF row, which sits in the last block, is not closed
+    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
+    ib = build_ideal(4, dom, tied=False)
+    assert ib.dim == 262 and verify_ideal_closure(ib)
+    ech = dom.echelon(len(ib.index))
+    assert ech.insert_block(ib.ech.rows[:-1]) == 261
+    assert not verify_ideal_closure(IdealBasis(ech, ib.index))
+    # the check scatters every row under every table, in blocks of at most
+    # qt.BLOCK rows, the last block included
+    seen = []
+    scatter_batch = ib.ech.scatter_batch
+    ib.ech.scatter_batch = lambda table, rows: (
+        seen.append(len(rows)) or scatter_batch(table, rows))
+    assert verify_ideal_closure(ib)
+    assert max(seen) <= qt.BLOCK
+    assert sum(seen) == 4 * 3 * ib.dim
+
+
 def test_flipped_generator_same_ideal():
     ib = build_ideal(3)
     flipped = (alg.steinberg(1, 2, 3) * alg.E(1, 3) * alg.E(2, 3))
