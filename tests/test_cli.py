@@ -179,6 +179,14 @@ def test_golden_quotient_n4(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_golden_rank_n4(capsys):
+    # `btkit rank --n 4 --format json`: the n = 4 representation rank at
+    # both default points, each in both primes
+    cli.main(["rank", "--n", "4", "--format", "json"])
+    with open(os.path.join(GOLDEN, "rank_n4.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the n = 3 quotient is exact
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
