@@ -16,8 +16,10 @@ Both take blocks of rows (``insert_block``, ``reduce_batch``,
 :class:`ModPEchelon` inserts a block with two exact float64 BLAS products
 (delayed modular reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet,
 ACM TOMS 35(3), 2008), one reducing the block against the basis and one
-clearing the block's new pivots from the old rows, with the block
-echelonized in between; ``insert`` is its one-row case.
+clearing the block's new pivots from the old rows (per CHUNK old rows, so
+the temporaries stay bounded as the basis grows), with the block
+echelonized in between; ``insert`` is its one-row case.  ``from_entries``
+makes a block of rows from sparse (row, column, coefficient) entries.
 
 The affine systems :class:`LinearSystem` (exact) and
 :class:`ModPLinearSystem` (GF(p)) serve the trace solver, which feeds one
@@ -32,6 +34,7 @@ import bisect
 np = None
 
 LIMB = 12   # bits per limb of the coefficient operand of a float64 product
+CHUNK = 512  # old rows cleared of a block's new pivots at once
 
 
 def _import_numpy():
@@ -97,6 +100,18 @@ class Echelon:
     @staticmethod
     def from_coeffs(vec):
         return vec
+
+    def from_entries(self, m, entries):
+        """m rows, zero but for the (row, column, coefficient) entries; the
+        field's zero is c - c for the first coefficient c, so an empty list
+        of entries gives no rows."""
+        if not entries:
+            return []
+        zero = entries[0][2] - entries[0][2]
+        rows = [[zero] * self.width for _ in range(m)]
+        for i, j, c in entries:
+            rows[i][j] = c
+        return rows
 
     @staticmethod
     def to_coeffs(row):
@@ -331,21 +346,23 @@ class ModPEchelon:
     def insert_block(self, mat):
         """Insert the rows of mat; returns the rank growth.  The block is
         reduced against the basis in one product and echelonized within
-        itself, the new pivots are cleared from the old rows in one product,
-        and the new rows are appended."""
+        itself, the new pivots are cleared from the old rows in one product
+        per CHUNK rows, at the free columns only, and the new rows are
+        appended."""
         new, pivs = self._echelonize(self.reduce_batch(mat))
         if not pivs:
             return 0
         r, k = self.rank, len(pivs)
         free = np.setdiff1d(self._free, pivs, assume_unique=True)
-        coeffs = self._mat[:r, pivs]
-        hit = np.flatnonzero(coeffs.any(axis=1))
-        if hit.size:
-            old = self._mat[hit]
-            old[:, free] = (old[:, free] - self._mul(
-                coeffs[hit], new[:, free].astype(np.float64))) % self.p
-            old[:, pivs] = 0
-            self._mat[hit] = old
+        new_free = new[:, free].astype(np.float64)
+        for lo in range(0, r, CHUNK):
+            old = self._mat[lo:min(lo + CHUNK, r)]
+            coeffs = old[:, pivs]
+            hit = np.flatnonzero(coeffs.any(axis=1))
+            if hit.size:
+                at = np.ix_(hit, free)
+                old[at] = (old[at] - self._mul(coeffs[hit], new_free)) % self.p
+                old[:, pivs] = 0
         if r + k > len(self._mat):
             grown = np.zeros((max(2 * len(self._mat), r + k), self.width),
                              dtype=np.int64)
@@ -390,6 +407,14 @@ class ModPEchelon:
     @staticmethod
     def from_coeffs(vec):
         return np.array([c.v for c in vec], dtype=np.int64)
+
+    def from_entries(self, m, entries):
+        """m rows, zero but for the (row, column, coefficient) entries."""
+        out = np.zeros((m, self.width), dtype=np.int64)
+        if entries:
+            i, j, c = zip(*entries)
+            out[i, j] = [x.v for x in c]
+        return out
 
     def to_coeffs(self, row):
         from .domains import IntMod

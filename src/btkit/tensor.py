@@ -33,7 +33,10 @@ rows run over one index per type (:func:`index_types`): 6, 65 and 1125 types
 for 2, 3 and 4 factors, against n^(2k) indices.
 
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are lazy
-appliers; nothing is ever stored as a dense n^(2n) matrix.
+appliers; nothing is ever stored as a dense n^(2n) matrix.  The rank rows of
+one index type are one sparse bundle of (row, column, coefficient) entries,
+which the echelon makes into a block of rows (``from_entries``) and inserts
+at once.
 """
 
 import functools
@@ -309,23 +312,42 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
 # ---------------------------------------------------------------------------
 
 def _rank_rows(n, dom):
-    """Constraint rows spanning the row space of the flattened-operator
-    matrix, one bundle per index type, made as they are consumed."""
-    pairs = [(I, w.reduced_word()) for I, w in BasisIndex(n).pairs]
+    """The flattened-operator matrix as one sparse bundle (m, entries) per
+    index type x: row i is the i-th output index y of the images of x, in
+    sorted order, and the entry (i, col, c) says that basis element col
+    sends x to c y + (other indices).  Each braid image T_w x is made once
+    per type; E_I T_w keeps its term c y iff y's upper values are constant
+    on the blocks of I, so the columns of w that keep y are found once per
+    upper-value tuple of y."""
+    words = {}
+    for col, (I, w) in enumerate(BasisIndex(n).pairs):
+        words.setdefault(w.reduced_word(), []).append((col, _block_leaders(I)))
+    kept = {}   # (word, upper values) -> the columns of word keeping them
     for x in index_types(n):
         braided = {(): unit_vector(x, dom)}
-        images = [project(I, _braid_image(word, braided, dom))
-                  for I, word in pairs]
-        for y in sorted(set().union(*images)):
-            yield [img.get(y, dom.zero) for img in images]
+        images = {word: _braid_image(word, braided, dom) for word in words}
+        rows = {y: i for i, y in enumerate(sorted(
+            set().union(*images.values())))}
+        entries = []
+        for word, img in images.items():
+            for y, c in img.items():
+                up = tuple(r for _, r in y)
+                cols = kept.get((word, up))
+                if cols is None:
+                    cols = kept[word, up] = [
+                        col for col, ties in words[word]
+                        if all(up[m] == up[k] for m, k in ties)]
+                i = rows[y]
+                entries.extend((i, col, c) for col in cols)
+        yield len(rows), entries
 
 
 def _rank(n, dom, dim):
-    """Rank of the constraint rows over dom; no row is made once the rank
-    reaches dim, the most it can be."""
+    """Rank of the bundles over dom, each inserted as one block; no bundle
+    is made once the rank reaches dim, the most it can be."""
     ech = dom.echelon(dim)
-    for row in _rank_rows(n, dom):
-        ech.insert(ech.from_coeffs(row))
+    for m, entries in _rank_rows(n, dom):
+        ech.insert_block(ech.from_entries(m, entries))
         if ech.rank == dim:
             break
     return ech.rank

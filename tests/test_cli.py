@@ -188,12 +188,22 @@ def test_golden_rank_n4(capsys):
 
 
 def test_exact_suites_do_not_load_numpy(tmp_path):
-    # numpy serves the GF(p) classes only; the n = 3 quotient is exact
+    # numpy serves the GF(p) classes only; the four suites at their
+    # default n are exact
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
+    env.pop("BTKIT_JOBS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys; from btkit import cli; "
-            "cli.main(['quotient', '--n', '3', '--out', %r]); "
-            "sys.exit('numpy' in sys.modules)" % str(tmp_path / "report.md"))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
+            ["rank", "--n", "2", "--n-max", "3"],
+            ["trace", "--n", "2", "--n-max", "3"]]
+    code = ("import sys\nfrom btkit import cli\n"
+            "for argv in %r:\n"
+            "    cli.main(argv + ['--out', %r])\n"
+            "    if 'numpy' in sys.modules:\n"
+            "        sys.exit('numpy loaded by ' + ' '.join(argv))\n"
+            % (runs, str(tmp_path / "report.md")))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

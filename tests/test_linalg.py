@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from btkit import linalg
 from btkit.domains import PRIMES, IntMod
 from btkit.linalg import Echelon, LinearSystem, ModPEchelon, ModPLinearSystem
 
@@ -158,10 +159,11 @@ def _rref(ech):
 
 
 @pytest.mark.parametrize("p", PRIMES + (16777259,))
-def test_block_insert_matches_row_inserts(p):
+def test_block_insert_matches_row_inserts(p, monkeypatch):
     # 150 rows of width 40 spanning 25 dimensions, with zero rows and
     # repeated rows; inserted one by one, in blocks of 64 (as the quotient
-    # closure does) and as one block, they give the same RREF.  The last
+    # closure does) and as one block, they give the same RREF, also when
+    # the old rows are cleared of new pivots in chunks of 7 rows.  The last
     # prime is the least above 2^24, whose entries take three limbs.
     import numpy as np
     rng = random.Random(p % 1000)
@@ -187,7 +189,11 @@ def test_block_insert_matches_row_inserts(p):
     whole = ModPEchelon(width, p)
     assert whole.insert_block(np.array(rows)) == sum(growth) == grown
     assert one.rank == chunked.rank == whole.rank == dim
-    for ech in (chunked, whole):
+    monkeypatch.setattr(linalg, "CHUNK", 7)
+    small = ModPEchelon(width, p)
+    for lo in range(0, len(rows), 16):
+        small.insert_block(np.array(rows[lo:lo + 16]))
+    for ech in (chunked, whole, small):
         assert sorted(ech.pivots) == sorted(one.pivots)
         assert _rref(ech) == _rref(one)
     assert whole.spans(rows) and not any(map(any, _rref(whole)[dim:]))

@@ -263,11 +263,60 @@ def test_type_dedup_matches_naive_enumeration():
     dom = RationalDomain(Fraction(5, 7))
     from btkit.linalg import Echelon
     e1, e2 = Echelon(width=30), Echelon(width=30)
-    for row in tn._rank_rows(3, dom):
-        e1.insert(row)
+    for m, entries in tn._rank_rows(3, dom):
+        e1.insert_block(e1.from_entries(m, entries))
     for row in _rank_rows_full(3, dom):
         e2.insert(row)
     assert e1.rank == e2.rank
+
+
+def _dense_bundles(n, dom):
+    """Per index type, the dense rows of the projected images of every
+    basis element, rows sorted by output index (oracle for the sparse
+    bundles of _rank_rows)."""
+    pairs = [(I, [("T", i) for i in w.reduced_word()])
+             for I, w in alg.BasisIndex(n).pairs]
+    for x in tn.index_types(n):
+        images = [tn.project(I, tn.apply_word(word, unit_vector(x, dom), dom))
+                  for I, word in pairs]
+        yield [[img.get(y, dom.zero) for img in images]
+               for y in sorted(set().union(*images))]
+
+
+def test_rank_bundles_match_dense_rows():
+    # every bundle at n = 3, exact; the first 20 at n = 4 in GF(p)
+    for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7))):
+        ech = dom.echelon(30)
+        bundles = list(tn._rank_rows(3, dom))
+        dense = list(_dense_bundles(3, dom))
+        assert len(bundles) == len(dense) == len(tn.index_types(3))
+        for (m, entries), rows in zip(bundles, dense):
+            assert m == len(rows)
+            assert ech.from_entries(m, entries) == rows
+    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
+    ech = dom.echelon(360)
+    for (m, entries), rows in itertools.islice(
+            zip(tn._rank_rows(4, dom), _dense_bundles(4, dom)), 20):
+        block = ech.from_entries(m, entries)
+        assert block.shape == (len(rows), 360)
+        assert all((block[k] == ech.from_coeffs(row)).all()
+                   for k, row in enumerate(rows))
+
+
+def test_rank_bundles_as_blocks_match_row_inserts():
+    # at n = 4 in GF(p), a bundle inserted as one block or row by row
+    # leaves the same rank after every bundle, up to full rank 360
+    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
+    block, rows = dom.echelon(360), dom.echelon(360)
+    for m, entries in tn._rank_rows(4, dom):
+        mat = block.from_entries(m, entries)
+        block.insert_block(mat)
+        for row in mat:
+            rows.insert(row)
+        assert block.rank == rows.rank
+        if block.rank == 360:
+            break
+    assert block.rank == 360
 
 
 def test_export_triplets_deterministic():
