@@ -84,8 +84,14 @@ class Echelon:
         return True
 
     def insert_block(self, rows):
-        """Insert every row; returns the rank growth."""
-        return sum(self.insert(row) for row in rows)
+        """Insert the rows up to full rank, after which every row reduces
+        to zero; returns the rank growth."""
+        rank = self.rank
+        for row in rows:
+            if self.rank == self.width:
+                break
+            self.insert(row)
+        return self.rank - rank
 
     def reduce_batch(self, rows):
         return [self.reduce(row) for row in rows]

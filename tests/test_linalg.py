@@ -223,3 +223,10 @@ def test_exact_batch_methods_are_loops_over_rows():
         grown = sum(one.insert(row) for row in images)
         assert block.insert_block(images) == grown == block.rank
         assert (block.rows, block.pivots) == (one.rows, one.pivots)
+    # a block that reaches full rank midway, as the last rank bundle does
+    rows = [[Fraction(a), Fraction(b), Fraction(c)] for a, b, c in
+            ((0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1), (1, 0, 1), (2, 2, 2))]
+    one, block = Echelon(3), Echelon(3)
+    grown = sum(one.insert(row) for row in rows)
+    assert block.insert_block(rows) == grown == 3
+    assert (block.rows, block.pivots) == (one.rows, one.pivots)
