@@ -108,11 +108,9 @@ class Echelon:
         return vec
 
     def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries; the
-        field's zero is c - c for the first coefficient c, so an empty list
-        of entries gives no rows."""
-        if not entries:
-            return []
+        """m rows, zero but for the (row, column, coefficient) entries, of
+        which there is at least one: the field's zero is c - c for the
+        first coefficient c."""
         zero = entries[0][2] - entries[0][2]
         rows = [[zero] * self.width for _ in range(m)]
         for i, j, c in entries:
@@ -415,11 +413,11 @@ class ModPEchelon:
         return np.array([c.v for c in vec], dtype=np.int64)
 
     def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries."""
+        """m rows, zero but for the (row, column, coefficient) entries, of
+        which there is at least one."""
         out = np.zeros((m, self.width), dtype=np.int64)
-        if entries:
-            i, j, c = zip(*entries)
-            out[i, j] = [x.v for x in c]
+        i, j, c = zip(*entries)
+        out[i, j] = [x.v for x in c]
         return out
 
     def to_coeffs(self, row):
