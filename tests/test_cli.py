@@ -187,6 +187,14 @@ def test_golden_rank_n4(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def test_golden_relations_n4(capsys):
+    # `btkit relations --n 4 --format json`: the n = 4 relations, identity
+    # lemmas and sampled homomorphism check at the default seed
+    cli.main(["relations", "--n", "4", "--format", "json"])
+    with open(os.path.join(GOLDEN, "relations_n4.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the four suites at their
     # default n are exact
