@@ -307,6 +307,17 @@ def gamma_inverse(n, dom=SYMBOLIC):
     return out
 
 
+def conjugate_by_gamma(x, k):
+    """gamma^k x gamma^{-k}, made as k conjugations by gamma itself: the
+    inverse powers have many more terms than gamma^{-1} (57 against 27 for
+    gamma^{-2} at n = 4) and cubic coefficients, so multiplying by them
+    costs far more than the k single steps."""
+    g, gi = gamma(x.n, x.dom), gamma_inverse(x.n, x.dom)
+    for _ in range(k):
+        x = g * x * gi
+    return x
+
+
 def F(i, n, dom=SYMBOLIC):
     """F_i = (1 + T_i)/(u + 1), the non-idempotent quotient generator."""
     c = dom.one / (dom.u + dom.one)
@@ -533,20 +544,19 @@ def lemma_sides(lemma, params, n, dom=SYMBOLIC):
     u1 = dom.u_minus_1
     if lemma.startswith("gamma"):
         (i,) = params
-        g = gamma(n, dom)
-        gi = gamma_inverse(n, dom)
-        gk = g ** (i - 1)
-        gki = gi ** (i - 1)
-        if lemma == "gamma-conj-T":
-            return T(i, n, dom), gk * T(1, n, dom) * gki
-        if lemma == "gamma-conj-E":
-            return E(i, n, dom), gk * E(1, n, dom) * gki
-        if lemma == "gamma-conj-steinberg":
-            return steinberg(i, i + 1, n, dom), gk * steinberg(1, 2, n, dom) * gki
         if lemma == "gamma-shift":
+            gk = gamma(n, dom) ** (i - 1)
             return T(i + 1, n, dom) * gk, gk * T(2, n, dom)
+        if lemma == "gamma-conj-T":
+            return T(i, n, dom), conjugate_by_gamma(T(1, n, dom), i - 1)
+        if lemma == "gamma-conj-E":
+            return E(i, n, dom), conjugate_by_gamma(E(1, n, dom), i - 1)
+        if lemma == "gamma-conj-steinberg":
+            return (steinberg(i, i + 1, n, dom),
+                    conjugate_by_gamma(steinberg(1, 2, n, dom), i - 1))
         if lemma == "gamma-conj-arc":
-            return E_arc(i, i + 2, n, dom), gk * E_arc(1, 3, n, dom) * gki
+            return (E_arc(i, i + 2, n, dom),
+                    conjugate_by_gamma(E_arc(1, 3, n, dom), i - 1))
     if lemma.startswith("idem") or lemma == "F-square":
         (i,) = params
         li, fi, ei, ti = L(i, n, dom), F(i, n, dom), E(i, n, dom), T(i, n, dom)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import suites, tensor
-from .domains import PointError
+from .domains import PRIMES, PointError
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
 MAX_N = {"relations": 4, "quotient": 5, "rank": 4, "trace": 4}
@@ -85,7 +85,23 @@ def _n_values(args):
         raise UsageError("n=%d beyond the supported bound %d for suite %s"
                           % (hi, MAX_N[args.suite], args.suite))
     floor = {"relations": 2, "quotient": 3, "rank": 1, "trace": 1}[args.suite]
-    return [n for n in range(lo, hi + 1) if n >= floor] or [lo]
+    if hi < floor:
+        raise UsageError("suite %s needs n >= %d, none in %d..%d"
+                         % (args.suite, floor, lo, hi))
+    return list(range(max(lo, floor), hi + 1))
+
+
+def _points(args, ns):
+    """The sqrt(u) points; the quotient and trace suites pair the k-th point
+    with the k-th prime at n >= 4, so they take at most len(PRIMES)."""
+    points = (_parse_points(args.points) if args.points is not None
+              else list(suites.DEFAULT_POINTS))
+    if (args.suite in ("quotient", "trace") and ns[-1] >= 4
+            and len(points) > len(PRIMES)):
+        raise UsageError("suite %s pairs each point with one of %d primes at "
+                         "n >= 4, got %d points"
+                         % (args.suite, len(PRIMES), len(points)))
+    return points
 
 
 def _jobs(args):
@@ -102,8 +118,7 @@ def _jobs(args):
 def run_suite(args):
     ns = _n_values(args)
     jobs = _jobs(args)
-    points = (_parse_points(args.points) if args.points is not None
-              else list(suites.DEFAULT_POINTS))
+    points = _points(args, ns)
     if args.suite == "relations":
         report = suites.relations_suite(ns, seed=args.seed, jobs=jobs)
     elif args.suite == "quotient":

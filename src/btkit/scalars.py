@@ -238,11 +238,22 @@ def _s_gcd(f, g):
 
 
 def _p_gcd(f, g):
-    """Polynomial gcd over Z (primitive PRS), positive leading coefficient."""
+    """Polynomial gcd over Z (primitive PRS), positive leading coefficient.
+    When one argument is a single term c*m, every divisor of it is a term
+    too, so the gcd is igcd(content, |c|) times the componentwise least
+    exponents of both arguments."""
     if not f:
         return _p_abs(g)
     if not g:
         return _p_abs(f)
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:
+        ((es, ea, eb), c), = g.items()
+        for (ms, ma, mb), k in f.items():
+            c = _igcd(c, k)
+            es, ea, eb = min(es, ms), min(ea, ma), min(eb, mb)
+        return {(es, ea, eb): c}
     uf, ug = _p_vars(f), _p_vars(g)
     used = [a or b for a, b in zip(uf, ug)]
     if not any(used):

@@ -23,7 +23,10 @@ Ties are projectors.  E_I, for a set partition I, acts as the projector onto
 the indices whose upper values are constant on each block of I (the braid
 operators carry a factor's upper value with it, so conjugating the adjacent
 tie moves its condition to any two positions).  So the basis element
-E_I T_w acts as that projector after T_w.
+E_I T_w acts as that projector after T_w.  Every term of T_w x has the upper
+values of x permuted by w, that is E_I T_w = T_w E_{w^-1 I}: E_I keeps all
+of T_w x or none of it, and :func:`represent` makes T_w x only when some
+E_I paired with w keeps it, which it reads off the upper values of x.
 
 Every operator here keeps the multiset of lower values, compares lower values
 only by order and upper values only by equality.  So an operator identity
@@ -176,14 +179,6 @@ def _block_leaders(I):
     return tuple((m, k) for m, k in enumerate(lead) if m != k)
 
 
-def project(I, vec):
-    """E_I on the tensor space: the projector onto the indices whose upper
-    values are constant on each block of I."""
-    ties = _block_leaders(I)
-    return {x: c for x, c in vec.items()
-            if all(x[m][1] == x[k][1] for m, k in ties)}
-
-
 def _braid_image(word, images, dom):
     """T_word x for a tuple of braid letters (rightmost acts first), made
     from the image of the word's suffix; ``images`` caches the images by
@@ -205,21 +200,47 @@ def apply_word(word, vec, dom=SYMBOLIC):
     return vec
 
 
+def _permute_uppers(word, up):
+    """The upper values of every term of T_word x, for x with upper values
+    up: each letter swaps two adjacent ones, the rightmost letter first."""
+    up = list(up)
+    for i in reversed(word):
+        up[i - 1], up[i] = up[i], up[i - 1]
+    return up
+
+
 def represent(elem):
     """The algebra homomorphism, extended linearly from the basis: E_I T_w
-    sends x to project(I, T_w x), and T_w x is made once per w."""
+    sends x to T_w x projected onto the indices whose upper values are
+    constant on each block of I.
+
+    T_w carries each factor's upper value with it, so every term of T_w x
+    has the upper values of x permuted by w: E_I T_w = T_w E_{w^-1 I}.  So
+    on the part of the input with one tuple of upper values, E_I keeps all
+    of T_w x or none of it.  The input is split by upper values, and for
+    each part and word w the image T_w x is made (from the image of its
+    suffix) only if some E_I paired with w keeps it; it is then added once,
+    with the sum of the kept coefficients."""
     dom = elem.dom
     ties = {}
     for (I, w), c in elem.terms.items():
-        ties.setdefault(w.reduced_word(), []).append((I, c))
+        ties.setdefault(w.reduced_word(), []).append((_block_leaders(I), c))
 
     def apply_fn(vec):
+        parts = {}
+        for x, c in vec.items():
+            parts.setdefault(tuple(r for _, r in x), {})[x] = c
         out = {}
-        braided = {(): vec}
-        for word, terms in ties.items():
-            img = _braid_image(word, braided, dom)
-            for I, c in terms:
-                vec_add(out, project(I, img), c)
+        for up, part in parts.items():
+            braided = {(): part}
+            for word, terms in ties.items():
+                wup = _permute_uppers(word, up)
+                c = None
+                for leaders, ci in terms:
+                    if all(wup[m] == wup[k] for m, k in leaders):
+                        c = ci if c is None else c + ci
+                if c:
+                    vec_add(out, _braid_image(word, braided, dom), c)
         return out
 
     return SparseOperator(elem.n, apply_fn, dom)

@@ -145,6 +145,17 @@ def test_gamma_conjugation():
         assert g * E(1, n) * gi == E(2, n)
 
 
+def test_conjugation_by_gamma_one_step_at_a_time():
+    # k conjugations by gamma equal one conjugation by gamma^k, made with
+    # the inverse power, at n = 4 and k = 2
+    n = 4
+    gk, gki = gamma(n) ** 2, gamma_inverse(n) ** 2
+    for x in (T(1, n), E(1, n), steinberg(1, 2, n), E_arc(1, 3, n)):
+        assert alg.conjugate_by_gamma(x, 2) == gk * x * gki
+    assert alg.conjugate_by_gamma(T(1, n), 2) == T(3, n)
+    assert alg.conjugate_by_gamma(E(2, n), 0) == E(2, n)
+
+
 def test_idempotents():
     for n in (2, 3):
         for i in range(1, n):

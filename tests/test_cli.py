@@ -114,6 +114,10 @@ def test_usage_errors(capsys, monkeypatch):
     # bad specialization points: one `error:` line, no traceback
     assert_one_error_line(["quotient", "--n", "4", "--points", "0,1"])
     assert_one_error_line(["rank", "--n", "2", "--points", "1/0"])
+    # an n range with no n at the suite's floor (quotient needs n >= 3)
+    assert_one_error_line(["quotient", "--n", "2"])
+    assert_one_error_line(["quotient", "--n", "1", "--n-max", "2"])
+    assert_one_error_line(["relations", "--n", "1"])
     # worker counts below 1, from the flag or the environment
     assert_one_error_line(["relations", "--n", "2", "--jobs", "-3"])
     assert_one_error_line(["relations", "--n", "2", "--jobs", "0"])
@@ -138,6 +142,28 @@ def test_jobs_do_not_change_output(capsys):
     _, out2 = run_cli(base + ["--jobs", "2"], capsys)
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["checks"] == r2["checks"]
+
+
+def test_points_beyond_the_primes_are_refused_at_n4(capsys):
+    # quotient and trace pair the k-th point with the k-th prime at n >= 4;
+    # a third point would be dropped, so it is a usage error there
+    three = "5/7,3/2,2"
+    for argv in (["quotient", "--n", "4"], ["trace", "--n", "4"],
+                 ["trace", "--n", "2", "--n-max", "4"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--points", three]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "3 points" in err
+    # below n = 4 every point runs exactly, and rank uses every point in
+    # both primes at n = 4
+    code, out = run_cli(["trace", "--n", "2", "--points", three,
+                         "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["points"] == ["5/7", "3/2", "2"]
+    args = cli.build_parser().parse_args(["rank", "--n", "4", "--points",
+                                          three])
+    assert len(cli._points(args, cli._n_values(args))) == 3
 
 
 def test_export_ops(tmp_path, capsys):

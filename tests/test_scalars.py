@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -126,3 +127,54 @@ def test_parse_rejects_garbage():
         parse_scalar("q + 1")
     with pytest.raises(ValueError):
         parse_scalar("(1")
+
+
+def _poly(rng, nvars, terms):
+    """A random polynomial dict over Z in the first nvars of (s, A, B)."""
+    f = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, 3) if v < nvars else 0 for v in range(3))
+        f[m] = f.get(m, 0) + rng.choice((-12, -6, -4, -3, -2, 2, 3, 4, 6, 9))
+    return {m: c for m, c in f.items() if c}
+
+
+def test_monomial_gcd_matches_univariate_prs():
+    # a single-term argument takes the closed form in _p_gcd; in s alone it
+    # must equal the primitive PRS of _s_gcd, in either argument order
+    rng = random.Random(11)
+    for _ in range(300):
+        mono = _poly(rng, 1, 1)
+        f = _poly(rng, 1, rng.randint(1, 4))
+        if not mono or not f:
+            continue
+        assert sc._p_gcd(mono, f) == sc._s_gcd(mono, f) == sc._s_gcd(f, mono)
+        assert sc._p_gcd(f, mono) == sc._s_gcd(mono, f)
+
+
+def test_monomial_gcd_divides_and_is_greatest():
+    # in s, A and B: the gcd with a single term divides both arguments, and
+    # what is left of the term shares no integer factor or variable with
+    # what is left of the other argument
+    rng = random.Random(12)
+    seen = 0
+    for _ in range(300):
+        mono = _poly(rng, 3, 1)
+        f = _poly(rng, 3, rng.randint(1, 5))
+        if not mono or not f:
+            continue
+        for a, b in ((mono, f), (f, mono)):
+            d = sc._p_gcd(a, b)
+            assert len(d) == 1 and next(iter(d.values())) > 0
+            q = sc._p_div_exact(mono, d)
+            r = sc._p_div_exact(f, d)
+            assert sc._p_mul(q, d) == mono and sc._p_mul(r, d) == f
+            ((qm, qc),) = q.items()
+            content = 0
+            for c in r.values():
+                content = math.gcd(content, c)
+            assert math.gcd(qc, content) == 1
+            for v in range(3):
+                if qm[v]:
+                    assert min(m[v] for m in r) == 0
+        seen += 1
+    assert seen > 250

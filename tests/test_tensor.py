@@ -6,6 +6,7 @@ from fractions import Fraction
 from btkit import algebra as alg
 from btkit import scalars as sc
 from btkit import tensor as tn
+from btkit.algebra import BasisIndex
 from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import SetPartition, arc_partition, enumerate_partitions
 from btkit.permutations import Permutation
@@ -23,6 +24,13 @@ def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
         if lhs != rhs:
             return False
     return True
+
+
+def _project(I, vec):
+    """E_I on the tensor space by its definition: the projector onto the
+    indices whose upper values are constant on each block of I."""
+    return {x: c for x, c in vec.items()
+            if all(x[a - 1][1] == x[b - 1][1] for a, b in _arcs(I))}
 
 
 def _arcs(I):
@@ -135,7 +143,7 @@ def test_tie_projector_matches_conjugation_word():
         word = _basis_word(I, Permutation.identity(3))
         for x in tensor_basis(3):
             v = unit_vector(x)
-            assert tn.project(I, v) == _apply_oracle_word(word, v)
+            assert _project(I, v) == _apply_oracle_word(word, v)
     rng = random.Random(11)
     sample = list(tn.index_types(4)) + [
         tuple((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(4))
@@ -145,7 +153,7 @@ def test_tie_projector_matches_conjugation_word():
         word = _basis_word(I, Permutation.identity(4))
         for x in sample:
             v = unit_vector(x, dom)
-            assert tn.project(I, v) == _apply_oracle_word(word, v, dom)
+            assert _project(I, v) == _apply_oracle_word(word, v, dom)
 
 
 def test_represented_basis_matches_conjugation_words():
@@ -217,6 +225,48 @@ def test_representation_is_multiplicative():
             assert op_ab.apply(v) == op_a.apply(op_b.apply(v))
 
 
+def _braid_then_project(elem, vec):
+    """represent(elem).apply(vec) by the definition: for each term c E_I T_w,
+    braid the whole vector by w, project each term by I (oracle for the
+    upper-value skip in :func:`represent`)."""
+    out = {}
+    for (I, w), c in elem.terms.items():
+        img = tn.apply_word([("T", i) for i in w.reduced_word()], vec,
+                            elem.dom)
+        tn.vec_add(out, _project(I, img), c)
+    return out
+
+
+def test_represent_matches_braid_then_project():
+    # every basis element of E_3 on the 65 type representatives, and on
+    # sums of unit vectors whose upper values differ, so that one input has
+    # parts that a projector keeps and parts that it kills
+    n = 3
+    elems = [alg.basis_element(I, w) for I, w in BasisIndex(n).pairs]
+    elems += [alg.steinberg(1, 2, n), alg.gamma_inverse(n),
+              alg.E(1, n) * alg.F(2, n)]
+    rng = random.Random(5)
+    full = list(tensor_basis(n))
+    sums = []
+    for _ in range(20):
+        vec = {}
+        for x in rng.sample(full, 4):
+            tn.vec_add(vec, unit_vector(x), sc.Scalar.from_int(
+                rng.choice((-3, -1, 1, 2))) * S ** rng.randint(0, 2))
+        sums.append(vec)
+    assert sum(len({tuple(r for _, r in x) for x in v}) > 1
+               for v in sums) == len(sums)
+    for elem in elems:
+        op = represent(elem)
+        for x in tn.index_types(n):
+            v = unit_vector(x)
+            assert op.apply(v) == _braid_then_project(elem, v), (elem, x)
+        for v in sums:
+            assert op.apply(v) == _braid_then_project(elem, v), elem
+    assert len(tn.index_types(n)) == 65
+    assert len(elems) == 30 + 3
+
+
 def test_operator_relations():
     for c in tn.verify_relations_in_rep(3, seed=1, hom_pairs=100):
         assert c["ok"], c
@@ -277,7 +327,7 @@ def _dense_bundles(n, dom):
     pairs = [(I, [("T", i) for i in w.reduced_word()])
              for I, w in alg.BasisIndex(n).pairs]
     for x in tn.index_types(n):
-        images = [tn.project(I, tn.apply_word(word, unit_vector(x, dom), dom))
+        images = [_project(I, tn.apply_word(word, unit_vector(x, dom), dom))
                   for I, word in pairs]
         yield [[img.get(y, dom.zero) for img in images]
                for y in sorted(set().union(*images))]
