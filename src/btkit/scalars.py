@@ -256,8 +256,6 @@ def _p_gcd(f, g):
         return {(es, ea, eb): c}
     uf, ug = _p_vars(f), _p_vars(g)
     used = [a or b for a, b in zip(uf, ug)]
-    if not any(used):
-        return {_MONO_ONE: _igcd(f[_MONO_ONE], g[_MONO_ONE])}
     if not used[1] and not used[2]:
         return _s_gcd(f, g)
     v = max(i for i in range(_NVARS) if used[i])
