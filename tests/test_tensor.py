@@ -254,8 +254,7 @@ def test_represent_matches_braid_then_project():
             tn.vec_add(vec, unit_vector(x), sc.Scalar.from_int(
                 rng.choice((-3, -1, 1, 2))) * S ** rng.randint(0, 2))
         sums.append(vec)
-    assert sum(len({tuple(r for _, r in x) for x in v}) > 1
-               for v in sums) == len(sums)
+    assert all(len({tuple(r for _, r in x) for x in v}) > 1 for v in sums)
     for elem in elems:
         op = represent(elem)
         for x in tn.index_types(n):
