@@ -24,13 +24,10 @@ The defining relations implemented here (for |i-j| as indicated):
     (9) E_i T_j T_i = T_j T_i E_j         |i-j| = 1
 """
 
-from . import scalars
 from .domains import SYMBOLIC
-from .partitions import (SetPartition, arc_partition, bell_number,
-                         enumerate_partitions, generator_partition,
-                         parse_partition)
-from .permutations import (Permutation, enumerate_permutations,
-                           parse_permutation)
+from .partitions import (SetPartition, arc_partition, enumerate_partitions,
+                         generator_partition)
+from .permutations import Permutation, enumerate_permutations
 
 
 class AlgebraElement:
@@ -222,9 +219,6 @@ def one(n, dom=SYMBOLIC):
     key = (SetPartition.unit(n), Permutation.identity(n))
     return AlgebraElement(n, {key: dom.one}, dom)
 
-def zero(n, dom=SYMBOLIC):
-    return AlgebraElement(n, {}, dom)
-
 
 def basis_element(I, w, dom=SYMBOLIC):
     """The basis element E_I T_w."""
@@ -250,12 +244,6 @@ def T_word(word, n, dom=SYMBOLIC):
     for i in word:
         out = out.right_mul_T(i)
     return out
-
-
-def T_of_permutation(w, dom=SYMBOLIC):
-    """T_w along the canonical reduced word; Matsumoto invariance makes any
-    reduced word give the same element."""
-    return T_word(w.reduced_word(), w.n, dom)
 
 
 def inverse_T(i, n, dom=SYMBOLIC):
@@ -374,55 +362,6 @@ class BasisIndex:
     def basis_elem(self, k):
         I, w = self.pairs[k]
         return AlgebraElement(self.n, {(I, w): self.dom.one}, self.dom)
-
-
-def dimension(n):
-    """Dimension of the algebra: Bell(n) * n!."""
-    import math
-    return bell_number(n) * math.factorial(n)
-
-
-# ---------------------------------------------------------------------------
-# element text form (lossless)
-# ---------------------------------------------------------------------------
-
-def _split_terms(text):
-    """Split on ' + ' at nesting depth zero only (scalar coefficients may
-    contain ' + ' inside their parentheses)."""
-    chunks = []
-    depth = 0
-    start = 0
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", k):
-            chunks.append(text[start:k])
-            start = k + 3
-            k += 3
-            continue
-        k += 1
-    chunks.append(text[start:])
-    return chunks
-
-
-def parse_element(text, n, dom=SYMBOLIC):
-    text = text.strip()
-    if text == "0":
-        return zero(n, dom)
-    terms = {}
-    for chunk in _split_terms(text):
-        k = chunk.index("*E{{")
-        coeff_s = chunk[:k]
-        part_s, perm_s = chunk[k + 2:].split("*T", 1)
-        c = dom.scalar(scalars.parse_scalar(coeff_s[1:-1]))
-        I = parse_partition(part_s)
-        w = parse_permutation(perm_s)
-        _acc(terms, (I, w), c)
-    return AlgebraElement(n, terms, dom)
 
 
 # ---------------------------------------------------------------------------

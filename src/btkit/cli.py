@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import suites, tensor
-from .domains import PRIMES, PointError
+from .domains import PointError
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
 MAX_N = {"relations": 4, "quotient": 5, "rank": 4, "trace": 4}
@@ -56,9 +56,8 @@ def build_parser():
                        help="run for every n from --n up to this value")
         p.add_argument("--points", default=None,
                        help="specialization points for sqrt(u), e.g. 5/7,3/2")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for per-instance checks "
-                            "(default: $BTKIT_JOBS, else 1)")
+        # accepted for scripts that still pass it; every run is one process
+        p.add_argument("--jobs", default=None, help=argparse.SUPPRESS)
         p.add_argument("--format", choices=("json", "markdown"),
                        default="markdown", dest="fmt")
         p.add_argument("--out", default=None, help="write the report here "
@@ -92,35 +91,20 @@ def _n_values(args):
 
 
 def _points(args, ns):
-    """The sqrt(u) points; the quotient and trace suites pair the k-th point
-    with the k-th prime at n >= 4, so they take at most len(PRIMES)."""
-    points = (_parse_points(args.points) if args.points is not None
-              else list(suites.DEFAULT_POINTS))
-    if (args.suite in ("quotient", "trace") and ns[-1] >= 4
-            and len(points) > len(PRIMES)):
-        raise UsageError("suite %s pairs each point with one of %d primes at "
-                         "n >= 4, got %d points"
-                         % (args.suite, len(PRIMES), len(points)))
-    return points
-
-
-def _jobs(args):
-    text = os.environ.get("BTKIT_JOBS", "1") if args.jobs is None else args.jobs
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise UsageError("BTKIT_JOBS is not an integer: %r" % text) from None
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1, got %d" % jobs)
-    return jobs
+    """The sqrt(u) points of a run over ns.  How many a suite takes depends
+    on ns, and the suites check that themselves (PointError)."""
+    if args.points is None:
+        return list(suites.DEFAULT_POINTS)
+    return _parse_points(args.points)
 
 
 def run_suite(args):
+    if args.jobs not in (None, "1"):
+        raise UsageError("--jobs takes only 1, got %r" % args.jobs)
     ns = _n_values(args)
-    jobs = _jobs(args)
     points = _points(args, ns)
     if args.suite == "relations":
-        report = suites.relations_suite(ns, seed=args.seed, jobs=jobs)
+        report = suites.relations_suite(ns, seed=args.seed)
     elif args.suite == "quotient":
         report = suites.quotient_suite(ns, points=points, seed=args.seed)
     elif args.suite == "rank":

@@ -41,10 +41,6 @@ class SymbolicDomain:
         return Scalar.from_int(k)
 
     @staticmethod
-    def scalar(sc):
-        return sc
-
-    @staticmethod
     def echelon(width):
         return Echelon(width)
 
@@ -75,9 +71,6 @@ class RationalDomain:
     @staticmethod
     def of_int(k):
         return Fraction(k)
-
-    def scalar(self, sc):
-        return sc.evaluate(s=self.s)
 
     @staticmethod
     def echelon(width):
@@ -167,13 +160,6 @@ class PrimeDomain:
 
     def of_int(self, k):
         return IntMod(k, self.p)
-
-    def scalar(self, sc):
-        q = sc.evaluate(s=self.point)
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes mod p")
-        return IntMod(q.numerator * pow(den, self.p - 2, self.p), self.p)
 
     def echelon(self, width):
         return ModPEchelon(width, self.p)

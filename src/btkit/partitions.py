@@ -36,18 +36,6 @@ class SetPartition:
         """The coarsest partition, one block."""
         return SetPartition([0] * n)
 
-    @staticmethod
-    def from_blocks(blocks, n):
-        labels = [None] * n
-        for b, block in enumerate(blocks):
-            for m in block:
-                if not 1 <= m <= n or labels[m - 1] is not None:
-                    raise ValueError("blocks are not a partition of 1..%d" % n)
-                labels[m - 1] = b
-        if any(l is None for l in labels):
-            raise ValueError("blocks do not cover 1..%d" % n)
-        return SetPartition(_canonical_rgs(labels))
-
     def blocks(self):
         """Blocks as tuples, ordered by their minimum."""
         nblocks = max(self.rgs) + 1
@@ -85,19 +73,6 @@ class SetPartition:
                 else:
                     first[label] = pos
         return SetPartition(_canonical_rgs([find(x) for x in range(self.n)]))
-
-    def leq(self, other):
-        """True iff every block of self lies inside a block of other."""
-        if self.n != other.n:
-            raise ValueError("mismatched n: %d vs %d" % (self.n, other.n))
-        seen = {}
-        for a, b in zip(self.rgs, other.rgs):
-            if a in seen:
-                if seen[a] != b:
-                    return False
-            else:
-                seen[a] = b
-        return True
 
     def join_arc(self, a, b):
         """Join with the one-arc partition {{a, b}} (fast path for the
@@ -197,20 +172,3 @@ def bell_number(n):
     for m in range(n):
         b.append(sum(comb(m, k) * b[k] for k in range(m + 1)))
     return b[n]
-
-
-def parse_partition(text):
-    """Parse either the block form "{{1,2},{3}}" or the rgs form "0,0,1"."""
-    text = text.strip()
-    if text.startswith("{{") and text.endswith("}}"):
-        blocks = []
-        for chunk in text[1:-1].split("},{"):
-            chunk = chunk.strip("{}")
-            blocks.append([int(m) for m in chunk.split(",")])
-        n = sum(len(b) for b in blocks)
-        return SetPartition.from_blocks(blocks, n)
-    return SetPartition(int(label) for label in text.split(","))
-
-
-def rgs_text(I):
-    return ",".join(str(label) for label in I.rgs)

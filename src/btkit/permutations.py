@@ -8,7 +8,6 @@ elements come out as the natural action on set partitions.
 """
 
 import itertools
-import random
 
 
 class Permutation:
@@ -47,21 +46,6 @@ class Permutation:
             raise ValueError("mismatched n: %d vs %d" % (self.n, other.n))
         img = self.images
         return Permutation(tuple(img[m - 1] for m in other.images))
-
-    def inverse(self):
-        inv = [0] * self.n
-        for m, im in enumerate(self.images, start=1):
-            inv[im - 1] = m
-        return Permutation(inv)
-
-    def is_identity(self):
-        return self.images == tuple(range(1, self.n + 1))
-
-    def length(self):
-        """Coxeter length = number of inversions."""
-        img = self.images
-        return sum(1 for a in range(self.n) for b in range(a + 1, self.n)
-                   if img[a] > img[b])
 
     def has_right_descent(self, i):
         """True iff length(w * s_i) < length(w)."""
@@ -131,74 +115,6 @@ def intern_perm(images):
     return w
 
 
-def from_word(word, n):
-    """Product s_{i1} ... s_{ik} of adjacent transpositions (the rightmost
-    letter acts first, so letters fold in by right multiplication)."""
-    w = Permutation.identity(n)
-    for i in word:
-        w = w.right_mul_gen(i)
-    return w
-
-
 def enumerate_permutations(n):
     """All of S_n in lexicographic one-line order."""
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def parse_permutation(text):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError("expected one-line notation like [2,1,3]")
-    return Permutation(int(p) for p in text[1:-1].split(","))
-
-
-def word_text(word):
-    """Dotted text form of a generator word, e.g. "s1.s2.s1" ("e" if empty)."""
-    if not word:
-        return "e"
-    return ".".join("s%d" % i for i in word)
-
-
-def parse_word(text):
-    text = text.strip()
-    if text == "e":
-        return ()
-    letters = []
-    for part in text.split("."):
-        if not part.startswith("s"):
-            raise ValueError("expected letters like s1, got %r" % part)
-        letters.append(int(part[1:]))
-    return tuple(letters)
-
-
-# ---------------------------------------------------------------------------
-# braid moves on reduced words (for well-definedness checks)
-# ---------------------------------------------------------------------------
-
-def braid_move_sites(word):
-    """All (position, replacement) rewrites of the word by a single
-    commutation or braid move; every rewrite is again a reduced word of the
-    same permutation."""
-    out = []
-    for k in range(len(word) - 1):
-        a, b = word[k], word[k + 1]
-        if abs(a - b) > 1:
-            out.append((k, (b, a)))
-    for k in range(len(word) - 2):
-        a, b, c = word[k], word[k + 1], word[k + 2]
-        if a == c and abs(a - b) == 1:
-            out.append((k, (b, a, b)))
-    return out
-
-
-def random_braid_walk(word, steps, rng=None):
-    """Random walk on the reduced-word graph of a fixed permutation."""
-    rng = rng or random.Random(0)
-    word = tuple(word)
-    for _ in range(steps):
-        sites = braid_move_sites(word)
-        if not sites:
-            break
-        k, repl = rng.choice(sites)
-        word = word[:k] + repl + word[k + len(repl):]
-    return word

@@ -167,16 +167,6 @@ def verify_ideal_closure(ib):
                for lo in range(0, ech.rank, BLOCK))
 
 
-def reduce_mod_ideal(elem, ib):
-    if elem.n != ib.n:
-        raise ValueError("mismatched n")
-    return ib.reduce(elem)
-
-
-def equal_mod_ideal(a, b, ib):
-    return ib.contains(a - b)
-
-
 # ---------------------------------------------------------------------------
 # the two quotient presentations
 # ---------------------------------------------------------------------------

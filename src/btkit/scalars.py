@@ -465,10 +465,6 @@ class Scalar:
             vals[VARS.index(name)] = val
         return _p_subs(self.num, vals) / _p_subs(self.den, vals)
 
-    def variables(self):
-        used = [a or b for a, b in zip(_p_vars(self.num), _p_vars(self.den))]
-        return tuple(v for v, f in zip(VARS, used) if f)
-
     # rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -642,8 +638,3 @@ B = Scalar.variable("B")
 _VAR_SCALARS = (SQRT_U, A, B)
 
 U_MINUS_1 = U - ONE
-U_PLUS_1 = U + ONE
-# delta = (1-u)/(1+u) and alpha = (1+u)/2, the constants of the idempotent
-# presentations of the quotient algebra
-DELTA = (ONE - U) / (ONE + U)
-ALPHA = (ONE + U) / TWO

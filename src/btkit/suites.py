@@ -8,11 +8,10 @@ byte-identical output.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import algebra, quotient, tensor, trace
-from .domains import PRIMES, SYMBOLIC, PrimeDomain
+from .domains import PRIMES, SYMBOLIC, PointError, PrimeDomain
 from .partitions import bell_number
 
 SCHEMA_VERSION = 1
@@ -43,47 +42,29 @@ def _summarize(report):
     return report
 
 
-def _engine_relation_check(args):
-    n, rel, params = args
-    lhs, rhs = algebra.relation_sides(rel, params, n)
-    return {"id": "engine-" + rel, "instance": [n] + list(params),
-            "status": "pass" if lhs == rhs else "fail"}
+def _check_point_count(suite, ns, points):
+    """At n >= 4 the quotient and trace suites pair the k-th point with the
+    k-th prime, so they take at most len(PRIMES) points there."""
+    if any(n >= 4 for n in ns) and len(points) > len(PRIMES):
+        raise PointError("suite %s pairs each point with one of %d primes at "
+                         "n >= 4, got %d points"
+                         % (suite, len(PRIMES), len(points)))
 
 
-def _engine_lemma_check(args):
-    n, lemma, params = args
-    lhs, rhs = algebra.lemma_sides(lemma, params, n)
-    return {"id": "engine-" + lemma, "instance": [n] + list(params),
-            "status": "pass" if lhs == rhs else "fail"}
-
-
-def _parallel(fn, items, jobs):
-    if jobs and jobs > 1 and len(items) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(fn, items))
-        except Exception:
-            pass
-    return [fn(item) for item in items]
-
-
-def relations_suite(ns, seed=0, jobs=1):
+def relations_suite(ns, seed=0):
     report = {"schema_version": SCHEMA_VERSION, "suite": "relations",
-              "params": {"n": list(ns), "seed": seed, "jobs": jobs},
+              "params": {"n": list(ns), "seed": seed},
               "checks": []}
     checks = report["checks"]
     for n in ns:
-        items = [(n, rel, params) for rel, params in algebra.relation_instances(n)]
-        checks.extend(_parallel(_engine_relation_check, items, jobs))
-        items = [(n, lemma, params) for lemma, params in algebra.lemma_instances(n)]
-        checks.extend(_parallel(_engine_lemma_check, items, jobs))
+        for c in algebra.verify_relations(n):
+            checks.append(_entry("engine-" + c["id"], [n] + c["instance"],
+                                 c["ok"]))
         if n >= 3:
             for c in tensor.verify_relations_in_rep(n, seed=seed):
-                checks.append({"id": c["id"], "instance": [n] + c["instance"],
-                               "status": "pass" if c["ok"] else "fail"})
+                checks.append(_entry(c["id"], [n] + c["instance"], c["ok"]))
     for c in tensor.classical_jimbo_check():
-        checks.append({"id": c["id"], "instance": c["instance"],
-                       "status": "pass" if c["ok"] else "fail"})
+        checks.append(_entry(c["id"], c["instance"], c["ok"]))
     return _summarize(report)
 
 
@@ -100,6 +81,7 @@ def _quotient_combos(n, points):
 
 
 def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
+    _check_point_count("quotient", ns, points)
     report = {"schema_version": SCHEMA_VERSION, "suite": "quotient",
               "params": {"n": list(ns), "points": [str(p) for p in points],
                          "seed": seed},
@@ -239,6 +221,7 @@ def rank_suite(ns, points=DEFAULT_POINTS):
 
 
 def trace_suite(ns, points=DEFAULT_POINTS):
+    _check_point_count("trace", ns, points)
     report = {"schema_version": SCHEMA_VERSION, "suite": "trace",
               "params": {"n": list(ns), "points": [str(p) for p in points]},
               "checks": [], "trace": []}

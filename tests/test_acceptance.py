@@ -29,7 +29,8 @@ from btkit.domains import PRIMES, PrimeDomain
 from btkit.linalg import Echelon
 from btkit.partitions import (SetPartition, arc_partition, bell_number,
                               enumerate_partitions, generator_partition)
-from btkit.permutations import enumerate_permutations, random_braid_walk
+from btkit.permutations import enumerate_permutations
+from oracles import random_braid_walk
 from test_algebra import associativity_sample
 
 ONE, TWO, U, S, A, B = sc.ONE, sc.TWO, sc.U, sc.SQRT_U, sc.A, sc.B

@@ -6,14 +6,13 @@ import pytest
 from btkit import algebra as alg
 from btkit import scalars as sc
 from btkit.algebra import (BasisIndex, E, E_arc, E_of_partition, F, L, T,
-                           basis_element, dimension, gamma, gamma_inverse,
-                           inverse_T, one, parse_element, steinberg,
-                           verify_relations)
+                           basis_element, gamma, gamma_inverse, inverse_T, one,
+                           steinberg, verify_relations)
 from btkit.domains import SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
-from btkit.permutations import (Permutation, enumerate_permutations,
-                                from_word, random_braid_walk)
+from btkit.permutations import Permutation, enumerate_permutations
+from oracles import from_word, in_prime_field, random_braid_walk
 
 ONE, U = sc.ONE, sc.U
 
@@ -163,7 +162,7 @@ def test_idempotents():
             fi = F(i, n)
             ei = E(i, n)
             assert li * li == li
-            delta = sc.DELTA
+            delta = (ONE - U) / (ONE + U)
             assert fi * fi == fi.scale(ONE + delta) - (ei * fi).scale(delta)
             assert ei * li == ei * fi
 
@@ -171,7 +170,7 @@ def test_idempotents():
 def test_dimension_and_basis_index():
     for n in (1, 2, 3, 4):
         idx = BasisIndex(n)
-        assert len(idx) == dimension(n) == bell_number(n) * math.factorial(n)
+        assert len(idx) == bell_number(n) * math.factorial(n)
         # round trip vector <-> element
         rng = random.Random(n)
         elem = alg.random_basis_element(n, rng) + alg.random_basis_element(n, rng).scale(U)
@@ -197,7 +196,7 @@ def test_matsumoto_invariance():
 def test_conjugation_of_ties_exhaustive_n3():
     n = 3
     for w in enumerate_permutations(n):
-        tw = alg.T_of_permutation(w)
+        tw = alg.T_word(w.reduced_word(), n)
         for I in enumerate_partitions(n):
             assert tw * E_of_partition(I) == E_of_partition(I.apply(w)) * tw
 
@@ -244,7 +243,8 @@ def test_engine_agrees_under_specialization():
         forq = basis_element(I1, w1, domq) * basis_element(I2, w2, domq)
         forp = basis_element(I1, w1, domp) * basis_element(I2, w2, domp)
         assert {k: v.evaluate(s=pt) for k, v in sym.terms.items()} == forq.terms
-        assert {k: domp.scalar(v) for k, v in sym.terms.items()} == forp.terms
+        assert ({k: in_prime_field(v, domp) for k, v in sym.terms.items()}
+                == forp.terms)
 
 
 def test_left_multiplication_matches_general_product():
@@ -257,12 +257,3 @@ def test_left_multiplication_matches_general_product():
                 assert a.left_mul_E(i) == E(i, n) * a
                 assert a.right_mul_T(i) == a * T(i, n)
                 assert a.right_mul_E(i) == a * E(i, n)
-
-
-def test_element_text_round_trip():
-    rng = random.Random(41)
-    for _ in range(20):
-        a = alg.random_basis_element(3, rng).scale(sc.DELTA) + \
-            alg.random_basis_element(3, rng)
-        assert parse_element(str(a), 3) == a
-    assert parse_element("0", 3).is_zero()

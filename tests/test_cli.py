@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from btkit import cli
+from btkit import cli, quotient, suites, trace
+from btkit.domains import PointError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -100,7 +102,7 @@ def test_out_file(tmp_path, capsys):
     assert report["suite"] == "rank"
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys):
     assert cli.main([]) == 2
     assert cli.main(["rank", "--n", "9"]) == 2
     assert cli.main(["rank", "--n", "3", "--n-max", "1"]) == 2
@@ -118,16 +120,9 @@ def test_usage_errors(capsys, monkeypatch):
     assert_one_error_line(["quotient", "--n", "2"])
     assert_one_error_line(["quotient", "--n", "1", "--n-max", "2"])
     assert_one_error_line(["relations", "--n", "1"])
-    # worker counts below 1, from the flag or the environment
-    assert_one_error_line(["relations", "--n", "2", "--jobs", "-3"])
+    # every run is one process: --jobs takes only 1
+    assert_one_error_line(["relations", "--n", "2", "--jobs", "2"])
     assert_one_error_line(["relations", "--n", "2", "--jobs", "0"])
-    monkeypatch.setenv("BTKIT_JOBS", "0")
-    assert_one_error_line(["relations", "--n", "2"])
-    # a non-integer BTKIT_JOBS
-    monkeypatch.setenv("BTKIT_JOBS", "abc")
-    assert_one_error_line(["relations", "--n", "2"])
-    assert_one_error_line(["rank", "--n", "2"])
-    # --help runs no suite, so it reads no worker count
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
@@ -136,12 +131,18 @@ def test_usage_errors(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
-def test_jobs_do_not_change_output(capsys):
+def test_jobs_do_not_change_output(capsys, monkeypatch):
+    # `--jobs 1` is still accepted, for scripts that pass it, and the
+    # environment no longer holds a worker count
     base = ["relations", "--n", "2", "--format", "json"]
-    _, out1 = run_cli(base + ["--jobs", "1"], capsys)
-    _, out2 = run_cli(base + ["--jobs", "2"], capsys)
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["checks"] == r2["checks"]
+    code1, out1 = run_cli(base + ["--jobs", "1"], capsys)
+    code2, out2 = run_cli(base, capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    monkeypatch.setenv("BTKIT_JOBS", "abc")
+    code3, out3 = run_cli(base, capsys)
+    assert code3 == 0
+    assert out3 == out2
 
 
 def test_points_beyond_the_primes_are_refused_at_n4(capsys):
@@ -164,6 +165,21 @@ def test_points_beyond_the_primes_are_refused_at_n4(capsys):
     args = cli.build_parser().parse_args(["rank", "--n", "4", "--points",
                                           three])
     assert len(cli._points(args, cli._n_values(args))) == 3
+
+
+def test_suites_refuse_points_beyond_the_primes(monkeypatch):
+    # library callers get the same refusal as the CLI, before any work
+    calls = []
+    monkeypatch.setattr(trace, "solve_trace",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(quotient, "build_ideal",
+                        lambda *a, **k: calls.append(a))
+    three = [Fraction(5, 7), Fraction(3, 2), Fraction(2)]
+    with pytest.raises(PointError, match="3 points"):
+        suites.trace_suite([2, 3, 4], points=three)
+    with pytest.raises(PointError, match="3 points"):
+        suites.quotient_suite([3, 4], points=three)
+    assert calls == []
 
 
 def test_export_ops(tmp_path, capsys):
@@ -223,10 +239,9 @@ def test_golden_relations_n4(capsys):
 
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the four suites at their
-    # default n are exact
+    # default n are exact, and each run is one process
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
-    env.pop("BTKIT_JOBS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
@@ -237,6 +252,9 @@ def test_exact_suites_do_not_load_numpy(tmp_path):
             "    cli.main(argv + ['--out', %r])\n"
             "    if 'numpy' in sys.modules:\n"
             "        sys.exit('numpy loaded by ' + ' '.join(argv))\n"
+            "for name in ('concurrent.futures', 'multiprocessing'):\n"
+            "    if name in sys.modules:\n"
+            "        sys.exit(name + ' loaded')\n"
             % (runs, str(tmp_path / "report.md")))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)

@@ -5,9 +5,9 @@ import pytest
 
 from btkit import partitions as pt
 from btkit.partitions import (SetPartition, arc_partition, bell_number,
-                              enumerate_partitions, generator_partition,
-                              parse_partition)
-from btkit.permutations import Permutation, enumerate_permutations, from_word
+                              enumerate_partitions, generator_partition)
+from btkit.permutations import Permutation, enumerate_permutations
+from oracles import from_word
 
 
 def bell_oracle(n):
@@ -91,27 +91,9 @@ def test_action_examples():
     assert generator_partition(2, 3).apply(w) == generator_partition(1, 3)
 
 
-def test_partial_order():
-    for n in (2, 3, 4):
-        parts = enumerate_partitions(n)
-        unit = SetPartition.unit(n)
-        for I in parts:
-            assert unit.leq(I)
-            assert I.leq(I)
-            for J in parts:
-                assert I.leq(J) == (I.join(J) == J)
-                if I.leq(J) and J.leq(I):
-                    assert I == J
-                for K in parts:
-                    if I.leq(J) and J.leq(K):
-                        assert I.leq(K)
-    assert generator_partition(1, 3).leq(SetPartition.full(3))
-    assert not generator_partition(1, 3).leq(arc_partition(1, 3, 3))
-
-
 def test_generator_partitions():
-    assert generator_partition(1, 3) == parse_partition("{{1,2},{3}}")
-    assert generator_partition(2, 3) == parse_partition("{{2,3},{1}}")
+    assert str(generator_partition(1, 3)) == "{{1,2},{3}}"
+    assert str(generator_partition(2, 3)) == "{{1},{2,3}}"
     with pytest.raises(IndexError):
         generator_partition(3, 3)
     with pytest.raises(IndexError):
@@ -154,22 +136,4 @@ def test_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
         SetPartition.unit(3).join(SetPartition.unit(4))
     with pytest.raises(ValueError):
-        SetPartition.unit(3).leq(SetPartition.unit(4))
-    with pytest.raises(ValueError):
         SetPartition.unit(3).apply(Permutation.identity(4))
-
-
-def test_text_round_trip():
-    for n in (1, 2, 3, 4):
-        for I in enumerate_partitions(n):
-            assert parse_partition(str(I)) == I
-
-
-def test_rgs_text_form():
-    from btkit.partitions import rgs_text
-    I = parse_partition("0,0,1")
-    assert I == parse_partition("{{1,2},{3}}")
-    assert rgs_text(I) == "0,0,1"
-    for n in (1, 2, 3, 4):
-        for J in enumerate_partitions(n):
-            assert parse_partition(rgs_text(J)) == J

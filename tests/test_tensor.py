@@ -120,7 +120,7 @@ def test_arcs():
     assert _arcs(SetPartition.unit(4)) == []
     assert _arcs(arc_partition(1, 3, 3)) == [(1, 3)]
     # arcs join only adjacent elements within a block
-    I = SetPartition.from_blocks([[1, 3, 4], [2]], 4)
+    I = SetPartition((0, 1, 0, 0))  # {{1,3,4},{2}}
     assert _arcs(I) == [(1, 3), (3, 4)]
 
 

@@ -11,6 +11,7 @@ from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
 from btkit.quotient import ideal_generator_element
+from oracles import in_prime_field
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
 
@@ -126,7 +127,7 @@ def test_specialized_solve_matches_symbolic():
         want = tf_p.table[key]
         got = {}
         for (ea, eb), num in _ab_decompose(val).items():
-            got[(ea, eb)] = dom.scalar(num)
+            got[(ea, eb)] = in_prime_field(num, dom)
         got = {k: v for k, v in got.items() if v}
         assert got == want.coeffs, key
 
