@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -141,6 +143,25 @@ def _ab_decompose(scalar):
         mono = sc.Scalar({(es, 0, 0): c})
         out[key] = out.get(key, sc.ZERO) + mono
     return {k: sc.Scalar(v.num, den) for k, v in out.items() if v}
+
+
+# sha256 of the n = 4 value tables, as sorted JSON, at the default points
+N4_TABLE_DIGESTS = {
+    (Fraction(5, 7), PRIMES[0]):
+        "db1c38ec10902b8faf6cbec7cb4846b2d3160998a2359106488dc7eb869a3302",
+    (Fraction(3, 2), PRIMES[1]):
+        "87fb13ea13904878690cce7b79685699b8eca198e63779d24663227d5e23a0cc",
+}
+
+
+@pytest.mark.parametrize("point, p", sorted(N4_TABLE_DIGESTS))
+def test_n4_prime_tables_pinned(point, p):
+    # the report gives only rank and the verdicts at n = 4, so every value
+    # of the 360-entry table is pinned here
+    tf = tr.solve_trace(4, PrimeDomain(point, p))
+    table = json.dumps(tf.table_json(), sort_keys=True).encode()
+    assert len(tf.table) == 360
+    assert hashlib.sha256(table).hexdigest() == N4_TABLE_DIGESTS[point, p]
 
 
 def test_table_export():
