@@ -7,29 +7,29 @@ pass and yields the unique representative with zero coordinates at the pivots.
 
 There is one echelon class per kind of field, and each owns its row format:
 :class:`Echelon` serves the exact fields (lists of Scalar or Fraction),
-:class:`ModPEchelon` serves GF(p) (int64 numpy rows, numpy imported on first
-use).  Each converts domain coefficient lists to rows and back, and packs and
-applies the generator action tables of :func:`btkit.quotient.generator_actions`
-(``pack``, ``scatter``), so callers run one body of code in every domain.
-Both take blocks of rows (``insert_block``, ``reduce_batch``,
-``scatter_batch``): :class:`Echelon` loops over the rows, and
-:class:`ModPEchelon` inserts a block with two exact float64 BLAS products
-(delayed modular reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet,
-ACM TOMS 35(3), 2008), one reducing the block against the basis and one
-clearing the block's new pivots from the old rows (per CHUNK old rows, so
-the temporaries stay bounded as the basis grows), with the block
-echelonized in between; ``insert`` is its one-row case.  ``from_entries``
-makes a block of rows from sparse (row, column, coefficient) entries.
+:class:`ModPEchelon` serves GF(p) (int64 numpy rows in a matrix allocated
+once, numpy imported on first use).  Each converts domain coefficient lists
+to rows and back, and packs and applies the generator action tables of
+:func:`btkit.quotient.generator_actions` (``pack``, ``scatter``), so callers
+run one body of code in every domain.  Both take blocks of rows
+(``insert_block``, ``reduce_batch``, ``scatter_batch``): :class:`Echelon`
+loops over the rows.  :class:`ModPEchelon` packs a table in layers with
+distinct targets, one gather-multiply-add each, and inserts a block with two
+exact float64 BLAS products (delayed modular reduction, as in FFLAS-FFPACK:
+Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one reducing the block
+against the basis and one clearing the block's new pivots from the old rows
+(per CHUNK old rows, so the temporaries stay bounded as the basis grows),
+with the block echelonized in between; ``insert`` is its one-row case.
+``from_entries`` makes a block of rows from sparse (row, column,
+coefficient) entries.
 
-The affine systems :class:`LinearSystem` (exact) and
-:class:`ModPLinearSystem` (GF(p)) serve the trace solver, which feeds one
-system per level with rows in the echelon's row format: table scatters of
-unit rows (the commutators x g - g x with the generators, and the tower
-rules).  ``is_implied`` tests a row against the rows added so far; the
-solver counts the implied middle tower rules before it adds them.
+The affine systems :class:`LinearSystem` (exact, one row and an opaque
+right-hand side at a time) and :class:`ModPLinearSystem` (GF(p), a
+:class:`ModPEchelon` whose last columns hold the right-hand sides as
+coefficients, fed in blocks) serve the trace solver, which feeds one system
+per level with table scatters of unit rows: the commutators x g - g x with
+the generators, and the tower rules.
 """
-
-import bisect
 
 np = None
 
@@ -206,74 +206,40 @@ class LinearSystem:
 
 
 class ModPLinearSystem:
-    """Affine system over GF(p): forward echelon with numpy rows, opaque
-    right-hand sides supporting ``rhs - rhs2`` and ``rhs * IntMod`` (same
-    contract as :class:`LinearSystem` otherwise; the solution is recovered
-    by a final back-substitution pass)."""
+    """Affine system M x = R over GF(p) with k right-hand sides, as one
+    :class:`ModPEchelon` ``ech`` of rows [M | R].  First-nonzero pivoting
+    puts a pivot among the last k columns exactly when the system is
+    inconsistent, so ``rank`` counts the pivots below ``width`` only.  A
+    reduced pivot row reads x_piv + (free part) = its right-hand sides."""
 
-    DEPENDENT, PIVOT, INCONSISTENT = (LinearSystem.DEPENDENT,
-                                      LinearSystem.PIVOT,
-                                      LinearSystem.INCONSISTENT)
-
-    def __init__(self, width, p):
-        _import_numpy()
+    def __init__(self, width, p, k):
         self.width = width
-        self.p = p
-        self.rows = {}                # pivot col -> (np row, rhs)
-        self._cols = []               # sorted pivot columns
-        self.inconsistent = []
+        self.ech = ModPEchelon(width + k, p)
 
     @property
     def rank(self):
-        return len(self.rows)
+        return sum(piv < self.width for piv in self.ech.pivots)
 
-    def _scale(self, rhs, c):
-        from .domains import IntMod
-        return rhs * IntMod(c, self.p)
+    @property
+    def inconsistent(self):
+        """The pivot columns among the right-hand sides."""
+        return [piv for piv in self.ech.pivots if piv >= self.width]
 
-    def reduce(self, vec, rhs):
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        p = self.p
-        for col in self._cols:
-            c = int(vec[col])
-            if c:
-                pvec, prhs = self.rows[col]
-                vec = (vec - c * pvec) % p
-                rhs = rhs - self._scale(prhs, c)
-        return vec, rhs
+    def add(self, rows):
+        """Insert a block of rows [M | R]; returns the rank growth of ech."""
+        return self.ech.insert_block(rows)
 
-    def add(self, vec, rhs):
-        vec, rhs = self.reduce(vec, rhs)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            if rhs:
-                self.inconsistent.append(rhs)
-                return self.INCONSISTENT
-            return self.DEPENDENT
-        piv = int(nz[0])
-        inv = pow(int(vec[piv]), self.p - 2, self.p)
-        vec = (vec * inv) % self.p
-        rhs = self._scale(rhs, inv)
-        self.rows[piv] = (vec, rhs)
-        bisect.insort(self._cols, piv)
-        return self.PIVOT
+    def reduce(self, rows):
+        return self.ech.reduce_batch(rows)
 
-    def is_implied(self, vec, rhs):
-        vec, rhs = self.reduce(vec, rhs)
-        return not np.any(vec) and not rhs
-
-    def solution(self, zero_rhs):
+    def solution(self):
+        """A (width, k) array whose row i holds the right-hand-side
+        coefficients of x_i, free variables zero; None if inconsistent."""
         if self.inconsistent:
             return None
-        sol = [zero_rhs] * self.width
-        for col in reversed(self._cols):
-            vec, rhs = self.rows[col]
-            val = rhs
-            for c in np.nonzero(vec[col + 1:])[0]:
-                c = int(c) + col + 1
-                if sol[c] is not zero_rhs:
-                    val = val - self._scale(sol[c], int(vec[c]))
-            sol[col] = val
+        sol = np.zeros((self.width, self.ech.width - self.width),
+                       dtype=np.int64)
+        sol[self.ech.pivots] = self.ech.rows[:, self.width:]
         return sol
 
 
@@ -298,7 +264,8 @@ class ModPEchelon:
         self.p = p
         self.pivots = []
         self._limbs = -(-(p - 1).bit_length() // LIMB)
-        self._mat = np.zeros((64, width), dtype=np.int64)
+        # rank <= width; np.zeros pages stay unbacked until a row is written
+        self._mat = np.zeros((width, width), dtype=np.int64)
         self._pivots = np.array(self.pivots, dtype=np.intp)
         self._free = np.arange(width)     # the non-pivot columns
         self._basis = None    # float64 rows at the free columns, on demand
@@ -367,11 +334,6 @@ class ModPEchelon:
                 at = np.ix_(hit, free)
                 old[at] = (old[at] - self._mul(coeffs[hit], new_free)) % self.p
                 old[:, pivs] = 0
-        if r + k > len(self._mat):
-            grown = np.zeros((max(2 * len(self._mat), r + k), self.width),
-                             dtype=np.int64)
-            grown[:r] = self._mat[:r]
-            self._mat = grown
         self._mat[r:r + k] = new
         self.pivots.extend(pivs)
         self._pivots = np.array(self.pivots, dtype=np.intp)
@@ -425,17 +387,27 @@ class ModPEchelon:
         return [IntMod(int(c), self.p) for c in row]
 
     def pack(self, src, dst, coeff):
-        return np.array(src), np.array(dst), self.from_coeffs(coeff)
+        """The table as layers of (source, target, coefficient) arrays: the
+        k-th entry of each target goes to layer k, so no layer repeats a
+        target."""
+        order = np.argsort(dst, kind="stable")
+        src, dst = np.array(src)[order], np.array(dst)[order]
+        coeff = self.from_coeffs(coeff)[order]
+        first = np.flatnonzero(np.diff(dst, prepend=-1))   # of each target
+        layer = np.arange(len(dst)) - np.repeat(
+            first, np.diff(first, append=len(dst)))
+        return [(src[at], dst[at], coeff[at])
+                for at in (layer == k for k in range(layer.max() + 1))]
 
     def scatter(self, action, row):
-        """The image of row under a packed action table.  Entries are below
-        p, so each product is below p^2 and the few summed per target stay
-        inside int64."""
-        src, dst, coeff = action
-        out = np.zeros(self.width, dtype=np.int64)
-        np.add.at(out, dst, row[src] * coeff)
-        return out % self.p
+        return self.scatter_batch(action, [row])[0]
 
     def scatter_batch(self, action, rows):
-        """The images of the rows of a matrix under a packed action table."""
-        return np.array([self.scatter(action, row) for row in rows])
+        """The images of the rows of a matrix under a packed action table:
+        one gather-multiply-add per layer.  Entries are below p, so each
+        product is below p^2, and the few layers summed stay inside int64."""
+        rows = np.asarray(rows)
+        out = np.zeros((len(rows), self.width), dtype=np.int64)
+        for src, dst, coeff in action:
+            out[:, dst] += rows[:, src] * coeff
+        return out % self.p

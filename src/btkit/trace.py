@@ -15,11 +15,13 @@ basis element and g a generator T_i or E_i: since [ab, c] = [a, bc] + [b, ca],
 these span every [a, b].  All rows are table scatters of unit rows through
 :func:`btkit.quotient.generator_actions` (the commutator tables for symmetry,
 the right T_{n-1}, E_{n-1} tables for the tower rules), and they feed a
-single system per level.  Existence (consistency) and uniqueness (full rank)
-are computed, not assumed.  The solver also reports how many instances of
-the middle rule are implied by the normalization, symmetry and the other two
-tower rules: each middle row is tested against the system before any middle
-row is added.
+single system per level: row by row on the symbolic path, and over GF(p)
+in blocks, with the right-hand sides as coefficient columns, one per
+monomial A^a B^b with a + b < n.  Existence (consistency) and uniqueness
+(full rank) are computed, not assumed.  The solver also reports how many
+instances of the middle rule are implied by the normalization, symmetry and
+the other two tower rules: the middle rows are tested against the system
+(over GF(p) in one batched reduction) before any middle row is added.
 """
 
 from . import scalars
@@ -40,14 +42,6 @@ class ParamPoly:
 
     def __init__(self, coeffs):
         self.coeffs = coeffs  # {(degA, degB): domain element}, no zeros
-
-    @staticmethod
-    def zero():
-        return ParamPoly({})
-
-    @staticmethod
-    def constant(c):
-        return ParamPoly({(0, 0): c} if c else {})
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -126,8 +120,7 @@ class TraceFunctional:
             term = self.table[key] * c
             total = term if total is None else total + term
         if total is None:
-            total = (scalars.ZERO if self.dom is SYMBOLIC
-                     else ParamPoly.zero())
+            total = scalars.ZERO if self.dom is SYMBOLIC else ParamPoly({})
         return total
 
     def table_json(self):
@@ -160,69 +153,109 @@ def commutator_rows(index, ech):
 
 
 _CACHE = {}
+BLOCK = 32   # unit rows scattered through the commutator tables at once
 
 
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
     symbolic path keeps generic u and symbolic A, B; with a PrimeDomain the
-    matrix lives in GF(p) and right-hand sides are ParamPoly."""
+    matrix lives in GF(p) and the values are ParamPoly."""
     key = (n, tuple(dom.describe().items()))
     if key in _CACHE:
         return _CACHE[key]
     if n < 1:
         raise ValueError("n must be positive")
-    symbolic = dom is SYMBOLIC
-    one_rhs = scalars.ONE if symbolic else ParamPoly.constant(dom.one)
     if n == 1:
         pair = (SetPartition.unit(1), Permutation.identity(1))
-        tf = TraceFunctional(1, dom, {pair: one_rhs}, True, True, 1, 0, 0)
-        _CACHE[key] = tf
-        return tf
-
-    prev = solve_trace(n - 1, dom)
-    index = BasisIndex(n, dom)
-    width = len(index)
-    ech = dom.echelon(width)
-    actions = generator_actions(index, ech)
-    if symbolic:
-        system = LinearSystem(width)
-        zero_rhs = scalars.ZERO
-
-        def times_A(v):
-            return v * scalars.A
-
-        def times_B(v):
-            return v * scalars.B
+        one = scalars.ONE if dom is SYMBOLIC else ParamPoly({(0, 0): dom.one})
+        tf = TraceFunctional(1, dom, {pair: one}, True, True, 1, 0, 0)
     else:
-        system = ModPLinearSystem(width, dom.p)
-        zero_rhs = ParamPoly.zero()
-        times_A, times_B = ParamPoly.times_A, ParamPoly.times_B
+        prev = solve_trace(n - 1, dom)
+        index = BasisIndex(n, dom)
+        solve = _solve_symbolic if dom is SYMBOLIC else _solve_modp
+        table, exists, rank, implied = solve(index, prev)
+        tf = TraceFunctional(n, dom, table, exists,
+                             exists and rank == len(index), rank, implied,
+                             len(prev.table))
+    _CACHE[key] = tf
+    return tf
+
+
+def _solve_symbolic(index, prev):
+    """(table, exists, rank, implied middle rules) of one level, row by row
+    in a LinearSystem whose right-hand sides are Scalars in A and B."""
+    n, width = index.n, len(index)
+    ech = SYMBOLIC.echelon(width)
+    actions = generator_actions(index, ech)
+    system = LinearSystem(width)
 
     def right(name, row):
         return ech.scatter(actions[name, n - 1], row)
 
     one_pair = (SetPartition.unit(n), Permutation.identity(n))
-    system.add(_unit(index, ech, one_pair), one_rhs)
+    system.add(_unit(index, ech, one_pair), scalars.ONE)
     middle = []
     for (I, w), pv in prev.table.items():
         x = _unit(index, ech, embed_pair(I, w, n))
         xe = right("RE", x)
-        system.add(right("RT", x), times_A(pv))
-        system.add(xe, times_B(pv))
-        middle.append((right("RT", xe), times_A(pv)))
+        system.add(right("RT", x), pv * scalars.A)
+        system.add(xe, pv * scalars.B)
+        middle.append((right("RT", xe), pv * scalars.A))
     for row in commutator_rows(index, ech):
-        system.add(row, zero_rhs)
+        system.add(row, scalars.ZERO)
     implied = sum(1 for row, rhs in middle if system.is_implied(row, rhs))
     for row, rhs in middle:
         system.add(row, rhs)
-
     exists = not system.inconsistent
-    unique = exists and system.rank == width
-    table = dict(zip(index.pairs, system.solution(zero_rhs))) if exists else {}
-    tf = TraceFunctional(n, dom, table, exists, unique, system.rank,
-                         implied, len(middle))
-    _CACHE[key] = tf
-    return tf
+    table = (dict(zip(index.pairs, system.solution(scalars.ZERO)))
+             if exists else {})
+    return table, exists, system.rank, implied
+
+
+def _solve_modp(index, prev):
+    """The same over GF(p), in blocks on one ModPLinearSystem whose
+    right-hand sides are one column per monomial A^a B^b, a + b < n: the
+    normalization and tower rows as one block, then the commutator images
+    of BLOCK unit rows per table, then the middle rows after one reduction
+    of them counts those already implied."""
+    import numpy as np
+    n, width, dom = index.n, len(index), index.dom
+    monos = [(a, b) for a in range(n) for b in range(n - a)]
+    col = {mono: width + k for k, mono in enumerate(monos)}
+    system = ModPLinearSystem(width, dom.p, len(monos))
+    ech = system.ech
+    actions = generator_actions(index, ech)
+
+    def units(pairs):
+        return ech.from_entries(len(pairs), [
+            (k, index.index[pair], dom.one) for k, pair in enumerate(pairs)])
+
+    def right(name, rows):
+        return ech.scatter_batch(actions[name, n - 1], rows)
+
+    x = units([(SetPartition.unit(n), Permutation.identity(n))]
+              + [embed_pair(I, w, n) for I, w in prev.table])
+    x[0, col[0, 0]] = 1
+    tower = [x[:1], right("RT", x[1:]), right("RE", x[1:])]
+    middle = right("RT", tower[2])
+    for k, pv in enumerate(prev.table.values()):
+        for (a, b), c in pv.coeffs.items():
+            tower[1][k, col[a + 1, b]] = middle[k, col[a + 1, b]] = c.v
+            tower[2][k, col[a, b + 1]] = c.v
+    system.add(np.concatenate(tower))
+    for lo in range(0, width, BLOCK):
+        block = units(index.pairs[lo:lo + BLOCK])
+        for name in ("CT", "CE"):
+            for i in range(1, n):
+                system.add(ech.scatter_batch(actions[name, i], block))
+    implied = sum(1 for row in system.reduce(middle) if not row.any())
+    system.add(middle)
+    sol = system.solution()
+    table = {} if sol is None else {
+        pair: ParamPoly({mono: dom.of_int(int(c))
+                         for mono, c in zip(monos, row) if c})
+        for pair, row in zip(index.pairs, sol)}
+    return table, sol is not None, system.rank, implied
 
 
 def is_scalar_multiple(p, g):

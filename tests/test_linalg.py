@@ -90,17 +90,35 @@ def test_modp_linear_system_matches_exact():
         rows = [([rng.randint(-4, 4) for _ in range(width)], rng.randint(-5, 5))
                 for _ in range(6)]
         exact = LinearSystem(width)
-        modp = ModPLinearSystem(width, P)
+        modp = ModPLinearSystem(width, P, 1)
         for vec, rhs in rows:
             exact.add([f(x) for x in vec], f(rhs))
-            modp.add(vec, IntMod(rhs, P))
+            modp.add([vec + [rhs]])
         assert exact.rank == modp.rank
         assert bool(exact.inconsistent) == bool(modp.inconsistent)
         if not exact.inconsistent:
             sol = exact.solution(f(0))
-            solp = modp.solution(IntMod(0, P))
+            solp = [IntMod(int(rhs), P) for (rhs,) in modp.solution()]
             for a, b in zip(sol, solp):
                 assert IntMod(a.numerator, P) == b * IntMod(a.denominator, P)
+
+
+def test_modp_linear_system_inconsistent():
+    # x + y = 1, 2x + 2y = 3 and x = 2 as one block: the second row puts a
+    # pivot in the right-hand-side column, which the rank does not count
+    f = Fraction
+    rows = [[1, 1, 1], [2, 2, 3], [1, 0, 2]]
+    exact = LinearSystem(2)
+    for *vec, rhs in rows:
+        exact.add([f(x) for x in vec], f(rhs))
+    modp = ModPLinearSystem(2, P, 1)
+    assert modp.add(rows) == 3
+    assert modp.inconsistent and modp.solution() is None
+    assert modp.rank == exact.rank == 2
+    assert modp.ech.rank == 3
+    empty = ModPLinearSystem(2, P, 1)
+    assert empty.add([[0, 0, 5]]) == 1
+    assert empty.inconsistent and empty.rank == 0
 
 
 def test_modp_batch_reduce_matches_row_reduce():
