@@ -545,23 +545,16 @@ def lemma_sides(lemma, params, n, dom=SYMBOLIC):
     raise ValueError("unknown lemma id %r" % lemma)
 
 
-def verify_relations(n, dom=SYMBOLIC, include_lemmas=True):
+def verify_relations(n, dom=SYMBOLIC):
     """Exact check of every defining-relation instance (and the named
     identity suites) inside the engine.  Returns a list of check dicts."""
     checks = []
-    for rel, params in relation_instances(n):
-        lhs, rhs = relation_sides(rel, params, n, dom)
-        ok = lhs == rhs
-        entry = {"id": rel, "instance": list(params), "ok": ok}
-        if not ok:
-            entry["lhs"] = str(lhs)
-            entry["rhs"] = str(rhs)
-        checks.append(entry)
-    if include_lemmas:
-        for lemma, params in lemma_instances(n):
-            lhs, rhs = lemma_sides(lemma, params, n, dom)
+    for instances, sides in ((relation_instances, relation_sides),
+                             (lemma_instances, lemma_sides)):
+        for rel, params in instances(n):
+            lhs, rhs = sides(rel, params, n, dom)
             ok = lhs == rhs
-            entry = {"id": lemma, "instance": list(params), "ok": ok}
+            entry = {"id": rel, "instance": list(params), "ok": ok}
             if not ok:
                 entry["lhs"] = str(lhs)
                 entry["rhs"] = str(rhs)

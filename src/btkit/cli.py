@@ -90,9 +90,9 @@ def _n_values(args):
     return list(range(max(lo, floor), hi + 1))
 
 
-def _points(args, ns):
-    """The sqrt(u) points of a run over ns.  How many a suite takes depends
-    on ns, and the suites check that themselves (PointError)."""
+def _points(args):
+    """The sqrt(u) points of a run.  How many a suite takes depends on its
+    n range, and the suites check that themselves (PointError)."""
     if args.points is None:
         return list(suites.DEFAULT_POINTS)
     return _parse_points(args.points)
@@ -102,7 +102,7 @@ def run_suite(args):
     if args.jobs not in (None, "1"):
         raise UsageError("--jobs takes only 1, got %r" % args.jobs)
     ns = _n_values(args)
-    points = _points(args, ns)
+    points = _points(args)
     if args.suite == "relations":
         report = suites.relations_suite(ns, seed=args.seed)
     elif args.suite == "quotient":

@@ -164,7 +164,7 @@ def test_points_beyond_the_primes_are_refused_at_n4(capsys):
     assert json.loads(out)["params"]["points"] == ["5/7", "3/2", "2"]
     args = cli.build_parser().parse_args(["rank", "--n", "4", "--points",
                                           three])
-    assert len(cli._points(args, cli._n_values(args))) == 3
+    assert len(cli._points(args)) == 3
 
 
 def test_suites_refuse_points_beyond_the_primes(monkeypatch):
