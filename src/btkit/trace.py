@@ -153,7 +153,7 @@ def commutator_rows(index, ech):
 
 
 _CACHE = {}
-BLOCK = 32   # unit rows scattered through the commutator tables at once
+BLOCK = 24   # unit rows scattered through the commutator tables at once
 
 
 def solve_trace(n, dom=SYMBOLIC):
