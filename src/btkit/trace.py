@@ -153,7 +153,7 @@ def commutator_rows(index, ech):
 
 
 _CACHE = {}
-BLOCK = 24   # unit rows scattered through the commutator tables at once
+BLOCK = 24   # unit rows per commutator block; larger ones only cost memory
 
 
 def solve_trace(n, dom=SYMBOLIC):
@@ -236,13 +236,13 @@ def _solve_modp(index, prev):
     x = units([(SetPartition.unit(n), Permutation.identity(n))]
               + [embed_pair(I, w, n) for I, w in prev.table])
     x[0, col[0, 0]] = 1
-    tower = [x[:1], right("RT", x[1:]), right("RE", x[1:])]
-    middle = right("RT", tower[2])
+    xt, xe = right("RT", x[1:]), right("RE", x[1:])
+    middle = right("RT", xe)
     for k, pv in enumerate(prev.table.values()):
         for (a, b), c in pv.coeffs.items():
-            tower[1][k, col[a + 1, b]] = middle[k, col[a + 1, b]] = c.v
-            tower[2][k, col[a, b + 1]] = c.v
-    system.add(np.concatenate(tower))
+            xt[k, col[a + 1, b]] = middle[k, col[a + 1, b]] = c.v
+            xe[k, col[a, b + 1]] = c.v
+    system.add(np.concatenate([x[:1], xt, xe]))
     for lo in range(0, width, BLOCK):
         block = units(index.pairs[lo:lo + BLOCK])
         for name in ("CT", "CE"):
