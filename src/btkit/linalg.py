@@ -15,13 +15,13 @@ run one body of code in every domain.  Both take blocks of rows
 (``insert_block``, ``reduce_batch``, ``scatter_batch``): :class:`Echelon`
 loops over the rows.  :class:`ModPEchelon` packs a table in layers with
 distinct targets, one gather-multiply-add each, and inserts a block with two
-exact float64 BLAS products (delayed modular reduction, as in FFLAS-FFPACK:
-Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one reducing the block
-against the basis and one clearing the block's new pivots from the old rows
-(per CHUNK old rows, so the temporaries stay bounded as the basis grows),
-with the block echelonized in between; ``insert`` is its one-row case.
-``from_entries`` makes a block of rows from sparse (row, column,
-coefficient) entries.
+exact float64 BLAS products (delayed modular reduction on balanced residues,
+as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one
+reducing the block against the basis and one clearing the block's new pivots
+from the old rows (per CHUNK old rows, so the temporaries stay bounded as the
+basis grows), with the block echelonized in between; ``insert`` is its
+one-row case.  ``from_entries`` makes a block of rows from sparse (row,
+column, coefficient) entries.
 
 The affine systems :class:`LinearSystem` (exact, one row and an opaque
 right-hand side at a time) and :class:`ModPLinearSystem` (GF(p), a
@@ -33,7 +33,7 @@ the generators, and the tower rules.
 
 np = None
 
-LIMB = 12   # bits per limb of the coefficient operand of a float64 product
+LIMB = 12   # bits per limb of a coefficient operand too wide for one product
 CHUNK = 512  # old rows cleared of a block's new pivots at once
 
 
@@ -245,10 +245,11 @@ class ModPLinearSystem:
 
 class ModPEchelon:
     """Same contract over GF(p) with a preallocated int64 numpy matrix of
-    RREF rows.  Every product with the basis is one float64 matmul: the
-    coefficient operand is split into LIMB-bit limbs, so each entry is an
-    integer sum of at most ``width`` terms below 2^LIMB * p, exact while
-    width * (2^LIMB - 1) * (p-1) < 2^53, and reduced mod p in int64.  The
+    RREF rows in [0, p).  Every product with the basis is one float64 matmul
+    on balanced residues, in (-p/2, p/2], exact below 2^53 and reduced mod p
+    in int64: at inner dimension r the coefficient operand is used whole
+    while r * (p // 2)^2 < 2^53 (r <= 360 = dim E_4 at both ``PRIMES``), else
+    in LIMB-bit limbs, exact while width * (2^LIMB - 1) * (p-1) < 2^53.  The
     rank-one updates inside a block and the scatters stay in int64, which
     needs width * (p-1)^2 < 2^63 (see ``PRIMES`` in domains)."""
 
@@ -268,7 +269,7 @@ class ModPEchelon:
         self._mat = np.zeros((width, width), dtype=np.int64)
         self._pivots = np.array(self.pivots, dtype=np.intp)
         self._free = np.arange(width)     # the non-pivot columns
-        self._basis = None    # float64 rows at the free columns, on demand
+        self._basis = None  # balanced float64 rows at the free columns, lazily
 
     @property
     def rank(self):
@@ -278,37 +279,51 @@ class ModPEchelon:
     def rows(self):
         return self._mat[:self.rank]
 
+    def _balanced(self, a):
+        """a from [0, p) moved to (-p/2, p/2]; the sum reuses the product."""
+        return (a > self.p // 2) * -self.p + a
+
+    def _mod(self, x):
+        """x mod p: numpy divides by a scalar far faster than it takes %."""
+        return x - x // self.p * self.p
+
     def _mul(self, a, b):
-        """An int64 matrix congruent to a @ b mod p and below 2^54, for an
-        int64 a and a float64 b with entries in [0, p): one float64 product
-        of b with the limbs of a stacked, the limb products recombined in
-        int64 and left for the caller to reduce."""
-        m, mask = len(a), (1 << LIMB) - 1
-        limbs = np.concatenate([(a >> (LIMB * k)) & mask
-                                for k in range(self._limbs)])
-        part = (limbs.astype(np.float64) @ b).astype(np.int64)
-        out = part[(self._limbs - 1) * m:]
-        for k in reversed(range(self._limbs - 1)):
-            out = ((out % self.p) << LIMB) + part[k * m:(k + 1) * m]
+        """An int64 matrix congruent to a @ b mod p, below 2^54 in absolute
+        value, for an int64 a in [0, p) and a float64 b of balanced residues:
+        one float64 product of b with a balanced, whole while len(b) *
+        (p // 2)^2 < 2^53 and else as stacked LIMB-bit limbs (the top one
+        signed), recombined in int64 and left for the caller to reduce."""
+        m, p, mask = len(a), self.p, (1 << LIMB) - 1
+        n = 1 if len(b) * (p // 2) ** 2 < 2 ** 53 else self._limbs
+        a = self._balanced(a)
+        limbs = [(a >> (LIMB * k)) & mask for k in range(n - 1)]
+        limbs.append(np.right_shift(a, LIMB * (n - 1), out=a))
+        part = (np.concatenate(limbs, dtype=np.float64) @ b).astype(np.int64)
+        out = part[(n - 1) * m:]
+        for k in reversed(range(n - 1)):
+            out = (self._mod(out) << LIMB) + part[k * m:(k + 1) * m]
         return out
 
     def reduce(self, row):
         return self.reduce_batch(np.asarray(row)[None])[0]
 
     def reduce_batch(self, mat):
-        """The rows of mat reduced against the basis.  The basis is RREF, so
-        one product at the free columns eliminates every pivot at once, and
-        the reduced rows are zero at the pivots."""
-        mat = np.asarray(mat, dtype=np.int64) % self.p
+        """The rows of mat, taken mod p only if some entry is outside [0, p),
+        reduced against the RREF basis: one product at the free columns
+        eliminates every pivot at once, leaving zeros at the pivots."""
+        mat = np.asarray(mat, dtype=np.int64)
         if mat.ndim != 2 or mat.shape[1] != self.width:
             raise ValueError("bad row width")
+        if mat.size and (mat.min() < 0 or mat.max() >= self.p):
+            mat = self._mod(mat)
         if not self.rank:
-            return mat
+            return mat.copy()
         if self._basis is None:
-            self._basis = self.rows[:, self._free].astype(np.float64)
+            self._basis = self._balanced(
+                self.rows[:, self._free]).astype(np.float64)
         out = np.zeros_like(mat)
-        out[:, self._free] = (mat[:, self._free] - self._mul(
-            mat[:, self._pivots], self._basis)) % self.p
+        out[:, self._free] = self._mod(mat[:, self._free] - self._mul(
+            mat[:, self._pivots], self._basis))
         return out
 
     def insert(self, row):
@@ -325,14 +340,14 @@ class ModPEchelon:
             return 0
         r, k = self.rank, len(pivs)
         free = np.setdiff1d(self._free, pivs, assume_unique=True)
-        new_free = new[:, free].astype(np.float64)
+        new_free = self._balanced(new[:, free]).astype(np.float64)
         for lo in range(0, r, CHUNK):
             old = self._mat[lo:min(lo + CHUNK, r)]
             coeffs = old[:, pivs]
             hit = np.flatnonzero(coeffs.any(axis=1))
             if hit.size:
                 at = np.ix_(hit, free)
-                old[at] = (old[at] - self._mul(coeffs[hit], new_free)) % self.p
+                old[at] = self._mod(old[at] - self._mul(coeffs[hit], new_free))
                 old[:, pivs] = 0
         self._mat[r:r + k] = new
         self.pivots.extend(pivs)
@@ -358,7 +373,7 @@ class ModPEchelon:
             col[i] = 0
             hit = np.flatnonzero(col)
             if hit.size:
-                block[hit] = (block[hit] - np.outer(col[hit], row)) % p
+                block[hit] = self._mod(block[hit] - np.outer(col[hit], row))
             pivs.append(piv)
             keep.append(i)
         return block[keep], pivs
@@ -410,4 +425,4 @@ class ModPEchelon:
         out = np.zeros((len(rows), self.width), dtype=np.int64)
         for src, dst, coeff in action:
             out[:, dst] += rows[:, src] * coeff
-        return out % self.p
+        return self._mod(out)

@@ -159,16 +159,112 @@ def test_modp_products_exact_at_worst_case(p):
     a = np.full((2, width), p - 1, dtype=np.int64)
     b = np.full((width, 3), p - 1, dtype=np.float64)
     exact = sum((p - 1) * (p - 1) for _ in range(width)) % p
-    assert (ech._mul(a, b) % p == exact).all()
+    assert (ech._mul(a, ech._balanced(b)) % p == exact).all()
     rng = random.Random(p)
     a = np.array([[rng.randrange(p) for _ in range(width)] for _ in range(2)],
                  dtype=np.int64)
     b = [[rng.randrange(p) for _ in range(3)] for _ in range(width)]
-    got = ech._mul(a, np.array(b, dtype=np.float64)) % p
+    got = ech._mul(a, ech._balanced(np.array(b, dtype=np.float64))) % p
     for i in range(2):
         for j in range(3):
             want = sum(int(a[i, k]) * b[k][j] for k in range(width)) % p
             assert got[i, j] == want
+
+
+def _exact_product(a, b):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in b.T]
+            for row in a]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_modp_product_is_one_exact_float64_product_up_to_360(p):
+    # at inner dimension r = 360 (dim E_4) the balanced operands give one
+    # float64 product, exact as an integer: r * (p // 2)^2 < 2^53.  The
+    # extremes +-(p // 2) of the balanced residues give the largest sums.
+    import numpy as np
+    r, h = 360, p // 2
+    assert r * h * h < 2 ** 53 <= (r + 1) * h * h
+    ech = ModPEchelon(r + 1, p)
+    a = np.array([[h] * r, [p - h] * r, [h, p - h] * (r // 2)], dtype=np.int64)
+    b = ech._balanced(a[:2].T.astype(np.float64))
+    want = _exact_product(ech._balanced(a), b)
+    assert want[0][0] == r * h * h and want[0][1] == -r * h * h
+    assert ech._mul(a, b).tolist() == want
+    rng = random.Random(p)
+    a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(3)],
+                 dtype=np.int64)
+    b = ech._balanced(np.array([[rng.randrange(p) for _ in range(4)]
+                                for _ in range(r)], dtype=np.float64))
+    assert ech._mul(a, b).tolist() == _exact_product(ech._balanced(a), b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_modp_product_beyond_360_splits_into_limbs(p):
+    # at r = 361 the extreme sums pass 2^53, so a is split into limbs: the
+    # result is no longer the integer product, but it is congruent to it
+    import numpy as np
+    r, h = 361, p // 2
+    ech = ModPEchelon(r, p)
+    rng = random.Random(p)
+    a = np.array([[h] * r, [p - h] * r,
+                  [rng.randrange(p) for _ in range(r)]], dtype=np.int64)
+    b = ech._balanced(np.array(
+        [[h, p - h] + [rng.randrange(p) for _ in range(2)]
+         for _ in range(r)], dtype=np.float64))
+    want = _exact_product(ech._balanced(a), b)
+    assert want[0][0] == r * h * h > 2 ** 53
+    got = ech._mul(a, b)
+    assert got[0, 0] != want[0][0]
+    assert (got % p).tolist() == [[x % p for x in row] for row in want]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_modp_basis_products_exact_at_360(p):
+    # 360 new pivot rows with p - 2 at the free column, against a row of
+    # p // 2 and one p // 2 - 1: unless the pivot rows are balanced (p - 2
+    # to -2), the product sums to an odd integer past 2^53, which no
+    # float64 holds.  Clearing the row of the 360 pivots and reducing it
+    # against them both stay exact.
+    import numpy as np
+    r, h = 360, p // 2
+    block = np.zeros((r, r + 2), dtype=np.int64)
+    block[:, 1:r + 1] = np.eye(r, dtype=np.int64)
+    block[:, r + 1] = p - 2
+    old = np.array([[1] + [h] * (r - 1) + [h - 1, 0]])
+    assert (r * h - 1) * (p - 2) % 2 == 1 and (r * h - 1) * (p - 2) > 2 ** 53
+    want = [[1] + [0] * r + [-(r * h - 1) * (p - 2) % p]]
+    ech = ModPEchelon(r + 2, p)
+    ech.insert_block(old)
+    assert ech.insert_block(block) == r
+    assert ech.rows[:1].tolist() == want
+    fresh = ModPEchelon(r + 2, p)
+    fresh.insert_block(block)
+    assert fresh.reduce_batch(old).tolist() == want
+
+
+def test_modp_reduce_batch_takes_raw_rows_mod_p():
+    # rows with a negative entry, an entry >= p, or both kinds reduce as
+    # the same rows mod p, at rank 0 and above; the result is a new array
+    import numpy as np
+    p = PRIMES[0]
+    rng = random.Random(7)
+    ech = ModPEchelon(8, p)
+    for _ in range(3):
+        rows = np.array([[rng.randrange(p) for _ in range(8)]
+                         for _ in range(2)], dtype=np.int64)
+        negative, large = rows.copy(), rows.copy()
+        negative[0, 3] -= p
+        large[1, 5] += p
+        wild = rows + p * np.array([[rng.randrange(-3, 4) for _ in range(8)]
+                                    for _ in range(2)])
+        want = ech.reduce_batch(rows)
+        assert want is not rows
+        assert want.min() >= 0 and want.max() < p
+        for raw in (negative, large, wild):
+            assert np.array_equal(ech.reduce_batch(raw), want)
+        ech.insert_block(rows)
+        assert np.array_equal(rows, wild % p)
+    assert ech.rank == 6
 
 
 def _rref(ech):
