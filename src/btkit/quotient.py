@@ -77,10 +77,10 @@ def generator_actions(index, ech):
     by ``ech`` (an echelon of the index's domain).  Each T_i or E_i table is
     read off the engine's one-generator products of the basis elements:
     basis element k contributes c times basis element l for each term
-    c E_I T_w of its product, with (I, w) at position l, and c is 1 or
-    u - 1.  The F_i table is that of (1 + T_i)/(u + 1), and a commutator
-    table joins the right table with the negated left one.  Built once per
-    (n, domain) and process."""
+    c E_I T_w of its product, with (I, w) at position l, and c is 1, u or
+    u - 1 for T_i and 1 for E_i.  The F_i table is that of
+    (1 + T_i)/(u + 1), and a commutator table joins the right table with
+    the negated left one.  Built once per (n, domain) and process."""
     n, dom = index.n, index.dom
     key = (n, tuple(dom.describe().items()))
     if key not in _ACTIONS:

@@ -252,6 +252,19 @@ def test_action_tables_match_engine_products(n, dom):
             assert image == index.vector(expected), (name, i, k)
 
 
+def test_action_table_coefficients_n3():
+    # the one-generator products of the basis carry 1, u and u - 1 for T_i
+    # and only 1 for E_i (symbolic, n = 3)
+    index = alg.BasisIndex(3)
+    tables = qt.generator_actions(index, SYMBOLIC.echelon(len(index)))
+    one, u = SYMBOLIC.one, SYMBOLIC.u
+    for name in ("LT", "RT", "LE", "RE"):
+        for i in (1, 2):
+            entries, _ = tables[name, i]
+            want = {one, u, u - one} if name[1] == "T" else {one}
+            assert {c for _, _, c in entries} == want, (name, i)
+
+
 def test_single_point_pairs_with_both_primes(capsys):
     # one specialization is no genericity evidence: a single n = 4 point is
     # run in both prime fields, and the two must agree
