@@ -4,6 +4,11 @@ Suites: relations, quotient, rank, trace (also reachable as
 ``btkit --suite NAME``).  Exit codes: 0 all checks pass, 1 verification
 failure, 2 usage error.  With a fixed seed the report bytes are identical
 across runs.
+
+This module imports no other btkit module at load time: ``btkit --help``
+and arguments the parser rejects load nothing else, and a suite run imports
+``suites`` only once its arguments are parsed, so each suite loads only the
+modules it runs.
 """
 
 import argparse
@@ -11,9 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from . import suites, tensor
-from .domains import PointError
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
 MAX_N = {"relations": 4, "quotient": 5, "rank": 4, "trace": 4}
@@ -94,11 +96,13 @@ def _points(args):
     """The sqrt(u) points of a run.  How many a suite takes depends on its
     n range, and the suites check that themselves (PointError)."""
     if args.points is None:
-        return list(suites.DEFAULT_POINTS)
+        from .suites import DEFAULT_POINTS
+        return list(DEFAULT_POINTS)
     return _parse_points(args.points)
 
 
 def run_suite(args):
+    from . import suites
     if args.jobs not in (None, "1"):
         raise UsageError("--jobs takes only 1, got %r" % args.jobs)
     ns = _n_values(args)
@@ -120,7 +124,7 @@ def run_suite(args):
 
 
 def _export_generator_ops(ns, outdir):
-    from . import algebra
+    from . import algebra, tensor
     os.makedirs(outdir, exist_ok=True)
     for n in ns:
         for kind, builder in (("T", algebra.T), ("E", algebra.E)):
@@ -195,6 +199,7 @@ def main(argv=None):
     if not args.suite:
         parser.print_help()
         return 2
+    from .domains import PointError
     try:
         report = run_suite(args)
     except (UsageError, PointError) as exc:

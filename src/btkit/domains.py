@@ -14,12 +14,13 @@ exactly when zero, so engine code is agnostic to the domain:
 
 Each domain names the echelon class for its rows (``echelon(width)``), so
 the linear algebra above the engine never asks which domain it runs in.
+``btkit.linalg`` is imported by the first ``echelon`` call, so a run that
+eliminates nothing never loads it.
 """
 
 from fractions import Fraction
 
 from . import scalars
-from .linalg import Echelon, ModPEchelon
 from .scalars import Scalar
 
 
@@ -42,6 +43,7 @@ class SymbolicDomain:
 
     @staticmethod
     def echelon(width):
+        from .linalg import Echelon
         return Echelon(width)
 
     def describe(self):
@@ -74,6 +76,7 @@ class RationalDomain:
 
     @staticmethod
     def echelon(width):
+        from .linalg import Echelon
         return Echelon(width)
 
     def describe(self):
@@ -162,6 +165,7 @@ class PrimeDomain:
         return IntMod(k, self.p)
 
     def echelon(self, width):
+        from .linalg import ModPEchelon
         return ModPEchelon(width, self.p)
 
     def describe(self):

@@ -4,13 +4,15 @@ modules into machine-readable reports.
 Each suite returns a plain dict: ``checks`` is the flat pass/fail/info list
 (the exit-code contract counts only ``fail`` entries), suite-specific blocks
 carry the numbers.  Reports contain no timestamps; a fixed seed gives
-byte-identical output.
+byte-identical output.  Each suite imports the one module it runs
+(``tensor``, ``quotient`` or ``trace``), so a process that runs one suite
+loads no other suite's modules.
 """
 
 import random
 from fractions import Fraction
 
-from . import algebra, quotient, tensor, trace
+from . import algebra
 from .domains import PRIMES, SYMBOLIC, PointError, PrimeDomain
 from .partitions import bell_number
 
@@ -52,6 +54,7 @@ def _check_point_count(suite, ns, points):
 
 
 def relations_suite(ns, seed=0):
+    from . import tensor
     report = {"schema_version": SCHEMA_VERSION, "suite": "relations",
               "params": {"n": list(ns), "seed": seed},
               "checks": []}
@@ -81,6 +84,7 @@ def _quotient_combos(n, points):
 
 
 def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
+    from . import quotient
     _check_point_count("quotient", ns, points)
     report = {"schema_version": SCHEMA_VERSION, "suite": "quotient",
               "params": {"n": list(ns), "points": [str(p) for p in points],
@@ -163,6 +167,7 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
 
 
 def _reduction_sanity(n, ib, dom, seed):
+    from . import quotient
     rng = random.Random(seed)
     g = quotient.ideal_generator_element(n, dom)
     if not ib.reduce(g).is_zero():
@@ -183,6 +188,7 @@ def _reduction_sanity(n, ib, dom, seed):
 
 
 def _alt_pair_equality(n, dom, ib12):
+    from . import quotient
     # of equal dimension, one ideal inside the other is the other
     for pair in [(i, i + 1) for i in range(2, n - 1)]:
         other = quotient.build_ideal(n, dom, pair=pair, index=ib12.index)
@@ -192,6 +198,7 @@ def _alt_pair_equality(n, dom, ib12):
 
 
 def _flip_generator_contained(n, dom, ib):
+    from . import quotient
     # T_{12} E_1 E_2 generates the same two-sided ideal as E_1 E_2 T_{12}
     flipped = (algebra.steinberg(1, 2, n, dom)
                * algebra.E(1, n, dom) * algebra.E(2, n, dom))
@@ -203,6 +210,7 @@ def _flip_generator_contained(n, dom, ib):
 
 
 def rank_suite(ns, points=DEFAULT_POINTS):
+    from . import tensor
     report = {"schema_version": SCHEMA_VERSION, "suite": "rank",
               "params": {"n": list(ns), "points": [str(p) for p in points]},
               "checks": [], "ranks": []}
@@ -221,6 +229,7 @@ def rank_suite(ns, points=DEFAULT_POINTS):
 
 
 def trace_suite(ns, points=DEFAULT_POINTS):
+    from . import trace
     _check_point_count("trace", ns, points)
     report = {"schema_version": SCHEMA_VERSION, "suite": "trace",
               "params": {"n": list(ns), "points": [str(p) for p in points]},

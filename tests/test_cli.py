@@ -237,13 +237,19 @@ def test_golden_relations_n4(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-def test_exact_suites_do_not_load_numpy(tmp_path):
-    # numpy serves the GF(p) classes only; the four suites at their
-    # default n are exact, and each run is one process
+def run_fresh(code):
+    """Run Python code in a fresh interpreter that imports btkit from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_exact_suites_do_not_load_numpy(tmp_path):
+    # numpy serves the GF(p) classes only; the four suites at their
+    # default n are exact, and each run is one process
     runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
             ["rank", "--n", "2", "--n-max", "3"],
             ["trace", "--n", "2", "--n-max", "3"]]
@@ -256,6 +262,32 @@ def test_exact_suites_do_not_load_numpy(tmp_path):
             "    if name in sys.modules:\n"
             "        sys.exit(name + ' loaded')\n"
             % (runs, str(tmp_path / "report.md")))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+    run = run_fresh(code)
     assert run.returncode == 0, run.stderr
+
+
+# the modules every suite run loads: the CLI, the suite orchestration and
+# the basis engine under it
+ENGINE = {"btkit.cli", "btkit.suites", "btkit.algebra", "btkit.domains",
+          "btkit.scalars", "btkit.partitions", "btkit.permutations"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], {"btkit.cli"}),
+    (["relations"], ENGINE | {"btkit.tensor"}),
+    (["quotient"], ENGINE | {"btkit.quotient", "btkit.linalg"}),
+    (["rank"], ENGINE | {"btkit.tensor", "btkit.linalg"}),
+    (["trace"], ENGINE | {"btkit.trace", "btkit.quotient", "btkit.linalg"}),
+], ids=["help", "relations", "quotient", "rank", "trace"])
+def test_each_run_loads_only_its_modules(argv, loaded, tmp_path):
+    # a process compiles only the modules its command runs: --help loads
+    # no suite, and no suite loads another suite's modules
+    if argv != ["--help"]:
+        argv = argv + ["--out", str(tmp_path / "report.md")]
+    code = ("import sys\nfrom btkit import cli\n"
+            "try:\n    cli.main(%r)\nexcept SystemExit:\n    pass\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('btkit.')))"
+            % argv)
+    run = run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.splitlines()[-1].split()) == loaded
