@@ -24,6 +24,9 @@ The defining relations implemented here (for |i-j| as indicated):
     (9) E_i T_j T_i = T_j T_i E_j         |i-j| = 1
 """
 
+from functools import reduce
+from operator import mul
+
 from .domains import SYMBOLIC
 from .partitions import (SetPartition, arc_partition, enumerate_partitions,
                          generator_partition)
@@ -406,46 +409,45 @@ def relation_instances(n):
     return out
 
 
+# every defining relation but the quadratic one, whose right side is a sum:
+# both sides as words of ("T", i) and ("E", i) letters, read as products
+# from left to right (as operators, the leftmost letter acts last)
+RELATION_WORDS = {
+    "braid-commute": (lambda i, j: [("T", i), ("T", j)],
+                      lambda i, j: [("T", j), ("T", i)]),
+    "braid": (lambda i, j: [("T", i), ("T", j), ("T", i)],
+              lambda i, j: [("T", j), ("T", i), ("T", j)]),
+    "tie-commute": (lambda i, j: [("E", i), ("E", j)],
+                    lambda i, j: [("E", j), ("E", i)]),
+    "tie-idempotent": (lambda i: [("E", i), ("E", i)], lambda i: [("E", i)]),
+    "tie-far-braid-commute": (lambda i, j: [("E", i), ("T", j)],
+                              lambda i, j: [("T", j), ("E", i)]),
+    "tie-own-braid-commute": (lambda i: [("E", i), ("T", i)],
+                              lambda i: [("T", i), ("E", i)]),
+    "tie-pair-slide": (lambda i, j: [("E", i), ("E", j), ("T", i)],
+                       lambda i, j: [("T", i), ("E", i), ("E", j)]),
+    "tie-pair-project": (lambda i, j: [("E", i), ("E", j), ("T", i)],
+                         lambda i, j: [("E", j), ("T", i), ("E", j)]),
+    "tie-cross": (lambda i, j: [("E", i), ("T", j), ("T", i)],
+                  lambda i, j: [("T", j), ("T", i), ("E", j)]),
+}
+
+
 def relation_sides(rel, params, n, dom=SYMBOLIC):
-    """Both sides of a defining-relation instance as engine elements."""
-    if rel == "braid-commute":
-        i, j = params
-        return T(i, n, dom) * T(j, n, dom), T(j, n, dom) * T(i, n, dom)
-    if rel == "braid":
-        i, j = params
-        ti, tj = T(i, n, dom), T(j, n, dom)
-        return ti * tj * ti, tj * ti * tj
+    """Both sides of a defining-relation instance as engine elements: the
+    products along the words of RELATION_WORDS, from the first letter on."""
     if rel == "quadratic":
         (i,) = params
         lhs = T(i, n, dom) * T(i, n, dom)
         rhs = one(n, dom) + (E(i, n, dom) * (one(n, dom) + T(i, n, dom))
                              ).scale(dom.u_minus_1)
         return lhs, rhs
-    if rel == "tie-commute":
-        i, j = params
-        return E(i, n, dom) * E(j, n, dom), E(j, n, dom) * E(i, n, dom)
-    if rel == "tie-idempotent":
-        (i,) = params
-        return E(i, n, dom) * E(i, n, dom), E(i, n, dom)
-    if rel == "tie-far-braid-commute":
-        i, j = params
-        return E(i, n, dom) * T(j, n, dom), T(j, n, dom) * E(i, n, dom)
-    if rel == "tie-own-braid-commute":
-        (i,) = params
-        return E(i, n, dom) * T(i, n, dom), T(i, n, dom) * E(i, n, dom)
-    if rel == "tie-pair-slide":
-        i, j = params
-        return (E(i, n, dom) * E(j, n, dom) * T(i, n, dom),
-                T(i, n, dom) * E(i, n, dom) * E(j, n, dom))
-    if rel == "tie-pair-project":
-        i, j = params
-        return (E(i, n, dom) * E(j, n, dom) * T(i, n, dom),
-                E(j, n, dom) * T(i, n, dom) * E(j, n, dom))
-    if rel == "tie-cross":
-        i, j = params
-        return (E(i, n, dom) * T(j, n, dom) * T(i, n, dom),
-                T(j, n, dom) * T(i, n, dom) * E(j, n, dom))
-    raise ValueError("unknown relation id %r" % rel)
+    if rel not in RELATION_WORDS:
+        raise ValueError("unknown relation id %r" % rel)
+    gens = {"T": T, "E": E}
+    return tuple(reduce(mul, [gens[kind](i, n, dom)
+                              for kind, i in word(*params)])
+                 for word in RELATION_WORDS[rel])
 
 
 def lemma_instances(n):

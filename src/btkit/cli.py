@@ -107,6 +107,7 @@ def run_suite(args):
         raise UsageError("--jobs takes only 1, got %r" % args.jobs)
     ns = _n_values(args)
     points = _points(args)
+    _check_output_paths(args)
     if args.suite == "relations":
         report = suites.relations_suite(ns, seed=args.seed)
     elif args.suite == "quotient":
@@ -121,6 +122,23 @@ def run_suite(args):
     else:
         raise UsageError("unknown suite %r" % args.suite)
     return report
+
+
+def _check_output_paths(args):
+    """Refuse, before the suite runs, a report file in no directory and an
+    operator directory that cannot be made (an ancestor is a file)."""
+    if args.out is not None:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.path.isdir(folder):
+            raise UsageError("cannot write the report to %r" % args.out)
+    outdir = getattr(args, "export_ops", None)
+    if outdir:
+        path = os.path.abspath(outdir)
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise UsageError("cannot make the directory %r: %r is a file"
+                             % (outdir, path))
 
 
 def _export_generator_ops(ns, outdir):

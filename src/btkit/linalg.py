@@ -23,12 +23,11 @@ basis grows), with the block echelonized in between; ``insert`` is its
 one-row case.  ``from_entries`` makes a block of rows from sparse (row,
 column, coefficient) entries.
 
-The affine systems :class:`LinearSystem` (exact, one row and an opaque
-right-hand side at a time) and :class:`ModPLinearSystem` (GF(p), a
-:class:`ModPEchelon` whose last columns hold the right-hand sides as
-coefficients, fed in blocks) serve the trace solver, which feeds one system
-per level with table scatters of unit rows: the commutators x g - g x with
-the generators, and the tower rules.
+The affine system :class:`LinearSystem` is one echelon of its domain whose
+last columns hold the right-hand sides as coefficients, fed in blocks, in
+every domain.  It serves the trace solver, which feeds one system per level
+with table scatters of unit rows: the commutators x g - g x with the
+generators, and the tower rules.
 """
 
 np = None
@@ -61,7 +60,8 @@ class Echelon:
         for col, c in enumerate(row):
             if c and col in self._pivot_row:
                 r = self.rows[self._pivot_row[col]]
-                row[col:] = [a - c * b for a, b in zip(row[col:], r[col:])]
+                row[col:] = [a - c * b if b else a
+                             for a, b in zip(row[col:], r[col:])]
         return row
 
     def insert(self, row):
@@ -77,7 +77,8 @@ class Echelon:
         for r, rpiv in zip(self.rows, self.pivots):
             c = r[piv]
             if c:
-                r[piv:] = [a - c * b for a, b in zip(r[piv:], row[piv:])]
+                r[piv:] = [a - c * b if b else a
+                           for a, b in zip(r[piv:], row[piv:])]
         self.rows.append(row)
         self.pivots.append(piv)
         self._pivot_row[piv] = len(self.rows) - 1
@@ -141,80 +142,18 @@ class Echelon:
 
 
 class LinearSystem:
-    """Affine system M x = r maintained in reduced row echelon form, with an
-    opaque right-hand side supporting ``rhs - rhs2 * coeff``, ``rhs / coeff``
-    and truth testing.  Pivots are chosen in the matrix part only, so
-    inconsistency is detected as a zero matrix row with nonzero rhs."""
+    """Affine system M x = R with k right-hand sides over a domain, as one
+    echelon ``ech = dom.echelon(width + k)`` of rows [M | R], fed in blocks.
+    First-nonzero pivoting puts a pivot among the last k columns exactly
+    when the system is inconsistent, so ``rank`` counts the pivots below
+    ``width`` only.  A reduced pivot row reads x_piv + (free part) = its
+    right-hand sides."""
 
-    DEPENDENT, PIVOT, INCONSISTENT = "dependent", "pivot", "inconsistent"
+    PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 2)
 
-    def __init__(self, width):
+    def __init__(self, dom, width, k):
         self.width = width
-        self.rows = []            # (pivot_col, vec, rhs)
-        self._pivot_row = {}
-        self.inconsistent = []    # rhs witnesses of inconsistent rows
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec, rhs):
-        vec = list(vec)
-        for col, c in enumerate(vec):
-            if c and col in self._pivot_row:
-                _, pvec, prhs = self.rows[self._pivot_row[col]]
-                vec[col:] = [a - c * b for a, b in zip(vec[col:], pvec[col:])]
-                rhs = rhs - prhs * c
-        return vec, rhs
-
-    def add(self, vec, rhs):
-        vec, rhs = self.reduce(vec, rhs)
-        piv = next((col for col, c in enumerate(vec) if c), None)
-        if piv is None:
-            if rhs:
-                self.inconsistent.append(rhs)
-                return self.INCONSISTENT
-            return self.DEPENDENT
-        inv = vec[piv]
-        if inv != inv * inv:
-            vec = [c / inv for c in vec]
-            rhs = rhs / inv
-        for k, (pcol, pvec, prhs) in enumerate(self.rows):
-            c = pvec[piv]
-            if c:
-                pvec[piv:] = [a - c * b for a, b in zip(pvec[piv:], vec[piv:])]
-                self.rows[k] = (pcol, pvec, prhs - rhs * c)
-        self.rows.append((piv, vec, rhs))
-        self._pivot_row[piv] = len(self.rows) - 1
-        return self.PIVOT
-
-    def is_implied(self, vec, rhs):
-        """True iff the row is already a consequence of the system."""
-        vec, rhs = self.reduce(vec, rhs)
-        return not any(vec) and not rhs
-
-    def solution(self, zero_rhs):
-        """A particular solution (free variables set to zero); None if
-        inconsistent.  ``zero_rhs`` is the zero of the rhs type."""
-        if self.inconsistent:
-            return None
-        sol = [zero_rhs] * self.width
-        for piv, vec, rhs in self.rows:
-            # RREF: the pivot row reads x_piv + (free part) = rhs
-            sol[piv] = rhs
-        return sol
-
-
-class ModPLinearSystem:
-    """Affine system M x = R over GF(p) with k right-hand sides, as one
-    :class:`ModPEchelon` ``ech`` of rows [M | R].  First-nonzero pivoting
-    puts a pivot among the last k columns exactly when the system is
-    inconsistent, so ``rank`` counts the pivots below ``width`` only.  A
-    reduced pivot row reads x_piv + (free part) = its right-hand sides."""
-
-    def __init__(self, width, p, k):
-        self.width = width
-        self.ech = ModPEchelon(width + k, p)
+        self.ech = dom.echelon(width + k)
 
     @property
     def rank(self):
@@ -233,14 +172,21 @@ class ModPLinearSystem:
         return self.ech.reduce_batch(rows)
 
     def solution(self):
-        """A (width, k) array whose row i holds the right-hand-side
-        coefficients of x_i, free variables zero; None if inconsistent."""
+        """{i: the k right-hand-side coefficients of x_i} over the pivot
+        variables, the free ones being zero; None if inconsistent."""
         if self.inconsistent:
             return None
-        sol = np.zeros((self.width, self.ech.width - self.width),
-                       dtype=np.int64)
-        sol[self.ech.pivots] = self.ech.rows[:, self.width:]
-        return sol
+        return {piv: self.ech.to_coeffs(row[self.width:])
+                for piv, row in zip(self.ech.pivots, self.ech.rows)}
+
+
+class ModPLinearSystem(LinearSystem):
+    """:class:`LinearSystem` under the name perfbench/tracer.py wraps.  It
+    wraps each class's own ``add`` and ``reduce``, so the shim holds its own
+    (ROADMAP item 2 removes it)."""
+
+    add = LinearSystem.add
+    reduce = LinearSystem.reduce
 
 
 class ModPEchelon:
@@ -399,7 +345,8 @@ class ModPEchelon:
 
     def to_coeffs(self, row):
         from .domains import IntMod
-        return [IntMod(int(c), self.p) for c in row]
+        zero = IntMod(0, self.p)
+        return [IntMod(c, self.p) if c else zero for c in row.tolist()]
 
     def pack(self, src, dst, coeff):
         """The table as layers of (source, target, coefficient) arrays: the

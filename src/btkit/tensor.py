@@ -46,7 +46,8 @@ import functools
 import itertools
 import random
 
-from .algebra import BasisIndex, random_basis_element, relation_instances
+from .algebra import (RELATION_WORDS, BasisIndex, random_basis_element,
+                      relation_instances)
 from .domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from .partitions import enumerate_partitions
 
@@ -250,29 +251,6 @@ def represent(elem):
 # relation verification as operators
 # ---------------------------------------------------------------------------
 
-_REL_WORDS = {
-    # operator words (leftmost acts last); the quadratic relation, whose
-    # right side is a sum, is in _rel_images
-    "braid-commute": (lambda i, j: [("T", i), ("T", j)],
-                      lambda i, j: [("T", j), ("T", i)]),
-    "braid": (lambda i, j: [("T", i), ("T", j), ("T", i)],
-              lambda i, j: [("T", j), ("T", i), ("T", j)]),
-    "tie-commute": (lambda i, j: [("E", i), ("E", j)],
-                    lambda i, j: [("E", j), ("E", i)]),
-    "tie-idempotent": (lambda i: [("E", i), ("E", i)], lambda i: [("E", i)]),
-    "tie-far-braid-commute": (lambda i, j: [("E", i), ("T", j)],
-                              lambda i, j: [("T", j), ("E", i)]),
-    "tie-own-braid-commute": (lambda i: [("E", i), ("T", i)],
-                              lambda i: [("T", i), ("E", i)]),
-    "tie-pair-slide": (lambda i, j: [("E", i), ("E", j), ("T", i)],
-                       lambda i, j: [("T", i), ("E", i), ("E", j)]),
-    "tie-pair-project": (lambda i, j: [("E", i), ("E", j), ("T", i)],
-                         lambda i, j: [("E", j), ("T", i), ("E", j)]),
-    "tie-cross": (lambda i, j: [("E", i), ("T", j), ("T", i)],
-                  lambda i, j: [("T", j), ("T", i), ("E", j)]),
-}
-
-
 def _rel_images(rel, params, x, dom):
     """Images of a basis vector under both sides of a relation instance."""
     if rel == "quadratic":
@@ -282,7 +260,7 @@ def _rel_images(rel, params, x, dom):
         # T^2 = 1 + (u-1) E (1 + T)
         return act_T(i, t, dom), vec_add(
             dict(vec), act_E(i, vec_add(dict(vec), t), dom), dom.u_minus_1)
-    lw, rw = _REL_WORDS[rel]
+    lw, rw = RELATION_WORDS[rel]
     lhs = apply_word(lw(*params), unit_vector(x, dom), dom)
     rhs = apply_word(rw(*params), unit_vector(x, dom), dom)
     return lhs, rhs

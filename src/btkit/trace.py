@@ -15,19 +15,20 @@ basis element and g a generator T_i or E_i: since [ab, c] = [a, bc] + [b, ca],
 these span every [a, b].  All rows are table scatters of unit rows through
 :func:`btkit.quotient.generator_actions` (the commutator tables for symmetry,
 the right T_{n-1}, E_{n-1} tables for the tower rules), and they feed a
-single system per level: row by row on the symbolic path, and over GF(p)
-in blocks, with the right-hand sides as coefficient columns, one per
-monomial A^a B^b with a + b < n.  Existence (consistency) and uniqueness
-(full rank) are computed, not assumed.  The solver also reports how many
-instances of the middle rule are implied by the normalization, symmetry and
-the other two tower rules: the middle rows are tested against the system
-(over GF(p) in one batched reduction) before any middle row is added.
+single system per level in blocks, in every domain, with the right-hand
+sides as coefficient columns, one per monomial A^a B^b with a + b < n, so
+the symbolic path eliminates Scalars in s only and forms the values in A, B
+once solved.  Existence (consistency) and uniqueness (full rank) are
+computed, not assumed.  The solver also reports how many instances of the
+middle rule are implied by the normalization, symmetry and the other two
+tower rules: the middle rows are reduced against the system in one batch
+before any middle row is added.
 """
 
 from . import scalars
 from .algebra import BasisIndex
 from .domains import SYMBOLIC
-from .linalg import LinearSystem, ModPLinearSystem
+from .linalg import LinearSystem
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
 from .quotient import generator_actions, ideal_generator_element
@@ -35,8 +36,9 @@ from .quotient import generator_actions, ideal_generator_element
 
 class ParamPoly:
     """Polynomial in the trace parameters with coefficients in a specialized
-    domain (used for right-hand sides when u is specialized; the symbolic
-    path keeps A, B inside Scalar itself)."""
+    domain: a trace value when u is specialized (the symbolic values are
+    Scalars in s, A and B).  ``times_A`` and ``times_B`` have no caller but
+    perfbench/tracer.py, which wraps them by name (ROADMAP item 2)."""
 
     __slots__ = ("coeffs",)
 
@@ -94,14 +96,16 @@ def embed_pair(I, w, n):
 
 
 class TraceFunctional:
-    """Solved level-n trace: a value table over the basis plus the solver's
-    existence/uniqueness verdicts."""
+    """Solved level-n trace: the monomial coefficients of each value, the
+    value table over the basis, and the solver's existence/uniqueness
+    verdicts."""
 
-    def __init__(self, n, dom, table, exists, unique, rank,
+    def __init__(self, n, dom, coeffs, exists, unique, rank,
                  implied_middle_rules, middle_rules):
         self.n = n
         self.dom = dom
-        self.table = table
+        self.coeffs = coeffs   # {(I, w): {(degA, degB): domain element}}
+        self.table = {pair: _value(dom, c) for pair, c in coeffs.items()}
         self.exists = exists
         self.unique = unique
         self.rank = rank
@@ -115,12 +119,9 @@ class TraceFunctional:
         """Linear extension of the table to an arbitrary element."""
         if not self.exists:
             raise ValueError("trace functional does not exist at this level")
-        total = None
+        total = _value(self.dom, {})
         for key, c in elem.terms.items():
-            term = self.table[key] * c
-            total = term if total is None else total + term
-        if total is None:
-            total = scalars.ZERO if self.dom is SYMBOLIC else ParamPoly({})
+            total = total + self.table[key] * c
         return total
 
     def table_json(self):
@@ -133,33 +134,45 @@ class TraceFunctional:
         return out
 
 
-def _unit(index, ech, pair):
-    """The row of the basis element E_I T_w at pair = (I, w)."""
-    vec = [index.dom.zero] * len(index)
-    vec[index.index[pair]] = index.dom.one
-    return ech.from_coeffs(vec)
+def _value(dom, coeffs):
+    """The trace value with monomial coefficients {(a, b): c}: the Scalar
+    sum of c A^a B^b on the symbolic path, else a ParamPoly."""
+    if dom is SYMBOLIC:
+        return sum((c * scalars.A ** a * scalars.B ** b
+                    for (a, b), c in coeffs.items()), scalars.ZERO)
+    return ParamPoly(coeffs)
 
 
-def commutator_rows(index, ech):
-    """The rows of x g - g x for every basis element x and every generator
-    g = T_i, E_i: scatters of unit rows through the commutator tables.
-    They span the rows ab - ba of all pairs (see the module docstring)."""
-    actions = generator_actions(index, ech)
-    for pair in index.pairs:
-        x = _unit(index, ech, pair)
-        for name in ("CT", "CE"):
-            for i in range(1, index.n):
-                yield ech.scatter(actions[name, i], x)
+def _units(index, ech, pairs, extra=()):
+    """The unit rows of the basis elements E_I T_w at pairs = [(I, w), ...],
+    plus the extra (row, column, coefficient) entries."""
+    one = index.dom.one
+    return ech.from_entries(len(pairs), [
+        (k, index.index[pair], one) for k, pair in enumerate(pairs)]
+        + list(extra))
 
 
 _CACHE = {}
 BLOCK = 24   # unit rows per commutator block; larger ones only cost memory
 
 
+def commutator_rows(index, ech):
+    """The rows of x g - g x for every basis element x and every generator
+    g = T_i, E_i, in blocks: the scatters of BLOCK unit rows through each
+    commutator table.  They span the rows ab - ba of all pairs (see the
+    module docstring)."""
+    actions = generator_actions(index, ech)
+    for lo in range(0, len(index), BLOCK):
+        block = _units(index, ech, index.pairs[lo:lo + BLOCK])
+        for name in ("CT", "CE"):
+            for i in range(1, index.n):
+                yield ech.scatter_batch(actions[name, i], block)
+
+
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
-    symbolic path keeps generic u and symbolic A, B; with a PrimeDomain the
-    matrix lives in GF(p) and the values are ParamPoly."""
+    symbolic path keeps generic u and gives values as Scalars in A, B; with
+    a PrimeDomain the matrix lives in GF(p) and the values are ParamPoly."""
     key = (n, tuple(dom.describe().items()))
     if key in _CACHE:
         return _CACHE[key]
@@ -167,95 +180,62 @@ def solve_trace(n, dom=SYMBOLIC):
         raise ValueError("n must be positive")
     if n == 1:
         pair = (SetPartition.unit(1), Permutation.identity(1))
-        one = scalars.ONE if dom is SYMBOLIC else ParamPoly({(0, 0): dom.one})
-        tf = TraceFunctional(1, dom, {pair: one}, True, True, 1, 0, 0)
+        tf = TraceFunctional(1, dom, {pair: {(0, 0): dom.one}}, True, True,
+                             1, 0, 0)
     else:
         prev = solve_trace(n - 1, dom)
         index = BasisIndex(n, dom)
-        solve = _solve_symbolic if dom is SYMBOLIC else _solve_modp
-        table, exists, rank, implied = solve(index, prev)
-        tf = TraceFunctional(n, dom, table, exists,
+        coeffs, exists, rank, implied = _solve(index, prev)
+        tf = TraceFunctional(n, dom, coeffs, exists,
                              exists and rank == len(index), rank, implied,
-                             len(prev.table))
+                             len(prev.coeffs))
     _CACHE[key] = tf
     return tf
 
 
-def _solve_symbolic(index, prev):
-    """(table, exists, rank, implied middle rules) of one level, row by row
-    in a LinearSystem whose right-hand sides are Scalars in A and B."""
-    n, width = index.n, len(index)
-    ech = SYMBOLIC.echelon(width)
-    actions = generator_actions(index, ech)
-    system = LinearSystem(width)
-
-    def right(name, row):
-        return ech.scatter(actions[name, n - 1], row)
-
-    one_pair = (SetPartition.unit(n), Permutation.identity(n))
-    system.add(_unit(index, ech, one_pair), scalars.ONE)
-    middle = []
-    for (I, w), pv in prev.table.items():
-        x = _unit(index, ech, embed_pair(I, w, n))
-        xe = right("RE", x)
-        system.add(right("RT", x), pv * scalars.A)
-        system.add(xe, pv * scalars.B)
-        middle.append((right("RT", xe), pv * scalars.A))
-    for row in commutator_rows(index, ech):
-        system.add(row, scalars.ZERO)
-    implied = sum(1 for row, rhs in middle if system.is_implied(row, rhs))
-    for row, rhs in middle:
-        system.add(row, rhs)
-    exists = not system.inconsistent
-    table = (dict(zip(index.pairs, system.solution(scalars.ZERO)))
-             if exists else {})
-    return table, exists, system.rank, implied
-
-
-def _solve_modp(index, prev):
-    """The same over GF(p), in blocks on one ModPLinearSystem whose
-    right-hand sides are one column per monomial A^a B^b, a + b < n: the
-    normalization and tower rows as one block, then the commutator images
-    of BLOCK unit rows per table, then the middle rows after one reduction
-    of them counts those already implied."""
-    import numpy as np
+def _solve(index, prev):
+    """(coeffs, exists, rank, implied middle rules) of one level, in blocks
+    on one LinearSystem whose right-hand sides are one column per monomial
+    A^a B^b, a + b < n: the normalization row, then the tower rows, then
+    the commutator blocks, then the middle rows after one reduction of them
+    counts those already implied."""
     n, width, dom = index.n, len(index), index.dom
     monos = [(a, b) for a in range(n) for b in range(n - a)]
-    col = {mono: width + k for k, mono in enumerate(monos)}
-    system = ModPLinearSystem(width, dom.p, len(monos))
+    col = {mono: k for k, mono in enumerate(monos)}
+    system = LinearSystem(dom, width, len(monos))
     ech = system.ech
     actions = generator_actions(index, ech)
-
-    def units(pairs):
-        return ech.from_entries(len(pairs), [
-            (k, index.index[pair], dom.one) for k, pair in enumerate(pairs)])
 
     def right(name, rows):
         return ech.scatter_batch(actions[name, n - 1], rows)
 
-    x = units([(SetPartition.unit(n), Permutation.identity(n))]
-              + [embed_pair(I, w, n) for I, w in prev.table])
-    x[0, col[0, 0]] = 1
+    def times(coeffs, da, db):
+        """The right-hand side A^da B^db times a value of the level below."""
+        vec = [dom.zero] * len(monos)
+        for (a, b), c in coeffs.items():
+            vec[col[a + da, b + db]] = c
+        return ech.from_coeffs(vec)
+
+    x = _units(index, ech,
+               [(SetPartition.unit(n), Permutation.identity(n))]
+               + [embed_pair(I, w, n) for I, w in prev.coeffs],
+               [(0, width + col[0, 0], dom.one)])
     xt, xe = right("RT", x[1:]), right("RE", x[1:])
     middle = right("RT", xe)
-    for k, pv in enumerate(prev.table.values()):
-        for (a, b), c in pv.coeffs.items():
-            xt[k, col[a + 1, b]] = middle[k, col[a + 1, b]] = c.v
-            xe[k, col[a, b + 1]] = c.v
-    system.add(np.concatenate([x[:1], xt, xe]))
-    for lo in range(0, width, BLOCK):
-        block = units(index.pairs[lo:lo + BLOCK])
-        for name in ("CT", "CE"):
-            for i in range(1, n):
-                system.add(ech.scatter_batch(actions[name, i], block))
-    implied = sum(1 for row in system.reduce(middle) if not row.any())
+    for k, pv in enumerate(prev.coeffs.values()):
+        xt[k][width:] = middle[k][width:] = times(pv, 1, 0)
+        xe[k][width:] = times(pv, 0, 1)
+    for rows in (x[:1], xt, xe):
+        system.add(rows)
+    for block in commutator_rows(index, ech):
+        system.add(block)
+    implied = sum(1 for row in system.reduce(middle) if not any(row))
     system.add(middle)
     sol = system.solution()
-    table = {} if sol is None else {
-        pair: ParamPoly({mono: dom.of_int(int(c))
-                         for mono, c in zip(monos, row) if c})
-        for pair, row in zip(index.pairs, sol)}
-    return table, sol is not None, system.rank, implied
+    coeffs = {} if sol is None else {
+        pair: {mono: c for mono, c in zip(monos, sol.get(k, ())) if c}
+        for k, pair in enumerate(index.pairs)}
+    return coeffs, sol is not None, system.rank, implied
 
 
 def is_scalar_multiple(p, g):

@@ -102,7 +102,7 @@ def test_out_file(tmp_path, capsys):
     assert report["suite"] == "rank"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert cli.main([]) == 2
     assert cli.main(["rank", "--n", "9"]) == 2
     assert cli.main(["rank", "--n", "3", "--n-max", "1"]) == 2
@@ -123,6 +123,15 @@ def test_usage_errors(capsys):
     # every run is one process: --jobs takes only 1
     assert_one_error_line(["relations", "--n", "2", "--jobs", "2"])
     assert_one_error_line(["relations", "--n", "2", "--jobs", "0"])
+    # an output path that cannot be written is refused before the suite runs
+    from btkit import suites
+    for name in ("trace_suite", "rank_suite"):
+        monkeypatch.setattr(suites, name, None)
+    assert_one_error_line(["trace", "--n", "2", "--out",
+                           str(tmp_path / "no" / "dir" / "r.json")])
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_one_error_line(["rank", "--n", "2", "--export-ops", str(taken)])
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from btkit import linalg
-from btkit.domains import PRIMES, IntMod
-from btkit.linalg import Echelon, LinearSystem, ModPEchelon, ModPLinearSystem
+from btkit.domains import PRIMES, IntMod, PrimeDomain, RationalDomain
+from btkit.linalg import Echelon, LinearSystem, ModPEchelon
 
 P = 1000000007
 
@@ -51,74 +51,91 @@ def test_modp_matches_exact():
         assert exact.rank == modp.rank
 
 
+# the affine system over Q and over GF(P), on the same integer rows
+SYSTEM_DOMAINS = (RationalDomain(1), PrimeDomain(1, P))
+
+
+def _rows(dom, system, *rows):
+    """Integer rows [M | R] as rows of the system's echelon."""
+    return [system.ech.from_coeffs([dom.of_int(x) for x in row])
+            for row in rows]
+
+
 def test_linear_system_unique_solution():
     # x + y = 3, x - y = 1
-    sys_ = LinearSystem(width=2)
-    f = Fraction
-    sys_.add([f(1), f(1)], f(3))
-    sys_.add([f(1), f(-1)], f(1))
-    assert not sys_.inconsistent
-    assert sys_.rank == 2
-    assert sys_.solution(f(0)) == [f(2), f(1)]
+    for dom in SYSTEM_DOMAINS:
+        sys_ = LinearSystem(dom, 2, 1)
+        assert sys_.add(_rows(dom, sys_, [1, 1, 3])) == 1
+        assert sys_.add(_rows(dom, sys_, [1, -1, 1])) == 1
+        assert not sys_.inconsistent
+        assert sys_.rank == 2
+        assert sys_.solution() == {0: [dom.of_int(2)], 1: [dom.of_int(1)]}
 
 
 def test_linear_system_detects_inconsistency_and_dependence():
-    f = Fraction
-    sys_ = LinearSystem(width=2)
-    assert sys_.add([f(1), f(1)], f(3)) == LinearSystem.PIVOT
-    assert sys_.add([f(2), f(2)], f(6)) == LinearSystem.DEPENDENT
-    assert sys_.is_implied([f(3), f(3)], f(9))
-    assert not sys_.is_implied([f(3), f(3)], f(8))
-    assert sys_.add([f(1), f(1)], f(4)) == LinearSystem.INCONSISTENT
-    assert sys_.solution(f(0)) is None
+    # x + y = 3; then 2x + 2y = 6 is dependent, 3x + 3y = 9 is implied,
+    # 3x + 3y = 8 is not, and x + y = 4 is inconsistent
+    for dom in SYSTEM_DOMAINS:
+        sys_ = LinearSystem(dom, 2, 1)
+        assert sys_.add(_rows(dom, sys_, [1, 1, 3])) == 1
+        assert sys_.add(_rows(dom, sys_, [2, 2, 6])) == 0
+        implied, not_implied = sys_.reduce(_rows(dom, sys_, [3, 3, 9],
+                                                 [3, 3, 8]))
+        assert not any(implied) and any(not_implied)
+        assert not sys_.inconsistent
+        assert sys_.add(_rows(dom, sys_, [1, 1, 4])) == 1
+        assert sys_.inconsistent == [2] and sys_.rank == 1
+        assert sys_.solution() is None
 
 
 def test_linear_system_underdetermined():
-    f = Fraction
-    sys_ = LinearSystem(width=3)
-    sys_.add([f(1), f(0), f(2)], f(5))
-    sol = sys_.solution(f(0))
-    assert sol == [f(5), f(0), f(0)]
-    assert sys_.rank == 1
+    # x + 2z = 5: y and z are free, so zero, and only x is in the solution
+    for dom in SYSTEM_DOMAINS:
+        sys_ = LinearSystem(dom, 3, 1)
+        sys_.add(_rows(dom, sys_, [1, 0, 2, 5]))
+        assert sys_.solution() == {0: [dom.of_int(5)]}
+        assert sys_.rank == 1
 
 
 def test_modp_linear_system_matches_exact():
     rng = random.Random(3)
-    f = Fraction
+    exact_dom, modp_dom = SYSTEM_DOMAINS
+    solved = 0
     for _ in range(15):
         width = 4
-        rows = [([rng.randint(-4, 4) for _ in range(width)], rng.randint(-5, 5))
-                for _ in range(6)]
-        exact = LinearSystem(width)
-        modp = ModPLinearSystem(width, P, 1)
-        for vec, rhs in rows:
-            exact.add([f(x) for x in vec], f(rhs))
-            modp.add([vec + [rhs]])
-        assert exact.rank == modp.rank
-        assert bool(exact.inconsistent) == bool(modp.inconsistent)
-        if not exact.inconsistent:
-            sol = exact.solution(f(0))
-            solp = [IntMod(int(rhs), P) for (rhs,) in modp.solution()]
-            for a, b in zip(sol, solp):
-                assert IntMod(a.numerator, P) == b * IntMod(a.denominator, P)
+        rows = [[rng.randint(-4, 4) for _ in range(width)]
+                + [rng.randint(-5, 5)] for _ in range(6)]
+        exact = LinearSystem(exact_dom, width, 1)
+        modp = LinearSystem(modp_dom, width, 1)
+        # compared after every row: all 15 full systems are inconsistent
+        for row in rows:
+            exact.add(_rows(exact_dom, exact, row))
+            modp.add(_rows(modp_dom, modp, row))
+            assert exact.rank == modp.rank
+            assert bool(exact.inconsistent) == bool(modp.inconsistent)
+            if not exact.inconsistent:
+                sol, solp = exact.solution(), modp.solution()
+                assert sol.keys() == solp.keys()
+                for i, (a,) in sol.items():
+                    assert (IntMod(a.numerator, P)
+                            == solp[i][0] * IntMod(a.denominator, P))
+                solved += 1
+    assert solved > 15
 
 
 def test_modp_linear_system_inconsistent():
     # x + y = 1, 2x + 2y = 3 and x = 2 as one block: the second row puts a
     # pivot in the right-hand-side column, which the rank does not count
-    f = Fraction
-    rows = [[1, 1, 1], [2, 2, 3], [1, 0, 2]]
-    exact = LinearSystem(2)
-    for *vec, rhs in rows:
-        exact.add([f(x) for x in vec], f(rhs))
-    modp = ModPLinearSystem(2, P, 1)
-    assert modp.add(rows) == 3
-    assert modp.inconsistent and modp.solution() is None
-    assert modp.rank == exact.rank == 2
-    assert modp.ech.rank == 3
-    empty = ModPLinearSystem(2, P, 1)
-    assert empty.add([[0, 0, 5]]) == 1
-    assert empty.inconsistent and empty.rank == 0
+    for dom in SYSTEM_DOMAINS:
+        sys_ = LinearSystem(dom, 2, 1)
+        assert sys_.add(_rows(dom, sys_, [1, 1, 1], [2, 2, 3],
+                              [1, 0, 2])) == 3
+        assert sys_.inconsistent and sys_.solution() is None
+        assert sys_.rank == 2
+        assert sys_.ech.rank == 3
+        empty = LinearSystem(dom, 2, 1)
+        assert empty.add(_rows(dom, empty, [0, 0, 5])) == 1
+        assert empty.inconsistent and empty.rank == 0
 
 
 def test_modp_batch_reduce_matches_row_reduce():

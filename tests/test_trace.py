@@ -126,6 +126,8 @@ def test_specialized_solve_matches_symbolic():
     tf_p = tr.solve_trace(3, dom)
     assert tf_p.exists and tf_p.unique
     for key, val in tf_sym.table.items():
+        # the stored monomial coefficients are the value's, zeros dropped
+        assert tf_sym.coeffs[key] == _ab_decompose(val), key
         want = tf_p.table[key]
         got = {}
         for (ea, eb), num in _ab_decompose(val).items():
@@ -196,7 +198,8 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
     # span the same symmetry rows as all basis pairs
     index = alg.BasisIndex(3, dom)
     comm, pairs = dom.echelon(len(index)), dom.echelon(len(index))
-    comm_rows = list(tr.commutator_rows(index, comm))
+    comm_rows = [row for block in tr.commutator_rows(index, comm)
+                 for row in block]
     pair_rows = _all_pair_rows(index, pairs)
     assert len(comm_rows) == 30 * 4
     for row in comm_rows:
