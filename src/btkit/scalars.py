@@ -1,13 +1,14 @@
-"""Exact arithmetic in the coefficient field Q(s, A, B), where s stands for
+"""Exact arithmetic in the coefficient ring Q(s)[A, B], where s stands for
 the square root of the deformation parameter u (so u = s^2 everywhere).
 
-Elements are fractions of primitive integer polynomials in (s, A, B), kept in
-a canonical form: numerator and denominator coprime (integer content and
-polynomial gcd removed) and the denominator's leading coefficient positive
-under graded-lex order.  Two scalars are equal as field elements iff their
+Only s appears in the multiplication engine.  A and B are trace parameters,
+which the tower rules bring in as monomials, so every trace value is a
+polynomial in A and B over Q(s).  Elements are fractions of an integer
+polynomial in (s, A, B) over a denominator in Z[s]; dividing by anything
+that holds A or B raises ValueError.  The form is canonical: numerator and
+denominator coprime (integer content and gcd in s removed) and the
+denominator's leading coefficient positive.  Two scalars are equal iff their
 stored forms are identical, so dict/set membership is exact equality.
-
-Only s appears in the multiplication engine; A and B are trace parameters.
 """
 
 from fractions import Fraction
@@ -107,75 +108,6 @@ def _p_div_exact(f, g):
     return quot
 
 
-def _p_vars(f):
-    used = [False, False, False]
-    for m in f:
-        for i in range(_NVARS):
-            if m[i]:
-                used[i] = True
-    return used
-
-
-def _to_coeffs(f, v):
-    """View f as a dense coefficient list in variable v; entries are polys
-    in the remaining variables (monomials with v-exponent zero)."""
-    deg = max(m[v] for m in f)
-    out = [dict() for _ in range(deg + 1)]
-    for m, c in f.items():
-        m2 = list(m)
-        e = m2[v]
-        m2[v] = 0
-        out[e][tuple(m2)] = c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _from_coeffs(cs, v):
-    f = {}
-    for e, p in enumerate(cs):
-        for m, c in p.items():
-            m2 = list(m)
-            m2[v] = e
-            f[tuple(m2)] = c
-    return f
-
-
-def _cl_content(cs):
-    d = {}
-    for p in cs:
-        if p:
-            d = _p_gcd(d, p)
-            if _p_is_const(d) and d.get(_MONO_ONE) == 1:
-                return d
-    return d
-
-
-def _cl_div(cs, d):
-    return [_p_div_exact(p, d) if p else {} for p in cs]
-
-
-def _cl_prem(f, g):
-    """Pseudo-remainder of coefficient lists f, g (g nonzero)."""
-    f = [dict(p) for p in f]
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        while f and not f[-1]:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        f = [_p_mul(p, lg) for p in f]
-        for k in range(dg + 1):
-            f[k + shift] = _p_add(f[k + shift], _p_neg(_p_mul(lf, g[k])))
-        f.pop()
-        while f and not f[-1]:
-            f.pop()
-    return f
-
-
 def _s_gcd(f, g):
     """Dense univariate gcd in s over Z, primitive PRS."""
     a = [0] * (max(m[0] for m in f) + 1)
@@ -237,8 +169,14 @@ def _s_gcd(f, g):
     return {(e, 0, 0): c * d for e, c in enumerate(a) if c}
 
 
+def _p_has_params(f):
+    return any(m[1] or m[2] for m in f)
+
+
 def _p_gcd(f, g):
-    """Polynomial gcd over Z (primitive PRS), positive leading coefficient.
+    """Polynomial gcd over Z, positive leading coefficient.  At least one
+    argument must lie in Z[s], as every denominator does; then the gcd is
+    the gcd in s of that argument with each A,B-coefficient of the other.
     When one argument is a single term c*m, every divisor of it is a term
     too, so the gcd is igcd(content, |c|) times the componentwise least
     exponents of both arguments."""
@@ -254,34 +192,18 @@ def _p_gcd(f, g):
             c = _igcd(c, k)
             es, ea, eb = min(es, ms), min(ea, ma), min(eb, mb)
         return {(es, ea, eb): c}
-    uf, ug = _p_vars(f), _p_vars(g)
-    used = [a or b for a, b in zip(uf, ug)]
-    if not used[1] and not used[2]:
-        return _s_gcd(f, g)
-    v = max(i for i in range(_NVARS) if used[i])
-    cf = _to_coeffs(f, v)
-    cg = _to_coeffs(g, v)
-    cont_f = _cl_content(cf)
-    cont_g = _cl_content(cg)
-    d = _p_gcd(cont_f, cont_g)
-    cf = _cl_div(cf, cont_f)
-    cg = _cl_div(cg, cont_g)
-    if len(cf) < len(cg):
-        cf, cg = cg, cf
-    while True:
-        if not any(cg):
-            h = cf
+    if _p_has_params(f):
+        f, g = g, f
+        if _p_has_params(f):
+            raise ValueError("gcd of two polynomials in A or B")
+    coeffs = {}
+    for m, c in g.items():
+        coeffs.setdefault(m[1:], {})[m] = c
+    for part in coeffs.values():
+        f = _s_gcd(f, part)
+        if f == _P_ONE:
             break
-        r = _cl_prem(cf, cg)
-        while r and not r[-1]:
-            r.pop()
-        if not any(r):
-            h = cg
-            break
-        r = _cl_div(r, _cl_content(r))
-        cf, cg = cg, r
-    h = _cl_div(h, _cl_content(h))
-    return _p_abs(_p_mul(_from_coeffs(h, v), d))
+    return f
 
 
 def _p_abs(f):
@@ -328,7 +250,8 @@ def _p_render(f):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(s, A, B) in canonical reduced form.
+    """An element of Q(s)[A, B] in canonical reduced form, with its
+    denominator in Z[s].
 
     Supports +, -, *, /, unary -, ==, hash, bool (nonzero test).  Exact
     evaluation at rational points via :meth:`evaluate`, symbolic variable
@@ -418,6 +341,7 @@ class Scalar:
         if not self.num:
             raise ZeroDivisionError("inverting zero scalar")
         num, den = self.den, self.num
+        _check_den(den)
         if den[_p_lead(den)] < 0:
             num, den = _p_neg(num), _p_neg(den)
         return Scalar(num, den, _canonical=True)
@@ -482,13 +406,19 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+def _check_den(den):
+    if _p_has_params(den):
+        raise ValueError("denominator holds A or B: %s" % _p_render(den))
+
+
 def _canonicalize(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if not num:
-        return {}, _P_ONE
     if den == _P_ONE:
         return num, _P_ONE
+    _check_den(den)
+    if not num:
+        return {}, _P_ONE
     g = _p_gcd(num, den)
     if not (_p_is_const(g) and g[_MONO_ONE] == 1):
         num = _p_div_exact(num, g)
@@ -530,7 +460,8 @@ def _p_subs(f, vals):
 # ---------------------------------------------------------------------------
 
 def parse_scalar(text):
-    """Parse the canonical text form back into a Scalar (lossless)."""
+    """Parse the canonical text form back into a Scalar (lossless); raises
+    ValueError on bad text, a divisor that holds A or B included."""
     tokens = _tokenize(text)
     pos = [0]
 

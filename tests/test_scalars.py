@@ -13,23 +13,29 @@ DELTA = (ONE - U) / (ONE + U)
 
 
 def rand_scalar(rng, allow_params=False, allow_den=True):
-    def rand_poly():
+    """A random scalar; A and B appear in its numerator only, as the ring
+    Q(s)[A, B] allows, and its denominator is drawn in s."""
+    def rand_poly(params):
         acc = sc.ZERO
         for _ in range(rng.randint(1, 3)):
             term = Scalar.from_int(rng.randint(-4, 4))
             term = term * S ** rng.randint(0, 3)
-            if allow_params:
+            if params:
                 term = term * A ** rng.randint(0, 1) * B ** rng.randint(0, 1)
             acc = acc + term
         return acc
 
-    num = rand_poly()
+    num = rand_poly(allow_params)
     if not allow_den:
         return num
     den = sc.ZERO
     while not den:
-        den = rand_poly()
+        den = rand_poly(False)
     return num / den
+
+
+def in_s(x):
+    return not sc._p_has_params(x.num)
 
 
 def test_constant_folding():
@@ -84,9 +90,17 @@ def test_field_axioms_randomized():
         assert x * (y + z) == x * y + x * z
         assert x + y == y + x
         assert x * y == y * x
-        if x:
+        if x and in_s(x):
             assert x * x.invert() == ONE
+        elif x:
+            with pytest.raises(ValueError):
+                x.invert()
         assert x + (-x) == sc.ZERO
+        # a divisor in s: inverses exist
+        w = rand_scalar(rng)
+        if w:
+            assert w * w.invert() == ONE
+            assert (x / w) * w == x
 
 
 def test_evaluate_is_homomorphism():
@@ -97,8 +111,12 @@ def test_evaluate_is_homomorphism():
         y = rand_scalar(rng, allow_params=True)
         assert (x + y).evaluate(**pt) == x.evaluate(**pt) + y.evaluate(**pt)
         assert (x * y).evaluate(**pt) == x.evaluate(**pt) * y.evaluate(**pt)
-        if y.evaluate(**pt) != 0:
+        if in_s(y) and y.evaluate(**pt) != 0:
             assert (x / y).evaluate(**pt) == x.evaluate(**pt) / y.evaluate(**pt)
+        # a divisor in s
+        w = rand_scalar(rng)
+        if w.evaluate(**pt) != 0:
+            assert (x / w).evaluate(**pt) == x.evaluate(**pt) / w.evaluate(**pt)
 
 
 def test_text_round_trip():
@@ -119,6 +137,17 @@ def test_substitution():
     assert not q.subs(A=-B)
     assert not q.subs(A=-B / (ONE + U))
     assert q.subs(A=B) == (TWO * U + Scalar.from_int(4)) * B * B
+
+
+def test_division_by_params_rejected():
+    # denominators lie in Z[s]; a divisor in A or B is an error, never a
+    # quietly wrong canonical form
+    for divide in (lambda: ONE / (A + ONE), lambda: A.invert(),
+                   lambda: A ** -1, lambda: parse_scalar("1/A"),
+                   lambda: Scalar(ONE.num, A.num),
+                   lambda: sc._p_gcd((A + ONE).num, (A * B + S).num)):
+        with pytest.raises(ValueError):
+            divide()
 
 
 def test_parse_rejects_garbage():
@@ -179,3 +208,30 @@ def test_monomial_gcd_divides_and_is_greatest():
                     assert min(m[v] for m in r) == 0
         seen += 1
     assert seen > 250
+
+
+def test_gcd_with_an_argument_in_s():
+    # h*f1 with f1 in s, A and B against h*g1 in s alone: the gcd is the
+    # same in either order, divides both, is a multiple of h and has a
+    # positive leading coefficient; without A and B it is the gcd in s
+    rng = random.Random(13)
+    looped = 0
+    for _ in range(300):
+        h = _poly(rng, 1, rng.randint(1, 3))
+        nvars = rng.choice((1, 3))
+        f1 = _poly(rng, nvars, rng.randint(1, 4))
+        g1 = _poly(rng, 1, rng.randint(1, 3))
+        if not h or not f1 or not g1:
+            continue
+        f, g = sc._p_mul(h, f1), sc._p_mul(h, g1)
+        d = sc._p_gcd(f, g)
+        assert sc._p_gcd(g, f) == d
+        for x in (f, g):
+            assert sc._p_mul(sc._p_div_exact(x, d), d) == x
+        sc._p_div_exact(d, h)
+        assert d[sc._p_lead(d)] > 0
+        if nvars == 1:
+            assert d == sc._s_gcd(f, g)
+        elif len(f) > 1 and len(g) > 1 and sc._p_has_params(f):
+            looped += 1
+    assert looped > 75
