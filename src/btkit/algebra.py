@@ -10,6 +10,11 @@ and a braid generator hitting a descent triggers the quadratic relation
 
 Right multiplication by a single generator is the primitive: a descent-free
 step is a single basis term, a descent step branches into three terms.
+Left multiplication is its mirror: every relation below reads the same
+backwards ((3) by (7), (9) with i and j swapped), so reversing products is
+an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
+E_{w^-1 I} T_{w^-1}.  Thus g x = mirror(mirror(x) g), which is how
+:func:`btkit.quotient.generator_actions` gets its left tables.
 
 The defining relations implemented here (for |i-j| as indicated):
 
@@ -93,7 +98,7 @@ class AlgebraElement:
             out = out * self
         return out
 
-    # generator multiplications (right and left) --------------------------
+    # right multiplication by one generator ---------------------------------
 
     def right_mul_T(self, i):
         _check_gen(i, self.n)
@@ -104,33 +109,6 @@ class AlgebraElement:
         out = {}
         for (I, w), c in self.terms.items():
             _acc(out, (I.join_arc(w.apply(i), w.apply(i + 1)), w), c)
-        return AlgebraElement(self.n, out, self.dom)
-
-    def left_mul_T(self, i):
-        _check_gen(i, self.n)
-        dom = self.dom
-        um1 = dom.u_minus_1
-        s_i = Permutation.transposition(i, self.n)
-        out = {}
-        for (I, w), c in self.terms.items():
-            Ii = I.apply(s_i)
-            if not w.has_left_descent(i):
-                _acc(out, (Ii, w.left_mul_gen(i)), c)
-            else:
-                # T_i T_w = T_{w'} + (u-1) E_i T_{w'} + (u-1) E_i T_w
-                wp = w.left_mul_gen(i)
-                Ip = Ii.join_arc(i, i + 1)
-                _acc(out, (Ii, wp), c)
-                cc = c * um1
-                _acc(out, (Ip, wp), cc)
-                _acc(out, (Ip, w), cc)
-        return AlgebraElement(self.n, out, self.dom)
-
-    def left_mul_E(self, i):
-        _check_gen(i, self.n)
-        out = {}
-        for (I, w), c in self.terms.items():
-            _acc(out, (I.join_arc(i, i + 1), w), c)
         return AlgebraElement(self.n, out, self.dom)
 
     # predicates and views -------------------------------------------------
@@ -148,9 +126,6 @@ class AlgebraElement:
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def coeff(self, I, w):
-        return self.terms.get((I, w), self.dom.zero)
 
     def support(self):
         return sorted(self.terms, key=_term_key)

@@ -51,20 +51,18 @@ class Permutation:
         """True iff length(w * s_i) < length(w)."""
         return self.images[i - 1] > self.images[i]
 
-    def has_left_descent(self, i):
-        """True iff length(s_i * w) < length(w)."""
-        return self.images.index(i) > self.images.index(i + 1)
-
     def right_mul_gen(self, i):
         """w * s_i (swaps the entries at positions i, i+1)."""
         img = list(self.images)
         img[i - 1], img[i] = img[i], img[i - 1]
         return intern_perm(img)
 
-    def left_mul_gen(self, i):
-        """s_i * w (swaps the values i, i+1)."""
-        swap = {i: i + 1, i + 1: i}
-        return intern_perm(tuple(swap.get(m, m) for m in self.images))
+    def inverse(self):
+        """w^-1, which any reduced word of w spells read backwards."""
+        img = [0] * self.n
+        for m, image in enumerate(self.images, start=1):
+            img[image - 1] = m
+        return intern_perm(img)
 
     def reduced_word(self):
         """Canonical reduced word: repeatedly strip the smallest right

@@ -24,7 +24,7 @@ for every domain.
 from math import comb
 
 from . import algebra
-from .algebra import AlgebraElement, BasisIndex, E, F, L, one, steinberg
+from .algebra import AlgebraElement, BasisIndex, E, F, L, steinberg
 from .domains import SYMBOLIC
 from .partitions import enumerate_partitions
 
@@ -74,50 +74,53 @@ def generator_actions(index, ech):
     multiplication by every T_i and E_i, of right multiplication by F_i
     ("RF"), and of the commutators x -> x T_i - T_i x ("CT") and
     x -> x E_i - E_i x ("CE"), on coefficient rows over ``index``, packed
-    by ``ech`` (an echelon of the index's domain).  Each T_i or E_i table is
+    by ``ech`` (an echelon of the index's domain).  Each right table is
     read off the engine's one-generator products of the basis elements:
     basis element k contributes c times basis element l for each term
     c E_I T_w of its product, with (I, w) at position l, and c is 1, u or
-    u - 1 for T_i and 1 for E_i.  The F_i table is that of
-    (1 + T_i)/(u + 1), and a commutator table joins the right table with
-    the negated left one.  Built once per (n, domain) and process."""
+    u - 1 for T_i and 1 for E_i.  Each left table is its right twin with
+    every position relabelled through the mirror (I, w) -> (w^-1 I, w^-1),
+    as g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`).  The
+    F_i table is that of (1 + T_i)/(u + 1), and a commutator table joins
+    the right table with the negated left one.  Built once per (n, domain)
+    and process."""
     n, dom = index.n, index.dom
     key = (n, tuple(dom.describe().items()))
     if key not in _ACTIONS:
-        products = {"LT": AlgebraElement.left_mul_T,
-                    "RT": AlgebraElement.right_mul_T,
-                    "LE": AlgebraElement.left_mul_E,
-                    "RE": AlgebraElement.right_mul_E}
+        products = {"T": AlgebraElement.right_mul_T,
+                    "E": AlgebraElement.right_mul_E}
         basis = [index.basis_elem(k) for k in range(len(index))]
         ks = list(range(len(index)))
+        mirror = [index.index[I.apply(w.inverse()), w.inverse()]
+                  for I, w in index.pairs]
         cu = dom.one / (dom.u + dom.one)
-        tables, raw = {}, {}
-        for name, product in products.items():
+        tables = {}
+        for g, product in products.items():
             for i in range(1, n):
-                src, dst, coeff = raw[name, i] = [], [], []
+                src, dst, coeff = [], [], []
                 for k, x in enumerate(basis):
                     for pair, c in product(x, i).terms.items():
                         src.append(k)
                         dst.append(index.index[pair])
                         coeff.append(c)
-                tables[name, i] = ech.pack(src, dst, coeff)
-                if name == "RT":
+                ls, ld = [mirror[k] for k in src], [mirror[l] for l in dst]
+                tables["R" + g, i] = ech.pack(src, dst, coeff)
+                tables["L" + g, i] = ech.pack(ls, ld, coeff)
+                tables["C" + g, i] = ech.pack(src + ls, dst + ld,
+                                              coeff + [-c for c in coeff])
+                if g == "T":
                     tables["RF", i] = ech.pack(
                         ks + src, ks + dst,
                         [c * cu for c in [dom.one] * len(ks) + coeff])
-        for g in "TE":
-            for i in range(1, n):
-                (rs, rd, rc), (ls, ld, lc) = raw["R" + g, i], raw["L" + g, i]
-                tables["C" + g, i] = ech.pack(rs + ls, rd + ld,
-                                              rc + [-c for c in lc])
         _ACTIONS[key] = tables
     return _ACTIONS[key]
 
 
 def _closure_actions(index, ech):
     """The tables of left and right multiplication by every T_i and E_i."""
-    return [table for (name, i), table in generator_actions(index, ech).items()
-            if name in ("LT", "RT", "LE", "RE")]
+    tables = generator_actions(index, ech)
+    return [tables[name, i] for name in ("LT", "RT", "LE", "RE")
+            for i in range(1, index.n)]
 
 
 def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
@@ -351,23 +354,11 @@ class FReducedWord:
             out.extend(range(i, j - 1, -1))
         return tuple(out)
 
-    def element(self, n, dom=SYMBOLIC):
-        out = one(n, dom)
-        for i in self.letters():
-            out = out * F(i, n, dom)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, FReducedWord) and self.runs == other.runs
 
     def __hash__(self):
         return hash(self.runs)
-
-    def __str__(self):
-        if not self.runs:
-            return "1"
-        return "".join("(%s)" % ".".join("F%d" % k for k in range(i, j - 1, -1))
-                       for i, j in self.runs)
 
     def __repr__(self):
         return "FReducedWord(%r)" % (self.runs,)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from btkit import scalars as sc
 from btkit.algebra import (BasisIndex, E, E_arc, E_of_partition, F, L, T,
                            basis_element, gamma, gamma_inverse, inverse_T, one,
                            steinberg, verify_relations)
-from btkit.domains import SYMBOLIC, PrimeDomain, RationalDomain
+from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
 from btkit.permutations import Permutation, enumerate_permutations
@@ -247,13 +248,38 @@ def test_engine_agrees_under_specialization():
                 == forp.terms)
 
 
-def test_left_multiplication_matches_general_product():
+def test_right_multiplication_matches_general_product():
     rng = random.Random(31)
     for n in (3, 4):
         for _ in range(30):
             a = alg.random_basis_element(n, rng)
             for i in range(1, n):
-                assert a.left_mul_T(i) == T(i, n) * a
-                assert a.left_mul_E(i) == E(i, n) * a
                 assert a.right_mul_T(i) == a * T(i, n)
                 assert a.right_mul_E(i) == a * E(i, n)
+
+
+def mirror(x):
+    """The reversal anti-involution on the basis: E_I T_w -> E_{w^-1 I}
+    T_{w^-1}."""
+    terms = {}
+    for (I, w), c in x.terms.items():
+        v = w.inverse()
+        terms[I.apply(v), v] = c
+    return alg.AlgebraElement(x.n, terms, x.dom)
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
+    ids=["n3-symbolic", "n4-prime"])
+def test_mirror_is_an_anti_involution_fixing_the_generators(n, dom):
+    # the left action tables are the right ones relabelled through this map
+    for i in range(1, n):
+        assert mirror(T(i, n, dom)) == T(i, n, dom)
+        assert mirror(E(i, n, dom)) == E(i, n, dom)
+    rng = random.Random(17)
+    for _ in range(40):
+        a = alg.random_basis_element(n, rng, dom)
+        b = alg.random_basis_element(n, rng, dom)
+        ab = a * b
+        assert mirror(ab) == mirror(b) * mirror(a)
+        assert mirror(mirror(ab)) == ab
