@@ -2,8 +2,8 @@
 
 Suites: relations, quotient, rank, trace (also reachable as
 ``btkit --suite NAME``).  Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage error.  With a fixed seed the report bytes are identical
-across runs.
+failure, 2 usage error or a report that cannot be written.  With a fixed
+seed the report bytes are identical across runs.
 
 This module imports no other btkit module at load time: ``btkit --help``
 and arguments the parser rejects load nothing else, and a suite run imports
@@ -230,8 +230,13 @@ def main(argv=None):
         if not text.endswith("\n"):
             text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: cannot write the report to %r: %s"
+                  % (args.out, exc.strerror), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["summary"]["failed"] == 0 else 1

@@ -113,16 +113,6 @@ class IntMod:
             raise ZeroDivisionError("division by zero in GF(p)")
         return IntMod(self.v * pow(other.v, self.p - 2, self.p), self.p)
 
-    def invert(self):
-        if self.v == 0:
-            raise ZeroDivisionError("inverting zero in GF(p)")
-        return IntMod(pow(self.v, self.p - 2, self.p), self.p)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.invert() ** (-k)
-        return IntMod(pow(self.v, k, self.p), self.p)
-
     def __eq__(self, other):
         return isinstance(other, IntMod) and self.v == other.v and self.p == other.p
 

@@ -460,99 +460,47 @@ def _p_subs(f, vals):
 # ---------------------------------------------------------------------------
 
 def parse_scalar(text):
-    """Parse the canonical text form back into a Scalar (lossless); raises
-    ValueError on bad text, a divisor that holds A or B included."""
-    tokens = _tokenize(text)
-    pos = [0]
+    """Parse the canonical text form back into a Scalar (lossless), read by
+    Python's expression grammar with ``^`` as ``**``: only +, -, *, /, unary
+    + and -, powers to a (negated) integer literal, integer literals in
+    decimal digits and the names s, u, A, B.  Raises ValueError on any other
+    text, a divisor that holds A or B included."""
+    import ast
+    import operator
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    src = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError:
+        raise ValueError("bad scalar text %r" % text) from None
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv}
+    names = {"s": SQRT_U, "u": U, "A": A, "B": B}
 
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
+    def digits(node):
+        # an integer literal written in decimal digits only
+        if type(node) is ast.Constant and (
+                ast.get_source_segment(src, node).isdigit()):
+            return node.value
+        raise ValueError("bad scalar text %r" % text)
 
-    def parse_expr():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+    def walk(node):
+        op = type(getattr(node, "op", None))
+        if op is ast.Pow:
+            e = node.right
+            if type(getattr(e, "op", None)) is ast.USub:
+                return walk(node.left) ** -digits(e.operand)
+            return walk(node.left) ** digits(e)
+        if op in binary:
+            return binary[op](walk(node.left), walk(node.right))
+        if op is ast.USub:
+            return -walk(node.operand)
+        if op is ast.UAdd:
+            return walk(node.operand)
+        name = names.get(ast.get_source_segment(src, node))
+        return name if name is not None else Scalar.from_int(digits(node))
 
-    def parse_term():
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_factor():
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        node = parse_atom()
-        if peek() == "^":
-            take()
-            neg = False
-            if peek() == "-":
-                take()
-                neg = True
-            e = take()
-            if not isinstance(e, int):
-                raise ValueError("exponent must be an integer")
-            node = node ** (-e if neg else e)
-        return node if sign > 0 else -node
-
-    def parse_atom():
-        t = take()
-        if t == "(":
-            node = parse_expr()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return node
-        if isinstance(t, int):
-            return Scalar.from_int(t)
-        if t == "u":
-            return U
-        if t in VARS:
-            return Scalar.variable(t)
-        raise ValueError("unexpected token %r" % (t,))
-
-    node = parse_expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing input in scalar text")
-    return node
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha():
-            tokens.append(ch)
-            i += 1
-        elif text.startswith("**", i):
-            tokens.append("^")
-            i += 2
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise ValueError("bad character %r in scalar text" % ch)
-    return tokens
+    return walk(tree.body)
 
 
 # ---------------------------------------------------------------------------

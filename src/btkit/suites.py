@@ -108,9 +108,9 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
             dims.append(ib.dim)
             udims.append(ib_untied.dim)
             span = quotient.spanning_check(n, ib, dom)
-            span_untied = quotient.spanning_check(n, ib_untied, dom)
             spans.append(span["spanning_rank"])
             if ci == 0:
+                span_untied = quotient.spanning_check(n, ib_untied, dom)
                 block.update(ideal_dim=ib.dim, quotient_dim=ib.quotient_dim,
                              spanning_rank=span["spanning_rank"],
                              steinberg_ideal_dim=ib_untied.dim,
@@ -309,10 +309,3 @@ def _level3_value_checks(tf):
     out.append(_entry("trace-two-block-tie-steinberg-value", [3], ok))
     return out
 
-
-SUITES = {
-    "relations": relations_suite,
-    "quotient": quotient_suite,
-    "rank": rank_suite,
-    "trace": trace_suite,
-}

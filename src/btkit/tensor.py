@@ -17,7 +17,8 @@ of an algebra of braids and ties", J. Algebraic Combin. 2011): the rank of
 the represented basis equals dim E_n at n = 2, 3 and 4, so it does not kill
 the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
 small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
-at the bottom.
+at the bottom; it runs act_T on the factors v_1^1 and v_2^1, where all upper
+values agree, so the r = s branch is the classical braid operator.
 
 Ties are projectors.  E_I, for a set partition I, acts as the projector onto
 the indices whose upper values are constant on each block of I (the braid
@@ -399,25 +400,6 @@ def export_operator_triplets(op, n, stream):
 # classical dim-2 harness (Hecke / Temperley-Lieb operators)
 # ---------------------------------------------------------------------------
 
-def act_J(i, vec, dom=SYMBOLIC):
-    """Classical two-letter braid operator at factors i, i+1 (dim V = 2)."""
-    out = {}
-    k = i - 1
-    um1 = dom.u_minus_1
-    squ = dom.sqrt_u
-    for idx, c in vec.items():
-        a, b = idx[k], idx[k + 1]
-        swapped = idx[:k] + (b, a) + idx[k + 2:]
-        if a == b:
-            _vacc(out, idx, -c)
-        elif a == 1:
-            _vacc(out, idx, c * um1)
-            _vacc(out, swapped, c * squ)
-        else:
-            _vacc(out, swapped, c * squ)
-    return out
-
-
 def act_F_direct(i, vec, dom=SYMBOLIC):
     """The classical idempotent by its displayed action."""
     out = {}
@@ -429,7 +411,7 @@ def act_F_direct(i, vec, dom=SYMBOLIC):
         swapped = idx[:k] + (b, a) + idx[k + 2:]
         if a == b:
             continue
-        if a == 1:
+        if a < b:
             _vacc(out, idx, c * cu * dom.u)
             _vacc(out, swapped, c * cu * squ)
         else:
@@ -439,8 +421,9 @@ def act_F_direct(i, vec, dom=SYMBOLIC):
 
 
 def classical_jimbo_check(dom=SYMBOLIC):
-    """Sanity harness on the dim-2 space: quadratic and braid relations for
-    the classical operator, vanishing of the Steinberg image, and the
+    """Sanity harness on the dim-2 space spanned by v_1^1 and v_2^1:
+    quadratic and braid relations for the classical operator (act_T with
+    equal upper values), vanishing of the Steinberg image, and the
     idempotent generator identities."""
     def word(act, *letters):
         # the operator word, rightmost letter acting first
@@ -461,9 +444,9 @@ def classical_jimbo_check(dom=SYMBOLIC):
 
     def holds(k, lhs, rhs):
         return all(lhs(unit_vector(x, dom)) == rhs(unit_vector(x, dom))
-                   for x in itertools.product((1, 2), repeat=k))
+                   for x in itertools.product(((1, 1), (2, 1)), repeat=k))
 
-    J = functools.partial(word, act_J)
+    J = functools.partial(word, act_T)
     F = functools.partial(word, act_F_direct)
     u = dom.u
     cu = dom.one / (u + dom.one)

@@ -132,6 +132,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert_one_error_line(["rank", "--n", "2", "--export-ops", str(taken)])
+    # a report the device refuses, after the suite ran
+    if os.path.exists("/dev/full"):
+        assert_one_error_line(["relations", "--n", "2", "--out", "/dev/full"])
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
@@ -258,7 +261,8 @@ def run_fresh(code):
 
 def test_exact_suites_do_not_load_numpy(tmp_path):
     # numpy serves the GF(p) classes only; the four suites at their
-    # default n are exact, and each run is one process
+    # default n are exact, and each run is one process; ast serves only the
+    # scalar text parser, which no suite calls
     runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
             ["rank", "--n", "2", "--n-max", "3"],
             ["trace", "--n", "2", "--n-max", "3"]]
@@ -267,7 +271,7 @@ def test_exact_suites_do_not_load_numpy(tmp_path):
             "    cli.main(argv + ['--out', %r])\n"
             "    if 'numpy' in sys.modules:\n"
             "        sys.exit('numpy loaded by ' + ' '.join(argv))\n"
-            "for name in ('concurrent.futures', 'multiprocessing'):\n"
+            "for name in ('concurrent.futures', 'multiprocessing', 'ast'):\n"
             "    if name in sys.modules:\n"
             "        sys.exit(name + ' loaded')\n"
             % (runs, str(tmp_path / "report.md")))

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -129,6 +131,8 @@ def test_text_round_trip():
     assert parse_scalar("u") == U
     assert parse_scalar("s^2") == U
     assert parse_scalar("s**2") == U
+    assert parse_scalar("-s^2") == -U
+    assert parse_scalar("s^-2") == ONE / U
     assert parse_scalar("2/(1+u)") == TWO / (ONE + U)
 
 
@@ -151,12 +155,25 @@ def test_division_by_params_rejected():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_scalar("2 +")
-    with pytest.raises(ValueError):
-        parse_scalar("q + 1")
-    with pytest.raises(ValueError):
-        parse_scalar("(1")
+    # Python's grammar reads the text; the walk refuses every literal that is
+    # not decimal digits, every name other than s, u, A and B, and every
+    # exponent that is not a (negated) integer literal
+    for text in ("2 +", "q + 1", "(1", "As", "03", "2/0(", "0x10", "0B1",
+                 "1_0", "True", "1.5", "1e3", "s^s", "s^0x2", "s^1.5",
+                 "s^2^2", "s(2)", "'s'", ""):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_golden_trace_values_round_trip():
+    # every value the trace report prints reads back to the same text
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "trace.json")) as fh:
+        blocks = json.load(fh)["trace"]
+    values = [v for block in blocks for v in block["table"].values()]
+    assert len(values) == 34
+    for v in values:
+        assert str(parse_scalar(v)) == v
 
 
 def _poly(rng, nvars, terms):
