@@ -17,7 +17,7 @@ _EXPORTS = {
     "partitions": ("SetPartition", "arc_partition", "bell_number",
                    "enumerate_partitions", "generator_partition"),
     "permutations": ("Permutation", "enumerate_permutations"),
-    "quotient": ("FReducedWord", "IdealBasis", "build_ideal", "catalan_number",
+    "quotient": ("IdealBasis", "build_ideal", "catalan_number",
                  "enumerate_F_reduced", "spanning_check",
                  "verify_ideal_closure", "verify_presentations"),
     "scalars": ("Scalar", "parse_scalar"),

@@ -160,28 +160,19 @@ def render_markdown(report):
     lines.append("- checks: %d total, %d passed, %d failed, %d informational"
                  % (s["total"], s["passed"], s["failed"], s["info"]))
     lines.append("")
-    failed = [c for c in report["checks"] if c["status"] == "fail"]
-    if failed:
-        lines.append("## Failures")
-        lines.append("")
-        for c in failed:
-            extra = {k: v for k, v in c.items()
-                     if k not in ("id", "instance", "status")}
-            lines.append("- `%s` %s %s" % (
-                c["id"], json.dumps(c["instance"], default=str),
-                json.dumps(extra, sort_keys=True, default=str) if extra else ""))
-        lines.append("")
-    infos = [c for c in report["checks"] if c["status"] == "info"]
-    if infos:
-        lines.append("## Findings")
-        lines.append("")
-        for c in infos:
-            extra = {k: v for k, v in c.items()
-                     if k not in ("id", "instance", "status")}
-            lines.append("- `%s` %s %s" % (
-                c["id"], json.dumps(c["instance"], default=str),
-                json.dumps(extra, sort_keys=True, default=str)))
-        lines.append("")
+    for status, title in (("fail", "Failures"), ("info", "Findings")):
+        entries = [c for c in report["checks"] if c["status"] == status]
+        if entries:
+            lines.append("## " + title)
+            lines.append("")
+            for c in entries:
+                extra = {k: v for k, v in c.items()
+                         if k not in ("id", "instance", "status")}
+                lines.append("- `%s` %s %s" % (
+                    c["id"], json.dumps(c["instance"], default=str),
+                    json.dumps(extra, sort_keys=True, default=str)
+                    if extra else ""))
+            lines.append("")
     for key in ("quotient", "ranks", "trace"):
         if key in report:
             lines.append("## %s" % key)
@@ -238,7 +229,13 @@ def main(argv=None):
                   % (args.out, exc.strerror), file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            print("error: cannot write the report to stdout: %s"
+                  % exc.strerror, file=sys.stderr)
+            return 2
     return 0 if report["summary"]["failed"] == 0 else 1
 
 

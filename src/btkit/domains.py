@@ -30,8 +30,6 @@ class PointError(ValueError):
 
 
 class SymbolicDomain:
-    name = "symbolic"
-
     zero = scalars.ZERO
     one = scalars.ONE
     u = scalars.U
@@ -47,17 +45,12 @@ class SymbolicDomain:
         from .linalg import Echelon
         return Echelon(width)
 
-    def describe(self):
-        return {"kind": "symbolic"}
-
     def __repr__(self):
         return "SymbolicDomain()"
 
 
 class RationalDomain:
     """sqrt(u) |-> a fixed rational; coefficients become Fractions."""
-
-    name = "rational"
 
     def __init__(self, s):
         self.s = Fraction(s)
@@ -79,9 +72,6 @@ class RationalDomain:
     def echelon(width):
         from .linalg import Echelon
         return Echelon(width)
-
-    def describe(self):
-        return {"kind": "rational", "sqrt_u": str(self.s)}
 
     def __repr__(self):
         return "RationalDomain(s=%s)" % self.s
@@ -134,8 +124,6 @@ PRIMES = (9999991, 9999973)
 class PrimeDomain:
     """sqrt(u) |-> rational point embedded into GF(p)."""
 
-    name = "prime"
-
     def __init__(self, s, p=PRIMES[0]):
         self.point = Fraction(s)
         self.p = p
@@ -158,9 +146,6 @@ class PrimeDomain:
     def echelon(self, width):
         from .linalg import ModPEchelon
         return ModPEchelon(width, self.p)
-
-    def describe(self):
-        return {"kind": "prime", "sqrt_u": str(self.point), "p": self.p}
 
     def __repr__(self):
         return "PrimeDomain(s=%s, p=%d)" % (self.point, self.p)

@@ -97,12 +97,9 @@ class Echelon:
     def reduce_batch(self, rows):
         return [self.reduce(row) for row in rows]
 
-    def is_zero_mod(self, row):
-        return not any(self.reduce(row))
-
     def spans(self, rows):
         """True iff every row lies in the span."""
-        return all(self.is_zero_mod(row) for row in rows)
+        return all(not any(self.reduce(row)) for row in rows)
 
     @staticmethod
     def from_coeffs(vec):
@@ -323,9 +320,6 @@ class ModPEchelon:
             pivs.append(piv)
             keep.append(i)
         return block[keep], pivs
-
-    def is_zero_mod(self, row):
-        return not np.any(self.reduce(row))
 
     def spans(self, rows):
         """True iff every row lies in the span."""

@@ -101,9 +101,6 @@ class SetPartition:
             self._hash = hash(self.rgs)
         return self._hash
 
-    def __lt__(self, other):
-        return self.rgs < other.rgs
-
     def __str__(self):
         return "{%s}" % ",".join(
             "{%s}" % ",".join(str(m) for m in block) for block in self.blocks())

@@ -90,9 +90,6 @@ class Permutation:
             self._hash = hash(self.images)
         return self._hash
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __str__(self):
         return "[%s]" % ",".join(str(m) for m in self.images)
 

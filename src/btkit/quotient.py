@@ -40,7 +40,6 @@ class IdealBasis:
     """Echelonized span of a two-sided ideal, with coset reduction."""
 
     def __init__(self, ech, index):
-        self.n = index.n
         self.ech = ech
         self.index = index
 
@@ -63,7 +62,7 @@ class IdealBasis:
         return self._to_element(self.ech.reduce(self._to_row(elem)))
 
     def contains(self, elem):
-        return self.ech.is_zero_mod(self._to_row(elem))
+        return self.ech.spans([self._to_row(elem)])
 
 
 _ACTIONS = {}
@@ -82,10 +81,12 @@ def generator_actions(index, ech):
     every position relabelled through the mirror (I, w) -> (w^-1 I, w^-1),
     as g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`).  The
     F_i table is that of (1 + T_i)/(u + 1), and a commutator table joins
-    the right table with the negated left one.  Built once per (n, domain)
-    and process."""
+    the right table with the negated left one.  Built once per n, value of
+    sqrt(u) and process: the tables depend on nothing else, and a Scalar, a
+    Fraction and an IntMod (whose equality includes p) never compare
+    equal."""
     n, dom = index.n, index.dom
-    key = (n, tuple(dom.describe().items()))
+    key = (n, dom.sqrt_u)
     if key not in _ACTIONS:
         products = {"T": AlgebraElement.right_mul_T,
                     "E": AlgebraElement.right_mul_E}
@@ -333,47 +334,19 @@ def verify_presentations(n, ib, dom=SYMBOLIC, ib_untied=None):
 # reduced words in the F generators (Jones normal form)
 # ---------------------------------------------------------------------------
 
-class FReducedWord:
-    """A product of descending runs F_i F_{i-1} ... F_j, encoded by the run
-    endpoints ((i_1, j_1), ..., (i_k, j_k)) with i's and j's strictly
-    increasing and j_l <= i_l.  There are Catalan(n) such words."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs):
-        self.runs = tuple(runs)
-        last_i, last_j = 0, 0
-        for i, j in self.runs:
-            if not (i > last_i and j > last_j and j <= i):
-                raise ValueError("runs violate the normal form: %r" % (runs,))
-            last_i, last_j = i, j
-
-    def letters(self):
-        out = []
-        for i, j in self.runs:
-            out.extend(range(i, j - 1, -1))
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, FReducedWord) and self.runs == other.runs
-
-    def __hash__(self):
-        return hash(self.runs)
-
-    def __repr__(self):
-        return "FReducedWord(%r)" % (self.runs,)
-
-
 def enumerate_F_reduced(n):
-    """All F-reduced words for n strands, in run-lexicographic order;
-    count = Catalan(n)."""
+    """All F-reduced words for n strands, as tuples of the letters i of
+    their F_i, left to right.  A word is a product of descending runs
+    F_i F_{i-1} ... F_j with run endpoints ((i_1, j_1), ..., (i_k, j_k)),
+    the i's and j's strictly increasing and j_l <= i_l; the words come in
+    run-lexicographic order, Catalan(n) of them."""
     out = []
 
-    def rec(runs, last_i, last_j):
-        out.append(FReducedWord(runs))
+    def rec(letters, last_i, last_j):
+        out.append(letters)
         for i in range(last_i + 1, n):
             for j in range(last_j + 1, i + 1):
-                rec(runs + ((i, j),), i, j)
+                rec(letters + tuple(range(i, j - 1, -1)), i, j)
 
     rec((), 0, 0)
     return out
@@ -400,7 +373,7 @@ def spanning_check(n, ib, dom=SYMBOLIC):
     for lo in range(0, len(ties), BLOCK):
         for w in words:
             rows = ties[lo:lo + BLOCK]
-            for i in w.letters():
+            for i in w:
                 rows = ech.scatter_batch(tables["RF", i], rows)
             if ib is not None:
                 rows = ib.ech.reduce_batch(rows)

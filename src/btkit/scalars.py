@@ -464,15 +464,12 @@ def parse_scalar(text):
     Python's expression grammar with ``^`` as ``**``: only +, -, *, /, unary
     + and -, powers to a (negated) integer literal, integer literals in
     decimal digits and the names s, u, A, B.  Raises ValueError on any other
-    text, a divisor that holds A or B included."""
+    text, a divisor that holds A or B included, and on text nested too
+    deeply to read (a sum of some thousand terms)."""
     import ast
     import operator
 
     src = text.strip().replace("^", "**")
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError:
-        raise ValueError("bad scalar text %r" % text) from None
     binary = {ast.Add: operator.add, ast.Sub: operator.sub,
               ast.Mult: operator.mul, ast.Div: operator.truediv}
     names = {"s": SQRT_U, "u": U, "A": A, "B": B}
@@ -500,7 +497,13 @@ def parse_scalar(text):
         name = names.get(ast.get_source_segment(src, node))
         return name if name is not None else Scalar.from_int(digits(node))
 
-    return walk(tree.body)
+    try:
+        return walk(ast.parse(src, mode="eval").body)
+    except SyntaxError:
+        raise ValueError("bad scalar text %r" % text) from None
+    except RecursionError:
+        raise ValueError("scalar text nested too deeply to read (%d "
+                         "characters)" % len(text)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,19 @@ type, and the relation checks, the exhaustive homomorphism check and the rank
 rows run over one index per type (:func:`index_types`): 6, 65 and 1125 types
 for 2, 3 and 4 factors, against n^(2k) indices.
 
-Vectors are sparse dicts {factor-tuple: coefficient}, operators are lazy
-appliers; nothing is ever stored as a dense n^(2n) matrix.  The rank rows of
-one index type are one sparse bundle of (row, column, coefficient) entries,
-which the echelon makes into a block of rows (``from_entries``) and inserts
-at once.
+Vectors are sparse dicts {factor-tuple: coefficient}, operators are
+functions from vectors to vectors; nothing is ever stored as a dense n^(2n)
+matrix.  The rank rows of one index type are one sparse bundle of (row,
+column, coefficient) entries, which the echelon makes into a block of rows
+(``from_entries``) and inserts at once.
 """
 
 import functools
 import itertools
 import random
 
-from .algebra import (RELATION_WORDS, BasisIndex, random_basis_element,
-                      relation_instances)
+from .algebra import (RELATION_WORDS, BasisIndex, _acc,
+                      random_basis_element, relation_instances)
 from .domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from .partitions import enumerate_partitions
 
@@ -63,7 +63,7 @@ def unit_vector(idx, dom=SYMBOLIC):
 def vec_add(target, src, c=None):
     """target += c * src, dropping zeros."""
     for idx, v in src.items():
-        _vacc(target, idx, v if c is None else v * c)
+        _acc(target, idx, v if c is None else v * c)
     return target
 
 def encode_index(idx, n):
@@ -121,14 +121,14 @@ def act_T(i, vec, dom=SYMBOLIC):
         (a, r), (b, s) = idx[k], idx[k + 1]
         swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2:]
         if r != s:
-            _vacc(out, swapped, -c)
+            _acc(out, swapped, -c)
         elif a == b:
-            _vacc(out, idx, -c)
+            _acc(out, idx, -c)
         elif a < b:
-            _vacc(out, idx, c * um1)
-            _vacc(out, swapped, c * squ)
+            _acc(out, idx, c * um1)
+            _acc(out, swapped, c * squ)
         else:
-            _vacc(out, swapped, c * squ)
+            _acc(out, swapped, c * squ)
     return out
 
 
@@ -139,46 +139,24 @@ def act_T_inverse(i, vec, dom=SYMBOLIC):
                    dom.one / dom.u - dom.one)
 
 
-def _vacc(out, idx, c):
-    """out[idx] += c, dropping zeros."""
-    c0 = out.get(idx)
-    if c0 is None:
-        if c:
-            out[idx] = c
-    else:
-        c0 = c0 + c
-        if c0:
-            out[idx] = c0
-        else:
-            del out[idx]
-
-
 # ---------------------------------------------------------------------------
 # representing algebra elements
 # ---------------------------------------------------------------------------
-
-class SparseOperator:
-    """A lazy linear operator on the tensor space."""
-
-    __slots__ = ("n", "dom", "_apply")
-
-    def __init__(self, n, apply_fn, dom=SYMBOLIC):
-        self.n = n
-        self.dom = dom
-        self._apply = apply_fn
-
-    def apply(self, vec):
-        return self._apply(vec)
-
-    def column(self, idx):
-        return self._apply(unit_vector(idx, self.dom))
-
 
 @functools.lru_cache(maxsize=None)
 def _block_leaders(I):
     """Pairs (m, k) of positions, k the first position of m's block of I."""
     lead = [I.rgs.index(label) for label in I.rgs]
     return tuple((m, k) for m, k in enumerate(lead) if m != k)
+
+
+def _by_word(terms):
+    """{reduced word of w: [(block leaders of I, c), ...]} over the
+    ((I, w), c) pairs of terms, in their order."""
+    words = {}
+    for (I, w), c in terms:
+        words.setdefault(w.reduced_word(), []).append((_block_leaders(I), c))
+    return words
 
 
 def _braid_image(word, images, dom):
@@ -212,9 +190,9 @@ def _permute_uppers(word, up):
 
 
 def represent(elem):
-    """The algebra homomorphism, extended linearly from the basis: E_I T_w
-    sends x to T_w x projected onto the indices whose upper values are
-    constant on each block of I.
+    """The algebra homomorphism, extended linearly from the basis, as a
+    function of sparse vectors: E_I T_w sends x to T_w x projected onto the
+    indices whose upper values are constant on each block of I.
 
     T_w carries each factor's upper value with it, so every term of T_w x
     has the upper values of x permuted by w: E_I T_w = T_w E_{w^-1 I}.  So
@@ -224,9 +202,7 @@ def represent(elem):
     suffix) only if some E_I paired with w keeps it; it is then added once,
     with the sum of the kept coefficients."""
     dom = elem.dom
-    ties = {}
-    for (I, w), c in elem.terms.items():
-        ties.setdefault(w.reduced_word(), []).append((_block_leaders(I), c))
+    ties = _by_word(elem.terms.items())
 
     def apply_fn(vec):
         parts = {}
@@ -245,7 +221,7 @@ def represent(elem):
                     vec_add(out, _braid_image(word, braided, dom), c)
         return out
 
-    return SparseOperator(elem.n, apply_fn, dom)
+    return apply_fn
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +273,7 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
         vectors = index_types(n) if exhaustive else [
             tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
             for _ in range(64)]
-        hom_ok = all(op_ab.apply(v) == op_a.apply(op_b.apply(v))
+        hom_ok = all(op_ab(v) == op_a(op_b(v))
                      for v in (unit_vector(x, dom) for x in vectors))
         hom_checked += 1
     checks.append({"id": "rep-homomorphism",
@@ -316,29 +292,28 @@ def _rank_rows(n, dom):
     index type x: row i is the i-th output index y of the images of x, in
     sorted order, and the entry (i, col, c) says that basis element col
     sends x to c y + (other indices).  Each braid image T_w x is made once
-    per type; E_I T_w keeps its term c y iff y's upper values are constant
-    on the blocks of I, so the columns of w that keep y are found once per
-    upper-value tuple of y."""
-    words = {}
-    for col, (I, w) in enumerate(BasisIndex(n).pairs):
-        words.setdefault(w.reduced_word(), []).append((col, _block_leaders(I)))
-    kept = {}   # (word, upper values) -> the columns of word keeping them
+    per type; every term of it has the upper values of x permuted by w, so
+    E_I T_w keeps all of T_w x or none of it, and the columns of w that keep
+    it are found once per word and upper-value tuple of x."""
+    words = _by_word((pair, col)
+                     for col, pair in enumerate(BasisIndex(n).pairs))
+    kept = {}   # (word, upper values of x) -> the columns keeping T_word x
     for x in index_types(n):
+        up = tuple(r for _, r in x)
         braided = {(): unit_vector(x, dom)}
         images = {word: _braid_image(word, braided, dom) for word in words}
         rows = {y: i for i, y in enumerate(sorted(
             set().union(*images.values())))}
         entries = []
         for word, img in images.items():
-            for y, c in img.items():
-                up = tuple(r for _, r in y)
-                cols = kept.get((word, up))
-                if cols is None:
-                    cols = kept[word, up] = [
-                        col for col, ties in words[word]
-                        if all(up[m] == up[k] for m, k in ties)]
-                i = rows[y]
-                entries.extend((i, col, c) for col in cols)
+            cols = kept.get((word, up))
+            if cols is None:
+                wup = _permute_uppers(word, up)
+                cols = kept[word, up] = [
+                    col for ties, col in words[word]
+                    if all(wup[m] == wup[k] for m, k in ties)]
+            entries.extend((rows[y], col, c)
+                           for y, c in img.items() for col in cols)
         yield len(rows), entries
 
 
@@ -387,11 +362,12 @@ def representation_rank(n, points=()):
 
 
 def export_operator_triplets(op, n, stream):
-    """Write the operator's nonzero entries as 'row col scalar' lines
+    """Write the nonzero entries of a symbolic operator (a function of
+    vectors, as :func:`represent` gives) as 'row col scalar' lines
     (integer-coded tensor indices, deterministic order)."""
     for x in tensor_basis(n):
         col = encode_index(x, n)
-        img = op.column(x)
+        img = op(unit_vector(x))
         for y in sorted(img, key=lambda t: encode_index(t, n)):
             stream.write("%d %d %s\n" % (encode_index(y, n), col, img[y]))
 
@@ -412,11 +388,11 @@ def act_F_direct(i, vec, dom=SYMBOLIC):
         if a == b:
             continue
         if a < b:
-            _vacc(out, idx, c * cu * dom.u)
-            _vacc(out, swapped, c * cu * squ)
+            _acc(out, idx, c * cu * dom.u)
+            _acc(out, swapped, c * cu * squ)
         else:
-            _vacc(out, idx, c * cu)
-            _vacc(out, swapped, c * cu * squ)
+            _acc(out, idx, c * cu)
+            _acc(out, swapped, c * cu * squ)
     return out
 
 

@@ -112,9 +112,6 @@ class TraceFunctional:
         self.implied_middle_rules = implied_middle_rules
         self.middle_rules = middle_rules
 
-    def value(self, I, w):
-        return self.table[(I, w)]
-
     def evaluate(self, elem):
         """Linear extension of the table to an arbitrary element."""
         if not self.exists:
@@ -172,8 +169,10 @@ def commutator_rows(index, ech):
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
     symbolic path keeps generic u and gives values as Scalars in A, B; with
-    a PrimeDomain the matrix lives in GF(p) and the values are ParamPoly."""
-    key = (n, tuple(dom.describe().items()))
+    a PrimeDomain the matrix lives in GF(p) and the values are ParamPoly.
+    Solved once per n, value of sqrt(u) and process, as the action tables
+    of :func:`btkit.quotient.generator_actions` are."""
+    key = (n, dom.sqrt_u)
     if key in _CACHE:
         return _CACHE[key]
     if n < 1:

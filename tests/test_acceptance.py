@@ -64,7 +64,7 @@ def test_criterion_2_identity_suites():
 
 def test_criterion_3a_steinberg_image_display():
     x = ((1, 1), (2, 1), (1, 2))
-    img = tn.represent(alg.steinberg(1, 2, 3)).apply(tn.unit_vector(x))
+    img = tn.represent(alg.steinberg(1, 2, 3))(tn.unit_vector(x))
     expected = {
         ((1, 1), (2, 1), (1, 2)): U,
         ((1, 1), (1, 2), (2, 1)): -U,
@@ -96,7 +96,7 @@ def test_criterion_3b_ideal_generator_killed_by_representation():
     basis = list(tn.tensor_basis(3))
     images = {}
     for x in basis:
-        img = op.apply(tn.unit_vector(x))
+        img = op(tn.unit_vector(x))
         if img:
             images[x] = img
     sectors = {r: [tuple((i, r) for i in lowers)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,37 @@ def test_markdown_format(capsys):
     assert code == 0
     assert out.startswith("# btkit relations report")
     assert "| id | instance | status |" in out
+
+
+# sha256 of cli.render_markdown over each golden report
+MARKDOWN_SHA256 = {
+    "quotient.json":
+        "3aafa21bbaf6032e8faa6d46b4dfec17074ff8557aeb7564559b951a75746f1d",
+    "quotient_n4.json":
+        "38994a6d0c9fcb43ccdb94211d6cc51ca7da06a30b80e3292cdc4d02b83919e4",
+    "rank.json":
+        "fed86737f546094a746ec5a9f8d575f3d45b533239ab02ab85bcc561aa1d9f62",
+    "rank_n4.json":
+        "a26964643fe240b5544d2a7f8b340d4f050162fb6a5de7435567584ea1f7268d",
+    "relations.json":
+        "ae441dfdc9fd064083cebc951e86c8beb7093de1e80961688301b323df3834b8",
+    "relations_n4.json":
+        "c919b75ea5c798b63f20b4d9c9bbd198ace86b4af3be78a8e848ff6b5b94ad26",
+    "trace.json":
+        "d6e619e15c2263a0ce3a0f5cb83c460cf7d23d01b7603f28f748e5c3785922df",
+    "trace_n4.json":
+        "705242803c86a489425c53c7f352cf98214e6af259d7ff7784fd0441e3e0c3f3",
+}
+
+
+def test_markdown_pinned():
+    # every section of the markdown renderer, Failures and Findings included
+    # (the quotient reports have both), pinned on the golden reports
+    assert sorted(os.listdir(GOLDEN)) == sorted(MARKDOWN_SHA256)
+    for name, digest in MARKDOWN_SHA256.items():
+        with open(os.path.join(GOLDEN, name)) as fh:
+            text = cli.render_markdown(json.load(fh))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_out_file(tmp_path, capsys):
@@ -249,14 +281,31 @@ def test_golden_relations_n4(capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-def run_fresh(code):
-    """Run Python code in a fresh interpreter that imports btkit from src/."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports btkit from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def run_fresh(code):
+    """Run Python code in a fresh interpreter that imports btkit from src/."""
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_refused_stdout_is_a_usage_error():
+    # a report that stdout refuses: exit 2 and one `error:` line, with no
+    # traceback and nothing more when the interpreter flushes at exit
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "btkit.cli", "relations", "--n", "2"],
+            env=fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
 
 def test_exact_suites_do_not_load_numpy(tmp_path):

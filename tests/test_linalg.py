@@ -18,7 +18,7 @@ def test_echelon_rank_and_reduce():
     assert ech.rank == 2
     red = ech.reduce([Fraction(2), Fraction(4), Fraction(0), Fraction(1)])
     assert red[0] == 0 and red[1] == 0
-    assert ech.is_zero_mod([Fraction(1), Fraction(2), Fraction(0), Fraction(0)])
+    assert ech.spans([[Fraction(1), Fraction(2), Fraction(0), Fraction(0)]])
 
 
 def test_echelon_gives_unique_representatives():
@@ -29,7 +29,7 @@ def test_echelon_gives_unique_representatives():
         ech.insert(list(r))
     # reduction is idempotent and kills the span
     for r in rows:
-        assert ech.is_zero_mod(list(r))
+        assert ech.spans([list(r)])
     v = [Fraction(rng.randint(-3, 3)) for _ in range(6)]
     red = ech.reduce(v)
     assert ech.reduce(red) == red

@@ -163,6 +163,12 @@ def test_parse_rejects_garbage():
                  "s^2^2", "s(2)", "'s'", ""):
         with pytest.raises(ValueError):
             parse_scalar(text)
+    # a sum too long to read: the walk recurses once per term, and Python's
+    # own parser gives up at a few thousand
+    for terms in (2000, 5000):
+        with pytest.raises(ValueError):
+            parse_scalar(" + ".join("%d*s^%d" % (k + 1, k)
+                                    for k in range(terms)))
 
 
 def test_golden_trace_values_round_trip():

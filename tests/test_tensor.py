@@ -163,7 +163,7 @@ def test_represented_basis_matches_conjugation_words():
         word = _basis_word(I, w)
         for x in tensor_basis(3):
             v = unit_vector(x)
-            assert op.apply(v) == _apply_oracle_word(word, v)
+            assert op(v) == _apply_oracle_word(word, v)
 
 
 def test_braid_inverse_operator():
@@ -179,7 +179,7 @@ def test_braid_inverse_operator():
 def test_steinberg_image_six_term_display():
     # the image of the Steinberg element on v_1^1 (x) v_2^1 (x) v_1^2
     x = ((1, 1), (2, 1), (1, 2))
-    img = represent(alg.steinberg(1, 2, 3)).apply(unit_vector(x))
+    img = represent(alg.steinberg(1, 2, 3))(unit_vector(x))
     assert img == {
         ((1, 1), (2, 1), (1, 2)): U,
         ((1, 1), (1, 2), (2, 1)): -U,
@@ -197,7 +197,7 @@ def test_tied_steinberg_image_is_not_zero():
     op = represent(alg.E(1, 3) * alg.E(2, 3) * alg.steinberg(1, 2, 3))
     surviving = []
     for x in tensor_basis(3):
-        if op.apply(unit_vector(x)):
+        if op(unit_vector(x)):
             surviving.append(x)
     assert len(surviving) == 18
     for x in surviving:
@@ -207,7 +207,7 @@ def test_tied_steinberg_image_is_not_zero():
         assert len(set(lowers)) == 3
     # the diagonal coefficient on v_1^r v_2^r v_3^r is u^3
     x = ((1, 1), (2, 1), (3, 1))
-    img = represent(alg.E(1, 3) * alg.E(2, 3) * alg.steinberg(1, 2, 3)).apply(
+    img = represent(alg.E(1, 3) * alg.E(2, 3) * alg.steinberg(1, 2, 3))(
         unit_vector(x))
     assert img[x] == U * U * U
 
@@ -222,11 +222,11 @@ def test_representation_is_multiplicative():
         op_a, op_b = represent(a), represent(b)
         for x in full:
             v = unit_vector(x)
-            assert op_ab.apply(v) == op_a.apply(op_b.apply(v))
+            assert op_ab(v) == op_a(op_b(v))
 
 
 def _braid_then_project(elem, vec):
-    """represent(elem).apply(vec) by the definition: for each term c E_I T_w,
+    """represent(elem)(vec) by the definition: for each term c E_I T_w,
     braid the whole vector by w, project each term by I (oracle for the
     upper-value skip in :func:`represent`)."""
     out = {}
@@ -259,9 +259,9 @@ def test_represent_matches_braid_then_project():
         op = represent(elem)
         for x in tn.index_types(n):
             v = unit_vector(x)
-            assert op.apply(v) == _braid_then_project(elem, v), (elem, x)
+            assert op(v) == _braid_then_project(elem, v), (elem, x)
         for v in sums:
-            assert op.apply(v) == _braid_then_project(elem, v), elem
+            assert op(v) == _braid_then_project(elem, v), elem
     assert len(tn.index_types(n)) == 65
     assert len(elems) == 30 + 3
 
@@ -281,7 +281,7 @@ def test_identity_representation():
     op = represent(alg.one(3))
     for x in itertools.islice(tensor_basis(3), 40):
         v = unit_vector(x)
-        assert op.apply(v) == v
+        assert op(v) == v
 
 
 def test_classical_harness():

@@ -30,16 +30,16 @@ def test_level2_table():
     assert tf.exists and tf.unique and tf.rank == 4
     unit, e = SetPartition.unit(2), Permutation.identity(2)
     s1, p1 = Permutation.transposition(1, 2), generator_partition(1, 2)
-    assert tf.value(unit, e) == ONE
-    assert tf.value(unit, s1) == A
-    assert tf.value(p1, e) == B
-    assert tf.value(p1, s1) == A
+    assert tf.table[unit, e] == ONE
+    assert tf.table[unit, s1] == A
+    assert tf.table[p1, e] == B
+    assert tf.table[p1, s1] == A
 
 
 def test_level3_exists_unique():
     tf = tr.solve_trace(3)
     assert tf.exists and tf.unique and tf.rank == 30
-    assert tf.value(SetPartition.unit(3), Permutation.identity(3)) == ONE
+    assert tf.table[SetPartition.unit(3), Permutation.identity(3)] == ONE
 
 
 def test_worked_example():
