@@ -235,6 +235,9 @@ def main(argv=None):
         except OSError as exc:
             print("error: cannot write the report to stdout: %s"
                   % exc.strerror, file=sys.stderr)
+            # the unwritten bytes stay in stdout's buffer; point fd 1 at
+            # devnull so that the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 2
     return 0 if report["summary"]["failed"] == 0 else 1
 

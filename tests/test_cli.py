@@ -297,13 +297,21 @@ def run_fresh(code):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_refused_stdout_is_a_usage_error():
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_refused_stdout_is_a_usage_error(unbuffered):
     # a report that stdout refuses: exit 2 and one `error:` line, with no
-    # traceback and nothing more when the interpreter flushes at exit
+    # traceback and nothing more when the interpreter flushes at exit.
+    # Buffered stdout (the default) keeps the short report until the flush
+    # fails; unbuffered stdout fails in the write itself
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         run = subprocess.run(
             [sys.executable, "-m", "btkit.cli", "relations", "--n", "2"],
-            env=fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True)
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True)
     assert run.returncode == 2
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
