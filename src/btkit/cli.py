@@ -18,7 +18,9 @@ import sys
 from fractions import Fraction
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
-MAX_N = {"relations": 4, "quotient": 5, "rank": 4, "trace": 4}
+MAX_N = {"relations": 4, "quotient": 5, "rank": 5, "trace": 4}
+# --export-ops writes every column of n^(2n) tensor indices: 65,536 at n = 4
+MAX_EXPORT_N = 4
 
 
 def _parse_points(text):
@@ -68,7 +70,8 @@ def build_parser():
         if name == "rank":
             p.add_argument("--export-ops", default=None, metavar="DIR",
                            help="export generator operator matrices as "
-                                "sparse triplet files")
+                                "sparse triplet files (n <= %d)"
+                                % MAX_EXPORT_N)
     return parser
 
 
@@ -107,7 +110,7 @@ def run_suite(args):
         raise UsageError("--jobs takes only 1, got %r" % args.jobs)
     ns = _n_values(args)
     points = _points(args)
-    _check_output_paths(args)
+    _check_output_paths(args, ns)
     if args.suite == "relations":
         report = suites.relations_suite(ns, seed=args.seed)
     elif args.suite == "quotient":
@@ -124,15 +127,19 @@ def run_suite(args):
     return report
 
 
-def _check_output_paths(args):
-    """Refuse, before the suite runs, a report file in no directory and an
-    operator directory that cannot be made (an ancestor is a file)."""
+def _check_output_paths(args, ns):
+    """Refuse, before the suite runs, a report file in no directory, an
+    operator directory that cannot be made (an ancestor is a file) and an
+    operator export beyond MAX_EXPORT_N."""
     if args.out is not None:
         folder = os.path.dirname(os.path.abspath(args.out))
         if os.path.isdir(args.out) or not os.path.isdir(folder):
             raise UsageError("cannot write the report to %r" % args.out)
     outdir = getattr(args, "export_ops", None)
     if outdir:
+        if ns[-1] > MAX_EXPORT_N:
+            raise UsageError("--export-ops takes n <= %d, got n=%d"
+                             % (MAX_EXPORT_N, ns[-1]))
         path = os.path.abspath(outdir)
         while not os.path.exists(path):
             path = os.path.dirname(path)

@@ -14,7 +14,8 @@ A tensor basis vector is a tuple of n factors, each factor a pair
 
 This representation is faithful (Ryom-Hansen, "On the representation theory
 of an algebra of braids and ties", J. Algebraic Combin. 2011): the rank of
-the represented basis equals dim E_n at n = 2, 3 and 4, so it does not kill
+the represented basis equals dim E_n at every sqrt(u) != 0 (proved at
+:func:`_rank_rows`, and computed at n = 2 to 5), so it does not kill
 the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
 small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
 at the bottom; it runs act_T on the factors v_1^1 and v_2^1, where all upper
@@ -287,18 +288,50 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
 # rank of the image of the algebra inside End(V^(x)n)
 # ---------------------------------------------------------------------------
 
+def _rank_types(n):
+    """The index types of the rank rows: first the Bell(n) indices
+    x_J = ((1, r_1), ..., (n, r_n)) with r = rgs(J) + 1, one per set
+    partition J in :func:`enumerate_partitions` order, then the other types
+    of :func:`index_types` in its order, which is made only if asked for."""
+    firsts = [tuple((i, r + 1) for i, r in enumerate(J.rgs, start=1))
+              for J in enumerate_partitions(n)]
+    yield from firsts
+    firsts = set(firsts)
+    yield from (x for x in index_types(n) if x not in firsts)
+
+
 def _rank_rows(n, dom):
     """The flattened-operator matrix as one sparse bundle (m, entries) per
-    index type x: row i is the i-th output index y of the images of x, in
-    sorted order, and the entry (i, col, c) says that basis element col
-    sends x to c y + (other indices).  Each braid image T_w x is made once
-    per type; every term of it has the upper values of x permuted by w, so
-    E_I T_w keeps all of T_w x or none of it, and the columns of w that keep
-    it are found once per word and upper-value tuple of x."""
+    index type x, in :func:`_rank_types` order: row i is the i-th output
+    index y of the images of x, in sorted order, and the entry (i, col, c)
+    says that basis element col sends x to c y + (other indices).  Each
+    braid image T_w x is made once per type; every term of it has the upper
+    values of x permuted by w, so E_I T_w keeps all of T_w x or none of it,
+    and the columns of w that keep it are found once per word and
+    upper-value tuple of x.
+
+    The first Bell(n) bundles, those of the x_J, have full rank
+    Bell(n) n! = dim E_n wherever s = sqrt(u) is nonzero:
+
+    - Rows.  T_w x_J is c_w (w x_J) plus terms at v x_J for shorter v, with
+      c_w a product of factors -1 and s, one per letter.  The lower values
+      of x_J are distinct, so the n! indices w x_J are distinct, and the
+      T_w x_J are unitriangular, hence independent when s != 0.  Every
+      output index is some v x_J, so each of these bundles has n! rows.
+    - Columns.  E_I T_w x_J is T_w x_J if the upper values permuted by w
+      are constant on the blocks of I, that is if I <= w(J), and 0
+      otherwise (the kept columns below).
+    - So if b = sum c_{I,w} E_I T_w kills every x_J, then for each w,
+      sum_{I <= K} c_{I,w} = 0 for every K = w(J), and K runs over all
+      partitions as J does.  The zeta matrix of the partition lattice is
+      unitriangular (Moebius inversion, Rota 1964), so every c_{I,w} = 0.
+
+    The rank is still computed, not assumed: :func:`_rank` walks the other
+    types too whenever the rank falls short of dim E_n."""
     words = _by_word((pair, col)
                      for col, pair in enumerate(BasisIndex(n).pairs))
     kept = {}   # (word, upper values of x) -> the columns keeping T_word x
-    for x in index_types(n):
+    for x in _rank_types(n):
         up = tuple(r for _, r in x)
         braided = {(): unit_vector(x, dom)}
         images = {word: _braid_image(word, braided, dom) for word in words}
@@ -333,7 +366,8 @@ def representation_rank(n, points=()):
 
     Symbolic (generic u) for n <= 3; every requested rational point of
     sqrt(u) is additionally checked, exactly for n <= 3 and in two prime
-    fields for n = 4 (agreement reported, not proven).
+    fields for n >= 4.  Full rank is proved at every s != 0 (see
+    :func:`_rank_rows`), and the computation confirms it.
     """
     dim = len(BasisIndex(n))
     report = {"n": n, "algebra_dim": dim, "points": [str(p) for p in points],

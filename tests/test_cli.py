@@ -175,6 +175,22 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_rank_bounds_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # rank runs up to n = 5, its operator export only up to n = 4; both
+    # refusals come before the suite runs
+    monkeypatch.setattr(suites, "rank_suite", None)
+    ops = tmp_path / "ops"
+    for argv in (["rank", "--n", "6"],
+                 ["rank", "--n", "5", "--export-ops", str(ops)],
+                 ["rank", "--n", "2", "--n-max", "5",
+                  "--export-ops", str(ops)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not ops.exists()
+
+
 def test_jobs_do_not_change_output(capsys, monkeypatch):
     # `--jobs 1` is still accepted, for scripts that pass it, and the
     # environment no longer holds a worker count

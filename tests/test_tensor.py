@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -319,13 +320,21 @@ def test_type_dedup_matches_naive_enumeration():
     assert e1.rank == e2.rank
 
 
+def _distinct_lowers_first(n):
+    """The index types with lower values 1..n in order (one per set
+    partition, in rgs order), then the others, each part in index_types
+    order."""
+    return sorted(tn.index_types(n),
+                  key=lambda x: [i for i, _ in x] != list(range(1, n + 1)))
+
+
 def _dense_bundles(n, dom):
     """Per index type, the dense rows of the projected images of every
     basis element, rows sorted by output index (oracle for the sparse
-    bundles of _rank_rows)."""
+    bundles of _rank_rows, in their order)."""
     pairs = [(I, [("T", i) for i in w.reduced_word()])
              for I, w in alg.BasisIndex(n).pairs]
-    for x in tn.index_types(n):
+    for x in _distinct_lowers_first(n):
         images = [_project(I, tn.apply_word(word, unit_vector(x, dom), dom))
                   for I, word in pairs]
         yield [[img.get(y, dom.zero) for img in images]
@@ -366,6 +375,27 @@ def test_rank_bundles_as_blocks_match_row_inserts():
         if block.rank == 360:
             break
     assert block.rank == 360
+
+
+def test_rank_reaches_full_rank_after_bell_bundles():
+    # the bundles of the Bell(n) indices with distinct lower values come
+    # first; each has n! rows, and together they reach dim E_n = Bell(n) n!
+    # with the last of them, not before
+    exact = (SYMBOLIC, RationalDomain(Fraction(5, 7)),
+             RationalDomain(Fraction(3, 2)))
+    primed = tuple(PrimeDomain(pt, p) for p in PRIMES
+                   for pt in (Fraction(5, 7), Fraction(3, 2)))
+    for n, bell, doms in ((2, 2, exact), (3, 5, exact), (4, 15, primed)):
+        dim = bell * math.factorial(n)
+        for dom in doms:
+            ech = dom.echelon(dim)
+            bundles = itertools.islice(tn._rank_rows(n, dom), bell)
+            for k, (m, entries) in enumerate(bundles, start=1):
+                assert m == math.factorial(n), (n, dom, k)
+                if k == bell:
+                    assert ech.rank < dim, (n, dom)
+                ech.insert_block(ech.from_entries(m, entries))
+            assert ech.rank == dim, (n, dom)
 
 
 def test_export_triplets_deterministic():
