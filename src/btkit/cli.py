@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 DEFAULT_N = {"relations": (3,), "quotient": (3,), "rank": (2, 3), "trace": (2, 3)}
-MAX_N = {"relations": 4, "quotient": 5, "rank": 5, "trace": 4}
+MAX_N = {"relations": 4, "quotient": 5, "rank": 5, "trace": 5}
 # --export-ops writes every column of n^(2n) tensor indices: 65,536 at n = 4
 MAX_EXPORT_N = 4
 

@@ -26,8 +26,8 @@ column, coefficient) entries.
 The affine system :class:`LinearSystem` is one echelon of its domain whose
 last columns hold the right-hand sides as coefficients, fed in blocks, in
 every domain.  It serves the trace solver, which feeds one system per level
-with table scatters of unit rows: the commutators x g - g x with the
-generators, and the tower rules.
+over the class roots of a weighted union-find (:func:`merge_classes`) with
+the tower rules and the longer commutators, folded onto the roots.
 """
 
 np = None
@@ -138,6 +138,43 @@ class Echelon:
         return [self.scatter(action, row) for row in rows]
 
 
+def merge_classes(width, rows, one):
+    """Weighted union-find on homogeneous sparse rows {column: nonzero
+    coefficient} over a field: a x + b y = 0 puts x = (-b/a) y in one class;
+    a x = 0, a cycle whose factors do not close to 1 or a merge with a
+    killed class kills the class.  Returns (root, factor, rest): x_k =
+    factor[k] x_root[k], root[k] None when killed, and the longer rows."""
+    parent, factor, killed, rest = list(range(width)), [one] * width, set(), []
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        f = one
+        for y in reversed(path):   # compress: each factor relative to x
+            f = factor[y] = factor[y] * f
+            parent[y] = x
+        return x, f
+
+    for row in filter(None, rows):   # a zero row says nothing
+        if len(row) > 2:
+            rest.append(row)
+            continue
+        (x, a), *more = row.items()
+        y, b = more[0] if more else (x, a - a)
+        (rx, fx), (ry, fy) = find(x), find(y)
+        if rx != ry:
+            parent[rx], factor[rx] = ry, -(b * fy) / (a * fx)
+            if rx in killed:
+                killed.add(ry)
+        elif a * fx + b * fy:
+            killed.add(rx)
+    found = [find(x) for x in range(width)]
+    return ([None if r in killed else r for r, _ in found],
+            [f for _, f in found], rest)
+
+
 class LinearSystem:
     """Affine system M x = R with k right-hand sides over a domain, as one
     echelon ``ech = dom.echelon(width + k)`` of rows [M | R], fed in blocks.
@@ -146,7 +183,7 @@ class LinearSystem:
     ``width`` only.  A reduced pivot row reads x_piv + (free part) = its
     right-hand sides."""
 
-    PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 2)
+    PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 1)
 
     def __init__(self, dom, width, k):
         self.width = width
@@ -180,7 +217,7 @@ class LinearSystem:
 class ModPLinearSystem(LinearSystem):
     """:class:`LinearSystem` under the name perfbench/tracer.py wraps.  It
     wraps each class's own ``add`` and ``reduce``, so the shim holds its own
-    (ROADMAP item 2 removes it)."""
+    (ROADMAP item 1 removes it)."""
 
     add = LinearSystem.add
     reduce = LinearSystem.reduce

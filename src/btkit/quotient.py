@@ -71,20 +71,20 @@ _ACTIONS = {}
 def generator_actions(index, ech):
     """{(name, i): table}: the action tables of left ("L") and right ("R")
     multiplication by every T_i and E_i, of right multiplication by F_i
-    ("RF"), and of the commutators x -> x T_i - T_i x ("CT") and
-    x -> x E_i - E_i x ("CE"), on coefficient rows over ``index``, packed
-    by ``ech`` (an echelon of the index's domain).  Each right table is
-    read off the engine's one-generator products of the basis elements:
-    basis element k contributes c times basis element l for each term
-    c E_I T_w of its product, with (I, w) at position l, and c is 1, u or
-    u - 1 for T_i and 1 for E_i.  Each left table is its right twin with
-    every position relabelled through the mirror (I, w) -> (w^-1 I, w^-1),
-    as g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`).  The
-    F_i table is that of (1 + T_i)/(u + 1), and a commutator table joins
-    the right table with the negated left one.  Built once per n, value of
-    sqrt(u) and process: the tables depend on nothing else, and a Scalar, a
-    Fraction and an IntMod (whose equality includes p) never compare
-    equal."""
+    ("RF"), on coefficient rows over ``index``, packed by ``ech`` (an
+    echelon of the index's domain), and the raw entries (sources, targets,
+    coefficients) of the commutators x -> x T_i - T_i x ("CT") and
+    x -> x E_i - E_i x ("CE").  Each right table is read off the engine's
+    one-generator products of the basis elements: basis element k
+    contributes c times basis element l for each term c E_I T_w of its
+    product, with (I, w) at position l, and c is 1, u or u - 1 for T_i and
+    1 for E_i.  Each left table is its right twin with every position
+    relabelled through the mirror (I, w) -> (w^-1 I, w^-1), as g x is the
+    mirror of mirror(x) g (see :mod:`btkit.algebra`).  The F_i table is that
+    of (1 + T_i)/(u + 1), and a commutator joins the right entries with the
+    negated left ones.  Built once per n, value of sqrt(u) and process: the
+    tables depend on nothing else, and a Scalar, a Fraction and an IntMod
+    (whose equality includes p) never compare equal."""
     n, dom = index.n, index.dom
     key = (n, dom.sqrt_u)
     if key not in _ACTIONS:
@@ -107,8 +107,8 @@ def generator_actions(index, ech):
                 ls, ld = [mirror[k] for k in src], [mirror[l] for l in dst]
                 tables["R" + g, i] = ech.pack(src, dst, coeff)
                 tables["L" + g, i] = ech.pack(ls, ld, coeff)
-                tables["C" + g, i] = ech.pack(src + ls, dst + ld,
-                                              coeff + [-c for c in coeff])
+                tables["C" + g, i] = (src + ls, dst + ld,
+                                      coeff + [-c for c in coeff])
                 if g == "T":
                     tables["RF", i] = ech.pack(
                         ks + src, ks + dst,

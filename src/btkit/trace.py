@@ -12,33 +12,33 @@ algebra of braids and ties", Moscow Math. J., 2016),
 
 with parameters A, B.  Symmetry needs only the commutators [x, g] with x a
 basis element and g a generator T_i or E_i: since [ab, c] = [a, bc] + [b, ca],
-these span every [a, b].  All rows are table scatters of unit rows through
-:func:`btkit.quotient.generator_actions` (the commutator tables for symmetry,
-the right T_{n-1}, E_{n-1} tables for the tower rules), and they feed a
-single system per level in blocks, in every domain, with the right-hand
-sides as coefficient columns, one per monomial A^a B^b with a + b < n, so
-the symbolic path eliminates Scalars in s only and forms the values in A, B
-once solved.  Existence (consistency) and uniqueness (full rank) are
-computed, not assumed.  The solver also reports how many instances of the
-middle rule are implied by the normalization, symmetry and the other two
-tower rules: the middle rows are reduced against the system in one batch
-before any middle row is added.
+these span every [a, b].  Most have one or two terms, the conjugation steps
+to the cocenter of an Iwahori-Hecke algebra (Geck and Pfeiffer, Adv. Math.
+102, 1993), and a weighted union-find merges them into classes.  Every other
+row is folded onto the live class roots and feeds one system per level in
+blocks, in every domain, with the right-hand sides as coefficient columns,
+one per monomial A^a B^b with a + b < n, so the symbolic path eliminates
+Scalars in s only and forms the values in A, B once solved.  Existence
+(consistency) and uniqueness (full rank) are computed, not assumed.  The
+solver also reports how many instances of the middle rule are implied by
+the normalization, symmetry and the other two tower rules: the middle rows
+are reduced against the system in one batch before any middle row is added.
 """
 
 from . import scalars
 from .algebra import BasisIndex
 from .domains import SYMBOLIC
-from .linalg import LinearSystem
+from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
-from .quotient import generator_actions, ideal_generator_element
+from .quotient import BLOCK, generator_actions, ideal_generator_element
 
 
 class ParamPoly:
     """Polynomial in the trace parameters with coefficients in a specialized
     domain: a trace value when u is specialized (the symbolic values are
     Scalars in s, A and B).  ``times_A`` and ``times_B`` have no caller but
-    perfbench/tracer.py, which wraps them by name (ROADMAP item 2)."""
+    perfbench/tracer.py, which wraps them by name (ROADMAP item 1)."""
 
     __slots__ = ("coeffs",)
 
@@ -140,30 +140,19 @@ def _value(dom, coeffs):
     return ParamPoly(coeffs)
 
 
-def _units(index, ech, pairs, extra=()):
-    """The unit rows of the basis elements E_I T_w at pairs = [(I, w), ...],
-    plus the extra (row, column, coefficient) entries."""
-    one = index.dom.one
-    return ech.from_entries(len(pairs), [
-        (k, index.index[pair], one) for k, pair in enumerate(pairs)]
-        + list(extra))
-
-
 _CACHE = {}
-BLOCK = 24   # unit rows per commutator block; larger ones only cost memory
 
 
-def commutator_rows(index, ech):
-    """The rows of x g - g x for every basis element x and every generator
-    g = T_i, E_i, in blocks: the scatters of BLOCK unit rows through each
-    commutator table.  They span the rows ab - ba of all pairs (see the
-    module docstring)."""
-    actions = generator_actions(index, ech)
-    for lo in range(0, len(index), BLOCK):
-        block = _units(index, ech, index.pairs[lo:lo + BLOCK])
-        for name in ("CT", "CE"):
-            for i in range(1, index.n):
-                yield ech.scatter_batch(actions[name, i], block)
+def _commutators(index, actions):
+    """The sparse rows {position: coefficient} of x g - g x for every basis
+    element x and generator g = T_i, E_i, from the raw commutator entries:
+    they span the rows ab - ba of all pairs (see the module docstring)."""
+    for name in ("CT", "CE"):
+        for i in range(1, index.n):
+            rows = [{} for _ in range(len(index))]
+            for s, d, c in zip(*actions[name, i]):
+                rows[s][d] = rows[s][d] + c if d in rows[s] else c
+            yield from ({d: c for d, c in row.items() if c} for row in rows)
 
 
 def solve_trace(n, dom=SYMBOLIC):
@@ -193,48 +182,60 @@ def solve_trace(n, dom=SYMBOLIC):
 
 
 def _solve(index, prev):
-    """(coeffs, exists, rank, implied middle rules) of one level, in blocks
-    on one LinearSystem whose right-hand sides are one column per monomial
-    A^a B^b, a + b < n: the normalization row, then the tower rows, then
-    the commutator blocks, then the middle rows after one reduction of them
-    counts those already implied."""
+    """(coeffs, exists, rank, implied middle rules) of one level: the
+    normalization, tower and longer commutator rows folded onto the live
+    roots of the short commutator rows, in blocks, then the middle rows
+    after one reduction of them counts those already implied."""
     n, width, dom = index.n, len(index), index.dom
     monos = [(a, b) for a in range(n) for b in range(n - a)]
-    col = {mono: k for k, mono in enumerate(monos)}
-    system = LinearSystem(dom, width, len(monos))
-    ech = system.ech
-    actions = generator_actions(index, ech)
+    full = dom.echelon(width + len(monos))
+    actions = generator_actions(index, full)
+    # the right-hand-side columns never meet a commutator: each its own root
+    root, factor, rest = merge_classes(
+        full.width, _commutators(index, actions), dom.one)
+    keep = [x for x in range(full.width) if root[x] is not None]
+    live = {r: k for k, r in enumerate(x for x in keep if root[x] == x)}
+    system = LinearSystem(dom, len(live) - len(monos), len(monos))
+    table = system.ech.pack(keep, [live[root[x]] for x in keep],
+                            [factor[x] for x in keep])
+    right_t, right_e = actions["RT", n - 1], actions["RE", n - 1]
 
-    def right(name, rows):
-        return ech.scatter_batch(actions[name, n - 1], rows)
+    def fold(rows, block=(), da=0, db=0):
+        """The rows folded onto the live roots, each with the right-hand
+        side A^da B^db times the value of the level below in block."""
+        for row, (_, coeffs) in zip(rows, block):
+            vec = [dom.zero] * len(monos)
+            for (a, b), c in coeffs.items():
+                vec[monos.index((a + da, b + db))] = c
+            row[width:] = full.from_coeffs(vec)
+        return system.ech.scatter_batch(table, rows)
 
-    def times(coeffs, da, db):
-        """The right-hand side A^da B^db times a value of the level below."""
-        vec = [dom.zero] * len(monos)
-        for (a, b), c in coeffs.items():
-            vec[col[a + da, b + db]] = c
-        return ech.from_coeffs(vec)
-
-    x = _units(index, ech,
-               [(SetPartition.unit(n), Permutation.identity(n))]
-               + [embed_pair(I, w, n) for I, w in prev.coeffs],
-               [(0, width + col[0, 0], dom.one)])
-    xt, xe = right("RT", x[1:]), right("RE", x[1:])
-    middle = right("RT", xe)
-    for k, pv in enumerate(prev.coeffs.values()):
-        xt[k][width:] = middle[k][width:] = times(pv, 1, 0)
-        xe[k][width:] = times(pv, 0, 1)
-    for rows in (x[:1], xt, xe):
-        system.add(rows)
-    for block in commutator_rows(index, ech):
-        system.add(block)
+    unit = index.index[SetPartition.unit(n), Permutation.identity(n)]
+    system.add(fold(full.from_entries(1, [(0, unit, dom.one)]),
+                    [(None, {(0, 0): dom.one})]))
+    items, middle = list(prev.coeffs.items()), []
+    for lo in range(0, len(items), BLOCK):
+        block = items[lo:lo + BLOCK]
+        x = full.from_entries(len(block), [
+            (k, index.index[embed_pair(I, w, n)], dom.one)
+            for k, ((I, w), _) in enumerate(block)])
+        xe = full.scatter_batch(right_e, x)
+        middle.extend(fold(full.scatter_batch(right_t, xe), block, 1, 0))
+        system.add(fold(full.scatter_batch(right_t, x), block, 1, 0))
+        system.add(fold(xe, block, 0, 1))
+    for lo in range(0, len(rest), BLOCK):
+        block = rest[lo:lo + BLOCK]
+        system.add(fold(full.from_entries(len(block), [
+            (i, d, c) for i, row in enumerate(block) for d, c in row.items()])))
     implied = sum(1 for row in system.reduce(middle) if not any(row))
     system.add(middle)
     sol = system.solution()
     coeffs = {} if sol is None else {
-        pair: {mono: c for mono, c in zip(monos, sol.get(k, ())) if c}
-        for k, pair in enumerate(index.pairs)}
-    return coeffs, sol is not None, system.rank, implied
+        pair: {mono: c * factor[x] for mono, c in
+               zip(monos, sol.get(live.get(root[x]), ())) if c}
+        for x, pair in enumerate(index.pairs)}
+    return (coeffs, sol is not None, full.width - len(live) + system.rank,
+            implied)
 
 
 def is_scalar_multiple(p, g):

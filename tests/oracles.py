@@ -1,10 +1,13 @@
 """Reference code for the tests that the library itself does not need: the
 permutation a word spells, random walks on the braid-move graph of reduced
-words (the oracle of the Matsumoto-invariance checks), and symbolic scalars
-specialized into a prime field."""
+words (the oracle of the Matsumoto-invariance checks), symbolic scalars
+specialized into a prime field, and the dense oracles of the trace's
+commutator classes."""
 
 import random
+from math import prod
 
+from btkit.algebra import E, T
 from btkit.domains import IntMod
 from btkit.permutations import Permutation
 
@@ -51,3 +54,44 @@ def in_prime_field(scalar, dom):
     """A symbolic scalar evaluated at the point of a PrimeDomain, in GF(p)."""
     q = scalar.evaluate(s=dom.point)
     return IntMod(q.numerator, dom.p) / IntMod(q.denominator, dom.p)
+
+
+def commutator_rows(index, ech):
+    """The rows x g - g x of every basis element x and every generator
+    g = T_i, E_i, from the engine's general products, in ech's format."""
+    n, dom = index.n, index.dom
+    basis = [index.basis_elem(k) for k in range(len(index))]
+    return [ech.from_coeffs(index.vector(x * g - g * x))
+            for g in [gen(i, n, dom) for gen in (T, E) for i in range(1, n)]
+            for x in basis]
+
+
+def _shapes(n, most=None):
+    """The integer partitions of n, parts at most ``most``."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, n if most is None else most), 0, -1):
+        for rest in _shapes(n - k, k):
+            yield (k,) + rest
+
+
+def _multipartitions(m, k):
+    """The number of k-tuples of partitions of total size m: the coefficient
+    of x^m in prod_i (1 - x^i)^-k."""
+    coeffs = [1] + [0] * m
+    for i in range(1, m + 1):
+        for _ in range(k):
+            for d in range(i, m + 1):
+                coeffs[d] += coeffs[d - i]
+    return coeffs[m]
+
+
+def generic_trace_space_dim(n):
+    """The sum over the shapes mu of n of |Irr W_mu|, W_mu the product over
+    the part sizes j of S_j wr S_{m_j} (m_j parts of size j), whose simple
+    modules are the p(j)-multipartitions of m_j: the number of simple
+    modules of the generically semisimple E_n, so the dimension of its
+    space of trace functionals (8, 22, 42 and 103 at n = 3..6)."""
+    return sum(prod(_multipartitions(mu.count(j), _multipartitions(j, 1))
+                    for j in set(mu))
+               for mu in _shapes(n))

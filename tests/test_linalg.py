@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from btkit import linalg
-from btkit.domains import PRIMES, IntMod, PrimeDomain, RationalDomain
-from btkit.linalg import Echelon, LinearSystem, ModPEchelon
+from btkit.domains import (PRIMES, SYMBOLIC, IntMod, PrimeDomain,
+                           RationalDomain)
+from btkit.linalg import Echelon, LinearSystem, ModPEchelon, merge_classes
 
 P = 1000000007
 
@@ -345,7 +346,8 @@ def test_exact_batch_methods_are_loops_over_rows():
     tables = generator_actions(index, ib.ech)
     rows = [SYMBOLIC.echelon(len(index)).from_coeffs(index.vector(
         index.basis_elem(k))) for k in range(0, len(index), 3)]
-    for table in tables.values():
+    # the commutator entries are raw, not packed
+    for table in (t for (name, _), t in tables.items() if name[0] != "C"):
         images = ib.ech.scatter_batch(table, rows)
         assert images == [ib.ech.scatter(table, row) for row in rows]
         assert (ib.ech.reduce_batch(images)
@@ -361,3 +363,65 @@ def test_exact_batch_methods_are_loops_over_rows():
     grown = sum(one.insert(row) for row in rows)
     assert block.insert_block(rows) == grown == 3
     assert (block.rows, block.pivots) == (one.rows, one.pivots)
+
+
+# the union-find of the trace solver on hand-made rows, in Q(s) and GF(p);
+# no level of the trace kills a class, so these are the only kills tested
+CLASS_DOMAINS = (SYMBOLIC, PrimeDomain(Fraction(5, 7), PRIMES[0]))
+
+
+def _classes(dom, width, *rows):
+    """merge_classes on rows given as {column: integer or "u"}."""
+    def coeff(c):
+        return dom.u if c == "u" else dom.of_int(c)
+    return merge_classes(width, [{j: coeff(c) for j, c in row.items()}
+                                 for row in rows], dom.one)
+
+
+def _same_class(root, factor, x, y, ratio):
+    """x and y share a live root, and x = ratio * y."""
+    return root[x] is not None and root[x] == root[y] \
+        and factor[x] == ratio * factor[y]
+
+
+@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
+def test_merge_classes_one_term_row_kills_its_class(dom):
+    # x0 = u x1, then u x1 = 0 kills both; x2 stays its own root, the zero
+    # row says nothing, and the three-term row is returned as it is
+    three = {2: dom.one, 3: dom.one, 4: dom.u}
+    root, factor, rest = merge_classes(5, [
+        {0: dom.one, 1: -dom.u}, {}, three, {1: dom.u}], dom.one)
+    assert root == [None, None, 2, 3, 4] and rest == [three]
+    assert factor[2] == factor[3] == dom.one
+
+
+@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
+def test_merge_classes_open_cycle_kills_its_root(dom):
+    # x0 = -u x1, x1 = x2, x2 = x0: then x0 = -u x0, and u != -1
+    root, _, _ = _classes(dom, 4, {0: 1, 1: "u"}, {1: 1, 2: -1},
+                          {2: 1, 0: -1})
+    assert root == [None, None, None, 3]
+
+
+@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
+def test_merge_classes_closed_cycle_keeps_its_root(dom):
+    # x0 = -u x1 (the row x0 + u x1), x1 = x2, u x2 = -x0: consistent
+    root, factor, rest = _classes(dom, 4, {0: 1, 1: "u"}, {1: 1, 2: -1},
+                                  {2: "u", 0: 1})
+    assert rest == [] and root[3] == 3 and root[0] is not None
+    assert _same_class(root, factor, 0, 1, -dom.u)
+    assert _same_class(root, factor, 1, 2, dom.one)
+    assert factor[root[0]] == dom.one
+
+
+@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
+def test_merge_classes_merge_with_a_killed_class_kills(dom):
+    # {x0} is killed, {x1, x2} and {x3, x4} are live; a row joining x0 and
+    # x1 kills x1, x2, and one joining x4 and x0 (killed class second)
+    # kills x3, x4; x5 stays
+    root, factor, _ = _classes(dom, 6, {0: 2}, {1: 1, 2: 1}, {3: "u", 4: 1})
+    assert root[0] is None and _same_class(root, factor, 1, 2, -dom.one)
+    assert _same_class(root, factor, 3, 4, -dom.one / dom.u)
+    root, _, _ = _classes(dom, 6, {0: 2}, {1: 1, 2: 1}, {3: "u", 4: 1},
+                          {0: 1, 1: -1}, {4: 3, 0: 1})
+    assert root == [None] * 5 + [5]

@@ -12,8 +12,9 @@ from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain
 from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
-from btkit.quotient import ideal_generator_element
-from oracles import in_prime_field
+from btkit.linalg import merge_classes
+from btkit.quotient import generator_actions, ideal_generator_element
+from oracles import commutator_rows, generic_trace_space_dim, in_prime_field
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
 
@@ -198,8 +199,7 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
     # span the same symmetry rows as all basis pairs
     index = alg.BasisIndex(3, dom)
     comm, pairs = dom.echelon(len(index)), dom.echelon(len(index))
-    comm_rows = [row for block in tr.commutator_rows(index, comm)
-                 for row in block]
+    comm_rows = commutator_rows(index, comm)
     pair_rows = _all_pair_rows(index, pairs)
     assert len(comm_rows) == 30 * 4
     for row in comm_rows:
@@ -208,3 +208,38 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
         pairs.insert(row)
     assert comm.rank == pairs.rank == 22
     assert comm.spans(pair_rows) and pairs.spans(comm_rows)
+
+
+# (live class roots, commutator rows of three or more terms) at n = 3, 4
+CLASS_COUNTS = {3: (14, 28), 4: (78, 645)}
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (3, PrimeDomain(Fraction(5, 7), PRIMES[0])),
+    (4, PrimeDomain(Fraction(5, 7), PRIMES[0])),
+    (4, PrimeDomain(Fraction(3, 2), PRIMES[1]))],
+    ids=["n3-symbolic", "n3-prime", "n4-5_7", "n4-3_2"])
+def test_commutator_classes_match_dense_oracle(n, dom):
+    # the one- and two-term commutator rows merge the positions into
+    # classes, and the longer rows, folded onto the live roots, leave a
+    # trace space as large as the dense rank of every commutator row says,
+    # and as the generic count of simple modules: 8 at n = 3, 22 at n = 4
+    index = alg.BasisIndex(n, dom)
+    width = len(index)
+    actions = generator_actions(index, dom.echelon(width))
+    root, factor, rest = merge_classes(width, tr._commutators(index, actions),
+                                       dom.one)
+    live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
+    assert (len(live), len(rest)) == CLASS_COUNTS[n]
+    folded = dom.echelon(len(live))
+    for row in rest:
+        vec = [dom.zero] * len(live)
+        for d, c in row.items():
+            if root[d] is not None:
+                vec[live[root[d]]] = vec[live[root[d]]] + c * factor[d]
+        folded.insert(folded.from_coeffs(vec))
+    dense = dom.echelon(width)
+    dense.insert_block(commutator_rows(index, dense))
+    assert width - len(live) + folded.rank == dense.rank
+    assert len(live) - folded.rank == width - dense.rank \
+        == generic_trace_space_dim(n) == {3: 8, 4: 22}[n]
