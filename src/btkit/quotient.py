@@ -82,12 +82,15 @@ def generator_actions(index, ech):
     relabelled through the mirror (I, w) -> (w^-1 I, w^-1), as g x is the
     mirror of mirror(x) g (see :mod:`btkit.algebra`).  The F_i table is that
     of (1 + T_i)/(u + 1), and a commutator joins the right entries with the
-    negated left ones.  Built once per n, value of sqrt(u) and process: the
-    tables depend on nothing else, and a Scalar, a Fraction and an IntMod
-    (whose equality includes p) never compare equal."""
+    negated left ones.  Built once per n and value of sqrt(u): the tables
+    depend on nothing else, and a Scalar, a Fraction and an IntMod (whose
+    equality includes p) never compare equal.  Only the last table set is
+    kept, as every suite finishes with one (n, sqrt(u)) before it starts
+    the next; at n = 5 one set holds about 16 MiB."""
     n, dom = index.n, index.dom
     key = (n, dom.sqrt_u)
     if key not in _ACTIONS:
+        _ACTIONS.clear()
         products = {"T": AlgebraElement.right_mul_T,
                     "E": AlgebraElement.right_mul_E}
         basis = [index.basis_elem(k) for k in range(len(index))]

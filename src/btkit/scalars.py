@@ -320,6 +320,10 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a or not c:
             return ZERO
+        if a == _P_ONE and b == _P_ONE:
+            return other
+        if c == _P_ONE and d == _P_ONE:
+            return self
         if b == _P_ONE and d == _P_ONE:
             return Scalar(_p_mul(a, c), _P_ONE, _canonical=True)
         g1 = _p_gcd(a, d)

@@ -151,6 +151,8 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
                 checks.append(_entry(
                     "tied-generator-two-sided-flip", [n, label],
                     _flip_generator_contained(n, dom, ib)))
+            # release this combination's ideals before the next is built
+            del ib, ib_untied
         if len(combos) > 1:
             checks.append(_entry("quotient-dim-agreement", [n],
                                  len(set(dims)) == 1 and len(set(udims)) == 1

@@ -244,6 +244,13 @@ def _rel_images(rel, params, x, dom):
     return lhs, rhs
 
 
+def _agree_on(lhs, rhs, xs, dom):
+    """lhs(e_x) == rhs(e_x) for every n-factor index x in xs, checked on one
+    vector: the t-th index gets the extra last factor (t, 0)."""
+    vec = {x + ((t, 0),): dom.one for t, x in enumerate(xs)}
+    return lhs(vec) == rhs(vec)
+
+
 def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
     """Exact operator-equality check of every defining-relation instance,
     plus a homomorphism spot check represent(a*b) == represent(a)represent(b)
@@ -255,6 +262,16 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
     full space, and checked against a full-space run in the tests).  At
     n <= 3 the homomorphism check is exhaustive, on one index per type; at
     n >= 4 it samples 64 random indices per pair.
+
+    The three operators of a pair are applied once each, to one vector
+    (:func:`_agree_on`): the t-th test index x_t gets an extra last factor
+    (t, 0).  No operator touches factor n + 1, so each sends
+    e_{x_t (x) (t, 0)} to op(e_{x_t}) (x) (t, 0), by linearity the batch
+    image is the sum of these, and images of different tags share no
+    index.  So the two sides agree on the batch iff they agree on every
+    e_{x_t}, repeated indices included.  The tag's upper value is the
+    constant 0, so :func:`represent` braids all indices with the same upper
+    values as one part.
     """
     checks = []
     for rel, params in relation_instances(n):
@@ -274,8 +291,7 @@ def verify_relations_in_rep(n, dom=SYMBOLIC, seed=0, hom_pairs=100):
         vectors = index_types(n) if exhaustive else [
             tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
             for _ in range(64)]
-        hom_ok = all(op_ab(v) == op_a(op_b(v))
-                     for v in (unit_vector(x, dom) for x in vectors))
+        hom_ok = _agree_on(op_ab, lambda v: op_a(op_b(v)), vectors, dom)
         hom_checked += 1
     checks.append({"id": "rep-homomorphism",
                    "instance": [hom_checked, "pairs",

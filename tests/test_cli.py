@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from btkit import cli, quotient, suites, trace
-from btkit.domains import PointError
+from btkit.domains import PRIMES, PointError, PrimeDomain
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -203,6 +203,33 @@ def test_jobs_do_not_change_output(capsys, monkeypatch):
     code3, out3 = run_cli(base, capsys)
     assert code3 == 0
     assert out3 == out2
+
+
+class _RecordingCache(dict):
+    """A table cache that records every key it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, key, value):
+        self.built.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("suite, levels", [("quotient", [4]),
+                                           ("trace", [2, 3, 4])])
+def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
+    # each (n, sqrt(u)) table set is built once, and only the last is kept
+    tables = _RecordingCache()
+    monkeypatch.setattr(quotient, "_ACTIONS", tables)
+    monkeypatch.setattr(trace, "_CACHE", {})
+    run_cli([suite, "--n", "4", "--format", "json"], capsys)
+    expected = [(n, PrimeDomain(pt, p).sqrt_u)
+                for pt, p in zip(suites.DEFAULT_POINTS, PRIMES)
+                for n in levels]
+    assert tables.built == expected
+    assert list(tables) == expected[-1:]
 
 
 def test_points_beyond_the_primes_are_refused_at_n4(capsys):

@@ -105,6 +105,28 @@ def test_field_axioms_randomized():
             assert (x / w) * w == x
 
 
+def test_products_by_one_are_the_other_factor():
+    # a product by exactly 1 is the other factor, whichever side 1 is on
+    # and however 1 was made; products by -1 are negatives
+    rng = random.Random(17)
+    xs = [rand_scalar(rng, allow_params=bool(k % 2)) for k in range(150)]
+    xs += [sc.ZERO, ONE, -ONE, A, -B, -TWO / (U + ONE), (A - B) / (S - TWO)]
+    assert any(x.den != sc._P_ONE for x in xs)
+    assert any(not in_s(x) for x in xs)
+    ones = (ONE, Scalar.from_int(1), (U + ONE) / (U + ONE), parse_scalar("1"))
+    m = -ONE
+    for x in xs:
+        for one in ones:
+            for y in (x * one, one * x):
+                assert y == x and hash(y) == hash(x) and str(y) == str(x)
+        assert x * m == m * x == -x == sc.ZERO - x
+        assert x * m * m == x and m * m == ONE
+        assert x * m + x == sc.ZERO
+    for x, y in zip(xs, xs[1:]):
+        assert (x * m) * y == x * (m * y) == -(x * y)
+        assert x * (y + m) == x * y - x
+
+
 def test_evaluate_is_homomorphism():
     rng = random.Random(13)
     pt = dict(s=Fraction(5, 7), A=Fraction(2), B=Fraction(-3, 4))

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from btkit import algebra as alg
 from btkit import scalars as sc
 from btkit import tensor as tn
@@ -270,6 +272,80 @@ def test_represent_matches_braid_then_project():
 def test_operator_relations():
     for c in tn.verify_relations_in_rep(3, seed=1, hom_pairs=100):
         assert c["ok"], c
+
+
+def test_batch_check_sees_a_swap_of_two_indices():
+    # swapping two test indices leaves the sum of their unit vectors alone,
+    # but not either vector; the tag factor tells the indices apart
+    n = 3
+    xs = tn.index_types(n)[:5]
+    swap = {xs[0]: xs[1], xs[1]: xs[0]}
+
+    def swapped(vec):
+        return {swap.get(y[:n], y[:n]) + y[n:]: c for y, c in vec.items()}
+
+    def same(vec):
+        return dict(vec)
+
+    untagged = {x: ONE for x in xs}
+    assert swapped(untagged) == same(untagged)
+    assert not tn._agree_on(same, swapped, xs, SYMBOLIC)
+    assert tn._agree_on(swapped, swapped, xs, SYMBOLIC)
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 20), (4, 5)])
+def test_batch_image_is_each_index_image_tagged(n, pairs):
+    # each operator of a pair sends the tagged batch to the images of the
+    # test indices one by one, each with its index's tag appended
+    rng = random.Random(n)
+    for _ in range(pairs):
+        a = alg.random_basis_element(n, rng)
+        b = alg.random_basis_element(n, rng)
+        xs = tn.index_types(n) if n <= 3 else [
+            tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
+            for _ in range(64)]
+        batches = []   # the vector the check builds, as both sides get it
+        tn._agree_on(batches.append, batches.append, xs, SYMBOLIC)
+        batch = batches[0]
+        assert len(batch) == len(xs) == (65 if n == 3 else 64)
+        op_a, op_b = represent(a), represent(b)
+        for op in (represent(a * b), op_a, op_b,
+                   lambda v: op_a(op_b(v))):
+            expected = {}
+            for t, x in enumerate(xs):
+                expected.update((y + ((t, 0),), c)
+                                for y, c in op(unit_vector(x)).items())
+            assert op(batch) == expected
+
+
+@pytest.mark.parametrize("k", [1, 37, 100])
+def test_wrong_image_in_one_pair_is_reported_at_that_pair(k, monkeypatch):
+    # represent(a * b) of the k-th pair is wrong at one index type only
+    n = 3
+    x0 = tn.index_types(n)[40]
+    real = tn.represent
+    calls = []
+
+    def represent_with_fault(elem):
+        op = real(elem)
+        calls.append(elem)
+        if len(calls) != 3 * (k - 1) + 1:
+            return op
+
+        def wrong(vec):
+            out = op(vec)
+            for y in vec:
+                if y[:n] == x0:
+                    alg._acc(out, y, ONE)
+            return out
+        return wrong
+
+    monkeypatch.setattr(tn, "represent", represent_with_fault)
+    (hom,) = [c for c in tn.verify_relations_in_rep(n)
+              if c["id"] == "rep-homomorphism"]
+    assert hom["instance"] == [k, "pairs", "exhaustive"]
+    assert hom["ok"] is False
+    assert len(calls) == 3 * k
 
 
 def test_window_reduction_matches_full_space():
