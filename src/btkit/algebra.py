@@ -522,14 +522,14 @@ def lemma_sides(lemma, params, n, dom=SYMBOLIC):
     raise ValueError("unknown lemma id %r" % lemma)
 
 
-def verify_relations(n, dom=SYMBOLIC):
+def verify_relations(n):
     """Exact check of every defining-relation instance (and the named
     identity suites) inside the engine.  Returns a list of check dicts."""
     checks = []
     for instances, sides in ((relation_instances, relation_sides),
                              (lemma_instances, lemma_sides)):
         for rel, params in instances(n):
-            lhs, rhs = sides(rel, params, n, dom)
+            lhs, rhs = sides(rel, params, n)
             ok = lhs == rhs
             entry = {"id": rel, "instance": list(params), "ok": ok}
             if not ok:

@@ -10,8 +10,8 @@ There is one echelon class per kind of field, and each owns its row format:
 :class:`ModPEchelon` serves GF(p) (int64 numpy rows in a matrix allocated
 once, numpy imported on first use).  Each converts domain coefficient lists
 to rows and back, and packs and applies the generator action tables of
-:func:`btkit.quotient.generator_actions` (``pack``, ``scatter``), so callers
-run one body of code in every domain.  Both take blocks of rows
+:func:`btkit.quotient.generator_actions` (``pack``, ``scatter_batch``), so
+callers run one body of code in every domain.  Both take blocks of rows
 (``insert_block``, ``reduce_batch``, ``scatter_batch``): :class:`Echelon`
 loops over the rows.  :class:`ModPEchelon` packs a table in layers with
 distinct targets, one gather-multiply-add each, and inserts a block with two
@@ -124,18 +124,18 @@ class Echelon:
         # c - c is the field's zero, for the targets no source reaches
         return list(zip(src, dst, coeff)), coeff[0] - coeff[0]
 
-    def scatter(self, action, row):
-        """The image of row under a packed action table."""
-        entries, zero = action
-        out = [zero] * self.width
-        for s, d, c in entries:
-            x = row[s]
-            if x:
-                out[d] = out[d] + x * c
-        return out
-
     def scatter_batch(self, action, rows):
-        return [self.scatter(action, row) for row in rows]
+        """The images of rows under a packed action table."""
+        entries, zero = action
+        out = []
+        for row in rows:
+            img = [zero] * self.width
+            for s, d, c in entries:
+                x = row[s]
+                if x:
+                    img[d] = img[d] + x * c
+            out.append(img)
+        return out
 
 
 def merge_classes(width, rows, one):
@@ -391,9 +391,6 @@ class ModPEchelon:
             first, np.diff(first, append=len(dst)))
         return [(src[at], dst[at], coeff[at])
                 for at in (layer == k for k in range(layer.max() + 1))]
-
-    def scatter(self, action, row):
-        return self.scatter_batch(action, [row])[0]
 
     def scatter_batch(self, action, rows):
         """The images of the rows of a matrix under a packed action table:

@@ -212,31 +212,27 @@ def presentation_instances(n):
     return out
 
 
+# the identities that are a lemma or a defining relation of the algebra
+_INHERITED = {
+    "quot-F-square": (algebra.lemma_sides, "F-square"),
+    "quot-L-idempotent": (algebra.lemma_sides, "idem-L-square"),
+    "quot-tie-idempotent": (algebra.relation_sides, "tie-idempotent"),
+    "quot-tie-commute": (algebra.relation_sides, "tie-commute"),
+}
+
+
 def presentation_sides(pid, params, n, dom=SYMBOLIC):
+    if pid in _INHERITED:
+        sides, name = _INHERITED[pid]
+        return sides(name, params, n, dom)
     u1 = dom.u_minus_1
-    up1 = dom.u + dom.one
-    delta = (dom.one - dom.u) / up1
-    cu = dom.one / up1
-    if pid == "quot-F-square":
-        (i,) = params
-        fi, ei = F(i, n, dom), E(i, n, dom)
-        return fi * fi, fi.scale(dom.one + delta) - (ei * fi).scale(delta)
-    if pid == "quot-L-idempotent":
-        (i,) = params
-        li = L(i, n, dom)
-        return li * li, li
+    cu = dom.one / (dom.u + dom.one)
     if pid == "quot-F-E-own":
         (i,) = params
         return E(i, n, dom) * F(i, n, dom), F(i, n, dom) * E(i, n, dom)
     if pid == "quot-L-E-own":
         (i,) = params
         return E(i, n, dom) * L(i, n, dom), L(i, n, dom) * E(i, n, dom)
-    if pid == "quot-tie-idempotent":
-        (i,) = params
-        return E(i, n, dom) * E(i, n, dom), E(i, n, dom)
-    if pid == "quot-tie-commute":
-        i, j = params
-        return E(i, n, dom) * E(j, n, dom), E(j, n, dom) * E(i, n, dom)
     if pid == "quot-F-commute":
         i, j = params
         return F(i, n, dom) * F(j, n, dom), F(j, n, dom) * F(i, n, dom)
@@ -302,34 +298,31 @@ def presentation_sides(pid, params, n, dom=SYMBOLIC):
     raise ValueError("unknown presentation identity %r" % pid)
 
 
-def verify_presentations(n, ib, dom=SYMBOLIC, ib_untied=None):
+def verify_presentations(ib, ib_untied):
     """Check every presentation identity in the algebra itself, modulo the
-    defining (tied) ideal, and optionally modulo the bare-Steinberg ideal.
+    defining (tied) ideal ``ib``, and modulo the bare-Steinberg ideal
+    ``ib_untied``.
 
     The sandwich identities are scalar multiples of the bare Steinberg
     element, so they fail in the algebra and hold exactly modulo the
     untied ideal; everything else holds outright.  ``ok`` records the
     expected pattern; ``holds_mod_ideal`` is the raw computation against
     the quotient's own ideal."""
+    n, dom = ib.index.n, ib.index.dom
     checks = []
     for pid, params in presentation_instances(n):
         lhs, rhs = presentation_sides(pid, params, n, dom)
         diff = lhs - rhs
         in_algebra = diff.is_zero()
-        mod_ideal = in_algebra or ib.contains(diff)
-        expected_in_algebra = not pid.endswith("sandwich")
-        entry = {
+        mod_steinberg = in_algebra or ib_untied.contains(diff)
+        checks.append({
             "id": pid,
             "instance": list(params),
             "holds_in_algebra": in_algebra,
-            "holds_mod_ideal": mod_ideal,
-            "ok": in_algebra == expected_in_algebra,
-        }
-        if ib_untied is not None:
-            entry["holds_mod_steinberg_ideal"] = (
-                in_algebra or ib_untied.contains(diff))
-            entry["ok"] = entry["ok"] and entry["holds_mod_steinberg_ideal"]
-        checks.append(entry)
+            "holds_mod_ideal": in_algebra or ib.contains(diff),
+            "ok": (in_algebra != pid.endswith("sandwich")) and mod_steinberg,
+            "holds_mod_steinberg_ideal": mod_steinberg,
+        })
     return checks
 
 
@@ -359,13 +352,14 @@ def enumerate_F_reduced(n):
 # spanning evidence for the conjectured quotient basis
 # ---------------------------------------------------------------------------
 
-def spanning_check(n, ib, dom=SYMBOLIC):
-    """Rank, modulo the ideal, of the candidate basis {E_I F}: partitions
-    times F-reduced words.  rank == quotient dim holds iff the candidates
-    span the quotient; rank == Bell(n)*Catalan(n) is conjecture evidence.
-    At n = 3 they span the bare-Steinberg quotient but not the defining
-    one, where they stay independent (rank 25 < 29)."""
-    index = ib.index if ib is not None else BasisIndex(n, dom)
+def spanning_check(ib):
+    """Rank, modulo the ideal ``ib``, of the candidate basis {E_I F}:
+    partitions times F-reduced words.  rank == quotient dim holds iff the
+    candidates span the quotient; rank == Bell(n)*Catalan(n) is conjecture
+    evidence.  At n = 3 they span the bare-Steinberg quotient but not the
+    defining one, where they stay independent (rank 25 < 29)."""
+    index = ib.index
+    n, dom = index.n, index.dom
     words = enumerate_F_reduced(n)
     parts = enumerate_partitions(n)
     ech = dom.echelon(len(index))
@@ -378,15 +372,11 @@ def spanning_check(n, ib, dom=SYMBOLIC):
             rows = ties[lo:lo + BLOCK]
             for i in w:
                 rows = ech.scatter_batch(tables["RF", i], rows)
-            if ib is not None:
-                rows = ib.ech.reduce_batch(rows)
+            rows = ib.ech.reduce_batch(rows)
             nonzero += sum(1 for row in rows if any(row))
             ech.insert_block(rows)
     return {
-        "n": n,
         "candidates": len(parts) * len(words),
         "nonzero_candidates": nonzero,
         "spanning_rank": ech.rank,
-        "quotient_dim": ib.quotient_dim if ib is not None else len(index),
-        "conjectured_dim": len(parts) * len(words),
     }

@@ -239,28 +239,21 @@ def _solve(index, prev):
 
 
 def is_scalar_multiple(p, g):
-    """Whether p = c * g for a coefficient c; returns (ok, c)."""
+    """Whether p = c * g for a coefficient c."""
     if p.is_zero():
-        return True, p.dom.zero
-    ratio = None
+        return True
     for key, cg in g.terms.items():
         cp = p.terms.get(key)
-        if cp is None:
-            continue
-        ratio = cp / cg
-        break
-    if ratio is None:
-        return False, None
-    return (p == g.scale(ratio)), ratio
+        if cp is not None:
+            return p == g.scale(cp / cg)
+    return False
 
 
-def factorization_condition(tf3=None):
+def factorization_condition(tf3):
     """The obstruction for the level-3 trace to vanish on the quotient
     ideal: rho_3(E_1 E_2 T_{12}) as a polynomial in A, B, its two vanishing
     lines A = -B and A = -B/(1+u), and the scalar-multiple property
-    z * g in K g for every basis element z."""
-    if tf3 is None:
-        tf3 = solve_trace(3)
+    z * g in K g for every basis element z, for the level-3 trace tf3."""
     if not tf3.exists:
         raise ValueError("level-3 trace does not exist")
     g = ideal_generator_element(3)
@@ -271,13 +264,6 @@ def factorization_condition(tf3=None):
     at_minus_B_over = value.subs(A=-B / (ONE + U))
     at_equal = value.subs(A=B)
     index = BasisIndex(3)
-    multiples = []
-    all_multiples = True
-    for k in range(len(index)):
-        z = index.basis_elem(k)
-        ok, ratio = is_scalar_multiple(z * g, g)
-        all_multiples = all_multiples and ok
-        multiples.append(str(ratio) if ok else None)
     return {
         "value": str(value),
         "matches_expected": value == expected,
@@ -285,6 +271,7 @@ def factorization_condition(tf3=None):
         "vanishes_at_A_eq_minus_B_over_1_plus_u": not at_minus_B_over,
         "nonzero_at_A_eq_B": bool(at_equal),
         "value_at_A_eq_B": str(at_equal),
-        "scalar_multiple_step": all_multiples,
-        "scalar_multiple_ratios": multiples,
+        "scalar_multiple_step": all(
+            is_scalar_multiple(index.basis_elem(k) * g, g)
+            for k in range(len(index))),
     }

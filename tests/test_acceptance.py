@@ -47,7 +47,7 @@ def test_criterion_1_defining_relations_exact():
         lemmas = {lemma for lemma, _ in alg.lemma_instances(n)}
         engine = [c for c in alg.verify_relations(n) if c["id"] not in lemmas]
         ok = ok and all(c["ok"] for c in engine)
-        rep = tn.verify_relations_in_rep(n, seed=0, hom_pairs=10)
+        rep = tn.verify_relations_in_rep(n, seed=0)
         ok = ok and all(c["ok"] for c in rep if c["id"] != "rep-homomorphism")
     assert _line(1, ok, "relations (1)-(9) exact in engine and operators, n=3,4")
 
@@ -199,8 +199,8 @@ def test_criterion_7_spanning_rank_equals_quotient_dimension():
     # E_J T_{w0} reduces to shorter terms, so there the candidates span.
     ib = qt.build_ideal(3, generator=qt.ideal_generator_element(3))
     bare = qt.build_ideal(3, tied=False)
-    span = qt.spanning_check(3, ib)
-    span_bare = qt.spanning_check(3, bare)
+    span = qt.spanning_check(ib)
+    span_bare = qt.spanning_check(bare)
     conjectured = bell_number(3) * qt.catalan_number(3)
     ok = span["candidates"] == span["nonzero_candidates"] == conjectured == 25
     ok = ok and span["spanning_rank"] == 25
@@ -254,7 +254,7 @@ def test_criterion_9_property_suites():
             for _ in range(3):
                 word = random_braid_walk(w.reduced_word(), steps=8, rng=rng)
                 ok = ok and alg.T_word(word, n) == canonical
-    rep = tn.verify_relations_in_rep(3, seed=5, hom_pairs=100)
+    rep = tn.verify_relations_in_rep(3, seed=5)
     hom = [c for c in rep if c["id"] == "rep-homomorphism"]
     ok = ok and hom and hom[0]["ok"]
     for n in (2, 3, 4):

@@ -337,7 +337,8 @@ def test_block_insert_matches_row_inserts(p, monkeypatch):
 
 def test_exact_batch_methods_are_loops_over_rows():
     # on the symbolic n = 3 tables, Echelon's batch methods agree with its
-    # one-row insert, reduce and scatter
+    # one-row insert and reduce, and a scatter of the block with its rows
+    # scattered one at a time
     from btkit.algebra import BasisIndex
     from btkit.domains import SYMBOLIC
     from btkit.quotient import build_ideal, generator_actions
@@ -349,7 +350,8 @@ def test_exact_batch_methods_are_loops_over_rows():
     # the commutator entries are raw, not packed
     for table in (t for (name, _), t in tables.items() if name[0] != "C"):
         images = ib.ech.scatter_batch(table, rows)
-        assert images == [ib.ech.scatter(table, row) for row in rows]
+        assert images == [ib.ech.scatter_batch(table, [row])[0]
+                          for row in rows]
         assert (ib.ech.reduce_batch(images)
                 == [ib.ech.reduce(row) for row in images])
         one, block = Echelon(len(index)), Echelon(len(index))

@@ -1,17 +1,14 @@
 """Every public function and class in ``src/btkit`` has a caller outside
 the tests: its own module, another btkit module, or the benchmark harness
 in ``perfbench/``.  A name only the tests use is a test oracle, and it
-belongs under ``tests/``.  The names the package itself exports resolve,
-on first use, to the objects of their home modules."""
+belongs under ``tests/``.  Importing the package loads none of its
+modules."""
 
 import ast
 import glob
-import importlib
 import os
 import subprocess
 import sys
-
-import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,42 +53,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-# the names `btkit` exports, by home module
-EXPORTS = {
-    "algebra": ["AlgebraElement", "BasisIndex", "E", "E_arc", "E_of_partition",
-                "F", "L", "T", "gamma", "gamma_inverse", "inverse_T", "one",
-                "steinberg", "verify_relations"],
-    "domains": ["SYMBOLIC", "PrimeDomain", "RationalDomain"],
-    "partitions": ["SetPartition", "arc_partition", "bell_number",
-                   "enumerate_partitions", "generator_partition"],
-    "permutations": ["Permutation", "enumerate_permutations"],
-    "quotient": ["IdealBasis", "build_ideal", "catalan_number",
-                 "enumerate_F_reduced", "spanning_check",
-                 "verify_ideal_closure", "verify_presentations"],
-    "scalars": ["Scalar", "parse_scalar"],
-    "tensor": ["classical_jimbo_check", "represent", "representation_rank",
-               "verify_relations_in_rep"],
-    "trace": ["TraceFunctional", "factorization_condition", "solve_trace"],
-}
-
-
-def test_package_exports_resolve_lazily_to_their_home_modules():
-    import btkit
-
-    names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 40
-    assert sorted(btkit.__all__) == sorted(names)
-    assert set(names) <= set(dir(btkit))
-    for module, group in EXPORTS.items():
-        home = importlib.import_module("btkit." + module)
-        for name in group:
-            scope = {}
-            exec("from btkit import %s" % name, scope)
-            assert scope[name] is getattr(home, name), name
-    with pytest.raises(AttributeError):
-        btkit.no_such_name
-    with pytest.raises(ImportError):
-        exec("from btkit import no_such_name", {})
+def test_importing_the_package_loads_no_submodule():
     # in a fresh interpreter, importing the package and listing it load no
     # submodule
     code = ("import sys, btkit\ndir(btkit)\n"

@@ -97,7 +97,7 @@ def test_equal_mod_ideal_is_equivalence():
 def test_presentation_pattern_n3():
     ib = build_ideal(3)
     ib_untied = build_ideal(3, tied=False)
-    checks = verify_presentations(3, ib, SYMBOLIC, ib_untied)
+    checks = verify_presentations(ib, ib_untied)
     for c in checks:
         if c["id"].endswith("sandwich"):
             # equivalent to the bare Steinberg relation: fails in the
@@ -132,22 +132,16 @@ def test_F_reduced_words():
 
 def test_spanning_n3():
     ib = build_ideal(3)
-    span = spanning_check(3, ib)
+    span = spanning_check(ib)
     assert span["candidates"] == 25 == bell_number(3) * catalan_number(3)
     assert span["nonzero_candidates"] == 25
     # the candidates stay independent modulo the tied ideal but do not span
     assert span["spanning_rank"] == 25
-    assert span["quotient_dim"] == 29
+    assert ib.quotient_dim == 29
     untied = build_ideal(3, tied=False)
-    span_untied = spanning_check(3, untied)
+    span_untied = spanning_check(untied)
     # they do span the bare-Steinberg quotient
     assert span_untied["spanning_rank"] == untied.quotient_dim == 19
-
-
-def test_spanning_n2_without_ideal():
-    span = spanning_check(2, None)
-    assert span["candidates"] == 4
-    assert span["spanning_rank"] == 4 == span["quotient_dim"]
 
 
 def test_n4_specialized_dimensions_agree():
@@ -157,15 +151,60 @@ def test_n4_specialized_dimensions_agree():
         ib = build_ideal(4, dom)
         assert verify_ideal_closure(ib)
         untied = build_ideal(4, dom, tied=False)
-        span = spanning_check(4, ib, dom)
+        span = spanning_check(ib)
         dims.append((ib.dim, untied.dim, span["spanning_rank"],
-                     spanning_check(4, untied, dom)["spanning_rank"]))
+                     spanning_check(untied)["spanning_rank"]))
     assert dims[0] == dims[1]
     ideal_dim, untied_dim, span_rank, untied_rank = dims[0]
     assert ideal_dim == 26 and 360 - ideal_dim == 334
     assert untied_dim == 262 and 360 - untied_dim == 98
     assert span_rank == 210      # candidates independent mod the tied ideal
     assert untied_rank == 98     # candidates span the untied quotient
+
+
+def test_tied_ideal_calls_come_before_the_bare_steinberg_build(monkeypatch):
+    # at n = 5 the bare-Steinberg ideal is 8 times the tied one, so each
+    # combination of the suite builds it only after every ideal build and
+    # spanning check on the tied side
+    from btkit import suites
+    build, span = qt.build_ideal, qt.spanning_check
+    calls, untied = [], []
+
+    def record_build(n, dom=SYMBOLIC, *args, **kwargs):
+        ib = build(n, dom, *args, **kwargs)
+        tied = kwargs.get("tied", True)
+        if not tied:
+            untied.append(ib)
+        calls.append((dom, "build", tied))
+        return ib
+
+    def record_span(*args):
+        ib = next(a for a in args if isinstance(a, IdealBasis))
+        tied = not any(ib is u for u in untied)
+        calls.append((ib.index.dom, "span", tied))
+        return span(*args)
+
+    monkeypatch.setattr(qt, "build_ideal", record_build)
+    monkeypatch.setattr(qt, "spanning_check", record_span)
+    report = suites.quotient_suite([4])
+    doms = []
+    for dom, _, _ in calls:
+        if not any(dom is d for d in doms):
+            doms.append(dom)
+    per_combo = [[(call, tied) for d, call, tied in calls if d is dom]
+                 for dom in doms]
+    for seq in per_combo:
+        cut = seq.index(("build", False))
+        assert all(not tied for _, tied in seq[cut:]), seq
+    # the first combination also builds the (2, 3) and the flipped ideals
+    assert per_combo == [
+        [("build", True), ("span", True), ("build", True), ("build", True),
+         ("build", False), ("span", False)],
+        [("build", True), ("span", True), ("build", False)]]
+    agreement = [c for c in report["checks"]
+                 if c["id"] == "quotient-dim-agreement"]
+    assert [(c["status"], c["dims"], c["spans"]) for c in agreement] == [
+        ("pass", [26, 26], [210, 210])]
 
 
 def test_n4_ideal_independent_of_generator_pair():
@@ -249,8 +288,8 @@ def test_action_tables_match_engine_products(n, dom):
             if name[0] == "C":
                 assert rows[k] == index.vector(x * g - g * x), (name, i, k)
                 continue
-            image = ech.to_coeffs(
-                ech.scatter(table, ech.from_coeffs(index.vector(x))))
+            image = ech.to_coeffs(ech.scatter_batch(
+                table, [ech.from_coeffs(index.vector(x))])[0])
             expected = {"L": g * x, "R": x * g}[name[0]]
             assert image == index.vector(expected), (name, i, k)
 

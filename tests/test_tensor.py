@@ -270,7 +270,7 @@ def test_represent_matches_braid_then_project():
 
 
 def test_operator_relations():
-    for c in tn.verify_relations_in_rep(3, seed=1, hom_pairs=100):
+    for c in tn.verify_relations_in_rep(3, seed=1):
         assert c["ok"], c
 
 
