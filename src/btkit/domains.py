@@ -40,10 +40,9 @@ class SymbolicDomain:
     def of_int(k):
         return Scalar.from_int(k)
 
-    @staticmethod
-    def echelon(width):
+    def echelon(self, width):
         from .linalg import Echelon
-        return Echelon(width)
+        return Echelon(width, self.zero)
 
     def __repr__(self):
         return "SymbolicDomain()"
@@ -68,10 +67,9 @@ class RationalDomain:
     def of_int(k):
         return Fraction(k)
 
-    @staticmethod
-    def echelon(width):
+    def echelon(self, width):
         from .linalg import Echelon
-        return Echelon(width)
+        return Echelon(width, self.zero)
 
     def __repr__(self):
         return "RationalDomain(s=%s)" % self.s

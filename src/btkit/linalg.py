@@ -6,12 +6,13 @@ is zero in all other rows), so reducing a vector against the span is a single
 pass and yields the unique representative with zero coordinates at the pivots.
 
 There is one echelon class per kind of field, and each owns its row format:
-:class:`Echelon` serves the exact fields (lists of Scalar or Fraction),
-:class:`ModPEchelon` serves GF(p) (int64 numpy rows in a matrix allocated
-once, numpy imported on first use).  Each converts domain coefficient lists
-to rows and back, and packs and applies the generator action tables of
-:func:`btkit.quotient.generator_actions` (``pack``, ``scatter_batch``), so
-callers run one body of code in every domain.  Both take blocks of rows
+:class:`Echelon` serves the exact fields (lists of Scalar or Fraction,
+filled with the domain's zero), :class:`ModPEchelon` serves GF(p) (int64
+numpy rows in a matrix allocated once, numpy imported on first use).  Each
+converts domain coefficient lists to rows and back, and packs and applies
+the generator action tables of :func:`btkit.quotient.generator_actions`
+(``pack``, ``scatter_batch``), so callers run one body of code in every
+domain.  Both take blocks of rows
 (``insert_block``, ``reduce_batch``, ``scatter_batch``): :class:`Echelon`
 loops over the rows.  :class:`ModPEchelon` packs a table in layers with
 distinct targets, one gather-multiply-add each, and inserts a block with two
@@ -21,13 +22,13 @@ reducing the block against the basis and one clearing the block's new pivots
 from the old rows (per CHUNK old rows, so the temporaries stay bounded as the
 basis grows), with the block echelonized in between; ``insert`` is its
 one-row case.  ``from_entries`` makes a block of rows from sparse (row,
-column, coefficient) entries.
+column, coefficient) entries, with none for a block of zero rows.
 
 The affine system :class:`LinearSystem` is one echelon of its domain whose
 last columns hold the right-hand sides as coefficients, fed in blocks, in
-every domain.  It serves the trace solver, which feeds one system per level
-over the class roots of a weighted union-find (:func:`merge_classes`) with
-the tower rules and the longer commutators, folded onto the roots.
+every domain.  The trace solver feeds one system per level with sparse rows
+folded onto the class roots of a weighted union-find (:func:`merge_classes`),
+made into blocks by ``from_entries``; it uses no action table.
 """
 
 np = None
@@ -44,8 +45,9 @@ def _import_numpy():
 class Echelon:
     """Reduced row echelon form over an exact field, rows as dense lists."""
 
-    def __init__(self, width):
+    def __init__(self, width, zero=0):
         self.width = width
+        self.zero = zero
         self.rows = []
         self.pivots = []          # pivot column of each row
         self._pivot_row = {}      # column -> row index
@@ -106,11 +108,8 @@ class Echelon:
         return vec
 
     def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries, of
-        which there is at least one: the field's zero is c - c for the
-        first coefficient c."""
-        zero = entries[0][2] - entries[0][2]
-        rows = [[zero] * self.width for _ in range(m)]
+        """m rows, zero but for the (row, column, coefficient) entries."""
+        rows = [[self.zero] * self.width for _ in range(m)]
         for i, j, c in entries:
             rows[i][j] = c
         return rows
@@ -121,16 +120,14 @@ class Echelon:
 
     @staticmethod
     def pack(src, dst, coeff):
-        # c - c is the field's zero, for the targets no source reaches
-        return list(zip(src, dst, coeff)), coeff[0] - coeff[0]
+        return list(zip(src, dst, coeff))
 
     def scatter_batch(self, action, rows):
         """The images of rows under a packed action table."""
-        entries, zero = action
         out = []
         for row in rows:
-            img = [zero] * self.width
-            for s, d, c in entries:
+            img = [self.zero] * self.width
+            for s, d, c in action:
                 x = row[s]
                 if x:
                     img[d] = img[d] + x * c
@@ -367,11 +364,11 @@ class ModPEchelon:
         return np.array([c.v for c in vec], dtype=np.int64)
 
     def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries, of
-        which there is at least one."""
+        """m rows, zero but for the (row, column, coefficient) entries."""
         out = np.zeros((m, self.width), dtype=np.int64)
-        i, j, c = zip(*entries)
-        out[i, j] = [x.v for x in c]
+        if entries:
+            i, j, c = zip(*entries)
+            out[i, j] = [x.v for x in c]
         return out
 
     def to_coeffs(self, row):

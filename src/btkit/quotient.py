@@ -15,10 +15,10 @@ as one block, so the GF(p) echelon does its elimination in a few BLAS
 products of bounded size instead of one product per row.
 
 Every generator multiplication here is a table scatter on coefficient rows
-(:func:`generator_actions`).  The tables are read off the engine's own
-one-generator products, and the domain's echelon class packs and applies
-them, so the closure, the closure check and the spanning check have one body
-for every domain.
+(:func:`generator_actions`).  The domain's echelon class packs the tables
+from the engine's one-generator products (:func:`right_products`) and
+applies them, so the closure, the closure check and the spanning check have
+one body for every domain.
 """
 
 from math import comb
@@ -65,57 +65,58 @@ class IdealBasis:
         return self.ech.spans([self._to_row(elem)])
 
 
+def right_products(index):
+    """(rows, mirror): rows[g, i][k] is the sparse row {position:
+    coefficient} of the engine's product x_k g_i of basis element k by
+    g_i = T_i, E_i (coefficients 1, u, u - 1 for T_i, 1 for E_i), and the
+    involution mirror[k] is the position of (w^-1 I, w^-1) for (I, w) at k:
+    g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`)."""
+    basis = [index.basis_elem(k) for k in range(len(index))]
+    rows = {(g, i): [{index.index[pair]: c
+                      for pair, c in product(x, i).terms.items()}
+                     for x in basis]
+            for g, product in (("T", AlgebraElement.right_mul_T),
+                               ("E", AlgebraElement.right_mul_E))
+            for i in range(1, index.n)}
+    mirror = [index.index[I.apply(w.inverse()), w.inverse()]
+              for I, w in index.pairs]
+    return rows, mirror
+
+
 _ACTIONS = {}
 
 
 def generator_actions(index, ech):
     """{(name, i): table}: the action tables of left ("L") and right ("R")
-    multiplication by every T_i and E_i, of right multiplication by F_i
+    multiplication by every T_i and E_i, and of right multiplication by F_i
     ("RF"), on coefficient rows over ``index``, packed by ``ech`` (an
-    echelon of the index's domain), and the raw entries (sources, targets,
-    coefficients) of the commutators x -> x T_i - T_i x ("CT") and
-    x -> x E_i - E_i x ("CE").  Each right table is read off the engine's
-    one-generator products of the basis elements: basis element k
-    contributes c times basis element l for each term c E_I T_w of its
-    product, with (I, w) at position l, and c is 1, u or u - 1 for T_i and
-    1 for E_i.  Each left table is its right twin with every position
-    relabelled through the mirror (I, w) -> (w^-1 I, w^-1), as g x is the
-    mirror of mirror(x) g (see :mod:`btkit.algebra`).  The F_i table is that
-    of (1 + T_i)/(u + 1), and a commutator joins the right entries with the
-    negated left ones.  Built once per n and value of sqrt(u): the tables
-    depend on nothing else, and a Scalar, a Fraction and an IntMod (whose
-    equality includes p) never compare equal.  Only the last table set is
-    kept, as every suite finishes with one (n, sqrt(u)) before it starts
-    the next; at n = 5 one set holds about 16 MiB."""
-    n, dom = index.n, index.dom
-    key = (n, dom.sqrt_u)
+    echelon of the index's domain) from the rows of :func:`right_products`.
+    Each left table is its right twin relabelled through the mirror, and
+    the F_i table is that of (1 + T_i)/(u + 1).  Built once per n and value
+    of sqrt(u): the tables depend on nothing else, and a Scalar, a Fraction
+    and an IntMod (whose equality includes p) never compare equal.  Only
+    the last table set is kept, as every suite finishes with one
+    (n, sqrt(u)) before it starts the next; at n = 5 one set holds about
+    16 MiB."""
+    dom = index.dom
+    key = (index.n, dom.sqrt_u)
     if key not in _ACTIONS:
         _ACTIONS.clear()
-        products = {"T": AlgebraElement.right_mul_T,
-                    "E": AlgebraElement.right_mul_E}
-        basis = [index.basis_elem(k) for k in range(len(index))]
+        rows, mirror = right_products(index)
         ks = list(range(len(index)))
-        mirror = [index.index[I.apply(w.inverse()), w.inverse()]
-                  for I, w in index.pairs]
         cu = dom.one / (dom.u + dom.one)
         tables = {}
-        for g, product in products.items():
-            for i in range(1, n):
-                src, dst, coeff = [], [], []
-                for k, x in enumerate(basis):
-                    for pair, c in product(x, i).terms.items():
-                        src.append(k)
-                        dst.append(index.index[pair])
-                        coeff.append(c)
-                ls, ld = [mirror[k] for k in src], [mirror[l] for l in dst]
-                tables["R" + g, i] = ech.pack(src, dst, coeff)
-                tables["L" + g, i] = ech.pack(ls, ld, coeff)
-                tables["C" + g, i] = (src + ls, dst + ld,
-                                      coeff + [-c for c in coeff])
-                if g == "T":
-                    tables["RF", i] = ech.pack(
-                        ks + src, ks + dst,
-                        [c * cu for c in [dom.one] * len(ks) + coeff])
+        for (g, i), images in rows.items():
+            src = [k for k, row in enumerate(images) for _ in row]
+            dst = [l for row in images for l in row]
+            coeff = [c for row in images for c in row.values()]
+            tables["R" + g, i] = ech.pack(src, dst, coeff)
+            tables["L" + g, i] = ech.pack([mirror[k] for k in src],
+                                          [mirror[l] for l in dst], coeff)
+            if g == "T":
+                tables["RF", i] = ech.pack(
+                    ks + src, ks + dst,
+                    [c * cu for c in [dom.one] * len(ks) + coeff])
         _ACTIONS[key] = tables
     return _ACTIONS[key]
 

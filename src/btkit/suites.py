@@ -195,15 +195,16 @@ def _reduction_sanity(ib, seed):
     return True
 
 
+def _same_ideal(ib, other):
+    # of equal dimension, one ideal inside the other is the other
+    return other.dim == ib.dim and ib.ech.spans(other.ech.rows)
+
+
 def _alt_pair_equality(ib12):
     from . import quotient
     n, dom = ib12.index.n, ib12.index.dom
-    # of equal dimension, one ideal inside the other is the other
-    for pair in [(i, i + 1) for i in range(2, n - 1)]:
-        other = quotient.build_ideal(n, dom, pair=pair, index=ib12.index)
-        if other.dim != ib12.dim or not ib12.ech.spans(other.ech.rows):
-            return False
-    return True
+    return all(_same_ideal(ib12, quotient.build_ideal(
+        n, dom, pair=(i, i + 1), index=ib12.index)) for i in range(2, n - 1))
 
 
 def _flip_generator_contained(ib):
@@ -212,11 +213,8 @@ def _flip_generator_contained(ib):
     # T_{12} E_1 E_2 generates the same two-sided ideal as E_1 E_2 T_{12}
     flipped = (algebra.steinberg(1, 2, n, dom)
                * algebra.E(1, n, dom) * algebra.E(2, n, dom))
-    if not ib.contains(flipped):
-        return False
-    other = quotient.build_ideal(n, dom, index=ib.index, generator=flipped)
-    g = quotient.ideal_generator_element(n, dom)
-    return other.contains(g) and other.dim == ib.dim
+    return _same_ideal(ib, quotient.build_ideal(n, dom, index=ib.index,
+                                                generator=flipped))
 
 
 def rank_suite(ns, points=DEFAULT_POINTS):

@@ -31,7 +31,7 @@ from .domains import SYMBOLIC
 from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
-from .quotient import BLOCK, generator_actions, ideal_generator_element
+from .quotient import BLOCK, ideal_generator_element, right_products
 
 
 class ParamPoly:
@@ -143,24 +143,24 @@ def _value(dom, coeffs):
 _CACHE = {}
 
 
-def _commutators(index, actions):
-    """The sparse rows {position: coefficient} of x g - g x for every basis
-    element x and generator g = T_i, E_i, from the raw commutator entries:
-    they span the rows ab - ba of all pairs (see the module docstring)."""
-    for name in ("CT", "CE"):
-        for i in range(1, index.n):
-            rows = [{} for _ in range(len(index))]
-            for s, d, c in zip(*actions[name, i]):
-                rows[s][d] = rows[s][d] + c if d in rows[s] else c
-            yield from ({d: c for d, c in row.items() if c} for row in rows)
+def _commutators(rows, mirror):
+    """The sparse rows {position: coefficient} of x g - mirror(mirror(x) g)
+    = x g - g x for every basis element x and generator g = T_i, E_i, from
+    :func:`btkit.quotient.right_products`: they span every ab - ba."""
+    for images in rows.values():
+        for k, row in enumerate(images):
+            row = dict(row)
+            for l, c in images[mirror[k]].items():
+                d = mirror[l]
+                row[d] = row[d] - c if d in row else -c
+            yield {d: c for d, c in row.items() if c}
 
 
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
     symbolic path keeps generic u and gives values as Scalars in A, B; with
     a PrimeDomain the matrix lives in GF(p) and the values are ParamPoly.
-    Solved once per n, value of sqrt(u) and process, as the action tables
-    of :func:`btkit.quotient.generator_actions` are."""
+    Solved once per n, value of sqrt(u) and process."""
     key = (n, dom.sqrt_u)
     if key in _CACHE:
         return _CACHE[key]
@@ -182,51 +182,51 @@ def solve_trace(n, dom=SYMBOLIC):
 
 
 def _solve(index, prev):
-    """(coeffs, exists, rank, implied middle rules) of one level: the
-    normalization, tower and longer commutator rows folded onto the live
-    roots of the short commutator rows, in blocks, then the middle rows
-    after one reduction of them counts those already implied."""
+    """(coeffs, exists, rank, implied middle rules) of one level, from
+    sparse rows {position: coefficient}: the normalization, x T_{n-1},
+    x E_{n-1} and (x E_{n-1}) T_{n-1} for each basis element x of the level
+    below, and the longer commutators, folded onto the live roots of the
+    short ones, their right-hand sides in the columns after, in blocks.  The
+    middle rows go last, after one reduction counts those already implied."""
     n, width, dom = index.n, len(index), index.dom
-    monos = [(a, b) for a in range(n) for b in range(n - a)]
-    full = dom.echelon(width + len(monos))
-    actions = generator_actions(index, full)
-    # the right-hand-side columns never meet a commutator: each its own root
-    root, factor, rest = merge_classes(
-        full.width, _commutators(index, actions), dom.one)
-    keep = [x for x in range(full.width) if root[x] is not None]
-    live = {r: k for k, r in enumerate(x for x in keep if root[x] == x)}
-    system = LinearSystem(dom, len(live) - len(monos), len(monos))
-    table = system.ech.pack(keep, [live[root[x]] for x in keep],
-                            [factor[x] for x in keep])
-    right_t, right_e = actions["RT", n - 1], actions["RE", n - 1]
+    monos = {(a, b): k for k, (a, b) in enumerate(
+        (a, b) for a in range(n) for b in range(n - a))}
+    rows, mirror = right_products(index)
+    root, factor, rest = merge_classes(width, _commutators(rows, mirror),
+                                       dom.one)
+    live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
+    system = LinearSystem(dom, len(live), len(monos))
 
-    def fold(rows, block=(), da=0, db=0):
-        """The rows folded onto the live roots, each with the right-hand
-        side A^da B^db times the value of the level below in block."""
-        for row, (_, coeffs) in zip(rows, block):
-            vec = [dom.zero] * len(monos)
-            for (a, b), c in coeffs.items():
-                vec[monos.index((a + da, b + db))] = c
-            row[width:] = full.from_coeffs(vec)
-        return system.ech.scatter_batch(table, rows)
+    def fold(block, da=0, db=0):
+        """The (row, value) pairs as system rows, each with the right-hand
+        side A^da B^db times the value {(a, b): c} of the level below."""
+        entries = []
+        for i, (row, value) in enumerate(block):
+            out = {}
+            for x, c in row.items():
+                if root[x] is not None:
+                    k, c = live[root[x]], c * factor[x]
+                    out[k] = out[k] + c if k in out else c
+            out.update((len(live) + monos[a + da, b + db], c)
+                       for (a, b), c in value.items())
+            entries.extend((i, k, c) for k, c in out.items())
+        return system.ech.from_entries(len(block), entries)
 
     unit = index.index[SetPartition.unit(n), Permutation.identity(n)]
-    system.add(fold(full.from_entries(1, [(0, unit, dom.one)]),
-                    [(None, {(0, 0): dom.one})]))
-    items, middle = list(prev.coeffs.items()), []
-    for lo in range(0, len(items), BLOCK):
-        block = items[lo:lo + BLOCK]
-        x = full.from_entries(len(block), [
-            (k, index.index[embed_pair(I, w, n)], dom.one)
-            for k, ((I, w), _) in enumerate(block)])
-        xe = full.scatter_batch(right_e, x)
-        middle.extend(fold(full.scatter_batch(right_t, xe), block, 1, 0))
-        system.add(fold(full.scatter_batch(right_t, x), block, 1, 0))
-        system.add(fold(xe, block, 0, 1))
+    system.add(fold([({unit: dom.one}, {(0, 0): dom.one})]))
+    right_t, right_e = rows["T", n - 1], rows["E", n - 1]
+    below = [(index.index[embed_pair(I, w, n)], value)
+             for (I, w), value in prev.coeffs.items()]
+    for lo in range(0, len(below), BLOCK):
+        block = below[lo:lo + BLOCK]
+        system.add(fold([(right_t[x], value) for x, value in block], 1))
+        system.add(fold([(right_e[x], value) for x, value in block], 0, 1))
     for lo in range(0, len(rest), BLOCK):
-        block = rest[lo:lo + BLOCK]
-        system.add(fold(full.from_entries(len(block), [
-            (i, d, c) for i, row in enumerate(block) for d, c in row.items()])))
+        system.add(fold([(row, {}) for row in rest[lo:lo + BLOCK]]))
+    # x E_{n-1} is one basis element xe, with coefficient c
+    middle = fold([({d: c * v for xe, c in right_e[x].items()
+                     for d, v in right_t[xe].items()}, value)
+                   for x, value in below], 1)
     implied = sum(1 for row in system.reduce(middle) if not any(row))
     system.add(middle)
     sol = system.solution()
@@ -234,8 +234,7 @@ def _solve(index, prev):
         pair: {mono: c * factor[x] for mono, c in
                zip(monos, sol.get(live.get(root[x]), ())) if c}
         for x, pair in enumerate(index.pairs)}
-    return (coeffs, sol is not None, full.width - len(live) + system.rank,
-            implied)
+    return coeffs, sol is not None, width - len(live) + system.rank, implied
 
 
 def is_scalar_multiple(p, g):

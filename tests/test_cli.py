@@ -217,8 +217,7 @@ class _RecordingCache(dict):
         super().__setitem__(key, value)
 
 
-@pytest.mark.parametrize("suite, levels", [("quotient", [4]),
-                                           ("trace", [2, 3, 4])])
+@pytest.mark.parametrize("suite, levels", [("quotient", [4])])
 def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
     # each (n, sqrt(u)) table set is built once, and only the last is kept
     tables = _RecordingCache()
@@ -230,6 +229,16 @@ def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
                 for n in levels]
     assert tables.built == expected
     assert list(tables) == expected[-1:]
+
+
+def test_trace_suite_builds_no_action_tables(capsys, monkeypatch):
+    # the trace solve works on the engine's sparse right products, so it
+    # packs no action table
+    tables = _RecordingCache()
+    monkeypatch.setattr(quotient, "_ACTIONS", tables)
+    monkeypatch.setattr(trace, "_CACHE", {})
+    assert run_cli(["trace", "--n", "4", "--format", "json"], capsys)[0] == 0
+    assert tables.built == []
 
 
 def test_points_beyond_the_primes_are_refused_at_n4(capsys):

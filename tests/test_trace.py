@@ -13,7 +13,7 @@ from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
 from btkit.linalg import merge_classes
-from btkit.quotient import generator_actions, ideal_generator_element
+from btkit.quotient import ideal_generator_element, right_products
 from oracles import commutator_rows, generic_trace_space_dim, in_prime_field
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
@@ -224,9 +224,8 @@ def test_commutator_classes_match_dense_oracle(n, dom):
     # and as the generic count of simple modules: 8 at n = 3, 22 at n = 4
     index = alg.BasisIndex(n, dom)
     width = len(index)
-    actions = generator_actions(index, dom.echelon(width))
-    root, factor, rest = merge_classes(width, tr._commutators(index, actions),
-                                       dom.one)
+    root, factor, rest = merge_classes(
+        width, tr._commutators(*right_products(index)), dom.one)
     live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
     assert (len(live), len(rest)) == CLASS_COUNTS[n]
     folded = dom.echelon(len(live))
@@ -241,3 +240,23 @@ def test_commutator_classes_match_dense_oracle(n, dom):
     assert width - len(live) + folded.rank == dense.rank
     assert len(live) - folded.rank == width - dense.rank \
         == generic_trace_space_dim(n) == {3: 8, 4: 22}[n]
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
+    ids=["n3-symbolic", "n4-prime"])
+def test_commutators_match_engine_products(n, dom):
+    # each commutator row, from the right products and the mirror, is the
+    # row of x g - g x by the engine's general product, with no zero entry
+    index = alg.BasisIndex(n, dom)
+    rows = tr._commutators(*right_products(index))
+    for g in (alg.T, alg.E):
+        for i in range(1, n):
+            gi = g(i, n, dom)
+            for k in range(len(index)):
+                x = index.basis_elem(k)
+                expected = {index.index[pair]: c
+                            for pair, c in (x * gi - gi * x).terms.items()}
+                row = next(rows)
+                assert row == expected and all(row.values()), (g, i, k)
+    assert next(rows, None) is None
