@@ -14,7 +14,7 @@ Left multiplication is its mirror: every relation below reads the same
 backwards ((3) by (7), (9) with i and j swapped), so reversing products is
 an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
 E_{w^-1 I} T_{w^-1}.  Thus g x = mirror(mirror(x) g), which is how
-:func:`btkit.quotient.generator_actions` gets its left tables.
+:func:`btkit.quotient.build_ideal` closes an ideal on the left.
 
 The defining relations implemented here (for |i-j| as indicated):
 

@@ -3,8 +3,9 @@ the two-sided ideal generated by E_1 E_2 T_{12} (the Steinberg-type element
 multiplied by the adjacent ties).
 
 The ideal is materialized as a reduced row echelon basis, built by closing
-the span of the generator under left/right multiplication by every T_i and
-E_i; closure is verified, which certifies the span IS the two-sided ideal.
+the span of the generator under right multiplication by every T_i and E_i
+and under the mirror (g x = mirror(mirror(x) g), see :mod:`btkit.algebra`);
+closure is verified, which certifies the span IS the two-sided ideal.
 Cosets are represented by reduction against the echelon (unique
 representative with zero coordinates at the pivots).
 
@@ -87,17 +88,16 @@ _ACTIONS = {}
 
 
 def generator_actions(index, ech):
-    """{(name, i): table}: the action tables of left ("L") and right ("R")
-    multiplication by every T_i and E_i, and of right multiplication by F_i
-    ("RF"), on coefficient rows over ``index``, packed by ``ech`` (an
-    echelon of the index's domain) from the rows of :func:`right_products`.
-    Each left table is its right twin relabelled through the mirror, and
-    the F_i table is that of (1 + T_i)/(u + 1).  Built once per n and value
-    of sqrt(u): the tables depend on nothing else, and a Scalar, a Fraction
-    and an IntMod (whose equality includes p) never compare equal.  Only
-    the last table set is kept, as every suite finishes with one
-    (n, sqrt(u)) before it starts the next; at n = 5 one set holds about
-    16 MiB."""
+    """{key: table}: the action tables of right multiplication by every T_i
+    and E_i (keys ("RT", i), ("RE", i)) and by F_i (("RF", i)), and the
+    permutation table of the mirror (key "mirror"), on coefficient rows
+    over ``index``, packed by ``ech`` (an echelon of the index's domain)
+    from the rows of :func:`right_products`.  The F_i table is that of
+    (1 + T_i)/(u + 1).  Built once per n and value of sqrt(u): the tables
+    depend on nothing else, and a Scalar, a Fraction and an IntMod (whose
+    equality includes p) never compare equal.  Only the last table set is
+    kept, as every suite finishes with one (n, sqrt(u)) before it starts
+    the next; at n = 5 one set holds about 3.5 MiB."""
     dom = index.dom
     key = (index.n, dom.sqrt_u)
     if key not in _ACTIONS:
@@ -105,14 +105,12 @@ def generator_actions(index, ech):
         rows, mirror = right_products(index)
         ks = list(range(len(index)))
         cu = dom.one / (dom.u + dom.one)
-        tables = {}
+        tables = {"mirror": ech.pack(ks, mirror, [dom.one] * len(ks))}
         for (g, i), images in rows.items():
             src = [k for k, row in enumerate(images) for _ in row]
             dst = [l for row in images for l in row]
             coeff = [c for row in images for c in row.values()]
             tables["R" + g, i] = ech.pack(src, dst, coeff)
-            tables["L" + g, i] = ech.pack([mirror[k] for k in src],
-                                          [mirror[l] for l in dst], coeff)
             if g == "T":
                 tables["RF", i] = ech.pack(
                     ks + src, ks + dst,
@@ -122,10 +120,10 @@ def generator_actions(index, ech):
 
 
 def _closure_actions(index, ech):
-    """The tables of left and right multiplication by every T_i and E_i."""
+    """The right T_i and E_i tables, then the mirror's."""
     tables = generator_actions(index, ech)
-    return [tables[name, i] for name in ("LT", "RT", "LE", "RE")
-            for i in range(1, index.n)]
+    return [tables[name, i] for name in ("RT", "RE")
+            for i in range(1, index.n)] + [tables["mirror"]]
 
 
 def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
@@ -143,11 +141,13 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
                 generator=None):
     """Echelon basis of the two-sided ideal generated by E_i E_j T_{ij}
     (or by T_{ij} alone with tied=False, or by an explicit ``generator``
-    element), by closing under generator multiplication on both sides.
-    The basis rows are taken in blocks of at most BLOCK in the order they
-    were appended; each block's images under every table are inserted as
-    one block.  Each row is scattered once, with the value it has then,
-    which keeps its pivot column, so the scattered rows span the result."""
+    element), by closing under right generator multiplication and the
+    mirror, which is the two-sided ideal only if the mirror maps the seed
+    to a multiple of itself: any other seed raises ValueError.  The basis
+    rows are taken in blocks of at most BLOCK in the order they were
+    appended; each block's images under every table are inserted as one
+    block.  Each row is scattered once, with the value it has then, which
+    keeps its pivot column, so the scattered rows span the result."""
     if n < 3:
         raise ValueError("the quotient relation needs n >= 3")
     index = index or BasisIndex(n, dom)
@@ -157,6 +157,8 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
     ib = IdealBasis(ech, index)
     actions = _closure_actions(index, ech)
     ech.insert(ib._to_row(seed))
+    if not ech.spans(ech.scatter_batch(actions[-1], ech.rows)):
+        raise ValueError("the generator is not fixed by the mirror up to sign")
     done = 0
     while done < ech.rank:
         lo, done = done, min(done + BLOCK, ech.rank)
@@ -166,9 +168,9 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
 
 
 def verify_ideal_closure(ib):
-    """reduce(x*r) == 0 == reduce(r*x) for every echelon row r and every
-    generator x, block by block; certifies the span is the whole two-sided
-    ideal."""
+    """reduce(r*x) == 0 == reduce(mirror(r)) for every echelon row r and
+    every generator x, block by block; certifies the span is the whole
+    two-sided ideal, as x*r = mirror(mirror(r)*x)."""
     ech = ib.ech
     return all(ech.spans(ech.scatter_batch(table, ech.rows[lo:lo + BLOCK]))
                for table in _closure_actions(ib.index, ech)

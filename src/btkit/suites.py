@@ -195,26 +195,23 @@ def _reduction_sanity(ib, seed):
     return True
 
 
-def _same_ideal(ib, other):
-    # of equal dimension, one ideal inside the other is the other
-    return other.dim == ib.dim and ib.ech.spans(other.ech.rows)
-
-
 def _alt_pair_equality(ib12):
     from . import quotient
     n, dom = ib12.index.n, ib12.index.dom
-    return all(_same_ideal(ib12, quotient.build_ideal(
-        n, dom, pair=(i, i + 1), index=ib12.index)) for i in range(2, n - 1))
+    # of equal dimension, one ideal inside the other is the other
+    return all(other.dim == ib12.dim and ib12.ech.spans(other.ech.rows)
+               for other in (quotient.build_ideal(
+                   n, dom, pair=(i, i + 1), index=ib12.index)
+                   for i in range(2, n - 1)))
 
 
 def _flip_generator_contained(ib):
     from . import quotient
     n, dom = ib.index.n, ib.index.dom
-    # T_{12} E_1 E_2 generates the same two-sided ideal as E_1 E_2 T_{12}
+    # T_{12} E_1 E_2 is E_1 E_2 T_{12}, so it generates the same ideal
     flipped = (algebra.steinberg(1, 2, n, dom)
                * algebra.E(1, n, dom) * algebra.E(2, n, dom))
-    return _same_ideal(ib, quotient.build_ideal(n, dom, index=ib.index,
-                                                generator=flipped))
+    return flipped == quotient.ideal_generator_element(n, dom)
 
 
 def rank_suite(ns, points=DEFAULT_POINTS):

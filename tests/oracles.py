@@ -1,13 +1,13 @@
 """Reference code for the tests that the library itself does not need: the
 permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
-specialized into a prime field, and the dense oracles of the trace's
-commutator classes."""
+specialized into a prime field, the mirror anti-involution of the basis, and
+the dense oracles of the trace's commutator classes."""
 
 import random
 from math import prod
 
-from btkit.algebra import E, T
+from btkit.algebra import AlgebraElement, E, T
 from btkit.domains import IntMod
 from btkit.permutations import Permutation
 
@@ -48,6 +48,16 @@ def random_braid_walk(word, steps, rng=None):
         k, repl = rng.choice(sites)
         word = word[:k] + repl + word[k + len(repl):]
     return word
+
+
+def mirror(x):
+    """The reversal anti-involution on the basis: E_I T_w -> E_{w^-1 I}
+    T_{w^-1}."""
+    terms = {}
+    for (I, w), c in x.terms.items():
+        v = w.inverse()
+        terms[I.apply(v), v] = c
+    return AlgebraElement(x.n, terms, x.dom)
 
 
 def in_prime_field(scalar, dom):

@@ -13,7 +13,7 @@ from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
 from btkit.permutations import Permutation, enumerate_permutations
-from oracles import from_word, in_prime_field, random_braid_walk
+from oracles import from_word, in_prime_field, mirror, random_braid_walk
 
 ONE, U = sc.ONE, sc.U
 
@@ -258,21 +258,11 @@ def test_right_multiplication_matches_general_product():
                 assert a.right_mul_E(i) == a * E(i, n)
 
 
-def mirror(x):
-    """The reversal anti-involution on the basis: E_I T_w -> E_{w^-1 I}
-    T_{w^-1}."""
-    terms = {}
-    for (I, w), c in x.terms.items():
-        v = w.inverse()
-        terms[I.apply(v), v] = c
-    return alg.AlgebraElement(x.n, terms, x.dom)
-
-
 @pytest.mark.parametrize("n, dom", [
     (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
     ids=["n3-symbolic", "n4-prime"])
 def test_mirror_is_an_anti_involution_fixing_the_generators(n, dom):
-    # the left action tables are the right ones relabelled through this map
+    # the ideal closure takes left multiples through this map
     for i in range(1, n):
         assert mirror(T(i, n, dom)) == T(i, n, dom)
         assert mirror(E(i, n, dom)) == E(i, n, dom)

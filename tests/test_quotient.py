@@ -14,13 +14,15 @@ from btkit.quotient import (IdealBasis, build_ideal, catalan_number,
                             enumerate_F_reduced, ideal_generator_element,
                             spanning_check, verify_ideal_closure,
                             verify_presentations)
+from oracles import mirror
 
 
-def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
+def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True, g=None):
     """The literal span of {b1 * g * b2} over all basis pairs (the slow
     oracle for :func:`build_ideal` at small n)."""
     index = alg.BasisIndex(n, dom)
-    g = ideal_generator_element(n, dom, pair, tied)
+    if g is None:
+        g = ideal_generator_element(n, dom, pair, tied)
     ech = Echelon(width=len(index))
     ib = IdealBasis(ech, index)
     left = [index.basis_elem(k) * g for k in range(len(index))]
@@ -196,9 +198,9 @@ def test_tied_ideal_calls_come_before_the_bare_steinberg_build(monkeypatch):
     for seq in per_combo:
         cut = seq.index(("build", False))
         assert all(not tied for _, tied in seq[cut:]), seq
-    # the first combination also builds the (2, 3) and the flipped ideals
+    # the first combination also builds the (2, 3) ideal
     assert per_combo == [
-        [("build", True), ("span", True), ("build", True), ("build", True),
+        [("build", True), ("span", True), ("build", True),
          ("build", False), ("span", False)],
         [("build", True), ("span", True), ("build", False)]]
     agreement = [c for c in report["checks"]
@@ -225,21 +227,71 @@ def test_closure_check_sees_a_missing_last_row():
     ech = dom.echelon(len(ib.index))
     assert ech.insert_block(ib.ech.rows[:-1]) == 261
     assert not verify_ideal_closure(IdealBasis(ech, ib.index))
-    # the check scatters every row under every table, in blocks of at most
-    # qt.BLOCK rows, the last block included
+    # the check scatters every row under every right T_i and E_i table and
+    # the mirror's, in blocks of at most qt.BLOCK rows, the last block
+    # included
     seen = []
     scatter_batch = ib.ech.scatter_batch
     ib.ech.scatter_batch = lambda table, rows: (
         seen.append(len(rows)) or scatter_batch(table, rows))
     assert verify_ideal_closure(ib)
     assert max(seen) <= qt.BLOCK
-    assert sum(seen) == 4 * 3 * ib.dim
+    n = ib.index.n
+    assert sum(seen) == (2 * (n - 1) + 1) * ib.dim
 
 
 def test_flipped_generator_same_ideal():
     ib = build_ideal(3)
     flipped = (alg.steinberg(1, 2, 3) * alg.E(1, 3) * alg.E(2, 3))
     assert ib.contains(flipped)
+    # T_{12} E_1 E_2 is the generator E_1 E_2 T_{12} itself
+    for n in (3, 4, 5):
+        assert (alg.steinberg(1, 2, n) * alg.E(1, n) * alg.E(2, n)
+                == ideal_generator_element(n))
+
+
+def test_seed_not_fixed_by_the_mirror_refused():
+    # the mirror of E_1 T_2 is T_2 E_1, not a multiple of it, so the closure
+    # under right products and the mirror would not be its ideal
+    with pytest.raises(ValueError):
+        build_ideal(3, generator=alg.E(1, 3) * alg.T(2, 3))
+    # the mirror negates T_1 T_2 - T_2 T_1, whose ideal is then the closure
+    g = alg.T(1, 3) * alg.T(2, 3) - alg.T(2, 3) * alg.T(1, 3)
+    ib, pairs = build_ideal(3, generator=g), build_ideal_by_pairs(3, g=g)
+    assert ib.dim == pairs.dim and ib.ech.spans(pairs.ech.rows)
+
+
+def test_closure_check_refuses_a_right_ideal():
+    # the right ideal of E_1 T_2, closed under the right T_i and E_i tables
+    # only, passes every right table but is not two-sided
+    index = alg.BasisIndex(3)
+    ech = SYMBOLIC.echelon(len(index))
+    tables = qt.generator_actions(index, ech)
+    right = [tables[name, i] for name in ("RT", "RE") for i in (1, 2)]
+    ech.insert(ech.from_coeffs(index.vector(alg.E(1, 3) * alg.T(2, 3))))
+    done = 0
+    while done < ech.rank:
+        lo, done = done, ech.rank
+        for table in right:
+            ech.insert_block(ech.scatter_batch(table, ech.rows[lo:done]))
+    assert all(ech.spans(ech.scatter_batch(table, ech.rows))
+               for table in right)
+    assert not verify_ideal_closure(IdealBasis(ech, index))
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
+    ids=["n3-symbolic", "n4-prime"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_mirror_built_ideal_holds_the_engine_left_products(n, dom, tied):
+    # g r, from the engine's general product, lies in the ideal for every
+    # row r of the ideal and every generator g
+    ib = build_ideal(n, dom, tied=tied)
+    index, ech = ib.index, ib.ech
+    gens = [gen(i, n, dom) for gen in (alg.T, alg.E) for i in range(1, n)]
+    rows = [index.element(ech.to_coeffs(row)) for row in ech.rows]
+    assert ech.spans([ech.from_coeffs(index.vector(g * r))
+                      for r in rows for g in gens])
 
 
 def test_small_n_rejected():
@@ -273,17 +325,19 @@ def test_action_tables_match_engine_products(n, dom):
     ech = dom.echelon(len(index))
     tables = qt.generator_actions(index, ech)
     gens = {"T": alg.T, "E": alg.E, "F": alg.F}
-    assert sorted(tables) == sorted(
-        (name, i) for name in ("LT", "RT", "LE", "RE", "RF")
-        for i in range(1, n))
-    for (name, i), table in tables.items():
-        g = gens[name[1]](i, n, dom)
+    assert set(tables) == {"mirror"} | {
+        (name, i) for name in ("RT", "RE", "RF") for i in range(1, n)}
+    for key, table in tables.items():
         for k in range(len(index)):
             x = index.basis_elem(k)
             image = ech.to_coeffs(ech.scatter_batch(
                 table, [ech.from_coeffs(index.vector(x))])[0])
-            expected = {"L": g * x, "R": x * g}[name[0]]
-            assert image == index.vector(expected), (name, i, k)
+            if key == "mirror":
+                expected = mirror(x)
+            else:
+                name, i = key
+                expected = x * gens[name[1]](i, n, dom)
+            assert image == index.vector(expected), (key, k)
 
 
 def test_action_table_coefficients_n3():
@@ -292,7 +346,7 @@ def test_action_table_coefficients_n3():
     index = alg.BasisIndex(3)
     tables = qt.generator_actions(index, SYMBOLIC.echelon(len(index)))
     one, u = SYMBOLIC.one, SYMBOLIC.u
-    for name in ("LT", "RT", "LE", "RE"):
+    for name in ("RT", "RE"):
         for i in (1, 2):
             entries = tables[name, i]
             want = {one, u, u - one} if name[1] == "T" else {one}
