@@ -137,28 +137,21 @@ def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     return E(i, n, dom) * E(j, n, dom) * st
 
 
-def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None,
-                generator=None):
+def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True, index=None):
     """Echelon basis of the two-sided ideal generated by E_i E_j T_{ij}
-    (or by T_{ij} alone with tied=False, or by an explicit ``generator``
-    element), by closing under right generator multiplication and the
-    mirror, which is the two-sided ideal only if the mirror maps the seed
-    to a multiple of itself: any other seed raises ValueError.  The basis
-    rows are taken in blocks of at most BLOCK in the order they were
-    appended; each block's images under every table are inserted as one
-    block.  Each row is scattered once, with the value it has then, which
-    keeps its pivot column, so the scattered rows span the result."""
+    (or by T_{ij} alone with tied=False), by closing under right generator
+    multiplication and the mirror, which fixes both generators.
+    The basis rows are taken in blocks of at most BLOCK in the order they
+    were appended; each block's images under every table are inserted as
+    one block.  Each row is scattered once, with the value it has then,
+    which keeps its pivot column, so the scattered rows span the result."""
     if n < 3:
         raise ValueError("the quotient relation needs n >= 3")
     index = index or BasisIndex(n, dom)
-    seed = generator if generator is not None else \
-        ideal_generator_element(n, dom, pair, tied)
     ech = dom.echelon(len(index))
     ib = IdealBasis(ech, index)
     actions = _closure_actions(index, ech)
-    ech.insert(ib._to_row(seed))
-    if not ech.spans(ech.scatter_batch(actions[-1], ech.rows)):
-        raise ValueError("the generator is not fixed by the mirror up to sign")
+    ech.insert(ib._to_row(ideal_generator_element(n, dom, pair, tied)))
     done = 0
     while done < ech.rank:
         lo, done = done, min(done + BLOCK, ech.rank)

@@ -140,7 +140,7 @@ def test_criterion_5b_sandwich_identities_mod_defining_ideal():
     # supported on E_{123}T_w only.  T_{ij} has coefficient 1 on the
     # identity, so no nonzero multiple of it lies in that line; it does lie
     # in the ideal it generates itself.
-    ib = qt.build_ideal(3, generator=qt.ideal_generator_element(3))
+    ib = qt.build_ideal(3)
     bare = qt.build_ideal(3, tied=False)
     factor = {"quot-F-sandwich": (ONE + U) ** 3, "quot-L-sandwich": ONE}
     ok = True
@@ -197,7 +197,7 @@ def test_criterion_7_spanning_rank_equals_quotient_dimension():
     # other than the longest w0, and no term on any E_J T_{w0}: the
     # candidates are independent and miss the line.  Modulo T_{12} each
     # E_J T_{w0} reduces to shorter terms, so there the candidates span.
-    ib = qt.build_ideal(3, generator=qt.ideal_generator_element(3))
+    ib = qt.build_ideal(3)
     bare = qt.build_ideal(3, tied=False)
     span = qt.spanning_check(ib)
     span_bare = qt.spanning_check(bare)

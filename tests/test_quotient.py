@@ -17,12 +17,11 @@ from btkit.quotient import (IdealBasis, build_ideal, catalan_number,
 from oracles import mirror
 
 
-def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True, g=None):
+def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     """The literal span of {b1 * g * b2} over all basis pairs (the slow
     oracle for :func:`build_ideal` at small n)."""
     index = alg.BasisIndex(n, dom)
-    if g is None:
-        g = ideal_generator_element(n, dom, pair, tied)
+    g = ideal_generator_element(n, dom, pair, tied)
     ech = Echelon(width=len(index))
     ib = IdealBasis(ech, index)
     left = [index.basis_elem(k) * g for k in range(len(index))]
@@ -250,17 +249,6 @@ def test_flipped_generator_same_ideal():
                 == ideal_generator_element(n))
 
 
-def test_seed_not_fixed_by_the_mirror_refused():
-    # the mirror of E_1 T_2 is T_2 E_1, not a multiple of it, so the closure
-    # under right products and the mirror would not be its ideal
-    with pytest.raises(ValueError):
-        build_ideal(3, generator=alg.E(1, 3) * alg.T(2, 3))
-    # the mirror negates T_1 T_2 - T_2 T_1, whose ideal is then the closure
-    g = alg.T(1, 3) * alg.T(2, 3) - alg.T(2, 3) * alg.T(1, 3)
-    ib, pairs = build_ideal(3, generator=g), build_ideal_by_pairs(3, g=g)
-    assert ib.dim == pairs.dim and ib.ech.spans(pairs.ech.rows)
-
-
 def test_closure_check_refuses_a_right_ideal():
     # the right ideal of E_1 T_2, closed under the right T_i and E_i tables
     # only, passes every right table but is not two-sided
@@ -284,8 +272,11 @@ def test_closure_check_refuses_a_right_ideal():
     ids=["n3-symbolic", "n4-prime"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 def test_mirror_built_ideal_holds_the_engine_left_products(n, dom, tied):
-    # g r, from the engine's general product, lies in the ideal for every
-    # row r of the ideal and every generator g
+    # the closure is the ideal as the mirror fixes its generator; then g r,
+    # from the engine's general product, lies in it for every row r of the
+    # ideal and every generator g
+    seed = ideal_generator_element(n, dom, tied=tied)
+    assert mirror(seed) == seed
     ib = build_ideal(n, dom, tied=tied)
     index, ech = ib.index, ib.ech
     gens = [gen(i, n, dom) for gen in (alg.T, alg.E) for i in range(1, n)]
