@@ -15,8 +15,8 @@ A tensor basis vector is a tuple of n factors, each factor a pair
 This representation is faithful (Ryom-Hansen, "On the representation theory
 of an algebra of braids and ties", J. Algebraic Combin. 2011): the rank of
 the represented basis equals dim E_n at every sqrt(u) != 0 (proved at
-:func:`_rank_rows`, and computed at n = 2 to 5), so it does not kill
-the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
+:func:`_rank_rows`, and certified on the rows at n = 2 to 5), so it does not
+kill the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
 small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
 at the bottom; it runs act_T on the factors v_1^1 and v_2^1, where all upper
 values agree, so the r = s branch is the classical braid operator.
@@ -40,8 +40,8 @@ for 2, 3 and 4 factors, against n^(2k) indices.
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are
 functions from vectors to vectors; nothing is ever stored as a dense n^(2n)
 matrix.  The rank rows of one index type are one sparse bundle of (row,
-column, coefficient) entries, which the echelon makes into a block of rows
-(``from_entries``) and inserts at once.
+column, coefficient) entries; :func:`_rank` reads leading columns off them,
+and only if they fall short makes blocks of rows (``from_entries``).
 """
 
 import functools
@@ -342,9 +342,12 @@ def _rank_rows(n, dom):
       sum_{I <= K} c_{I,w} = 0 for every K = w(J), and K runs over all
       partitions as J does.  The zeta matrix of the partition lattice is
       unitriangular (Moebius inversion, Rota 1964), so every c_{I,w} = 0.
+    - So with the columns (I, w) ordered by the length of w, then the number
+      of blocks of I, the row v x_J leads at the column (v(J), v): only T_v
+      and longer T_w reach v x_J, and v(J) is the coarsest I <= v(J).
 
-    The rank is still computed, not assumed: :func:`_rank` walks the other
-    types too whenever the rank falls short of dim E_n."""
+    The rank is still computed, not assumed: :func:`_rank` checks these
+    distinct leading columns on the entries, or else runs an echelon."""
     words = _by_word((pair, col)
                      for col, pair in enumerate(BasisIndex(n).pairs))
     kept = {}   # (word, upper values of x) -> the columns keeping T_word x
@@ -368,8 +371,25 @@ def _rank_rows(n, dom):
 
 
 def _rank(n, dom, dim):
-    """Rank of the bundles over dom, each inserted as one block; no bundle
-    is made once the rank reaches dim, the most it can be."""
+    """Rank of the bundles over dom.  With the columns ordered by (length
+    of w, blocks of I, column), rows with distinct leading (first nonzero)
+    columns are independent, so dim of them in the Bell(n) bundles prove
+    rank dim.  Otherwise each bundle is inserted into an echelon as one
+    block, until its rank reaches dim, the most it can be."""
+    pairs = BasisIndex(n).pairs
+    order = sorted(range(dim), key=lambda col: (
+        len(pairs[col][1].reduced_word()), pairs[col][0].block_count()))
+    pos = {col: k for k, col in enumerate(order)}
+    leads = set()
+    for _, entries in itertools.islice(_rank_rows(n, dom),
+                                       len(enumerate_partitions(n))):
+        first = {}
+        for i, col, c in entries:
+            if c and pos[col] < first.get(i, dim):
+                first[i] = pos[col]
+        leads.update(first.values())
+    if len(leads) == dim:
+        return dim
     ech = dom.echelon(dim)
     for m, entries in _rank_rows(n, dom):
         ech.insert_block(ech.from_entries(m, entries))
@@ -384,7 +404,7 @@ def representation_rank(n, points):
     Symbolic (generic u) for n <= 3; every requested rational point of
     sqrt(u) is additionally checked, exactly for n <= 3 and in two prime
     fields for n >= 4.  Full rank is proved at every s != 0 (see
-    :func:`_rank_rows`), and the computation confirms it.
+    :func:`_rank_rows`), and :func:`_rank` computes each rank anyway.
     """
     dim = len(BasisIndex(n))
     report = {"n": n, "algebra_dim": dim, "points": [str(p) for p in points],

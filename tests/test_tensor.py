@@ -453,15 +453,19 @@ def test_rank_bundles_as_blocks_match_row_inserts():
     assert block.rank == 360
 
 
+# the rank suite's domains: exact below n = 4, both points in both primes
+# from n = 4
+_EXACT = (SYMBOLIC, RationalDomain(Fraction(5, 7)),
+          RationalDomain(Fraction(3, 2)))
+_PRIMED = tuple(PrimeDomain(pt, p) for p in PRIMES
+                for pt in (Fraction(5, 7), Fraction(3, 2)))
+
+
 def test_rank_reaches_full_rank_after_bell_bundles():
     # the bundles of the Bell(n) indices with distinct lower values come
     # first; each has n! rows, and together they reach dim E_n = Bell(n) n!
     # with the last of them, not before
-    exact = (SYMBOLIC, RationalDomain(Fraction(5, 7)),
-             RationalDomain(Fraction(3, 2)))
-    primed = tuple(PrimeDomain(pt, p) for p in PRIMES
-                   for pt in (Fraction(5, 7), Fraction(3, 2)))
-    for n, bell, doms in ((2, 2, exact), (3, 5, exact), (4, 15, primed)):
+    for n, bell, doms in ((2, 2, _EXACT), (3, 5, _EXACT), (4, 15, _PRIMED)):
         dim = bell * math.factorial(n)
         for dom in doms:
             ech = dom.echelon(dim)
@@ -472,6 +476,50 @@ def test_rank_reaches_full_rank_after_bell_bundles():
                     assert ech.rank < dim, (n, dom)
                 ech.insert_block(ech.from_entries(m, entries))
             assert ech.rank == dim, (n, dom)
+
+
+def _spy_echelons(monkeypatch):
+    """The widths of the echelons the domains build from now on."""
+    built = []
+    for cls in (type(SYMBOLIC), RationalDomain, PrimeDomain):
+        def spy(self, width, make=cls.echelon):
+            built.append(width)
+            return make(self, width)
+        monkeypatch.setattr(cls, "echelon", spy)
+    return built
+
+
+def test_leading_columns_certify_full_rank(monkeypatch):
+    # the distinct leading columns of the Bell(n) bundles alone prove the
+    # rank dim E_n, at every domain of the rank suite: no echelon is built
+    built = _spy_echelons(monkeypatch)
+    for n, doms in ((2, _EXACT), (3, _EXACT), (4, _PRIMED)):
+        dim = len(BasisIndex(n))
+        for dom in doms:
+            assert tn._rank(n, dom, dim) == dim, (n, dom)
+    assert built == []
+
+
+def test_short_certificate_falls_back_to_the_echelon(monkeypatch):
+    # zero the entry at row x_J, column E_J T_1 of the first bundle (J the
+    # one-block partition): that row then leads at another row's leading
+    # column, the certificate falls short, and the echelon over every type
+    # still finds the full rank
+    rank_rows = tn._rank_rows
+
+    def zeroed(n, dom):
+        bundles = rank_rows(n, dom)
+        m, entries = next(bundles)
+        assert (0, 0) in {(i, col) for i, col, _ in entries}
+        yield m, [(i, col, dom.zero if (i, col) == (0, 0) else c)
+                  for i, col, c in entries]
+        yield from bundles
+
+    monkeypatch.setattr(tn, "_rank_rows", zeroed)
+    built = _spy_echelons(monkeypatch)
+    assert tn._rank(3, SYMBOLIC, 30) == 30
+    assert tn._rank(4, PrimeDomain(Fraction(5, 7), PRIMES[0]), 360) == 360
+    assert built == [30, 360]
 
 
 def test_export_triplets_deterministic():
