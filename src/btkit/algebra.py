@@ -316,8 +316,8 @@ class BasisIndex:
     def __init__(self, n, dom=SYMBOLIC):
         self.n = n
         self.dom = dom
-        self.pairs = [(I, w) for I in enumerate_partitions(n)
-                      for w in enumerate_permutations(n)]
+        perms = enumerate_permutations(n)
+        self.pairs = [(I, w) for I in enumerate_partitions(n) for w in perms]
         self.index = {pair: k for k, pair in enumerate(self.pairs)}
 
     def __len__(self):

@@ -8,7 +8,8 @@ pass and yields the unique representative with zero coordinates at the pivots.
 There is one echelon class per kind of field, and each owns its row format:
 :class:`Echelon` serves the exact fields (lists of Scalar or Fraction,
 filled with the domain's zero), :class:`ModPEchelon` serves GF(p) (int64
-numpy rows in a matrix allocated once, numpy imported on first use).  Each
+numpy rows in a matrix allocated once, numpy imported on first use) for
+the quotient closures and the rank's fallback only.  Each
 converts domain coefficient lists to rows and back, and packs and applies
 the generator action tables of :func:`btkit.quotient.generator_actions`
 (``pack``, ``scatter_batch``), so callers run one body of code in every
@@ -24,11 +25,12 @@ basis grows), with the block echelonized in between; ``insert`` is its
 one-row case.  ``from_entries`` makes a block of rows from sparse (row,
 column, coefficient) entries, with none for a block of zero rows.
 
-The affine system :class:`LinearSystem` is one echelon of its domain whose
-last columns hold the right-hand sides as coefficients, fed in blocks, in
-every domain.  The trace solver feeds one system per level with sparse rows
-folded onto the class roots of a weighted union-find (:func:`merge_classes`),
-made into blocks by ``from_entries``; it uses no action table.
+The affine system :class:`LinearSystem` keeps its own RREF, sparse rows
+{column: coefficient} in the domain's elements, in every domain; its last
+columns hold the right-hand sides.  The trace solver feeds one system per
+level with sparse rows folded onto the class roots of a weighted union-find
+(:func:`merge_classes`), at most 11 entries in an RREF row at n = 5, so it
+builds no echelon and loads no numpy.
 """
 
 np = None
@@ -172,9 +174,20 @@ def merge_classes(width, rows, one):
             [f for _, f in found], rest)
 
 
+def _subtract(out, c, row):
+    """out -= c * row for sparse rows, in place, dropping the zeros."""
+    for j, b in row.items():
+        v = out[j] - c * b if j in out else -(c * b)
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+
+
 class LinearSystem:
-    """Affine system M x = R with k right-hand sides over a domain, as one
-    echelon ``ech = dom.echelon(width + k)`` of rows [M | R], fed in blocks.
+    """Affine system M x = R with k right-hand sides over a domain, kept as
+    the RREF of the rows [M | R]: sparse rows {column: nonzero coefficient}
+    in the domain's own elements, keyed by their pivot column, each pivot 1.
     First-nonzero pivoting puts a pivot among the last k columns exactly
     when the system is inconsistent, so ``rank`` counts the pivots below
     ``width`` only.  A reduced pivot row reads x_piv + (free part) = its
@@ -183,32 +196,53 @@ class LinearSystem:
     PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 1)
 
     def __init__(self, dom, width, k):
-        self.width = width
-        self.ech = dom.echelon(width + k)
+        self.width, self.zero = width, dom.zero
+        self.rhs = range(width, width + k)
+        self.rows = {}            # pivot column -> its RREF row
 
     @property
     def rank(self):
-        return sum(piv < self.width for piv in self.ech.pivots)
+        return sum(piv < self.width for piv in self.rows)
 
     @property
     def inconsistent(self):
         """The pivot columns among the right-hand sides."""
-        return [piv for piv in self.ech.pivots if piv >= self.width]
+        return [piv for piv in self.rows if piv >= self.width]
+
+    def _reduce(self, row):
+        """Reduced copy of a sparse row: the RREF rows hold no other pivot,
+        so one subtraction per pivot column of the row clears it."""
+        out = {j: c for j, c in row.items() if c}
+        for piv in [j for j in out if j in self.rows]:
+            _subtract(out, out[piv], self.rows[piv])
+        return out
 
     def add(self, rows):
-        """Insert a block of rows [M | R]; returns the rank growth of ech."""
-        return self.ech.insert_block(rows)
+        """Insert sparse rows [M | R]; returns the rank growth, pivots among
+        the right-hand sides included."""
+        rank = len(self.rows)
+        for row in filter(None, map(self._reduce, rows)):
+            piv = min(row)
+            inv = row[piv]
+            if inv != inv * inv:   # normalize pivot to 1 unless it already is
+                row = {j: c / inv for j, c in row.items()}
+            for old in self.rows.values():
+                c = old.get(piv)
+                if c:
+                    _subtract(old, c, row)
+            self.rows[piv] = row
+        return len(self.rows) - rank
 
     def reduce(self, rows):
-        return self.ech.reduce_batch(rows)
+        return [self._reduce(row) for row in rows]
 
     def solution(self):
         """{i: the k right-hand-side coefficients of x_i} over the pivot
         variables, the free ones being zero; None if inconsistent."""
         if self.inconsistent:
             return None
-        return {piv: self.ech.to_coeffs(row[self.width:])
-                for piv, row in zip(self.ech.pivots, self.ech.rows)}
+        return {piv: [row.get(j, self.zero) for j in self.rhs]
+                for piv, row in self.rows.items()}
 
 
 class ModPLinearSystem(LinearSystem):

@@ -111,5 +111,5 @@ def intern_perm(images):
 
 
 def enumerate_permutations(n):
-    """All of S_n in lexicographic one-line order."""
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    """All of S_n in lexicographic one-line order, interned."""
+    return [intern_perm(p) for p in itertools.permutations(range(1, n + 1))]

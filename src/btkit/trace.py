@@ -15,14 +15,15 @@ basis element and g a generator T_i or E_i: since [ab, c] = [a, bc] + [b, ca],
 these span every [a, b].  Most have one or two terms, the conjugation steps
 to the cocenter of an Iwahori-Hecke algebra (Geck and Pfeiffer, Adv. Math.
 102, 1993), and a weighted union-find merges them into classes.  Every other
-row is folded onto the live class roots and feeds one system per level in
-blocks, in every domain, with the right-hand sides as coefficient columns,
-one per monomial A^a B^b with a + b < n, so the symbolic path eliminates
-Scalars in s only and forms the values in A, B once solved.  Existence
-(consistency) and uniqueness (full rank) are computed, not assumed.  The
-solver also reports how many instances of the middle rule are implied by
-the normalization, symmetry and the other two tower rules: the middle rows
-are reduced against the system in one batch before any middle row is added.
+row is folded onto the live class roots as a sparse row and feeds one
+system per level, in every domain, with the right-hand sides as coefficient
+columns, one per monomial A^a B^b with a + b < n, so the symbolic path
+eliminates Scalars in s only and forms the values in A, B once solved.
+Existence (consistency) and uniqueness (full rank) are computed, not
+assumed.  The solver also reports how many instances of the middle rule are
+implied by the normalization, symmetry and the other two tower rules: the
+middle rows are reduced against the system in one batch before any middle
+row is added.
 """
 
 from . import scalars
@@ -31,7 +32,7 @@ from .domains import SYMBOLIC
 from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
-from .quotient import BLOCK, ideal_generator_element, right_products
+from .quotient import ideal_generator_element, right_products
 
 
 class ParamPoly:
@@ -186,8 +187,9 @@ def _solve(index, prev):
     sparse rows {position: coefficient}: the normalization, x T_{n-1},
     x E_{n-1} and (x E_{n-1}) T_{n-1} for each basis element x of the level
     below, and the longer commutators, folded onto the live roots of the
-    short ones, their right-hand sides in the columns after, in blocks.  The
-    middle rows go last, after one reduction counts those already implied."""
+    short ones as sparse system rows, their right-hand sides in the columns
+    after.  The middle rows go last, after one reduction counts those
+    already implied."""
     n, width, dom = index.n, len(index), index.dom
     monos = {(a, b): k for k, (a, b) in enumerate(
         (a, b) for a in range(n) for b in range(n - a))}
@@ -197,37 +199,31 @@ def _solve(index, prev):
     live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
     system = LinearSystem(dom, len(live), len(monos))
 
-    def fold(block, da=0, db=0):
-        """The (row, value) pairs as system rows, each with the right-hand
+    def fold(row, value, da=0, db=0):
+        """A sparse row on the positions as a system row, its right-hand
         side A^da B^db times the value {(a, b): c} of the level below."""
-        entries = []
-        for i, (row, value) in enumerate(block):
-            out = {}
-            for x, c in row.items():
-                if root[x] is not None:
-                    k, c = live[root[x]], c * factor[x]
-                    out[k] = out[k] + c if k in out else c
-            out.update((len(live) + monos[a + da, b + db], c)
-                       for (a, b), c in value.items())
-            entries.extend((i, k, c) for k, c in out.items())
-        return system.ech.from_entries(len(block), entries)
+        out = {}
+        for x, c in row.items():
+            if root[x] is not None:
+                k, c = live[root[x]], c * factor[x]
+                out[k] = out[k] + c if k in out else c
+        out.update((len(live) + monos[a + da, b + db], c)
+                   for (a, b), c in value.items())
+        return out
 
     unit = index.index[SetPartition.unit(n), Permutation.identity(n)]
-    system.add(fold([({unit: dom.one}, {(0, 0): dom.one})]))
+    system.add([fold({unit: dom.one}, {(0, 0): dom.one})])
     right_t, right_e = rows["T", n - 1], rows["E", n - 1]
     below = [(index.index[embed_pair(I, w, n)], value)
              for (I, w), value in prev.coeffs.items()]
-    for lo in range(0, len(below), BLOCK):
-        block = below[lo:lo + BLOCK]
-        system.add(fold([(right_t[x], value) for x, value in block], 1))
-        system.add(fold([(right_e[x], value) for x, value in block], 0, 1))
-    for lo in range(0, len(rest), BLOCK):
-        system.add(fold([(row, {}) for row in rest[lo:lo + BLOCK]]))
+    system.add(fold(right_t[x], value, 1) for x, value in below)
+    system.add(fold(right_e[x], value, 0, 1) for x, value in below)
+    system.add(fold(row, {}) for row in rest)
     # x E_{n-1} is one basis element xe, with coefficient c
-    middle = fold([({d: c * v for xe, c in right_e[x].items()
-                     for d, v in right_t[xe].items()}, value)
-                   for x, value in below], 1)
-    implied = sum(1 for row in system.reduce(middle) if not any(row))
+    middle = [fold({d: c * v for xe, c in right_e[x].items()
+                    for d, v in right_t[xe].items()}, value, 1)
+              for x, value in below]
+    implied = sum(1 for row in system.reduce(middle) if not row)
     system.add(middle)
     sol = system.solution()
     coeffs = {} if sol is None else {

@@ -12,7 +12,8 @@ from btkit.algebra import (BasisIndex, E, E_arc, E_of_partition, F, L, T,
 from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
-from btkit.permutations import Permutation, enumerate_permutations
+from btkit.permutations import (Permutation, enumerate_permutations,
+                                intern_perm)
 from oracles import from_word, in_prime_field, mirror, random_braid_walk
 
 ONE, U = sc.ONE, sc.U
@@ -176,6 +177,14 @@ def test_dimension_and_basis_index():
         rng = random.Random(n)
         elem = alg.random_basis_element(n, rng) + alg.random_basis_element(n, rng).scale(U)
         assert idx.element(idx.vector(elem)) == elem
+
+
+def test_basis_index_holds_interned_permutations():
+    # every pair shares the engine's interned permutation, so each reduced
+    # word is computed once per permutation, not once per pair
+    idx = BasisIndex(4)
+    assert all(w is intern_perm(w.images) for _, w in idx.pairs)
+    assert len({id(w) for _, w in idx.pairs}) == math.factorial(4)
 
 
 def test_associativity_samples():

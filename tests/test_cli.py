@@ -369,14 +369,16 @@ def test_refused_stdout_is_a_usage_error(unbuffered):
 
 
 def test_exact_suites_do_not_load_numpy(tmp_path):
-    # numpy serves the GF(p) classes only; the four suites at their
+    # numpy serves the GF(p) echelon only; the four suites at their
     # default n are exact, and each run is one process; the GF(p) rank at
-    # n = 4 is proved by its leading columns, with no echelon; ast serves
-    # only the scalar text parser, which no suite calls
+    # n = 4 is proved by its leading columns, with no echelon, and the
+    # GF(p) trace solves on sparse rows; ast serves only the scalar text
+    # parser, which no suite calls
     runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
             ["rank", "--n", "2", "--n-max", "3"],
             ["trace", "--n", "2", "--n-max", "3"],
-            ["rank", "--n", "4", "--points", "5/7"]]
+            ["rank", "--n", "4", "--points", "5/7"],
+            ["trace", "--n", "4", "--points", "5/7"]]
     code = ("import sys\nfrom btkit import cli\n"
             "for argv in %r:\n"
             "    cli.main(argv + ['--out', %r])\n"

@@ -56,9 +56,9 @@ def test_modp_matches_exact():
 SYSTEM_DOMAINS = (RationalDomain(1), PrimeDomain(1, P))
 
 
-def _rows(dom, system, *rows):
-    """Integer rows [M | R] as rows of the system's echelon."""
-    return [system.ech.from_coeffs([dom.of_int(x) for x in row])
+def _rows(dom, *rows):
+    """Integer rows [M | R] as sparse system rows {column: coefficient}."""
+    return [{j: dom.of_int(x) for j, x in enumerate(row) if x}
             for row in rows]
 
 
@@ -66,8 +66,8 @@ def test_linear_system_unique_solution():
     # x + y = 3, x - y = 1
     for dom in SYSTEM_DOMAINS:
         sys_ = LinearSystem(dom, 2, 1)
-        assert sys_.add(_rows(dom, sys_, [1, 1, 3])) == 1
-        assert sys_.add(_rows(dom, sys_, [1, -1, 1])) == 1
+        assert sys_.add(_rows(dom, [1, 1, 3])) == 1
+        assert sys_.add(_rows(dom, [1, -1, 1])) == 1
         assert not sys_.inconsistent
         assert sys_.rank == 2
         assert sys_.solution() == {0: [dom.of_int(2)], 1: [dom.of_int(1)]}
@@ -78,13 +78,12 @@ def test_linear_system_detects_inconsistency_and_dependence():
     # 3x + 3y = 8 is not, and x + y = 4 is inconsistent
     for dom in SYSTEM_DOMAINS:
         sys_ = LinearSystem(dom, 2, 1)
-        assert sys_.add(_rows(dom, sys_, [1, 1, 3])) == 1
-        assert sys_.add(_rows(dom, sys_, [2, 2, 6])) == 0
-        implied, not_implied = sys_.reduce(_rows(dom, sys_, [3, 3, 9],
-                                                 [3, 3, 8]))
-        assert not any(implied) and any(not_implied)
+        assert sys_.add(_rows(dom, [1, 1, 3])) == 1
+        assert sys_.add(_rows(dom, [2, 2, 6])) == 0
+        implied, not_implied = sys_.reduce(_rows(dom, [3, 3, 9], [3, 3, 8]))
+        assert not implied and not_implied
         assert not sys_.inconsistent
-        assert sys_.add(_rows(dom, sys_, [1, 1, 4])) == 1
+        assert sys_.add(_rows(dom, [1, 1, 4])) == 1
         assert sys_.inconsistent == [2] and sys_.rank == 1
         assert sys_.solution() is None
 
@@ -93,7 +92,7 @@ def test_linear_system_underdetermined():
     # x + 2z = 5: y and z are free, so zero, and only x is in the solution
     for dom in SYSTEM_DOMAINS:
         sys_ = LinearSystem(dom, 3, 1)
-        sys_.add(_rows(dom, sys_, [1, 0, 2, 5]))
+        sys_.add(_rows(dom, [1, 0, 2, 5]))
         assert sys_.solution() == {0: [dom.of_int(5)]}
         assert sys_.rank == 1
 
@@ -110,8 +109,8 @@ def test_modp_linear_system_matches_exact():
         modp = LinearSystem(modp_dom, width, 1)
         # compared after every row: all 15 full systems are inconsistent
         for row in rows:
-            exact.add(_rows(exact_dom, exact, row))
-            modp.add(_rows(modp_dom, modp, row))
+            exact.add(_rows(exact_dom, row))
+            modp.add(_rows(modp_dom, row))
             assert exact.rank == modp.rank
             assert bool(exact.inconsistent) == bool(modp.inconsistent)
             if not exact.inconsistent:
@@ -129,14 +128,69 @@ def test_modp_linear_system_inconsistent():
     # pivot in the right-hand-side column, which the rank does not count
     for dom in SYSTEM_DOMAINS:
         sys_ = LinearSystem(dom, 2, 1)
-        assert sys_.add(_rows(dom, sys_, [1, 1, 1], [2, 2, 3],
-                              [1, 0, 2])) == 3
+        assert sys_.add(_rows(dom, [1, 1, 1], [2, 2, 3], [1, 0, 2])) == 3
         assert sys_.inconsistent and sys_.solution() is None
         assert sys_.rank == 2
-        assert sys_.ech.rank == 3
+        assert len(sys_.rows) == 3
         empty = LinearSystem(dom, 2, 1)
-        assert empty.add(_rows(dom, empty, [0, 0, 5])) == 1
+        assert empty.add(_rows(dom, [0, 0, 5])) == 1
         assert empty.inconsistent and empty.rank == 0
+
+
+def _sparse(row):
+    return {j: c for j, c in enumerate(row) if c}
+
+
+@pytest.mark.parametrize("dom", SYSTEM_DOMAINS[:1] + (
+    PrimeDomain(Fraction(5, 7), PRIMES[0]),), ids=["rational", "prime"])
+def test_sparse_system_matches_dense_echelon(dom):
+    # random sparse rows [M | R] with repeated and combined rows, offered
+    # one at a time and in blocks: after every add the sparse system holds
+    # the dense Echelon's RREF rows under the same pivots, reduces other
+    # rows alike, and reads the same rank, inconsistency and solution
+    rng = random.Random(11)
+    width, k = 7, 2
+    kinds = {"consistent": 0, "inconsistent": 0}
+    for trial in range(40):
+        x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(width)]
+        consistent = trial % 2 == 0
+        rows = []
+        count = rng.randint(1, 10) if consistent else rng.randint(6, 12)
+        for _ in range(count):
+            if rows and rng.random() < 0.25:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = rng.randint(-2, 2)
+                rows.append([p + c * q for p, q in zip(a, b)])
+                continue
+            m = [rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                 for _ in range(width)]
+            rhs = ([sum(a * xi[j] for a, xi in zip(m, x)) for j in range(k)]
+                   if consistent else
+                   [rng.randint(-3, 3) for _ in range(k)])
+            rows.append(m + rhs)
+        dense = Echelon(width + k, dom.zero)
+        sys_ = LinearSystem(dom, width, k)
+        lo = 0
+        while lo < len(rows):
+            hi = lo + rng.randint(1, 3)
+            block = [[dom.of_int(c) for c in row] for row in rows[lo:hi]]
+            assert sys_.add(map(_sparse, block)) == dense.insert_block(block)
+            lo = hi
+            assert list(sys_.rows) == dense.pivots
+            assert [sys_.rows[piv] for piv in dense.pivots] == [
+                _sparse(row) for row in dense.rows]
+            probes = block + [[dom.of_int(rng.randint(-3, 3))
+                               for _ in range(width + k)] for _ in range(3)]
+            assert sys_.reduce(map(_sparse, probes)) == [
+                _sparse(dense.reduce(row)) for row in probes]
+            inconsistent = [piv for piv in dense.pivots if piv >= width]
+            assert sys_.inconsistent == inconsistent
+            assert sys_.rank == len(dense.pivots) - len(inconsistent)
+            assert sys_.solution() == (None if inconsistent else {
+                piv: row[width:]
+                for piv, row in zip(dense.pivots, dense.rows)})
+        kinds["inconsistent" if inconsistent else "consistent"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_modp_batch_reduce_matches_row_reduce():
