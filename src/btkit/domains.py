@@ -15,8 +15,8 @@ exactly when zero, so engine code is agnostic to the domain:
 
 Each domain names the echelon class for its rows (``echelon(width)``), so
 the linear algebra above the engine never asks which domain it runs in.
-``btkit.linalg`` is imported by the first ``echelon`` call, so a run that
-eliminates nothing never loads it.
+``btkit.linalg`` is imported by the first ``echelon`` call, and by the
+trace at load time, for its affine system.
 """
 
 from fractions import Fraction

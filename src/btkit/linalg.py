@@ -5,32 +5,30 @@ Both echelon classes maintain a reduced row echelon form (every pivot column
 is zero in all other rows), so reducing a vector against the span is a single
 pass and yields the unique representative with zero coordinates at the pivots.
 
-There is one echelon class per kind of field, and each owns its row format:
-:class:`Echelon` serves the exact fields (lists of Scalar or Fraction,
-filled with the domain's zero), :class:`ModPEchelon` serves GF(p) (int64
-numpy rows in a matrix allocated once, numpy imported on first use) for
-the quotient closures and the rank's fallback only.  Each
-converts domain coefficient lists to rows and back, and packs and applies
-the generator action tables of :func:`btkit.quotient.generator_actions`
-(``pack``, ``scatter_batch``), so callers run one body of code in every
-domain.  Both take blocks of rows
-(``insert_block``, ``reduce_batch``, ``scatter_batch``): :class:`Echelon`
-loops over the rows.  :class:`ModPEchelon` packs a table in layers with
-distinct targets, one gather-multiply-add each, and inserts a block with two
-exact float64 BLAS products (delayed modular reduction on balanced residues,
-as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one
-reducing the block against the basis and one clearing the block's new pivots
-from the old rows (per CHUNK old rows, so the temporaries stay bounded as the
+There is one echelon class per kind of field, and each owns its row format.
+:class:`Echelon` is the one RREF over domain elements (Scalar, Fraction or
+IntMod), on sparse rows {column: nonzero coefficient}; it loops over the
+rows of a block and keys a packed table by source column.
+:class:`ModPEchelon` serves the bulk GF(p) closures and the rank's
+fallback, on int64 numpy rows in a matrix allocated once (numpy imported on
+first use).  It packs a table in layers with distinct targets, one
+gather-multiply-add each, and inserts a block with two exact float64 BLAS
+products (delayed modular reduction on balanced residues, as in
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one reducing
+the block against the basis and one clearing the block's new pivots from
+the old rows (per CHUNK old rows, so the temporaries stay bounded as the
 basis grows), with the block echelonized in between; ``insert`` is its
-one-row case.  ``from_entries`` makes a block of rows from sparse (row,
-column, coefficient) entries, with none for a block of zero rows.
+one-row case.  Both convert domain coefficient lists to rows and back
+(``from_entries`` makes a block from sparse (row, column, coefficient)
+entries), count the nonzero rows of a block, and pack and apply the
+generator action tables of :func:`btkit.quotient.generator_actions`, so
+callers run one body of code in every domain and read no row format.
 
-The affine system :class:`LinearSystem` keeps its own RREF, sparse rows
-{column: coefficient} in the domain's elements, in every domain; its last
+The affine system :class:`LinearSystem` is an :class:`Echelon` whose last
 columns hold the right-hand sides.  The trace solver feeds one system per
 level with sparse rows folded onto the class roots of a weighted union-find
 (:func:`merge_classes`), at most 11 entries in an RREF row at n = 5, so it
-builds no echelon and loads no numpy.
+loads no numpy.
 """
 
 np = None
@@ -45,95 +43,105 @@ def _import_numpy():
 
 
 class Echelon:
-    """Reduced row echelon form over an exact field, rows as dense lists."""
+    """Reduced row echelon form over an exact field on sparse rows {column:
+    nonzero coefficient}, each pivot 1 at its row's first nonzero column,
+    the rows in the order inserted (the ideal closure walks them)."""
 
     def __init__(self, width, zero=0):
         self.width = width
         self.zero = zero
         self.rows = []
         self.pivots = []          # pivot column of each row
-        self._pivot_row = {}      # column -> row index
+        self._pivot_row = {}      # column -> its row
 
     @property
     def rank(self):
         return len(self.rows)
 
     def reduce(self, row):
-        """Fully reduced copy of row (does not insert)."""
-        row = list(row)
-        for col, c in enumerate(row):
-            if c and col in self._pivot_row:
-                r = self.rows[self._pivot_row[col]]
-                row[col:] = [a - c * b if b else a
-                             for a, b in zip(row[col:], r[col:])]
-        return row
+        """Reduced copy of a sparse row (does not insert): the RREF rows
+        hold no other pivot, so one subtraction per pivot column of the row
+        clears it."""
+        out = {j: c for j, c in row.items() if c}
+        for piv in [j for j in out if j in self._pivot_row]:
+            _subtract(out, out[piv], self._pivot_row[piv])
+        return out
 
     def insert(self, row):
-        """Reduce and, if independent, add as a new pivot row; returns True
-        iff the rank grew."""
-        row = self.reduce(row)
-        piv = next((col for col, c in enumerate(row) if c), None)
-        if piv is None:
+        """Reduce (by Echelon.reduce: a LinearSystem's reduce takes a batch)
+        and, if nonzero, add as a pivot row cleared from the others; returns
+        True iff the rank grew."""
+        row = Echelon.reduce(self, row)
+        if not row:
             return False
+        piv = min(row)
         inv = row[piv]
-        if inv != inv * inv:  # normalize pivot to 1 unless it already is
-            row = [c / inv for c in row]
-        for r, rpiv in zip(self.rows, self.pivots):
-            c = r[piv]
+        if inv != inv * inv:   # normalize pivot to 1 unless it already is
+            row = {j: c / inv for j, c in row.items()}
+        for old in self.rows:
+            c = old.get(piv)
             if c:
-                r[piv:] = [a - c * b if b else a
-                           for a, b in zip(r[piv:], row[piv:])]
+                _subtract(old, c, row)
         self.rows.append(row)
         self.pivots.append(piv)
-        self._pivot_row[piv] = len(self.rows) - 1
+        self._pivot_row[piv] = row
         return True
 
     def insert_block(self, rows):
-        """Insert the rows up to full rank, after which every row reduces
-        to zero; returns the rank growth."""
-        rank = self.rank
+        """Insert the rows up to width rows, after which every row reduces
+        to zero; returns the growth in rows."""
+        before = len(self.rows)
         for row in rows:
-            if self.rank == self.width:
+            if len(self.rows) == self.width:
                 break
             self.insert(row)
-        return self.rank - rank
+        return len(self.rows) - before
 
     def reduce_batch(self, rows):
-        return [self.reduce(row) for row in rows]
+        return [Echelon.reduce(self, row) for row in rows]
 
     def spans(self, rows):
         """True iff every row lies in the span."""
-        return all(not any(self.reduce(row)) for row in rows)
+        return not any(Echelon.reduce(self, row) for row in rows)
+
+    @staticmethod
+    def nonzero_rows(rows):
+        return sum(1 for row in rows if row)
 
     @staticmethod
     def from_coeffs(vec):
-        return vec
-
-    def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries."""
-        rows = [[self.zero] * self.width for _ in range(m)]
-        for i, j, c in entries:
-            rows[i][j] = c
-        return rows
+        return {j: c for j, c in enumerate(vec) if c}
 
     @staticmethod
-    def to_coeffs(row):
-        return row
+    def from_entries(m, entries):
+        """m rows, zero but for the (row, column, coefficient) entries."""
+        rows = [{} for _ in range(m)]
+        for i, j, c in entries:
+            if c:
+                rows[i][j] = c
+        return rows
+
+    def to_coeffs(self, row):
+        return [row.get(j, self.zero) for j in range(self.width)]
 
     @staticmethod
     def pack(src, dst, coeff):
-        return list(zip(src, dst, coeff))
+        """The table as {source column: [(target, coefficient), ...]}."""
+        table = {}
+        for s, d, c in zip(src, dst, coeff):
+            table.setdefault(s, []).append((d, c))
+        return table
 
-    def scatter_batch(self, action, rows):
-        """The images of rows under a packed action table."""
+    @staticmethod
+    def scatter_batch(action, rows):
+        """The images of rows under a packed table, walking their entries."""
         out = []
         for row in rows:
-            img = [self.zero] * self.width
-            for s, d, c in action:
-                x = row[s]
-                if x:
-                    img[d] = img[d] + x * c
-            out.append(img)
+            img = {}
+            for s, x in row.items():
+                for d, c in action.get(s, ()):
+                    img[d] = img[d] + x * c if d in img else x * c
+            out.append({d: c for d, c in img.items() if c})
         return out
 
 
@@ -184,57 +192,30 @@ def _subtract(out, c, row):
             del out[j]
 
 
-class LinearSystem:
-    """Affine system M x = R with k right-hand sides over a domain, kept as
-    the RREF of the rows [M | R]: sparse rows {column: nonzero coefficient}
-    in the domain's own elements, keyed by their pivot column, each pivot 1.
-    First-nonzero pivoting puts a pivot among the last k columns exactly
-    when the system is inconsistent, so ``rank`` counts the pivots below
-    ``width`` only.  A reduced pivot row reads x_piv + (free part) = its
-    right-hand sides."""
+class LinearSystem(Echelon):
+    """Affine system M x = R with k right-hand sides over a domain: the
+    :class:`Echelon` of the rows [M | R], right-hand sides last.  A pivot
+    among them means inconsistency, so ``rank`` counts the pivots below the
+    unknowns only; a pivot row reads x_piv + (free part) = its right-hand
+    sides.  ``add`` and ``reduce`` take batches of sparse rows."""
 
     PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 1)
 
+    add = Echelon.insert_block
+    reduce = Echelon.reduce_batch
+
     def __init__(self, dom, width, k):
-        self.width, self.zero = width, dom.zero
+        super().__init__(width + k, dom.zero)
         self.rhs = range(width, width + k)
-        self.rows = {}            # pivot column -> its RREF row
 
     @property
     def rank(self):
-        return sum(piv < self.width for piv in self.rows)
+        return len(self.rows) - len(self.inconsistent)
 
     @property
     def inconsistent(self):
         """The pivot columns among the right-hand sides."""
-        return [piv for piv in self.rows if piv >= self.width]
-
-    def _reduce(self, row):
-        """Reduced copy of a sparse row: the RREF rows hold no other pivot,
-        so one subtraction per pivot column of the row clears it."""
-        out = {j: c for j, c in row.items() if c}
-        for piv in [j for j in out if j in self.rows]:
-            _subtract(out, out[piv], self.rows[piv])
-        return out
-
-    def add(self, rows):
-        """Insert sparse rows [M | R]; returns the rank growth, pivots among
-        the right-hand sides included."""
-        rank = len(self.rows)
-        for row in filter(None, map(self._reduce, rows)):
-            piv = min(row)
-            inv = row[piv]
-            if inv != inv * inv:   # normalize pivot to 1 unless it already is
-                row = {j: c / inv for j, c in row.items()}
-            for old in self.rows.values():
-                c = old.get(piv)
-                if c:
-                    _subtract(old, c, row)
-            self.rows[piv] = row
-        return len(self.rows) - rank
-
-    def reduce(self, rows):
-        return [self._reduce(row) for row in rows]
+        return [piv for piv in self.pivots if piv in self.rhs]
 
     def solution(self):
         """{i: the k right-hand-side coefficients of x_i} over the pivot
@@ -242,7 +223,7 @@ class LinearSystem:
         if self.inconsistent:
             return None
         return {piv: [row.get(j, self.zero) for j in self.rhs]
-                for piv, row in self.rows.items()}
+                for piv, row in zip(self.pivots, self.rows)}
 
 
 class ModPLinearSystem(LinearSystem):
@@ -392,6 +373,10 @@ class ModPEchelon:
     def spans(self, rows):
         """True iff every row lies in the span."""
         return not np.any(self.reduce_batch(rows))
+
+    @staticmethod
+    def nonzero_rows(rows):
+        return int(np.count_nonzero(np.any(rows, axis=1)))
 
     @staticmethod
     def from_coeffs(vec):

@@ -12,14 +12,14 @@ representative with zero coordinates at the pivots).
 The closure, the closure check and the spanning check work on blocks of at
 most BLOCK rows: a block of basis rows (or of candidates) is scattered
 through a table at once and inserted into, or tested against, the echelon
-as one block, so the GF(p) echelon does its elimination in a few BLAS
-products of bounded size instead of one product per row.
+as one block.  The blocks exist for the GF(p) echelon, which eliminates in
+a few BLAS products of bounded size instead of one product per row.
 
 Every generator multiplication here is a table scatter on coefficient rows
 (:func:`generator_actions`).  The domain's echelon class packs the tables
-from the engine's one-generator products (:func:`right_products`) and
-applies them, so the closure, the closure check and the spanning check have
-one body for every domain.
+from the engine's one-generator products (:func:`right_products`), applies
+them and counts nonzero rows, so the closure, the closure check and the
+spanning check have one body for every domain.
 """
 
 from math import comb
@@ -369,7 +369,7 @@ def spanning_check(ib):
             for i in w:
                 rows = ech.scatter_batch(tables["RF", i], rows)
             rows = ib.ech.reduce_batch(rows)
-            nonzero += sum(1 for row in rows if any(row))
+            nonzero += ech.nonzero_rows(rows)
             ech.insert_block(rows)
     return {
         "candidates": len(parts) * len(words),

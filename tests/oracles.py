@@ -1,8 +1,9 @@
 """Reference code for the tests that the library itself does not need: the
 permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
-specialized into a prime field, the mirror anti-involution of the basis, and
-the dense oracles of the trace's commutator classes."""
+specialized into a prime field, the mirror anti-involution of the basis, the
+dense oracles of the trace's commutator classes, and the dense-list RREF the
+sparse echelons are checked against."""
 
 import random
 from math import prod
@@ -105,3 +106,52 @@ def generic_trace_space_dim(n):
     return sum(prod(_multipartitions(mu.count(j), _multipartitions(j, 1))
                     for j in set(mu))
                for mu in _shapes(n))
+
+
+class DenseEchelon:
+    """Reduced row echelon form over an exact field, rows as dense lists of
+    domain elements, each pivot 1 at the row's first nonzero column: the
+    oracle of :class:`btkit.linalg.Echelon` and of the affine
+    system built on it."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []          # pivot column of each row
+        self._pivot_row = {}      # column -> row index
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, row):
+        """Fully reduced copy of row (does not insert)."""
+        row = list(row)
+        for col, c in enumerate(row):
+            if c and col in self._pivot_row:
+                r = self.rows[self._pivot_row[col]]
+                row[col:] = [a - c * b for a, b in zip(row[col:], r[col:])]
+        return row
+
+    def insert(self, row):
+        """Reduce and, if independent, add as a new pivot row; returns True
+        iff the rank grew."""
+        row = self.reduce(row)
+        piv = next((col for col, c in enumerate(row) if c), None)
+        if piv is None:
+            return False
+        row = [c / row[piv] for c in row]
+        for r in self.rows:
+            c = r[piv]
+            if c:
+                r[piv:] = [a - c * b for a, b in zip(r[piv:], row[piv:])]
+        self.rows.append(row)
+        self.pivots.append(piv)
+        self._pivot_row[piv] = len(self.rows) - 1
+        return True
+
+    def insert_block(self, rows):
+        """Insert the rows; returns the rank growth."""
+        rank = self.rank
+        for row in rows:
+            self.insert(row)
+        return self.rank - rank

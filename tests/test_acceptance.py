@@ -83,7 +83,7 @@ def _rank(vectors):
     keys = sorted({k for v in vectors for k in v})
     ech = Echelon(width=len(keys))
     for v in vectors:
-        ech.insert([v.get(k, sc.ZERO) for k in keys])
+        ech.insert(ech.from_coeffs([v.get(k, sc.ZERO) for k in keys]))
     return ech.rank
 
 

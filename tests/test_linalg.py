@@ -7,36 +7,45 @@ from btkit import linalg
 from btkit.domains import (PRIMES, SYMBOLIC, IntMod, PrimeDomain,
                            RationalDomain)
 from btkit.linalg import Echelon, LinearSystem, ModPEchelon, merge_classes
+from oracles import DenseEchelon
 
 P = 1000000007
 
 
+def _fractions(ech, *rows):
+    """Integer rows as the echelon's rows over Q."""
+    return [ech.from_coeffs([Fraction(x) for x in row]) for row in rows]
+
+
 def test_echelon_rank_and_reduce():
     ech = Echelon(width=4)
-    assert ech.insert([Fraction(1), Fraction(2), Fraction(0), Fraction(0)])
-    assert ech.insert([Fraction(0), Fraction(1), Fraction(1), Fraction(0)])
-    assert not ech.insert([Fraction(1), Fraction(3), Fraction(1), Fraction(0)])
+    a, b, c, d = _fractions(ech, [1, 2, 0, 0], [0, 1, 1, 0], [1, 3, 1, 0],
+                            [2, 4, 0, 1])
+    assert ech.insert(a)
+    assert ech.insert(b)
+    assert not ech.insert(c)
     assert ech.rank == 2
-    red = ech.reduce([Fraction(2), Fraction(4), Fraction(0), Fraction(1)])
+    red = ech.to_coeffs(ech.reduce(d))
     assert red[0] == 0 and red[1] == 0
-    assert ech.spans([[Fraction(1), Fraction(2), Fraction(0), Fraction(0)]])
+    assert ech.spans(_fractions(ech, [1, 2, 0, 0]))
 
 
 def test_echelon_gives_unique_representatives():
     rng = random.Random(1)
     ech = Echelon(width=6)
-    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(4)]
+    rows = _fractions(ech, *([rng.randint(-3, 3) for _ in range(6)]
+                             for _ in range(4)))
     for r in rows:
-        ech.insert(list(r))
+        ech.insert(r)
     # reduction is idempotent and kills the span
     for r in rows:
-        assert ech.spans([list(r)])
-    v = [Fraction(rng.randint(-3, 3)) for _ in range(6)]
+        assert ech.spans([r])
+    (v,) = _fractions(ech, [rng.randint(-3, 3) for _ in range(6)])
     red = ech.reduce(v)
     assert ech.reduce(red) == red
     # reduced vector vanishes at the pivots
     for piv in ech.pivots:
-        assert red[piv] == 0
+        assert ech.to_coeffs(red)[piv] == 0
 
 
 def test_modp_matches_exact():
@@ -46,7 +55,7 @@ def test_modp_matches_exact():
         exact = Echelon(width=5)
         modp = ModPEchelon(width=5, p=P)
         for r in rows:
-            exact.insert([Fraction(x) for x in r])
+            exact.insert(*_fractions(exact, r))
             modp.insert(r)
         # generic small integers: rank mod a huge prime equals exact rank
         assert exact.rank == modp.rank
@@ -137,52 +146,79 @@ def test_modp_linear_system_inconsistent():
         assert empty.inconsistent and empty.rank == 0
 
 
-def _sparse(row):
-    return {j: c for j, c in enumerate(row) if c}
+def _random_rows(dom, rng, width, k, consistent, column_0):
+    """Random dense rows [M | R] over dom, coefficients a + b s with small
+    integers a, b (b = 0 but in Q(s)), about 40% of M nonzero, and some
+    rows sums of earlier ones.  Consistent rows take R = M x for one fixed
+    x; the others a random R.  With column_0 the first row has its only
+    entry at column 0."""
+    def coeff():
+        b = rng.randint(-1, 1) if dom is SYMBOLIC else 0
+        return dom.of_int(rng.randint(-3, 3)) + dom.of_int(b) * dom.sqrt_u
+
+    x = [[coeff() for _ in range(k)] for _ in range(width)]
+    rows = []
+    if column_0:
+        rows.append([dom.of_int(rng.choice((-2, 1, 3)))]
+                    + [dom.zero] * (width + k - 1))
+    for _ in range(rng.randint(1, 10) if consistent else rng.randint(6, 12)):
+        if rows and rng.random() < 0.25:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = dom.of_int(rng.randint(-2, 2))
+            rows.append([p + c * q for p, q in zip(a, b)])
+            continue
+        m = [coeff() if rng.random() < 0.4 else dom.zero
+             for _ in range(width)]
+        rhs = ([sum((a * xi[j] for a, xi in zip(m, x)), dom.zero)
+                for j in range(k)] if consistent else
+               [coeff() for _ in range(k)])
+        rows.append(m + rhs)
+    return rows
 
 
-@pytest.mark.parametrize("dom", SYSTEM_DOMAINS[:1] + (
-    PrimeDomain(Fraction(5, 7), PRIMES[0]),), ids=["rational", "prime"])
-def test_sparse_system_matches_dense_echelon(dom):
-    # random sparse rows [M | R] with repeated and combined rows, offered
-    # one at a time and in blocks: after every add the sparse system holds
-    # the dense Echelon's RREF rows under the same pivots, reduces other
-    # rows alike, and reads the same rank, inconsistency and solution
+@pytest.mark.parametrize("dom, trials", [
+    (SYSTEM_DOMAINS[0], 40), (PrimeDomain(Fraction(5, 7), PRIMES[0]), 40),
+    (SYMBOLIC, 8)], ids=["rational", "prime", "symbolic"])
+def test_sparse_system_matches_dense_echelon(dom, trials):
+    # random rows [M | R] offered to the sparse Echelon one at a time and to
+    # the LinearSystem in blocks: after every block both hold the dense
+    # oracle's RREF rows under the same pivots, in the same order, reduce
+    # other rows alike and agree on which lie in the span, and the system
+    # reads the same rank, inconsistency and solution.  A last block of
+    # dense rows reaches width + k rows, where insert_block stops.
     rng = random.Random(11)
     width, k = 7, 2
     kinds = {"consistent": 0, "inconsistent": 0}
-    for trial in range(40):
-        x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(width)]
-        consistent = trial % 2 == 0
-        rows = []
-        count = rng.randint(1, 10) if consistent else rng.randint(6, 12)
-        for _ in range(count):
-            if rows and rng.random() < 0.25:
-                a, b = rng.choice(rows), rng.choice(rows)
-                c = rng.randint(-2, 2)
-                rows.append([p + c * q for p, q in zip(a, b)])
-                continue
-            m = [rng.randint(-3, 3) if rng.random() < 0.4 else 0
-                 for _ in range(width)]
-            rhs = ([sum(a * xi[j] for a, xi in zip(m, x)) for j in range(k)]
-                   if consistent else
-                   [rng.randint(-3, 3) for _ in range(k)])
-            rows.append(m + rhs)
-        dense = Echelon(width + k, dom.zero)
+    for trial in range(trials):
+        rows = _random_rows(dom, rng, width, k, trial % 2 == 0,
+                            trial % 3 == 0)
+        dense = DenseEchelon()
+        ech = Echelon(width + k, dom.zero)
         sys_ = LinearSystem(dom, width, k)
         lo = 0
         while lo < len(rows):
             hi = lo + rng.randint(1, 3)
-            block = [[dom.of_int(c) for c in row] for row in rows[lo:hi]]
-            assert sys_.add(map(_sparse, block)) == dense.insert_block(block)
+            block = rows[lo:hi]
             lo = hi
-            assert list(sys_.rows) == dense.pivots
-            assert [sys_.rows[piv] for piv in dense.pivots] == [
-                _sparse(row) for row in dense.rows]
+            grown = dense.insert_block(block)
+            assert sum(ech.insert(ech.from_coeffs(row))
+                       for row in block) == grown
+            assert sys_.add(map(sys_.from_coeffs, block)) == grown
+            for sparse in (ech, sys_):
+                assert sparse.pivots == dense.pivots
+                assert [sparse.to_coeffs(row) for row in sparse.rows] \
+                    == dense.rows
             probes = block + [[dom.of_int(rng.randint(-3, 3))
                                for _ in range(width + k)] for _ in range(3)]
-            assert sys_.reduce(map(_sparse, probes)) == [
-                _sparse(dense.reduce(row)) for row in probes]
+            reduced = [dense.reduce(row) for row in probes]
+            for sparse, batch in ((ech, ech.reduce_batch),
+                                  (sys_, sys_.reduce)):
+                red = batch(map(sparse.from_coeffs, probes))
+                assert [sparse.to_coeffs(row) for row in red] == reduced
+                assert sparse.nonzero_rows(red) == sum(map(any, reduced))
+                assert sparse.spans(map(sparse.from_coeffs, block))
+                assert [sparse.spans([sparse.from_coeffs(row)])
+                        for row in probes] == [not any(r) for r in reduced]
             inconsistent = [piv for piv in dense.pivots if piv >= width]
             assert sys_.inconsistent == inconsistent
             assert sys_.rank == len(dense.pivots) - len(inconsistent)
@@ -190,7 +226,49 @@ def test_sparse_system_matches_dense_echelon(dom):
                 piv: row[width:]
                 for piv, row in zip(dense.pivots, dense.rows)})
         kinds["inconsistent" if inconsistent else "consistent"] += 1
-    assert min(kinds.values()) >= 10, kinds
+        # from_entries, zero coefficients included, and to_coeffs invert
+        # each other
+        entries = [(i, j, c) for i, row in enumerate(rows)
+                   for j, c in enumerate(row)]
+        assert ech.from_entries(len(rows), entries) == [
+            ech.from_coeffs(row) for row in rows]
+        assert [ech.to_coeffs(row)
+                for row in ech.from_entries(len(rows), entries)] == rows
+        # full rank within the first width + k of these rows (unitriangular):
+        # the stop leaves at least the last two unread
+        full = [[dom.zero] * j + [dom.one] + [
+            dom.of_int(rng.randint(-3, 3)) for _ in range(width + k - j - 1)]
+            for j in range(width + k)] + [
+            [dom.of_int(rng.randint(-3, 3)) for _ in range(width + k)]
+            for _ in range(3)]
+        rank = dense.rank
+        assert dense.insert_block(full) == width + k - rank
+        for sparse, insert in ((ech, ech.insert_block), (sys_, sys_.add)):
+            offered = iter(map(sparse.from_coeffs, full))
+            assert insert(offered) == width + k - rank
+            assert [sparse.to_coeffs(row) for row in sparse.rows] \
+                == dense.rows
+            assert len(list(offered)) >= 2
+        assert sys_.rank == width
+        assert sorted(sys_.inconsistent) == list(sys_.rhs)
+    assert min(kinds.values()) >= trials // 4, kinds
+
+
+def test_nonzero_rows_counts_rows_not_entries():
+    # the row whose only entry is at column 0 (the candidate 1 in the
+    # spanning check) is nonzero, a row whose only entry is zero is zero,
+    # in every domain's echelon
+    for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7)),
+                PrimeDomain(Fraction(5, 7), PRIMES[0])):
+        ech = dom.echelon(3)
+        rows = ech.from_entries(4, [(0, 0, dom.one), (2, 1, dom.u),
+                                    (3, 2, dom.zero)])
+        assert ech.nonzero_rows(rows) == 2
+        assert ech.nonzero_rows(ech.from_entries(1, [(0, 0, dom.one)])) == 1
+        assert ech.nonzero_rows(ech.from_entries(0, [])) == 0
+        assert ech.nonzero_rows(ech.reduce_batch(rows)) == 2
+        ech.insert(rows[0])
+        assert ech.nonzero_rows(ech.reduce_batch(rows)) == 1
 
 
 def test_modp_batch_reduce_matches_row_reduce():
@@ -212,9 +290,11 @@ def test_modp_batch_reduce_matches_row_reduce():
 def test_from_entries_without_entries_gives_zero_rows():
     # a block whose rows all fold to zero has no entries; each echelon
     # still makes its m rows, zero in its own field
-    exact = SYMBOLIC.echelon(4).from_entries(3, [])
-    assert exact == [[SYMBOLIC.zero] * 4] * 3
-    assert RationalDomain(Fraction(5, 7)).echelon(2).from_entries(1, []) \
+    exact = SYMBOLIC.echelon(4)
+    assert [exact.to_coeffs(row) for row in exact.from_entries(3, [])] \
+        == [[SYMBOLIC.zero] * 4] * 3
+    rational = RationalDomain(Fraction(5, 7)).echelon(2)
+    assert [rational.to_coeffs(row) for row in rational.from_entries(1, [])] \
         == [[Fraction(0)] * 2]
     modp = PrimeDomain(Fraction(5, 7)).echelon(4).from_entries(3, [])
     assert modp.shape == (3, 4) and not modp.any()
@@ -423,9 +503,9 @@ def test_exact_batch_methods_are_loops_over_rows():
         assert block.insert_block(images) == grown == block.rank
         assert (block.rows, block.pivots) == (one.rows, one.pivots)
     # a block that reaches full rank midway, as the last rank bundle does
-    rows = [[Fraction(a), Fraction(b), Fraction(c)] for a, b, c in
-            ((0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1), (1, 0, 1), (2, 2, 2))]
     one, block = Echelon(3), Echelon(3)
+    rows = _fractions(one, (0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1),
+                      (1, 0, 1), (2, 2, 2))
     grown = sum(one.insert(row) for row in rows)
     assert block.insert_block(rows) == grown == 3
     assert (block.rows, block.pivots) == (one.rows, one.pivots)

@@ -27,7 +27,8 @@ def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     left = [index.basis_elem(k) * g for k in range(len(index))]
     for lg in left:
         for k in range(len(index)):
-            ech.insert(index.vector(lg * index.basis_elem(k)))
+            ech.insert(ech.from_coeffs(
+                index.vector(lg * index.basis_elem(k))))
     return ib
 
 
@@ -341,7 +342,8 @@ def test_action_table_coefficients_n3():
         for i in (1, 2):
             entries = tables[name, i]
             want = {one, u, u - one} if name[1] == "T" else {one}
-            assert {c for _, _, c in entries} == want, (name, i)
+            assert {c for images in entries.values()
+                    for _, c in images} == want, (name, i)
 
 
 def test_single_point_pairs_with_both_primes(capsys):
@@ -354,3 +356,16 @@ def test_single_point_pairs_with_both_primes(capsys):
     agreement = [c for c in report["checks"]
                  if c["id"] == "quotient-dim-agreement"]
     assert [c["status"] for c in agreement] == ["pass"]
+
+
+def test_symbolic_n4_tied_ideal():
+    # the exact closure at width 360 = dim E_4, over Q(s): the numbers of
+    # tests/golden/quotient_n4.json, there from two specializations, hold
+    # at generic u
+    ib = build_ideal(4)
+    assert ib.dim == 26 and ib.quotient_dim == 334
+    assert verify_ideal_closure(ib)
+    span = spanning_check(ib)
+    assert (span["candidates"], span["nonzero_candidates"],
+            span["spanning_rank"]) == (bell_number(4) * catalan_number(4),
+                                       210, 210)

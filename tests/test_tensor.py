@@ -392,7 +392,7 @@ def test_type_dedup_matches_naive_enumeration():
     for m, entries in tn._rank_rows(3, dom):
         e1.insert_block(e1.from_entries(m, entries))
     for row in _rank_rows_full(3, dom):
-        e2.insert(row)
+        e2.insert(e2.from_coeffs(row))
     assert e1.rank == e2.rank
 
 
@@ -426,7 +426,8 @@ def test_rank_bundles_match_dense_rows():
         assert len(bundles) == len(dense) == len(tn.index_types(3))
         for (m, entries), rows in zip(bundles, dense):
             assert m == len(rows)
-            assert ech.from_entries(m, entries) == rows
+            assert ech.from_entries(m, entries) == [
+                ech.from_coeffs(row) for row in rows]
     dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
     ech = dom.echelon(360)
     for (m, entries), rows in itertools.islice(
