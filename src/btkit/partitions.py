@@ -48,31 +48,17 @@ class SetPartition:
         return max(self.rgs) + 1
 
     def join(self, other):
-        """Finest common coarsening, via union-find over both block
-        constraints; commutative, associative, idempotent."""
+        """Finest common coarsening: each position of other joined by an arc
+        to the first position of its block; commutative, associative,
+        idempotent."""
         if self.n != other.n:
             raise ValueError("mismatched n: %d vs %d" % (self.n, other.n))
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for rgs in (self.rgs, other.rgs):
-            first = {}
-            for pos, label in enumerate(rgs):
-                if label in first:
-                    union(first[label], pos)
-                else:
-                    first[label] = pos
-        return SetPartition(_canonical_rgs([find(x) for x in range(self.n)]))
+        out, first = self, {}
+        for pos, label in enumerate(other.rgs, start=1):
+            a = first.setdefault(label, pos)
+            if a != pos:
+                out = out.join_arc(a, pos)
+        return out
 
     def join_arc(self, a, b):
         """Join with the one-arc partition {{a, b}} (fast path for the
