@@ -3,9 +3,9 @@
 Every element type supports +, -, *, /, unary -, ==, hash and is falsy
 exactly when zero, so engine code is agnostic to the domain:
 
-* :class:`SymbolicDomain` -- exact elements of Q(s)[A, B] with denominators
-  in Z[s] (:class:`~btkit.scalars.Scalar`), the default; computations here
-  hold for generic u.
+* :class:`SymbolicDomain` -- exact elements of the field Q(s)
+  (:class:`~btkit.scalars.Scalar`), the default; computations here hold for
+  generic u.
 * :class:`RationalDomain` -- sqrt(u) specialized to a rational number,
   elements are ``Fraction``.
 * :class:`PrimeDomain` -- the rational specialization pushed into GF(p),

@@ -1,268 +1,200 @@
-"""Exact arithmetic in the coefficient ring Q(s)[A, B], where s stands for
-the square root of the deformation parameter u (so u = s^2 everywhere).
+"""Exact arithmetic in the field Q(s), where s stands for the square root of
+the deformation parameter u (so u = s^2 everywhere), and the trace values:
+polynomials in the trace parameters A and B over a field.
 
-Only s appears in the multiplication engine.  A and B are trace parameters,
-which the tower rules bring in as monomials, so every trace value is a
-polynomial in A and B over Q(s).  Elements are fractions of an integer
-polynomial in (s, A, B) over a denominator in Z[s]; dividing by anything
-that holds A or B raises ValueError.  The form is canonical: numerator and
-denominator coprime (integer content and gcd in s removed) and the
-denominator's leading coefficient positive.  Two scalars are equal iff their
-stored forms are identical, so dict/set membership is exact equality.
+A :class:`Scalar` is a fraction of two polynomials in Z[s], each stored as a
+tuple of integer coefficients, lowest degree first, with no trailing zero.
+The form is canonical: numerator and denominator coprime in Z[s] (integer
+content included) and the denominator's leading coefficient positive.  Two
+scalars are equal iff their stored forms are identical, so dict/set
+membership is exact equality.  Only s appears in the multiplication engine.
+
+A :class:`ParamPoly` is a polynomial {(degA, degB): coefficient} in A and B
+with coefficients in any domain of :mod:`btkit.domains`: the one type of
+trace values.  The tower rules bring A and B in as monomials, so a trace
+value is never divided by them, and a ParamPoly has no inverse: dividing by
+one that holds A or B raises ValueError.  ``A`` and ``B`` are ParamPolys
+over Q(s), and a constant ParamPoly equals, hashes and prints as its Scalar.
 """
 
 from fractions import Fraction
 from math import gcd as _igcd
 
-# variable order for monomial tuples and graded-lex comparisons
-VARS = ("s", "A", "B")
-_NVARS = 3
-_MONO_ONE = (0, 0, 0)
+_ONE = (1,)
 
 
 # ---------------------------------------------------------------------------
-# raw polynomials: dict {(e_s, e_A, e_B): int}, no zero coefficients
+# polynomials in Z[s]: tuples of ints, lowest degree first, no trailing zero
 # ---------------------------------------------------------------------------
 
 def _p_add(f, g):
-    h = dict(f)
-    for m, c in g.items():
-        c2 = h.get(m, 0) + c
-        if c2:
-            h[m] = c2
-        else:
-            h.pop(m, None)
-    return h
+    if len(f) < len(g):
+        f, g = g, f
+    h = list(f)
+    for k, c in enumerate(g):
+        h[k] += c
+    while h and not h[-1]:
+        h.pop()
+    return tuple(h)
 
 
 def _p_neg(f):
-    return {m: -c for m, c in f.items()}
+    return tuple(-c for c in f)
 
 
 def _p_mul(f, g):
     if not f or not g:
-        return {}
+        return ()
     if len(g) > len(f):
         f, g = g, f
-    h = {}
-    for mg, cg in g.items():
-        gs, ga, gb = mg
-        for mf, cf in f.items():
-            m = (mf[0] + gs, mf[1] + ga, mf[2] + gb)
-            c = h.get(m, 0) + cf * cg
-            if c:
-                h[m] = c
-            else:
-                del h[m]
-    return h
+    if len(g) == 1:
+        c = g[0]
+        return f if c == 1 else tuple(c * x for x in f)
+    h = [0] * (len(f) + len(g) - 1)
+    for j, b in enumerate(g):
+        if b:
+            for i, a in enumerate(f, j):
+                h[i] += a * b
+    return tuple(h)
 
 
-def _grlex_key(m):
-    return (m[0] + m[1] + m[2], m)
+def _p_div(f, g):
+    """The quotient f / g in Z[s]; g must divide f."""
+    if len(g) == 1:
+        c = g[0]
+        return f if c == 1 else tuple(x // c for x in f)
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * (len(f) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dg] // lg
+        if c:
+            q[i] = c
+            for k in range(dg):
+                r[i + k] -= c * g[k]
+    return tuple(q)
 
 
-def _p_lead(f):
-    """Leading monomial under graded-lex order."""
-    return max(f, key=_grlex_key)
-
-
-def _p_is_const(f):
-    return not f or (len(f) == 1 and _MONO_ONE in f)
-
-
-def _p_div_exact(f, g):
-    """Exact division f / g; raises ArithmeticError if not divisible."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if _p_is_const(g):
-        k = g[_MONO_ONE]
-        if k == 1:
-            return dict(f)
-        h = {}
-        for m, c in f.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            h[m] = q
-        return h
-    rem = dict(f)
-    quot = {}
-    lg = _p_lead(g)
-    cg = g[lg]
-    while rem:
-        lr = _p_lead(rem)
-        me = (lr[0] - lg[0], lr[1] - lg[1], lr[2] - lg[2])
-        if min(me) < 0:
-            raise ArithmeticError("inexact polynomial division")
-        q, r = divmod(rem[lr], cg)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[me] = q
-        for m, c in g.items():
-            m2 = (m[0] + me[0], m[1] + me[1], m[2] + me[2])
-            c2 = rem.get(m2, 0) - c * q
-            if c2:
-                rem[m2] = c2
-            else:
-                rem.pop(m2, None)
-    return quot
-
-
-def _s_gcd(f, g):
-    """Dense univariate gcd in s over Z, primitive PRS."""
-    a = [0] * (max(m[0] for m in f) + 1)
-    for m, c in f.items():
-        a[m[0]] = c
-    b = [0] * (max(m[0] for m in g) + 1)
-    for m, c in g.items():
-        b[m[0]] = c
-
-    def content(p):
-        c = 0
-        for x in p:
-            c = _igcd(c, x)
-            if c == 1:
-                return 1
-        return c
-
-    def prim(p):
-        c = content(p)
-        return p if c == 1 else [x // c for x in p]
-
-    ca, cb = content(a), content(b)
-    d = _igcd(ca, cb)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        # pseudo-remainder of a by b
-        while a and a[-1] == 0:
-            a.pop()
-        if not b or (len(b) == 1 and b[0] == 0):
+def _content(f):
+    c = 0
+    for x in f:
+        c = _igcd(c, x)
+        if c == 1:
             break
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lb = b[-1]
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            lr = r[-1]
-            shift = len(r) - len(b)
-            r = [x * lb for x in r]
-            for k in range(len(b)):
-                r[k + shift] -= lr * b[k]
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            a = b
-            break
-        a, b = b, prim(r)
-    a = prim(a)
-    if a[-1] < 0:
-        a = [-x for x in a]
-    return {(e, 0, 0): c * d for e, c in enumerate(a) if c}
-
-
-def _p_has_params(f):
-    return any(m[1] or m[2] for m in f)
+    return c
 
 
 def _p_gcd(f, g):
-    """Polynomial gcd over Z, positive leading coefficient.  At least one
-    argument must lie in Z[s], as every denominator does; then the gcd is
-    the gcd in s of that argument with each A,B-coefficient of the other.
-    When one argument is a single term c*m, every divisor of it is a term
-    too, so the gcd is igcd(content, |c|) times the componentwise least
-    exponents of both arguments."""
-    if not f:
-        return _p_abs(g)
-    if not g:
-        return _p_abs(f)
-    if len(f) == 1:
-        f, g = g, f
-    if len(g) == 1:
-        ((es, ea, eb), c), = g.items()
-        for (ms, ma, mb), k in f.items():
-            c = _igcd(c, k)
-            es, ea, eb = min(es, ms), min(ea, ma), min(eb, mb)
-        return {(es, ea, eb): c}
-    if _p_has_params(f):
-        f, g = g, f
-        if _p_has_params(f):
-            raise ValueError("gcd of two polynomials in A or B")
-    coeffs = {}
-    for m, c in g.items():
-        coeffs.setdefault(m[1:], {})[m] = c
-    for part in coeffs.values():
-        f = _s_gcd(f, part)
-        if f == _P_ONE:
+    """gcd in Z[s] of two nonzero polynomials, leading coefficient positive:
+    the common power of s, the gcd of the contents, and the primitive PRS of
+    what is left once both powers of s are stripped."""
+    i = j = 0
+    while not f[i]:
+        i += 1
+    while not g[j]:
+        j += 1
+    f, g = f[i:], g[j:]
+    cf, cg = _content(f), _content(g)
+    d = _igcd(cf, cg)
+    if len(f) == 1 or len(g) == 1:
+        return (0,) * min(i, j) + (d,)
+    h = _prs([x // cf for x in f], [x // cg for x in g])
+    return (0,) * min(i, j) + tuple(d * x for x in h)
+
+
+def _prs(a, b):
+    """gcd of two primitive polynomials (lists) of positive degree, as a
+    primitive tuple with a positive leading coefficient: the primitive
+    polynomial remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        db, lb = len(b), b[-1]
+        r = list(a)
+        while len(r) >= db:
+            lr = r[-1]
+            q, m = divmod(lr, lb)
+            if m:
+                r = [x * lb for x in r]
+                q = lr
+            shift = len(r) - db
+            for k in range(db - 1):
+                r[shift + k] -= q * b[k]
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        if not r:
             break
-    return f
+        if len(r) == 1:
+            return _ONE
+        c = _content(r)
+        a, b = b, [x // c for x in r]
+    return tuple(b) if b[-1] > 0 else _p_neg(b)
 
 
-def _p_abs(f):
-    if f and f[_p_lead(f)] < 0:
-        return _p_neg(f)
-    return f
+def _p_eval(f, s):
+    v = Fraction(0)
+    for c in reversed(f):
+        v = v * s + c
+    return v
 
 
-_P_ONE = {_MONO_ONE: 1}
-
-
-def _p_render(f):
-    if not f:
-        return "0"
+def _render(terms):
+    """Text of the sum of c s^es A^ea B^eb over ((es, ea, eb), c), in
+    graded-lex order over (s, A, B)."""
     parts = []
-    for m in sorted(f, key=_grlex_key):
-        c = f[m]
-        es, ea, eb = m
-        factors = []
-        if es % 2:
-            factors.append("s")
-        if es >= 2:
-            k = es // 2
-            factors.append("u" if k == 1 else "u^%d" % k)
-        if ea:
-            factors.append("A" if ea == 1 else "A^%d" % ea)
-        if eb:
-            factors.append("B" if eb == 1 else "B^%d" % eb)
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(abs(c))] + factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
+    for (es, ea, eb), c in sorted(terms, key=lambda t: (sum(t[0]), t[0])):
+        factors = (["s"] if es % 2 else []) + [
+            name if e == 1 else "%s^%d" % (name, e)
+            for name, e in (("u", es // 2), ("A", ea), ("B", eb)) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        parts.append((" - " if c < 0 else " + ") + "*".join(factors))
+    text = "".join(parts) or " + 0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _terms(f, a=0, b=0):
+    return [((e, a, b), c) for e, c in enumerate(f) if c]
+
+
+def _fraction_text(terms, den):
+    """Text of (sum of terms) / den, parenthesized where needed."""
+    ns = _render(terms)
+    if den == _ONE:
+        return ns
+    ds = _render(_terms(den))
+    if len(terms) > 1 or ns.startswith("-"):
+        ns = "(%s)" % ns
+    if sum(1 for c in den if c) > 1 or "*" in ds:
+        ds = "(%s)" % ds
+    return "%s/%s" % (ns, ds)
+
+
+def _pow(x, k):
+    """x ** k for an integer k; only a Scalar has negative powers."""
+    if k < 0:
+        return ONE / _pow(x, -k)
+    out = ONE
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Scalar: canonical fraction of polynomials
+# Scalar: canonical fraction of polynomials in s
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(s)[A, B] in canonical reduced form, with its
-    denominator in Z[s].
+    """An element of Q(s) in canonical reduced form.
 
-    Supports +, -, *, /, unary -, ==, hash, bool (nonzero test).  Exact
-    evaluation at rational points via :meth:`evaluate`, symbolic variable
-    substitution via :meth:`subs`.
+    Supports +, -, *, /, unary -, ==, hash, bool (nonzero test), and exact
+    evaluation at rational points via :meth:`evaluate`.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = _P_ONE
+    def __init__(self, num, den=_ONE, _canonical=False):
         if not _canonical:
             num, den = _canonicalize(num, den)
         self.num = num
@@ -275,13 +207,7 @@ class Scalar:
     def from_int(k):
         if k == 0:
             return ZERO
-        return Scalar({_MONO_ONE: k}, _P_ONE, _canonical=True)
-
-    @staticmethod
-    def variable(name):
-        i = VARS.index(name)
-        m = tuple(1 if j == i else 0 for j in range(_NVARS))
-        return Scalar({m: 1}, _P_ONE, _canonical=True)
+        return Scalar((k,), _ONE, _canonical=True)
 
     # arithmetic --------------------------------------------------------
 
@@ -289,21 +215,21 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b is _P_ONE and d is _P_ONE or b == d == _P_ONE:
-            return Scalar(_p_add(a, c), _P_ONE)
         if b == d:
+            if b == _ONE:
+                return Scalar(_p_add(a, c), _ONE, _canonical=True)
             return Scalar(_p_add(a, c), b)
         g0 = _p_gcd(b, d)
-        if _p_is_const(g0) and g0[_MONO_ONE] == 1:
+        if g0 == _ONE:
             return Scalar(_p_add(_p_mul(a, d), _p_mul(c, b)), _p_mul(b, d),
                           _canonical=True)
-        b1 = _p_div_exact(b, g0)
-        d1 = _p_div_exact(d, g0)
+        b1 = _p_div(b, g0)
+        d1 = _p_div(d, g0)
         num = _p_add(_p_mul(a, d1), _p_mul(c, b1))
         h = _p_gcd(num, g0)
-        if not (_p_is_const(h) and h[_MONO_ONE] == 1):
-            num = _p_div_exact(num, h)
-            g0 = _p_div_exact(g0, h)
+        if h != _ONE:
+            num = _p_div(num, h)
+            g0 = _p_div(g0, h)
         return Scalar(num, _p_mul(g0, _p_mul(b1, d1)), _canonical=True)
 
     def __sub__(self, other):
@@ -320,20 +246,20 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a or not c:
             return ZERO
-        if a == _P_ONE and b == _P_ONE:
+        if a == _ONE and b == _ONE:
             return other
-        if c == _P_ONE and d == _P_ONE:
+        if c == _ONE and d == _ONE:
             return self
-        if b == _P_ONE and d == _P_ONE:
-            return Scalar(_p_mul(a, c), _P_ONE, _canonical=True)
-        g1 = _p_gcd(a, d)
-        g2 = _p_gcd(c, b)
-        if not (_p_is_const(g1) and g1[_MONO_ONE] == 1):
-            a = _p_div_exact(a, g1)
-            d = _p_div_exact(d, g1)
-        if not (_p_is_const(g2) and g2[_MONO_ONE] == 1):
-            c = _p_div_exact(c, g2)
-            b = _p_div_exact(b, g2)
+        if d != _ONE:
+            g1 = _p_gcd(a, d)
+            if g1 != _ONE:
+                a = _p_div(a, g1)
+                d = _p_div(d, g1)
+        if b != _ONE:
+            g2 = _p_gcd(c, b)
+            if g2 != _ONE:
+                c = _p_div(c, g2)
+                b = _p_div(b, g2)
         return Scalar(_p_mul(a, c), _p_mul(b, d), _canonical=True)
 
     def __truediv__(self, other):
@@ -345,18 +271,11 @@ class Scalar:
         if not self.num:
             raise ZeroDivisionError("inverting zero scalar")
         num, den = self.den, self.num
-        _check_den(den)
-        if den[_p_lead(den)] < 0:
+        if den[-1] < 0:
             num, den = _p_neg(num), _p_neg(den)
         return Scalar(num, den, _canonical=True)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.invert() ** (-k)
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
+    __pow__ = _pow
 
     # predicates ---------------------------------------------------------
 
@@ -370,93 +289,170 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()),
-                               frozenset(self.den.items())))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     # evaluation ----------------------------------------------------------
 
     def evaluate(self, s=None, A=None, B=None):
-        """Exact evaluation at rational points; raises ZeroDivisionError if
-        the denominator vanishes and ValueError on a missing assignment."""
-        point = (s, A, B)
-        num = _p_eval(self.num, point)
-        den = _p_eval(self.den, point)
+        """Exact value at the rational s; A and B are accepted and ignored,
+        as a Scalar holds neither.  Raises ZeroDivisionError if the
+        denominator vanishes and ValueError if s is needed but not given."""
+        if s is None and (len(self.num) > 1 or len(self.den) > 1):
+            raise ValueError("no value for variable s")
+        s = Fraction(s or 0)
+        den = _p_eval(self.den, s)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at point")
-        return num / den
-
-    def subs(self, **assignments):
-        """Substitute scalars for variables, e.g. ``f.subs(A=-B_scalar)``."""
-        vals = [None, None, None]
-        for name, val in assignments.items():
-            vals[VARS.index(name)] = val
-        return _p_subs(self.num, vals) / _p_subs(self.den, vals)
+        return _p_eval(self.num, s) / den
 
     # rendering -----------------------------------------------------------
 
     def __str__(self):
-        ns = _p_render(self.num)
-        if self.den == _P_ONE:
-            return ns
-        ds = _p_render(self.den)
-        if len(self.num) > 1 or ns.startswith("-"):
-            ns = "(%s)" % ns
-        if len(self.den) > 1 or "*" in ds:
-            ds = "(%s)" % ds
-        return "%s/%s" % (ns, ds)
+        return _fraction_text(_terms(self.num), self.den)
 
     def __repr__(self):
         return "Scalar(%s)" % self
 
 
-def _check_den(den):
-    if _p_has_params(den):
-        raise ValueError("denominator holds A or B: %s" % _p_render(den))
-
-
 def _canonicalize(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if den == _P_ONE:
-        return num, _P_ONE
-    _check_den(den)
     if not num:
-        return {}, _P_ONE
-    g = _p_gcd(num, den)
-    if not (_p_is_const(g) and g[_MONO_ONE] == 1):
-        num = _p_div_exact(num, g)
-        den = _p_div_exact(den, g)
-    if den[_p_lead(den)] < 0:
-        num, den = _p_neg(num), _p_neg(den)
-    if den == _P_ONE:
-        den = _P_ONE
+        return (), _ONE
+    if den != _ONE:
+        g = _p_gcd(num, den)
+        if g != _ONE:
+            num = _p_div(num, g)
+            den = _p_div(den, g)
+        if den[-1] < 0:
+            num, den = _p_neg(num), _p_neg(den)
     return num, den
 
 
-def _p_eval(f, point):
-    total = Fraction(0)
-    for m, c in f.items():
-        term = Fraction(c)
-        for i in range(_NVARS):
-            if m[i]:
-                if point[i] is None:
-                    raise ValueError("no value for variable %s" % VARS[i])
-                term *= Fraction(point[i]) ** m[i]
-        total += term
-    return total
+# ---------------------------------------------------------------------------
+# ParamPoly: a polynomial in A and B over a field, the trace values
+# ---------------------------------------------------------------------------
+
+def _coeffs(x):
+    """The monomial coefficients of a ParamPoly or a field element."""
+    if isinstance(x, ParamPoly):
+        return x.coeffs
+    return {(0, 0): x} if x else {}
 
 
-def _p_subs(f, vals):
-    out = ZERO
-    for m, c in f.items():
-        term = Scalar.from_int(c)
-        for i in range(_NVARS):
-            if m[i]:
-                base = vals[i] if vals[i] is not None else _VAR_SCALARS[i]
-                term = term * base ** m[i]
-        out = out + term
-    return out
+class ParamPoly:
+    """A polynomial in the trace parameters A and B, {(degA, degB):
+    coefficient} with no zero coefficient, over any domain's elements.  A
+    field element on either side of +, - or * is a constant; division is by
+    a constant only.  ``times_A`` and ``times_B`` have no caller but
+    perfbench/tracer.py, which wraps them by name (ROADMAP item 1)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in _coeffs(other).items():
+            c0 = out.get(k)
+            c0 = c if c0 is None else c0 + c
+            if c0:
+                out[k] = c0
+            else:
+                out.pop(k, None)
+        return ParamPoly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return ParamPoly({k: -c for k, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, ParamPoly):
+            if not other:
+                return ParamPoly({})
+            return ParamPoly({k: v * other for k, v in self.coeffs.items()})
+        out = {}
+        for (a, b), c in self.coeffs.items():
+            for (a2, b2), c2 in other.coeffs.items():
+                k = (a + a2, b + b2)
+                out[k] = out[k] + c * c2 if k in out else c * c2
+        return ParamPoly({k: c for k, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (ONE / other)
+
+    def __rtruediv__(self, other):
+        if self.coeffs.keys() - {(0, 0)}:
+            raise ValueError("division by a polynomial in A or B")
+        return other / self.coeffs.get((0, 0), ZERO)
+
+    __pow__ = _pow
+
+    def times_A(self):
+        return ParamPoly({(a + 1, b): c for (a, b), c in self.coeffs.items()})
+
+    def times_B(self):
+        return ParamPoly({(a, b + 1): c for (a, b), c in self.coeffs.items()})
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, (ParamPoly, Scalar)):
+            return self.coeffs == _coeffs(other)
+        return NotImplemented
+
+    def __hash__(self):
+        if self.coeffs.keys() <= {(0, 0)}:
+            return hash(self.coeffs.get((0, 0), ZERO))
+        return hash(frozenset(self.coeffs.items()))
+
+    def subs(self, A=None, B=None):
+        """The value with Scalars or ParamPolys put for A and B, each left as
+        it is when not given, e.g. ``f.subs(A=-B)``."""
+        a = ParamPoly({(1, 0): ONE}) if A is None else A
+        b = ParamPoly({(0, 1): ONE}) if B is None else B
+        out = ZERO
+        for (i, j), c in self.coeffs.items():
+            out = out + c * a ** i * b ** j
+        return out
+
+    def evaluate(self, s=None, A=None, B=None):
+        """Exact value at rational s, A and B (Q(s) coefficients); raises
+        ValueError on a missing value that a term needs."""
+        total = Fraction(0)
+        for (a, b), c in self.coeffs.items():
+            if a and A is None or b and B is None:
+                raise ValueError("no value for variable A or B")
+            total += (c.evaluate(s=s) * Fraction(A or 0) ** a
+                      * Fraction(B or 0) ** b)
+        return total
+
+    def __str__(self):
+        """Q(s) coefficients over the lcm of their denominators: each is in
+        lowest terms, so that numerator and the lcm are coprime."""
+        den = _ONE
+        for c in self.coeffs.values():
+            if c.den != den:
+                den = _p_div(_p_mul(den, c.den), _p_gcd(den, c.den))
+        terms = []
+        for (a, b), c in self.coeffs.items():
+            terms += _terms(_p_mul(c.num, _p_div(den, c.den)), a, b)
+        return _fraction_text(terms, den)
+
+    def __repr__(self):
+        return "ParamPoly(%r)" % (self.coeffs,)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +460,13 @@ def _p_subs(f, vals):
 # ---------------------------------------------------------------------------
 
 def parse_scalar(text):
-    """Parse the canonical text form back into a Scalar (lossless), read by
-    Python's expression grammar with ``^`` as ``**``: only +, -, *, /, unary
-    + and -, powers to a (negated) integer literal, integer literals in
-    decimal digits and the names s, u, A, B.  Raises ValueError on any other
-    text, a divisor that holds A or B included, and on text nested too
-    deeply to read (a sum of some thousand terms)."""
+    """Parse the canonical text form back into a Scalar, or a ParamPoly when
+    the text holds A or B (lossless), read by Python's expression grammar
+    with ``^`` as ``**``: only +, -, *, /, unary + and -, powers to a
+    (negated) integer literal, integer literals in decimal digits and the
+    names s, u, A, B.  Raises ValueError on any other text, a divisor that
+    holds A or B included, and on text nested too deeply to read (a sum of
+    some thousand terms)."""
     import ast
     import operator
 
@@ -514,13 +511,12 @@ def parse_scalar(text):
 # named constants
 # ---------------------------------------------------------------------------
 
-ZERO = Scalar({}, _P_ONE, _canonical=True)
-ONE = Scalar({_MONO_ONE: 1}, _P_ONE, _canonical=True)
+ZERO = Scalar((), _ONE, _canonical=True)
+ONE = Scalar(_ONE, _ONE, _canonical=True)
 TWO = Scalar.from_int(2)
-SQRT_U = Scalar.variable("s")
+SQRT_U = Scalar((0, 1), _ONE, _canonical=True)
 U = SQRT_U * SQRT_U
-A = Scalar.variable("A")
-B = Scalar.variable("B")
-_VAR_SCALARS = (SQRT_U, A, B)
+A = ParamPoly({(1, 0): ONE})
+B = ParamPoly({(0, 1): ONE})
 
 U_MINUS_1 = U - ONE

@@ -17,8 +17,9 @@ to the cocenter of an Iwahori-Hecke algebra (Geck and Pfeiffer, Adv. Math.
 102, 1993), and a weighted union-find merges them into classes.  Every other
 row is folded onto the live class roots as a sparse row and feeds one
 system per level, in every domain, with the right-hand sides as coefficient
-columns, one per monomial A^a B^b with a + b < n, so the symbolic path
-eliminates Scalars in s only and forms the values in A, B once solved.
+columns, one per monomial A^a B^b with a + b < n, so the elimination
+stays in the domain's field (Q(s) on the symbolic path) and each solved
+value is a :class:`~btkit.scalars.ParamPoly` in A and B over that field.
 Existence (consistency) and uniqueness (full rank) are computed, not
 assumed.  The solver also reports how many instances of the middle rule are
 implied by the normalization, symmetry and the other two tower rules: the
@@ -33,60 +34,7 @@ from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
 from .quotient import ideal_generator_element, right_products
-
-
-class ParamPoly:
-    """Polynomial in the trace parameters with coefficients in a specialized
-    domain: a trace value when u is specialized (the symbolic values are
-    Scalars in s, A and B).  ``times_A`` and ``times_B`` have no caller but
-    perfbench/tracer.py, which wraps them by name (ROADMAP item 1)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs  # {(degA, degB): domain element}, no zeros
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            c0 = out.get(k)
-            c0 = c if c0 is None else c0 + c
-            if c0:
-                out[k] = c0
-            else:
-                out.pop(k, None)
-        return ParamPoly(out)
-
-    def __sub__(self, other):
-        return self + ParamPoly({k: -c for k, c in other.coeffs.items()})
-
-    def __mul__(self, c):
-        if not c:
-            return ParamPoly({})
-        return ParamPoly({k: v * c for k, v in self.coeffs.items()})
-
-    def times_A(self):
-        return ParamPoly({(a + 1, b): c for (a, b), c in self.coeffs.items()})
-
-    def times_B(self):
-        return ParamPoly({(a, b + 1): c for (a, b), c in self.coeffs.items()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.coeffs):
-            c = self.coeffs[(a, b)]
-            mono = "".join((["A" if a == 1 else "A^%d" % a] if a else [])
-                           + (["B" if b == 1 else "B^%d" % b] if b else []))
-            parts.append(("(%s)" % c) + ("*" + mono if mono else ""))
-        return " + ".join(parts)
+from .scalars import ParamPoly
 
 
 def embed_pair(I, w, n):
@@ -101,12 +49,11 @@ class TraceFunctional:
     value table over the basis, and the solver's existence/uniqueness
     verdicts."""
 
-    def __init__(self, n, dom, coeffs, exists, unique, rank,
+    def __init__(self, n, coeffs, exists, unique, rank,
                  implied_middle_rules, middle_rules):
         self.n = n
-        self.dom = dom
         self.coeffs = coeffs   # {(I, w): {(degA, degB): domain element}}
-        self.table = {pair: _value(dom, c) for pair, c in coeffs.items()}
+        self.table = {pair: ParamPoly(c) for pair, c in coeffs.items()}
         self.exists = exists
         self.unique = unique
         self.rank = rank
@@ -117,7 +64,7 @@ class TraceFunctional:
         """Linear extension of the table to an arbitrary element."""
         if not self.exists:
             raise ValueError("trace functional does not exist at this level")
-        total = _value(self.dom, {})
+        total = ParamPoly({})
         for key, c in elem.terms.items():
             total = total + self.table[key] * c
         return total
@@ -130,15 +77,6 @@ class TraceFunctional:
                              ",".join(map(str, w.images)))
             out[key] = str(self.table[(I, w)])
         return out
-
-
-def _value(dom, coeffs):
-    """The trace value with monomial coefficients {(a, b): c}: the Scalar
-    sum of c A^a B^b on the symbolic path, else a ParamPoly."""
-    if dom is SYMBOLIC:
-        return sum((c * scalars.A ** a * scalars.B ** b
-                    for (a, b), c in coeffs.items()), scalars.ZERO)
-    return ParamPoly(coeffs)
 
 
 _CACHE = {}
@@ -159,9 +97,9 @@ def _commutators(rows, mirror):
 
 def solve_trace(n, dom=SYMBOLIC):
     """Solve the level-n system exactly (levels solved recursively).  The
-    symbolic path keeps generic u and gives values as Scalars in A, B; with
-    a PrimeDomain the matrix lives in GF(p) and the values are ParamPoly.
-    Solved once per n, value of sqrt(u) and process."""
+    symbolic path keeps generic u; with a PrimeDomain the matrix lives in
+    GF(p).  The values are ParamPolys in A, B over the domain in either
+    case.  Solved once per n, value of sqrt(u) and process."""
     key = (n, dom.sqrt_u)
     if key in _CACHE:
         return _CACHE[key]
@@ -169,13 +107,13 @@ def solve_trace(n, dom=SYMBOLIC):
         raise ValueError("n must be positive")
     if n == 1:
         pair = (SetPartition.unit(1), Permutation.identity(1))
-        tf = TraceFunctional(1, dom, {pair: {(0, 0): dom.one}}, True, True,
-                             1, 0, 0)
+        tf = TraceFunctional(1, {pair: {(0, 0): dom.one}}, True, True, 1,
+                             0, 0)
     else:
         prev = solve_trace(n - 1, dom)
         index = BasisIndex(n, dom)
         coeffs, exists, rank, implied = _solve(index, prev)
-        tf = TraceFunctional(n, dom, coeffs, exists,
+        tf = TraceFunctional(n, coeffs, exists,
                              exists and rank == len(index), rank, implied,
                              len(prev.coeffs))
     _CACHE[key] = tf

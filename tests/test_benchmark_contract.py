@@ -54,7 +54,8 @@ def test_tracer_installs():
 
 
 def test_tracer_sees_the_trace_solver(tmp_path):
-    # the trace per-layer metrics count the rows the solver offers
+    # the trace per-layer metrics count the rows the solver offers and the
+    # arithmetic on the trace values, which are ParamPolys in every domain
     out = tmp_path / "trace.json"
     argv = [sys.executable, os.path.join(PERFBENCH, "tracer.py"), str(out),
             "trace", "--n", "2", "--n-max", "3", "--format", "json",
@@ -63,4 +64,6 @@ def test_tracer_sees_the_trace_solver(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     with open(out) as fh:
-        assert json.load(fh)["counters"]["linalg.rows_offered"] > 0
+        counters = json.load(fh)["counters"]
+    assert counters["linalg.rows_offered"] > 0
+    assert counters["trace.param_poly_ops"] > 0

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from btkit import scalars as sc
-from btkit.scalars import Scalar, parse_scalar
+from btkit.domains import IntMod
+from btkit.scalars import ParamPoly, Scalar, parse_scalar
 
 ONE, U, S, A, B, TWO = sc.ONE, sc.U, sc.SQRT_U, sc.A, sc.B, sc.TWO
 # delta, a constant of the idempotent presentations of the quotient algebra
@@ -15,8 +16,9 @@ DELTA = (ONE - U) / (ONE + U)
 
 
 def rand_scalar(rng, allow_params=False, allow_den=True):
-    """A random scalar; A and B appear in its numerator only, as the ring
-    Q(s)[A, B] allows, and its denominator is drawn in s."""
+    """A random Scalar of Q(s), or with allow_params a random polynomial in
+    A and B over Q(s) (a ParamPoly, or a Scalar when no term holds A or B),
+    divided by a random polynomial in s."""
     def rand_poly(params):
         acc = sc.ZERO
         for _ in range(rng.randint(1, 3)):
@@ -37,7 +39,7 @@ def rand_scalar(rng, allow_params=False, allow_den=True):
 
 
 def in_s(x):
-    return not sc._p_has_params(x.num)
+    return isinstance(x, Scalar)
 
 
 def test_constant_folding():
@@ -92,11 +94,12 @@ def test_field_axioms_randomized():
         assert x * (y + z) == x * y + x * z
         assert x + y == y + x
         assert x * y == y * x
+        # the field axioms on Scalars; a ParamPoly in A or B has no inverse
         if x and in_s(x):
             assert x * x.invert() == ONE
-        elif x:
+        elif x and set(x.coeffs) != {(0, 0)}:
             with pytest.raises(ValueError):
-                x.invert()
+                ONE / x
         assert x + (-x) == sc.ZERO
         # a divisor in s: inverses exist
         w = rand_scalar(rng)
@@ -111,7 +114,7 @@ def test_products_by_one_are_the_other_factor():
     rng = random.Random(17)
     xs = [rand_scalar(rng, allow_params=bool(k % 2)) for k in range(150)]
     xs += [sc.ZERO, ONE, -ONE, A, -B, -TWO / (U + ONE), (A - B) / (S - TWO)]
-    assert any(x.den != sc._P_ONE for x in xs)
+    assert any(in_s(x) and x.den != ONE.den for x in xs)
     assert any(not in_s(x) for x in xs)
     ones = (ONE, Scalar.from_int(1), (U + ONE) / (U + ONE), parse_scalar("1"))
     m = -ONE
@@ -166,14 +169,30 @@ def test_substitution():
 
 
 def test_division_by_params_rejected():
-    # denominators lie in Z[s]; a divisor in A or B is an error, never a
-    # quietly wrong canonical form
-    for divide in (lambda: ONE / (A + ONE), lambda: A.invert(),
-                   lambda: A ** -1, lambda: parse_scalar("1/A"),
-                   lambda: Scalar(ONE.num, A.num),
-                   lambda: sc._p_gcd((A + ONE).num, (A * B + S).num)):
+    # a Scalar holds no A or B, and a ParamPoly has no inverse: a divisor in
+    # A or B is an error, never a quietly wrong canonical form
+    for divide in (lambda: ONE / (A + ONE), lambda: A ** -1,
+                   lambda: parse_scalar("1/A"), lambda: A / B):
         with pytest.raises(ValueError):
             divide()
+
+
+def test_constant_param_polys_are_their_scalars():
+    # a ParamPoly that holds neither A nor B equals, hashes and prints as
+    # its Scalar, on either side of ==, and divides as its Scalar
+    for text, x in (("A - A + 1", ONE), ("A - A", sc.ZERO),
+                    ("(u + 1)*B - u*B - B + (1 - u)/(1 + u)", DELTA)):
+        p = parse_scalar(text)
+        assert isinstance(p, ParamPoly)
+        assert p == x and x == p and hash(p) == hash(x) and str(p) == str(x)
+    assert A / parse_scalar("B - B + 2") == A / TWO
+    assert TWO / parse_scalar("A - A + 2") == ONE
+    # the text puts the terms over the lcm of the denominators
+    assert str(A / TWO + B / Scalar.from_int(3)) == "(2*B + 3*A)/6"
+    assert str(A / (ONE + U) - B / U) == "(-B - u*B + u*A)/(u + u^2)"
+    # a trace value over GF(p) has a repr
+    assert repr(ParamPoly({(1, 0): IntMod(3, 7)})) == \
+        "ParamPoly({(1, 0): IntMod(3, 7)})"
 
 
 def test_parse_rejects_garbage():
@@ -204,79 +223,95 @@ def test_golden_trace_values_round_trip():
         assert str(parse_scalar(v)) == v
 
 
-def _poly(rng, nvars, terms):
-    """A random polynomial dict over Z in the first nvars of (s, A, B)."""
-    f = {}
+def _poly(rng, terms):
+    """A random polynomial in Z[s] as a coefficient tuple (maybe zero)."""
+    f = [0] * 4
     for _ in range(terms):
-        m = tuple(rng.randint(0, 3) if v < nvars else 0 for v in range(3))
-        f[m] = f.get(m, 0) + rng.choice((-12, -6, -4, -3, -2, 2, 3, 4, 6, 9))
-    return {m: c for m, c in f.items() if c}
+        f[rng.randint(0, 3)] += rng.choice((-12, -6, -4, -3, -2, 2, 3, 4, 6, 9))
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
 
 
-def test_monomial_gcd_matches_univariate_prs():
-    # a single-term argument takes the closed form in _p_gcd; in s alone it
-    # must equal the primitive PRS of _s_gcd, in either argument order
+def _content(f):
+    return math.gcd(*f)
+
+
+def _valuation(f):
+    return next(k for k, c in enumerate(f) if c)
+
+
+def test_single_term_gcd_is_igcd_times_least_power():
+    # gcd(c s^e, f) = igcd(c, content f) s^min(e, v(f)), in either order
     rng = random.Random(11)
-    for _ in range(300):
-        mono = _poly(rng, 1, 1)
-        f = _poly(rng, 1, rng.randint(1, 4))
-        if not mono or not f:
-            continue
-        assert sc._p_gcd(mono, f) == sc._s_gcd(mono, f) == sc._s_gcd(f, mono)
-        assert sc._p_gcd(f, mono) == sc._s_gcd(mono, f)
-
-
-def test_monomial_gcd_divides_and_is_greatest():
-    # in s, A and B: the gcd with a single term divides both arguments, and
-    # what is left of the term shares no integer factor or variable with
-    # what is left of the other argument
-    rng = random.Random(12)
     seen = 0
     for _ in range(300):
-        mono = _poly(rng, 3, 1)
-        f = _poly(rng, 3, rng.randint(1, 5))
+        mono = _poly(rng, 1)
+        f = _poly(rng, rng.randint(1, 4))
         if not mono or not f:
             continue
-        for a, b in ((mono, f), (f, mono)):
-            d = sc._p_gcd(a, b)
-            assert len(d) == 1 and next(iter(d.values())) > 0
-            q = sc._p_div_exact(mono, d)
-            r = sc._p_div_exact(f, d)
-            assert sc._p_mul(q, d) == mono and sc._p_mul(r, d) == f
-            ((qm, qc),) = q.items()
-            content = 0
-            for c in r.values():
-                content = math.gcd(content, c)
-            assert math.gcd(qc, content) == 1
-            for v in range(3):
-                if qm[v]:
-                    assert min(m[v] for m in r) == 0
+        e, v = _valuation(mono), _valuation(f)
+        want = (0,) * min(e, v) + (math.gcd(mono[e], _content(f)),)
+        assert sc._p_gcd(mono, f) == sc._p_gcd(f, mono) == want
         seen += 1
     assert seen > 250
 
 
-def test_gcd_with_an_argument_in_s():
-    # h*f1 with f1 in s, A and B against h*g1 in s alone: the gcd is the
-    # same in either order, divides both, is a multiple of h and has a
-    # positive leading coefficient; without A and B it is the gcd in s
-    rng = random.Random(13)
-    looped = 0
+def test_gcd_divides_and_leaves_coprime_cofactors():
+    # the gcd divides both arguments, its leading coefficient is positive,
+    # and the cofactors share no integer factor, no power of s and no
+    # factor of positive degree
+    rng = random.Random(12)
+    seen = 0
     for _ in range(300):
-        h = _poly(rng, 1, rng.randint(1, 3))
-        nvars = rng.choice((1, 3))
-        f1 = _poly(rng, nvars, rng.randint(1, 4))
-        g1 = _poly(rng, 1, rng.randint(1, 3))
-        if not h or not f1 or not g1:
+        h = _poly(rng, rng.randint(1, 3))
+        f = sc._p_mul(h, _poly(rng, rng.randint(1, 4)))
+        g = sc._p_mul(h, _poly(rng, rng.randint(1, 4)))
+        if not f or not g:
             continue
-        f, g = sc._p_mul(h, f1), sc._p_mul(h, g1)
         d = sc._p_gcd(f, g)
-        assert sc._p_gcd(g, f) == d
-        for x in (f, g):
-            assert sc._p_mul(sc._p_div_exact(x, d), d) == x
-        sc._p_div_exact(d, h)
-        assert d[sc._p_lead(d)] > 0
-        if nvars == 1:
-            assert d == sc._s_gcd(f, g)
-        elif len(f) > 1 and len(g) > 1 and sc._p_has_params(f):
-            looped += 1
-    assert looped > 75
+        assert sc._p_gcd(g, f) == d and d[-1] > 0
+        q, r = sc._p_div(f, d), sc._p_div(g, d)
+        assert sc._p_mul(q, d) == f and sc._p_mul(r, d) == g
+        assert math.gcd(_content(q), _content(r)) == 1
+        assert q[0] or r[0]
+        assert sc._p_gcd(q, r) == (1,)
+        seen += 1
+    assert seen > 250
+
+
+def _rational_gcd(f, g):
+    """Oracle: the monic Euclidean gcd over Q, scaled to a primitive
+    polynomial in Z[s] with a positive leading coefficient, times the gcd
+    of the contents."""
+    a, b = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    while b:
+        while len(a) >= len(b):
+            q, k = a[-1] / b[-1], len(a) - len(b)
+            a = [c - q * b[i - k] if i >= k else c for i, c in enumerate(a)]
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    scale = math.lcm(*(c.denominator for c in a))
+    a = [int(c * scale) for c in a]
+    c = _content(a) * (1 if a[-1] > 0 else -1)
+    return tuple(math.gcd(_content(f), _content(g)) * x // c for x in a)
+
+
+def test_gcd_matches_rational_euclid():
+    # h f1 against h g1: the gcd is the same in either order, a multiple of
+    # h, and the oracle's, the Euclidean gcd over Q made primitive
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(300):
+        h = _poly(rng, rng.randint(1, 3))
+        f = sc._p_mul(h, _poly(rng, rng.randint(1, 4)))
+        g = sc._p_mul(h, _poly(rng, rng.randint(1, 3)))
+        if not f or not g:
+            continue
+        d = sc._p_gcd(f, g)
+        assert sc._p_gcd(g, f) == d == _rational_gcd(f, g)
+        assert sc._p_mul(sc._p_div(d, h), h) == d
+        seen += 1
+    assert seen > 250
