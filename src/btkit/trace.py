@@ -70,7 +70,7 @@ class TraceFunctional:
         return total
 
     def table_json(self):
-        """Basis -> polynomial-string map, deterministic order."""
+        """Basis -> text map of Q(s) values, deterministic order."""
         out = {}
         for (I, w) in sorted(self.table, key=lambda k: (k[0].rgs, k[1].images)):
             key = "%s %s" % (",".join(map(str, I.rgs)),

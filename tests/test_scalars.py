@@ -227,7 +227,8 @@ def _poly(rng, terms):
     """A random polynomial in Z[s] as a coefficient tuple (maybe zero)."""
     f = [0] * 4
     for _ in range(terms):
-        f[rng.randint(0, 3)] += rng.choice((-12, -6, -4, -3, -2, 2, 3, 4, 6, 9))
+        f[rng.randint(0, 3)] += rng.choice(
+            (-12, -6, -4, -3, -2, 2, 3, 4, 6, 9))
     while f and not f[-1]:
         f.pop()
     return tuple(f)
