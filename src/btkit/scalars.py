@@ -172,7 +172,7 @@ def _fraction_text(terms, den):
 
 
 def _pow(x, k):
-    """x ** k for an integer k; only a Scalar has negative powers."""
+    """x ** k for an integer k; k < 0 raises for a ParamPoly in A or B."""
     if k < 0:
         return ONE / _pow(x, -k)
     out = ONE
