@@ -463,16 +463,14 @@ def lemma_sides(lemma, params, n, dom=SYMBOLIC):
         if lemma == "gamma-shift":
             gk = gamma(n, dom) ** (i - 1)
             return T(i + 1, n, dom) * gk, gk * T(2, n, dom)
-        if lemma == "gamma-conj-T":
-            return T(i, n, dom), conjugate_by_gamma(T(1, n, dom), i - 1)
-        if lemma == "gamma-conj-E":
-            return E(i, n, dom), conjugate_by_gamma(E(1, n, dom), i - 1)
-        if lemma == "gamma-conj-steinberg":
-            return (steinberg(i, i + 1, n, dom),
-                    conjugate_by_gamma(steinberg(1, 2, n, dom), i - 1))
-        if lemma == "gamma-conj-arc":
-            return (E_arc(i, i + 2, n, dom),
-                    conjugate_by_gamma(E_arc(1, 3, n, dom), i - 1))
+        element_at = {
+            "gamma-conj-T": lambda k: T(k, n, dom),
+            "gamma-conj-E": lambda k: E(k, n, dom),
+            "gamma-conj-steinberg": lambda k: steinberg(k, k + 1, n, dom),
+            "gamma-conj-arc": lambda k: E_arc(k, k + 2, n, dom),
+        }.get(lemma)
+        if element_at:
+            return element_at(i), conjugate_by_gamma(element_at(1), i - 1)
     if lemma.startswith("idem") or lemma == "F-square":
         (i,) = params
         li, fi, ei, ti = L(i, n, dom), F(i, n, dom), E(i, n, dom), T(i, n, dom)

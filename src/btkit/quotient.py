@@ -216,82 +216,54 @@ _INHERITED = {
     "quot-tie-commute": (algebra.relation_sides, "tie-commute"),
 }
 
+# the forms of both presentations, over the family's generator X = F or L
+_FORM_OF = {"quot-%s-%s" % (x, form): (x, form) for x in "FL" for form in (
+    "E-own", "commute", "E-commute", "tie-slide-a", "tie-slide-b", "cross",
+    "sandwich")}
+
 
 def presentation_sides(pid, params, n, dom=SYMBOLIC):
     if pid in _INHERITED:
         sides, name = _INHERITED[pid]
         return sides(name, params, n, dom)
-    u1 = dom.u_minus_1
+    if pid not in _FORM_OF:
+        raise ValueError("unknown presentation identity %r" % pid)
+    family, form = _FORM_OF[pid]
+    X = F if family == "F" else L
+    i, j = params[0], params[-1]   # j = i in the one-generator forms
+    ei, ej, xi, xj = E(i, n, dom), E(j, n, dom), X(i, n, dom), X(j, n, dom)
     cu = dom.one / (dom.u + dom.one)
-    if pid == "quot-F-E-own":
-        (i,) = params
-        return E(i, n, dom) * F(i, n, dom), F(i, n, dom) * E(i, n, dom)
-    if pid == "quot-L-E-own":
-        (i,) = params
-        return E(i, n, dom) * L(i, n, dom), L(i, n, dom) * E(i, n, dom)
-    if pid == "quot-F-commute":
-        i, j = params
-        return F(i, n, dom) * F(j, n, dom), F(j, n, dom) * F(i, n, dom)
-    if pid == "quot-F-E-commute":
-        i, j = params
-        return F(i, n, dom) * E(j, n, dom), E(j, n, dom) * F(i, n, dom)
-    if pid == "quot-L-commute":
-        i, j = params
-        return L(i, n, dom) * L(j, n, dom), L(j, n, dom) * L(i, n, dom)
-    if pid == "quot-L-E-commute":
-        i, j = params
-        return L(i, n, dom) * E(j, n, dom), E(j, n, dom) * L(i, n, dom)
-    if pid == "quot-F-tie-slide-a":
-        i, j = params
-        ei, ej, fi = E(i, n, dom), E(j, n, dom), F(i, n, dom)
-        return ei * ej * fi, fi * ei * ej
-    if pid == "quot-F-tie-slide-b":
-        i, j = params
-        ei, ej, fi = E(i, n, dom), E(j, n, dom), F(i, n, dom)
-        return ei * ej * fi, ej * fi * ej + (ei * ej - ej).scale(cu)
+    if form == "E-own":
+        return ei * xi, xi * ei
+    if form == "commute":
+        return xi * xj, xj * xi
+    if form == "E-commute":
+        return xi * ej, ej * xi
+    if form == "tie-slide-a":
+        return ei * ej * xi, xi * ei * ej
+    if form == "tie-slide-b":
+        c = cu if family == "F" else dom.one / dom.of_int(2)
+        return ei * ej * xi, ej * xi * ej + (ei * ej - ej).scale(c)
     if pid == "quot-F-cross":
-        i, j = params
-        ei, ej = E(i, n, dom), E(j, n, dom)
-        fi, fj = F(i, n, dom), F(j, n, dom)
-        rhs = (fj * fi * ej
-               + ((ei - ej) * fj + fi * (ei - ej)).scale(cu)
-               - (ei - ej).scale(cu * cu))
-        return ei * fj * fi, rhs
+        d = ei - ej
+        return ei * xj * xi, (xj * xi * ej + (d * xj + xi * d).scale(cu)
+                              - d.scale(cu * cu))
     if pid == "quot-F-sandwich":
-        i, j = params
-        ei, fi, fj = E(i, n, dom), F(i, n, dom), F(j, n, dom)
-        rhs = (fi - (ei * fi).scale(dom.one - dom.u)).scale(cu * cu)
-        return fi * fj * fi, rhs
-    if pid == "quot-L-tie-slide-a":
-        i, j = params
-        ei, ej, li = E(i, n, dom), E(j, n, dom), L(i, n, dom)
-        return ei * ej * li, li * ei * ej
-    if pid == "quot-L-tie-slide-b":
-        i, j = params
-        ei, ej, li = E(i, n, dom), E(j, n, dom), L(i, n, dom)
-        half = dom.one / dom.of_int(2)
-        return ei * ej * li, ej * li * ej + (ei * ej - ej).scale(half)
+        rhs = (xi - (ei * xi).scale(dom.one - dom.u)).scale(cu * cu)
+        return xi * xj * xi, rhs
+    two, four = dom.of_int(2), dom.of_int(4)
     if pid == "quot-L-cross":
-        i, j = params
-        ei, ej = E(i, n, dom), E(j, n, dom)
-        li, lj = L(i, n, dom), L(j, n, dom)
-        two, four = dom.of_int(2), dom.of_int(4)
-        lhs = (li * lj * ei).scale(four) + (ej * (lj + li)).scale(two) + ei
-        rhs = (ej * li * lj).scale(four) + ((li + lj) * ei).scale(two) + ej
+        lhs = (xi * xj * ei).scale(four) + (ej * (xj + xi)).scale(two) + ei
+        rhs = (ej * xi * xj).scale(four) + ((xi + xj) * ei).scale(two) + ej
         return lhs, rhs
-    if pid == "quot-L-sandwich":
-        i, j = params
-        ei, ej = E(i, n, dom), E(j, n, dom)
-        li, lj = L(i, n, dom), L(j, n, dom)
-        lhs = ((li * lj * li).scale(dom.of_int(8))
-               + (li * ej * lj * li + ei * li * lj * li
-                  + li * lj * ei * li).scale(dom.of_int(4) * u1)
-               + (ei * ej * li * lj * li).scale(
-                   u1 * u1 * (dom.u + dom.of_int(5))))
-        rhs = (li.scale(dom.of_int(2)) + (ei * li).scale(dom.of_int(3) * u1)
-               + (ei * ej * li).scale(u1 * u1))
-        return lhs, rhs
-    raise ValueError("unknown presentation identity %r" % pid)
+    u1 = dom.u_minus_1   # quot-L-sandwich, the one identity left
+    lhs = ((xi * xj * xi).scale(dom.of_int(8))
+           + (xi * ej * xj * xi + ei * xi * xj * xi
+              + xi * xj * ei * xi).scale(four * u1)
+           + (ei * ej * xi * xj * xi).scale(u1 * u1 * (dom.u + dom.of_int(5))))
+    rhs = (xi.scale(two) + (ei * xi).scale(dom.of_int(3) * u1)
+           + (ei * ej * xi).scale(u1 * u1))
+    return lhs, rhs
 
 
 def verify_presentations(ib, ib_untied):

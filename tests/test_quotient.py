@@ -112,6 +112,33 @@ def test_presentation_pattern_n3():
             assert c["holds_mod_ideal"], c
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_identity_id_resolves_to_two_elements(n):
+    for instances, sides in ((qt.presentation_instances,
+                              qt.presentation_sides),
+                             (alg.lemma_instances, alg.lemma_sides)):
+        for pid, params in instances(n):
+            lhs, rhs = sides(pid, params, n)
+            assert isinstance(lhs, alg.AlgebraElement), pid
+            assert isinstance(rhs, alg.AlgebraElement), pid
+
+
+@pytest.mark.parametrize("sides, pid", [
+    (qt.presentation_sides, "quot-F-bogus"),
+    (qt.presentation_sides, "quot-X-commute"),
+    (qt.presentation_sides, "bogus"),
+    (alg.lemma_sides, "gamma-conj-X"),
+    (alg.lemma_sides, "bogus"),
+])
+def test_unknown_identity_id_raises_before_building(sides, pid, monkeypatch):
+    def no_element(*args, **kwargs):
+        raise AssertionError("an element was built for %r" % pid)
+
+    monkeypatch.setattr(alg.AlgebraElement, "__init__", no_element)
+    with pytest.raises(ValueError, match="unknown"):
+        sides(pid, (1, 2) if pid.startswith("quot") else (1,), 3)
+
+
 def test_sandwich_difference_is_steinberg_multiple():
     # F_i F_j F_i - (F_i - (1-u) E_i F_i)/(u+1)^2 is a scalar multiple of
     # the Steinberg element
