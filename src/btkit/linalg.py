@@ -68,10 +68,9 @@ class Echelon:
         return out
 
     def insert(self, row):
-        """Reduce (by Echelon.reduce: a LinearSystem's reduce takes a batch)
-        and, if nonzero, add as a pivot row cleared from the others; returns
-        True iff the rank grew."""
-        row = Echelon.reduce(self, row)
+        """Reduce and, if nonzero, add as a pivot row cleared from the
+        others; returns True iff the rank grew."""
+        row = self.reduce(row)
         if not row:
             return False
         piv = min(row)
@@ -98,11 +97,11 @@ class Echelon:
         return len(self.rows) - before
 
     def reduce_batch(self, rows):
-        return [Echelon.reduce(self, row) for row in rows]
+        return [self.reduce(row) for row in rows]
 
     def spans(self, rows):
         """True iff every row lies in the span."""
-        return not any(Echelon.reduce(self, row) for row in rows)
+        return not any(self.reduce(row) for row in rows)
 
     @staticmethod
     def nonzero_rows(rows):
@@ -197,12 +196,12 @@ class LinearSystem(Echelon):
     :class:`Echelon` of the rows [M | R], right-hand sides last.  A pivot
     among them means inconsistency, so ``rank`` counts the pivots below the
     unknowns only; a pivot row reads x_piv + (free part) = its right-hand
-    sides.  ``add`` and ``reduce`` take batches of sparse rows."""
+    sides.  ``add`` takes a batch of sparse rows, ``reduce`` one row."""
 
     PIVOT = "pivot"   # read only by perfbench/tracer.py (ROADMAP item 1)
 
     add = Echelon.insert_block
-    reduce = Echelon.reduce_batch
+    reduce = Echelon.reduce   # own entry: perfbench/tracer.py wraps it here
 
     def __init__(self, dom, width, k):
         super().__init__(width + k, dom.zero)
@@ -398,20 +397,23 @@ class ModPEchelon:
     def pack(self, src, dst, coeff):
         """The table as layers of (source, target, coefficient) arrays: the
         k-th entry of each target goes to layer k, so no layer repeats a
-        target."""
+        target.  A scatter sums a product below (p-1)^2 per layer in int64."""
         order = np.argsort(dst, kind="stable")
         src, dst = np.array(src)[order], np.array(dst)[order]
         coeff = self.from_coeffs(coeff)[order]
         first = np.flatnonzero(np.diff(dst, prepend=-1))   # of each target
         layer = np.arange(len(dst)) - np.repeat(
             first, np.diff(first, append=len(dst)))
+        layers = int(layer.max()) + 1
+        if layers * (self.p - 1) ** 2 >= 2 ** 63:
+            raise ValueError("int64 scatter sums overflow with %d layers,"
+                             " p %d" % (layers, self.p))
         return [(src[at], dst[at], coeff[at])
-                for at in (layer == k for k in range(layer.max() + 1))]
+                for at in (layer == k for k in range(layers))]
 
     def scatter_batch(self, action, rows):
         """The images of the rows of a matrix under a packed action table:
-        one gather-multiply-add per layer.  Entries are below p, so each
-        product is below p^2, and the few layers summed stay inside int64."""
+        one gather-multiply-add per layer, inside int64 as ``pack`` checks."""
         rows = np.asarray(rows)
         out = np.zeros((len(rows), self.width), dtype=np.int64)
         for src, dst, coeff in action:

@@ -161,7 +161,7 @@ def _solve(index, prev):
     middle = [fold({d: c * v for xe, c in right_e[x].items()
                     for d, v in right_t[xe].items()}, value, 1)
               for x, value in below]
-    implied = sum(1 for row in system.reduce(middle) if not row)
+    implied = sum(1 for row in system.reduce_batch(middle) if not row)
     system.add(middle)
     sol = system.solution()
     coeffs = {} if sol is None else {

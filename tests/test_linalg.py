@@ -89,7 +89,8 @@ def test_linear_system_detects_inconsistency_and_dependence():
         sys_ = LinearSystem(dom, 2, 1)
         assert sys_.add(_rows(dom, [1, 1, 3])) == 1
         assert sys_.add(_rows(dom, [2, 2, 6])) == 0
-        implied, not_implied = sys_.reduce(_rows(dom, [3, 3, 9], [3, 3, 8]))
+        implied, not_implied = sys_.reduce_batch(
+            _rows(dom, [3, 3, 9], [3, 3, 8]))
         assert not implied and not_implied
         assert not sys_.inconsistent
         assert sys_.add(_rows(dom, [1, 1, 4])) == 1
@@ -212,7 +213,7 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
                                for _ in range(width + k)] for _ in range(3)]
             reduced = [dense.reduce(row) for row in probes]
             for sparse, batch in ((ech, ech.reduce_batch),
-                                  (sys_, sys_.reduce)):
+                                  (sys_, sys_.reduce_batch)):
                 red = batch(map(sparse.from_coeffs, probes))
                 assert [sparse.to_coeffs(row) for row in red] == reduced
                 assert sparse.nonzero_rows(red) == sum(map(any, reduced))
@@ -311,6 +312,17 @@ def test_modp_echelon_rejects_int64_overflow():
     assert 3 * 10**6 * (1048573 - 1) ** 2 < 2 ** 63
     with pytest.raises(ValueError):
         ModPEchelon(3 * 10**6, 1048573)
+
+
+def test_modp_pack_rejects_int64_scatter_overflow():
+    # a scatter sums one product below (p-1)^2 per layer in int64: at the
+    # prime p = 2147483659 one layer fits, and is exact, but two do not
+    p = 2147483659
+    ech = ModPEchelon(1, p)
+    table = ech.pack([0], [0], [IntMod(-1, p)])
+    assert ech.scatter_batch(table, [[p - 1]]).tolist() == [[1]]
+    with pytest.raises(ValueError):
+        ech.pack([0, 0], [0, 0], [IntMod(1, p), IntMod(2, p)])
 
 
 @pytest.mark.parametrize("p", PRIMES)
