@@ -442,6 +442,8 @@ class ParamPoly:
     def __str__(self):
         """Q(s) coefficients over the lcm of their denominators: each is in
         lowest terms, so that numerator and the lcm are coprime."""
+        if not all(isinstance(c, Scalar) for c in self.coeffs.values()):
+            raise ValueError("ParamPoly text renders only Q(s) coefficients")
         den = _ONE
         for c in self.coeffs.values():
             if c.den != den:

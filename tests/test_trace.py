@@ -173,6 +173,14 @@ def test_table_export():
     assert table["0,0 2,1"] == "A"
 
 
+def test_table_export_refuses_prime_field_values():
+    # the text form renders Q(s) coefficients only; repr works on any
+    tf = tr.solve_trace(3, PrimeDomain(Fraction(5, 7), PRIMES[0]))
+    with pytest.raises(ValueError, match=r"only Q\(s\)"):
+        tf.table_json()
+    assert "IntMod" in repr(next(iter(tf.table.values())))
+
+
 def test_evaluate_requires_existence():
     bad = tr.TraceFunctional(2, {}, False, False, 0, 0, 0)
     with pytest.raises(ValueError):
