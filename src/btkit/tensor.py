@@ -28,7 +28,8 @@ tie moves its condition to any two positions).  So the basis element
 E_I T_w acts as that projector after T_w.  Every term of T_w x has the upper
 values of x permuted by w, that is E_I T_w = T_w E_{w^-1 I}: E_I keeps all
 of T_w x or none of it, and :func:`represent` makes T_w x only when some
-E_I paired with w keeps it, which it reads off the upper values of x.
+E_I paired with w keeps it, which it reads off the kernel of the upper
+values of x: which of them are equal.
 
 Every operator here keeps the multiset of lower values, compares lower values
 only by order and upper values only by equality.  So an operator identity
@@ -36,6 +37,12 @@ holds at an index iff it holds at every index of the same order-and-equality
 type, and the relation checks, the exhaustive homomorphism check and the rank
 rows run over one index per type (:func:`index_types`): 6, 65 and 1125 types
 for 2, 3 and 4 factors, against n^(2k) indices.
+
+The homomorphism check would repeat much of its work, so some is kept: act_T
+memoizes its coefficient products (:func:`_braid_coeffs`), the check's batch
+vector carries its split by kernels and the braid images of its parts, which
+every operator applied to it shares (:class:`_Split`), and each represented
+element finds the coefficients it keeps once per kernel.
 
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are
 functions from vectors to vectors; nothing is ever stored as a dense n^(2n)
@@ -112,8 +119,19 @@ def act_E(i, vec, dom=SYMBOLIC):
     return out
 
 
+@functools.lru_cache(maxsize=4096)
+def _braid_coeffs(c, um1, squ):
+    """-c, c (u - 1) and c sqrt(u), the coefficients :func:`act_T` gives a
+    term c x.  The key holds u - 1 and sqrt(u): the rational points share
+    Fraction coefficients."""
+    return -c, c * um1, c * squ
+
+
 def act_T(i, vec, dom=SYMBOLIC):
-    """Image under the braid operator acting at factors i, i+1."""
+    """Image under the braid operator acting at factors i, i+1.  The three
+    products of each coefficient are memoized (:func:`_braid_coeffs`), as
+    the homomorphism check braids with few distinct coefficients (46 at
+    n = 3 and 426 at n = 6, at seed 0)."""
     out = {}
     k = i - 1
     um1 = dom.u_minus_1
@@ -121,15 +139,16 @@ def act_T(i, vec, dom=SYMBOLIC):
     for idx, c in vec.items():
         (a, r), (b, s) = idx[k], idx[k + 1]
         swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2:]
+        neg, cum1, csqu = _braid_coeffs(c, um1, squ)
         if r != s:
-            _acc(out, swapped, -c)
+            _acc(out, swapped, neg)
         elif a == b:
-            _acc(out, idx, -c)
+            _acc(out, idx, neg)
         elif a < b:
-            _acc(out, idx, c * um1)
-            _acc(out, swapped, c * squ)
+            _acc(out, idx, cum1)
+            _acc(out, swapped, csqu)
         else:
-            _acc(out, swapped, c * squ)
+            _acc(out, swapped, csqu)
     return out
 
 
@@ -181,13 +200,42 @@ def apply_word(word, vec, dom=SYMBOLIC):
     return vec
 
 
-def _permute_uppers(word, up):
-    """The upper values of every term of T_word x, for x with upper values
-    up: each letter swaps two adjacent ones, the rightmost letter first."""
+def _kept(word, up, terms):
+    """The values v of the (block leaders of I, v) pairs in terms whose E_I
+    keeps T_word x, for x with upper values up.  Every term of T_word x has
+    the upper values up with two adjacent ones swapped by each letter, the
+    rightmost letter first."""
     up = list(up)
     for i in reversed(word):
         up[i - 1], up[i] = up[i], up[i - 1]
-    return up
+    return [v for leaders, v in terms
+            if all(up[m] == up[k] for m, k in leaders)]
+
+
+def _split(vec, dom):
+    """vec split by the kernel of its upper values, as {kernel: braid cache
+    {(): part} of :func:`_braid_image`}.  The kernel of a tuple of upper
+    values is its equality pattern, each value replaced by the position of
+    its first occurrence.  A :class:`_Split` vector of dom carries its own,
+    so every operator applied to it shares the braid images of its parts."""
+    if isinstance(vec, _Split) and vec.dom is dom:
+        return vec.parts
+    parts = {}
+    for x, c in vec.items():
+        up = tuple(r for _, r in x)
+        parts.setdefault(tuple(map(up.index, up)), {})[x] = c
+    return {kernel: {(): part} for kernel, part in parts.items()}
+
+
+class _Split(dict):
+    """A vector over dom that carries its :func:`_split`, made once."""
+
+    __slots__ = ("dom", "parts")
+
+    def __init__(self, vec, dom):
+        super().__init__(vec)
+        self.dom = dom
+        self.parts = _split(vec, dom)
 
 
 def represent(elem):
@@ -196,30 +244,35 @@ def represent(elem):
     indices whose upper values are constant on each block of I.
 
     T_w carries each factor's upper value with it, so every term of T_w x
-    has the upper values of x permuted by w: E_I T_w = T_w E_{w^-1 I}.  So
-    on the part of the input with one tuple of upper values, E_I keeps all
-    of T_w x or none of it.  The input is split by upper values, and for
-    each part and word w the image T_w x is made (from the image of its
-    suffix) only if some E_I paired with w keeps it; it is then added once,
-    with the sum of the kept coefficients."""
+    has the upper values of x permuted by w: E_I T_w = T_w E_{w^-1 I}.
+    Whether E_I keeps such a term depends only on the kernel of the upper
+    values of x (which of them are equal), so on the part of the input with
+    one kernel, E_I keeps all of T_w x or none of it.  The input is split
+    by kernels (:func:`_split`); a :class:`_Split` input brings its split
+    and the braid images already made of its parts.  For each part and
+    word w, the image T_w x is made (from the image of its suffix) only if
+    some E_I paired with w keeps it; it is then added once, with the sum of
+    the kept coefficients, which is found once per kernel and operator."""
     dom = elem.dom
     ties = _by_word(elem.terms.items())
+    plans = {}   # kernel -> [(word, kept sum)], the words whose sum is not 0
+
+    def plan(kernel):
+        words = []
+        for word, terms in ties.items():
+            c = sum(_kept(word, kernel, terms), dom.zero)
+            if c:
+                words.append((word, c))
+        return words
 
     def apply_fn(vec):
-        parts = {}
-        for x, c in vec.items():
-            parts.setdefault(tuple(r for _, r in x), {})[x] = c
         out = {}
-        for up, part in parts.items():
-            braided = {(): part}
-            for word, terms in ties.items():
-                wup = _permute_uppers(word, up)
-                c = None
-                for leaders, ci in terms:
-                    if all(wup[m] == wup[k] for m, k in leaders):
-                        c = ci if c is None else c + ci
-                if c:
-                    vec_add(out, _braid_image(word, braided, dom), c)
+        for kernel, braided in _split(vec, dom).items():
+            words = plans.get(kernel)
+            if words is None:
+                words = plans[kernel] = plan(kernel)
+            for word, c in words:
+                vec_add(out, _braid_image(word, braided, dom), c)
         return out
 
     return apply_fn
@@ -244,10 +297,18 @@ def _rel_images(rel, params, x, dom):
     return lhs, rhs
 
 
+@functools.lru_cache(maxsize=1)
+def _tagged_batch(xs, dom):
+    """The sum of e_{x_t (x) (t, 0)} over the t-th index x_t of xs, split
+    once; kept for the next call, as at n <= 3 every pair checks the same
+    indices."""
+    return _Split({x + ((t, 0),): dom.one for t, x in enumerate(xs)}, dom)
+
+
 def _agree_on(lhs, rhs, xs, dom):
     """lhs(e_x) == rhs(e_x) for every n-factor index x in xs, checked on one
     vector: the t-th index gets the extra last factor (t, 0)."""
-    vec = {x + ((t, 0),): dom.one for t, x in enumerate(xs)}
+    vec = _tagged_batch(tuple(xs), dom)
     return lhs(vec) == rhs(vec)
 
 
@@ -269,9 +330,13 @@ def verify_relations_in_rep(n, seed=0):
     e_{x_t (x) (t, 0)} to op(e_{x_t}) (x) (t, 0), by linearity the batch
     image is the sum of these, and images of different tags share no
     index.  So the two sides agree on the batch iff they agree on every
-    e_{x_t}, repeated indices included.  The tag's upper value is the
-    constant 0, so :func:`represent` braids all indices with the same upper
-    values as one part.
+    e_{x_t}, repeated indices included.  The tag's upper value 0 equals no
+    other, so :func:`represent` braids all indices of one kernel as one
+    part.  The batch is split once (:func:`_tagged_batch`), and the
+    operators of a * b and of b share its split and the braid images of its
+    parts; at n <= 3, where every pair checks the same indices, all 100
+    pairs share them.  At n >= 4 each pair's indices are drawn in one
+    ``rng.choices`` call.
     """
     dom = SYMBOLIC
     checks = []
@@ -289,9 +354,12 @@ def verify_relations_in_rep(n, seed=0):
         a = random_basis_element(n, rng, dom)
         b = random_basis_element(n, rng, dom)
         op_ab, op_a, op_b = represent(a * b), represent(a), represent(b)
-        vectors = index_types(n) if exhaustive else [
-            tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
-            for _ in range(64)]
+        if exhaustive:
+            vectors = index_types(n)
+        else:
+            draws = iter(rng.choices(range(1, n + 1), k=128 * n))
+            factors = list(zip(draws, draws))
+            vectors = [tuple(factors[t * n:(t + 1) * n]) for t in range(64)]
         hom_ok = _agree_on(op_ab, lambda v: op_a(op_b(v)), vectors, dom)
         hom_checked += 1
     checks.append({"id": "rep-homomorphism",
@@ -361,10 +429,7 @@ def _rank_rows(n, dom):
         for word, img in images.items():
             cols = kept.get((word, up))
             if cols is None:
-                wup = _permute_uppers(word, up)
-                cols = kept[word, up] = [
-                    col for ties, col in words[word]
-                    if all(wup[m] == wup[k] for m, k in ties)]
+                cols = kept[word, up] = _kept(word, up, words[word])
             entries.extend((rows[y], col, c)
                            for y, c in img.items() for col in cols)
         yield len(rows), entries

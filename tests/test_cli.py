@@ -152,6 +152,8 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert_one_error_line(["quotient", "--n", "2"])
     assert_one_error_line(["quotient", "--n", "1", "--n-max", "2"])
     assert_one_error_line(["relations", "--n", "1"])
+    # relations runs up to n = 6
+    assert_one_error_line(["relations", "--n", "7"])
     # every run is one process: --jobs takes only 1
     assert_one_error_line(["relations", "--n", "2", "--jobs", "2"])
     assert_one_error_line(["relations", "--n", "2", "--jobs", "0"])

@@ -258,6 +258,10 @@ def test_represent_matches_braid_then_project():
                 rng.choice((-3, -1, 1, 2))) * S ** rng.randint(0, 2))
         sums.append(vec)
     assert all(len({tuple(r for _, r in x) for x in v}) > 1 for v in sums)
+    # parts with upper values (1, 1, 2) and (3, 3, 1): one kernel, other
+    # values, so represent braids them as one part
+    sums.append({((1, 1), (2, 1), (1, 2)): ONE, ((2, 3), (1, 3), (3, 1)): S,
+                 ((3, 3), (3, 3), (2, 1)): U - ONE})
     for elem in elems:
         op = represent(elem)
         for x in tn.index_types(n):
@@ -267,6 +271,50 @@ def test_represent_matches_braid_then_project():
             assert op(v) == _braid_then_project(elem, v), elem
     assert len(tn.index_types(n)) == 65
     assert len(elems) == 30 + 3
+
+
+def test_braid_coefficient_memo_keeps_domains_apart(monkeypatch):
+    # act_T memoizes its coefficient products across calls and domains; the
+    # two points share Fraction coefficients in Q and IntMod ones in each
+    # GF(p), so a memo keyed on the coefficient alone mixes them up
+    points = (Fraction(5, 7), Fraction(3, 2))
+    doms = [RationalDomain(pt) for pt in points]
+    doms += [PrimeDomain(pt, p) for p in PRIMES for pt in points]
+    words = [[("T", i) for i in w] for w in ((1,), (2, 1), (1, 2, 1, 2))]
+
+    def images(dom):
+        vec = {x: dom.of_int(t + 1)
+               for t, x in enumerate(tn.index_types(3))}
+        return [tn.apply_word(w, vec, dom) for w in words]
+
+    tn._braid_coeffs.cache_clear()
+    memoized = [images(dom) for dom in doms]
+    assert tn._braid_coeffs.cache_info().hits > 0
+    # the same images with every product made afresh
+    monkeypatch.setattr(tn, "_braid_coeffs",
+                        lambda c, um1, squ: (-c, c * um1, c * squ))
+    assert memoized == [images(dom) for dom in doms]
+
+
+def test_shared_batch_matches_each_index_in_each_domain():
+    # the batch of one xs, and the braid images its parts keep, serve one
+    # domain: over Q(s) and then at s = 5/7, the batch check agrees with
+    # the check index by index, for a true and a false identity
+    n = 3
+    xs = tn.index_types(n)
+    rng = random.Random(3)
+    seen = set()
+    for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7))):
+        for _ in range(4):
+            a = alg.random_basis_element(n, rng, dom)
+            b = alg.random_basis_element(n, rng, dom)
+            op_ab, op_a, op_b = represent(a * b), represent(a), represent(b)
+            for rhs in (lambda v: op_a(op_b(v)), lambda v: op_b(op_a(v))):
+                by_index = all(op_ab(unit_vector(x, dom)) ==
+                               rhs(unit_vector(x, dom)) for x in xs)
+                assert tn._agree_on(op_ab, rhs, xs, dom) == by_index
+                seen.add(by_index)
+    assert seen == {True, False}
 
 
 def test_operator_relations():
