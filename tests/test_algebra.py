@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from btkit import algebra as alg
+from btkit import quotient as qt
 from btkit import scalars as sc
 from btkit.algebra import (BasisIndex, E, E_arc, E_of_partition, F, L, T,
                            basis_element, gamma, gamma_inverse, inverse_T, one,
@@ -87,6 +90,22 @@ def test_defining_relations_and_lemmas():
     for n in (2, 3, 4):
         for check in verify_relations(n):
             assert check["ok"], (n, check)
+
+
+@pytest.mark.parametrize("family, count, digest", [
+    (alg.relation_instances, 392,
+     "2db1dc92322eda33f2992f117cbd5dae8799fd928931dd17542d7f214a376c7f"),
+    (alg.lemma_instances, 401,
+     "832d5c4101fd20363b39602ed582975f0782746bd9ab4fdfd3224a7d11b15b78"),
+    (qt.presentation_instances, 812,
+     "5077a184a39de46a1125bad894ed811bbdcad5ec2fcae3da16ee71ed50185793"),
+], ids=["relations", "lemmas", "presentations"])
+def test_instance_order_pinned(family, count, digest):
+    # the instance order is part of every report; the goldens pin it at
+    # n = 3 and 4 only, this pins all three families at n = 1..8
+    listed = [[[name, list(p)] for name, p in family(n)] for n in range(1, 9)]
+    assert sum(map(len, listed)) == count
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
 def test_inverse_generator():
