@@ -16,21 +16,14 @@ an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
 E_{w^-1 I} T_{w^-1}.  Thus g x = mirror(mirror(x) g), which is how
 :func:`btkit.quotient.build_ideal` closes an ideal on the left.
 
-The defining relations implemented here (for |i-j| as indicated):
-
-    (1) T_i T_j = T_j T_i                 |i-j| > 1
-    (2) T_i T_j T_i = T_j T_i T_j         |i-j| = 1   (braid relation)
-    (3) T_i^2 = 1 + (u-1) E_i (1 + T_i)
-    (4) E_i E_j = E_j E_i
-    (5) E_i^2 = E_i
-    (6) E_i T_j = T_j E_i                 |i-j| > 1
-    (7) E_i T_i = T_i E_i
-    (8) E_i E_j T_i = T_i E_i E_j = E_j T_i E_j   |i-j| = 1
-    (9) E_i T_j T_i = T_j T_i E_j         |i-j| = 1
+The defining relations (1)-(9) are the table RELATIONS below: each is
+stated once, with its index condition, and both the engine
+(:func:`relation_sides`) and the tensor operators read it.
 """
 
+import itertools
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from .domains import SYMBOLIC
 from .partitions import (SetPartition, arc_partition, enumerate_partitions,
@@ -346,114 +339,120 @@ class BasisIndex:
 # relation verification
 # ---------------------------------------------------------------------------
 
+def instances(n, groups):
+    """The instances (id, params) of a table of identities at n strands.
+    Each group is (arity, entries): its params run over the arity-tuples of
+    generators 1..n-1 in lexicographic order (arity 0 gives one empty
+    tuple), and for each params the group lists, in its order, every entry
+    (id, condition, ...) whose condition(n, *params) holds; a condition
+    None always holds."""
+    return [(name, params) for arity, entries in groups
+            for params in itertools.product(range(1, n), repeat=arity)
+            for name, cond, *_ in entries
+            if cond is None or cond(n, *params)]
+
+
+def _adjacent(n, i, j):
+    return abs(i - j) == 1
+
+
+def _far(n, i, j):
+    return abs(i - j) > 1
+
+
+def _before(n, i, j):
+    return i < j
+
+
+# The defining relations in report order, as groups of :func:`instances`
+# with entries (id, index condition, both sides).  A side is a sum of
+# terms, each a word in T_i, T_j, E_i, E_j (1 is the empty word) with an
+# optional coefficient (u-1), read as a product from the left; as
+# operators, the leftmost letter acts last.
+RELATIONS = (
+    (2, [("braid-commute", lambda n, i, j: j - i > 1, "Ti Tj = Tj Ti")]),  # 1
+    (2, [("braid", lambda n, i, j: j == i + 1, "Ti Tj Ti = Tj Ti Tj")]),   # 2
+    (1, [("quadratic", None, "Ti Ti = 1 + (u-1) Ei + (u-1) Ei Ti")]),      # 3
+    (2, [("tie-commute", _before, "Ei Ej = Ej Ei")]),                      # 4
+    (1, [("tie-idempotent", None, "Ei Ei = Ei")]),                         # 5
+    (2, [("tie-far-braid-commute", _far, "Ei Tj = Tj Ei")]),               # 6
+    (1, [("tie-own-braid-commute", None, "Ei Ti = Ti Ei")]),               # 7
+    (2, [("tie-pair-slide", _adjacent, "Ei Ej Ti = Ti Ei Ej"),             # 8
+         ("tie-pair-project", _adjacent, "Ei Ej Ti = Ej Ti Ej")]),
+    (2, [("tie-cross", _adjacent, "Ei Tj Ti = Tj Ti Ej")]),                # 9
+)
+
+
+def _sides(text):
+    """The sides of a relation's text, each a list of (coefficient,
+    word) terms: the coefficient is None for 1 or names a constant of the
+    domain, and each letter of the word is (generator, position of its
+    index in params)."""
+    return [[("u_minus_1" if term.startswith("(u-1)") else None,
+              [(g[0], "ij".index(g[1])) for g in term.split() if g[0] in "TE"])
+             for term in side.split(" + ")]
+            for side in text.split(" = ")]
+
+
+_SIDES = {name: _sides(text) for _, entries in RELATIONS
+          for name, _, text in entries}
+
+
 def relation_instances(n):
     """Deterministic enumeration of all instances of the defining relations
     for the given strand count."""
-    gens = range(1, n)
-    out = []
-    for i in gens:
-        for j in gens:
-            if j - i > 1:
-                out.append(("braid-commute", (i, j)))
-    for i in gens:
-        if i + 1 in gens:
-            out.append(("braid", (i, i + 1)))
-    for i in gens:
-        out.append(("quadratic", (i,)))
-    for i in gens:
-        for j in gens:
-            if i < j:
-                out.append(("tie-commute", (i, j)))
-    for i in gens:
-        out.append(("tie-idempotent", (i,)))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) > 1:
-                out.append(("tie-far-braid-commute", (i, j)))
-    for i in gens:
-        out.append(("tie-own-braid-commute", (i,)))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) == 1:
-                out.append(("tie-pair-slide", (i, j)))
-                out.append(("tie-pair-project", (i, j)))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) == 1:
-                out.append(("tie-cross", (i, j)))
-    return out
+    return instances(n, RELATIONS)
 
 
-# every defining relation but the quadratic one, whose right side is a sum:
-# both sides as words of ("T", i) and ("E", i) letters, read as products
-# from left to right (as operators, the leftmost letter acts last)
-RELATION_WORDS = {
-    "braid-commute": (lambda i, j: [("T", i), ("T", j)],
-                      lambda i, j: [("T", j), ("T", i)]),
-    "braid": (lambda i, j: [("T", i), ("T", j), ("T", i)],
-              lambda i, j: [("T", j), ("T", i), ("T", j)]),
-    "tie-commute": (lambda i, j: [("E", i), ("E", j)],
-                    lambda i, j: [("E", j), ("E", i)]),
-    "tie-idempotent": (lambda i: [("E", i), ("E", i)], lambda i: [("E", i)]),
-    "tie-far-braid-commute": (lambda i, j: [("E", i), ("T", j)],
-                              lambda i, j: [("T", j), ("E", i)]),
-    "tie-own-braid-commute": (lambda i: [("E", i), ("T", i)],
-                              lambda i: [("T", i), ("E", i)]),
-    "tie-pair-slide": (lambda i, j: [("E", i), ("E", j), ("T", i)],
-                       lambda i, j: [("T", i), ("E", i), ("E", j)]),
-    "tie-pair-project": (lambda i, j: [("E", i), ("E", j), ("T", i)],
-                         lambda i, j: [("E", j), ("T", i), ("E", j)]),
-    "tie-cross": (lambda i, j: [("E", i), ("T", j), ("T", i)],
-                  lambda i, j: [("T", j), ("T", i), ("E", j)]),
-}
+def relation_terms(rel, params, dom=SYMBOLIC):
+    """Both sides of a defining-relation instance, each a list of
+    (coefficient, word) terms over dom, the coefficient None for 1 (as
+    :func:`btkit.tensor.vec_add` takes it); a word is a list of ("T", i)
+    and ("E", i) letters."""
+    if rel not in _SIDES:
+        raise ValueError("unknown relation id %r" % rel)
+    return [[(c and getattr(dom, c), [(g, params[k]) for g, k in word])
+             for c, word in side]
+            for side in _SIDES[rel]]
 
 
 def relation_sides(rel, params, n, dom=SYMBOLIC):
     """Both sides of a defining-relation instance as engine elements: the
-    products along the words of RELATION_WORDS, from the first letter on."""
-    if rel == "quadratic":
-        (i,) = params
-        lhs = T(i, n, dom) * T(i, n, dom)
-        rhs = one(n, dom) + (E(i, n, dom) * (one(n, dom) + T(i, n, dom))
-                             ).scale(dom.u_minus_1)
-        return lhs, rhs
-    if rel not in RELATION_WORDS:
-        raise ValueError("unknown relation id %r" % rel)
+    sums of :func:`relation_terms`, each word the product of its letters
+    from the first on."""
     gens = {"T": T, "E": E}
-    return tuple(reduce(mul, [gens[kind](i, n, dom)
-                              for kind, i in word(*params)])
-                 for word in RELATION_WORDS[rel])
+
+    def term(c, word):
+        x = reduce(mul, [gens[g](i, n, dom) for g, i in word] or [one(n, dom)])
+        return x if c is None else x.scale(c)
+
+    return tuple(reduce(add, [term(c, word) for c, word in side])
+                 for side in relation_terms(rel, params, dom))
+
+
+def _has_next(n, i):
+    return i + 2 <= n   # i + 1 is a generator
+
+
+# the named identity suites, as groups of :func:`instances`
+LEMMAS = (
+    (1, [("gamma-conj-T", None), ("gamma-conj-E", None),
+         ("gamma-conj-steinberg", _has_next), ("gamma-shift", _has_next),
+         ("gamma-conj-arc", _has_next)]),
+    (1, [(name, None) for name in ("idem-L-square", "idem-EL",
+                                   "idem-T-from-L", "idem-EL-EF",
+                                   "idem-F-from-L", "F-square")]),
+    (2, [("tie-transport-left", _adjacent),
+         ("tie-transport-right", _adjacent)]),
+    (0, [("steinberg-absorb-%d" % k, lambda n: n >= 3) for k in range(1, 6)]),
+)
 
 
 def lemma_instances(n):
     """Instances of the named identity suites (conjugation by the cycle
     element, the idempotent generators, tie transport, and absorption by the
     Steinberg element)."""
-    out = []
-    for i in range(1, n):
-        out.append(("gamma-conj-T", (i,)))
-        out.append(("gamma-conj-E", (i,)))
-        if i + 1 <= n - 1:
-            out.append(("gamma-conj-steinberg", (i,)))
-            out.append(("gamma-shift", (i,)))
-        if i + 2 <= n:
-            out.append(("gamma-conj-arc", (i,)))
-    for i in range(1, n):
-        out.append(("idem-L-square", (i,)))
-        out.append(("idem-EL", (i,)))
-        out.append(("idem-T-from-L", (i,)))
-        out.append(("idem-EL-EF", (i,)))
-        out.append(("idem-F-from-L", (i,)))
-        out.append(("F-square", (i,)))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) == 1:
-                out.append(("tie-transport-left", (i, j)))
-                out.append(("tie-transport-right", (i, j)))
-    if n >= 3:
-        for k in (1, 2, 3, 4, 5):
-            out.append(("steinberg-absorb-%d" % k, ()))
-    return out
+    return instances(n, LEMMAS)
 
 
 def lemma_sides(lemma, params, n, dom=SYMBOLIC):
@@ -524,9 +523,9 @@ def verify_relations(n):
     """Exact check of every defining-relation instance (and the named
     identity suites) inside the engine.  Returns a list of check dicts."""
     checks = []
-    for instances, sides in ((relation_instances, relation_sides),
-                             (lemma_instances, lemma_sides)):
-        for rel, params in instances(n):
+    for listed, sides in ((relation_instances, relation_sides),
+                          (lemma_instances, lemma_sides)):
+        for rel, params in listed(n):
             lhs, rhs = sides(rel, params, n)
             ok = lhs == rhs
             entry = {"id": rel, "instance": list(params), "ok": ok}

@@ -174,40 +174,6 @@ def verify_ideal_closure(ib):
 # the two quotient presentations
 # ---------------------------------------------------------------------------
 
-def presentation_instances(n):
-    """Identity instances of the F- and L-generator presentations, plus the
-    tie relations they inherit."""
-    out = []
-    gens = range(1, n)
-    for i in gens:
-        out.append(("quot-F-square", (i,)))
-        out.append(("quot-L-idempotent", (i,)))
-        out.append(("quot-F-E-own", (i,)))
-        out.append(("quot-L-E-own", (i,)))
-        out.append(("quot-tie-idempotent", (i,)))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) > 1:
-                out.append(("quot-F-commute", (i, j)))
-                out.append(("quot-F-E-commute", (i, j)))
-                out.append(("quot-L-commute", (i, j)))
-                out.append(("quot-L-E-commute", (i, j)))
-            if i < j:
-                out.append(("quot-tie-commute", (i, j)))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) == 1:
-                out.append(("quot-F-tie-slide-a", (i, j)))
-                out.append(("quot-F-tie-slide-b", (i, j)))
-                out.append(("quot-F-cross", (i, j)))
-                out.append(("quot-F-sandwich", (i, j)))
-                out.append(("quot-L-tie-slide-a", (i, j)))
-                out.append(("quot-L-tie-slide-b", (i, j)))
-                out.append(("quot-L-cross", (i, j)))
-                out.append(("quot-L-sandwich", (i, j)))
-    return out
-
-
 # the identities that are a lemma or a defining relation of the algebra
 _INHERITED = {
     "quot-F-square": (algebra.lemma_sides, "F-square"),
@@ -216,10 +182,34 @@ _INHERITED = {
     "quot-tie-commute": (algebra.relation_sides, "tie-commute"),
 }
 
-# the forms of both presentations, over the family's generator X = F or L
-_FORM_OF = {"quot-%s-%s" % (x, form): (x, form) for x in "FL" for form in (
-    "E-own", "commute", "E-commute", "tie-slide-a", "tie-slide-b", "cross",
-    "sandwich")}
+# the forms of both presentations, over the family's generator X = F or L:
+# the one-generator form, the two forms of far pairs, the adjacent ones
+_FORMS = ("E-own", "commute", "E-commute", "tie-slide-a", "tie-slide-b",
+          "cross", "sandwich")
+_FORM_OF = {"quot-%s-%s" % (x, form): (x, form)
+            for x in "FL" for form in _FORMS}
+
+
+def _forms(forms, cond):
+    """Entries (id, cond) of both families' ids of forms, F first."""
+    return [(pid, cond) for pid, (_, form) in _FORM_OF.items()
+            if form in forms]
+
+
+# the presentation identities, as groups of :func:`algebra.instances`
+PRESENTATIONS = (
+    (1, [("quot-F-square", None), ("quot-L-idempotent", None)]
+     + _forms(_FORMS[:1], None) + [("quot-tie-idempotent", None)]),
+    (2, _forms(_FORMS[1:3], algebra._far)
+     + [("quot-tie-commute", algebra._before)]),
+    (2, _forms(_FORMS[3:], algebra._adjacent)),
+)
+
+
+def presentation_instances(n):
+    """Identity instances of the F- and L-generator presentations, plus the
+    tie relations they inherit."""
+    return algebra.instances(n, PRESENTATIONS)
 
 
 def presentation_sides(pid, params, n, dom=SYMBOLIC):

@@ -55,8 +55,8 @@ import functools
 import itertools
 import random
 
-from .algebra import (RELATION_WORDS, BasisIndex, _acc,
-                      random_basis_element, relation_instances)
+from .algebra import (BasisIndex, _acc, random_basis_element,
+                      relation_instances, relation_terms)
 from .domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from .partitions import enumerate_partitions
 
@@ -283,18 +283,16 @@ def represent(elem):
 # ---------------------------------------------------------------------------
 
 def _rel_images(rel, params, x, dom):
-    """Images of a basis vector under both sides of a relation instance."""
-    if rel == "quadratic":
-        (i,) = params
-        vec = unit_vector(x, dom)
-        t = act_T(i, vec, dom)
-        # T^2 = 1 + (u-1) E (1 + T)
-        return act_T(i, t, dom), vec_add(
-            dict(vec), act_E(i, vec_add(dict(vec), t), dom), dom.u_minus_1)
-    lw, rw = RELATION_WORDS[rel]
-    lhs = apply_word(lw(*params), unit_vector(x, dom), dom)
-    rhs = apply_word(rw(*params), unit_vector(x, dom), dom)
-    return lhs, rhs
+    """Images of a basis vector under both sides of a relation instance:
+    the sums of words of :func:`btkit.algebra.relation_terms`."""
+    vec = unit_vector(x, dom)
+    images = []
+    for side in relation_terms(rel, params, dom):
+        img = {}
+        for c, word in side:
+            vec_add(img, apply_word(word, vec, dom), c)
+        images.append(img)
+    return tuple(images)
 
 
 @functools.lru_cache(maxsize=1)

@@ -317,6 +317,25 @@ def test_shared_batch_matches_each_index_in_each_domain():
     assert seen == {True, False}
 
 
+def test_one_relation_declaration_feeds_engine_and_operators(monkeypatch):
+    # the engine and the operators read each relation from one table, so a
+    # wrong quadratic relation fails in both, at every instance
+    def quadratic_oks():
+        engine = [c["ok"] for c in alg.verify_relations(3)
+                  if c["id"] == "quadratic"]
+        rep = [c["ok"] for c in tn.verify_relations_in_rep(3)
+               if c["id"] == "rep-quadratic"]
+        return engine, rep
+
+    assert all(c["ok"] for c in alg.verify_relations(3))
+    assert all(c["ok"] for c in tn.verify_relations_in_rep(3))
+    assert quadratic_oks() == ([True] * 2, [True] * 2)
+    # the right side without its (u-1) E_i T_i term
+    monkeypatch.setitem(alg._SIDES, "quadratic",
+                        alg._sides("Ti Ti = 1 + (u-1) Ei"))
+    assert quadratic_oks() == ([False] * 2, [False] * 2)
+
+
 def test_operator_relations():
     for c in tn.verify_relations_in_rep(3, seed=1):
         assert c["ok"], c
