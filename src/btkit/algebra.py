@@ -86,6 +86,8 @@ class AlgebraElement:
         return AlgebraElement(self.n, out, self.dom)
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power %d: no inverse is taken" % k)
         out = one(self.n, self.dom)
         for _ in range(k):
             out = out * self

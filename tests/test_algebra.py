@@ -108,6 +108,16 @@ def test_instance_order_pinned(family, count, digest):
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
+def test_negative_power_is_refused():
+    # a negative power used to return one: the loop ran no times
+    for x in (T(1, 3), gamma(3)):
+        for k in (-1, -2):
+            with pytest.raises(ValueError):
+                x ** k
+    assert gamma(3) ** 0 == one(3)
+    assert gamma(3) ** 2 == gamma(3) * gamma(3)
+
+
 def test_inverse_generator():
     for n in (2, 3, 4):
         for i in range(1, n):
