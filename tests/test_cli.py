@@ -166,6 +166,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert_one_error_line(["rank", "--n", "2", "--export-ops", str(taken)])
+    # an empty path is refused, not read as no path
+    assert_one_error_line(["rank", "--n", "2", "--out", ""])
+    assert_one_error_line(["rank", "--n", "2", "--export-ops", ""])
     # a report the device refuses, after the suite ran
     if os.path.exists("/dev/full"):
         assert_one_error_line(["relations", "--n", "2", "--out", "/dev/full"])
