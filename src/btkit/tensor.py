@@ -284,10 +284,14 @@ def represent(elem):
 
 def _rel_images(rel, params, x, dom):
     """Images of a basis vector under both sides of a relation instance:
-    the sums of words of :func:`btkit.algebra.relation_terms`."""
+    the sums of words of :func:`btkit.algebra.relation_terms`.  A side of
+    one word with coefficient 1 is that word's image, with no sum made."""
     vec = unit_vector(x, dom)
     images = []
     for side in relation_terms(rel, params, dom):
+        if len(side) == 1 and side[0][0] is None:
+            images.append(apply_word(side[0][1], vec, dom))
+            continue
         img = {}
         for c, word in side:
             vec_add(img, apply_word(word, vec, dom), c)
