@@ -131,14 +131,13 @@ def _check_output_paths(args, ns):
     """Refuse, before the suite runs, an empty path, a report file in no
     directory, an operator directory that cannot be made (an ancestor is a
     file) and an operator export beyond MAX_EXPORT_N."""
+    outdir = getattr(args, "export_ops", None)
+    if "" in (args.out, outdir):
+        raise UsageError("an empty path names no file or directory")
     if args.out is not None:
         folder = os.path.dirname(os.path.abspath(args.out))
-        if (not args.out or os.path.isdir(args.out)
-                or not os.path.isdir(folder)):
+        if os.path.isdir(args.out) or not os.path.isdir(folder):
             raise UsageError("cannot write the report to %r" % args.out)
-    outdir = getattr(args, "export_ops", None)
-    if outdir == "":
-        raise UsageError("cannot make the directory ''")
     if outdir:
         if ns[-1] > MAX_EXPORT_N:
             raise UsageError("--export-ops takes n <= %d, got n=%d"
