@@ -282,21 +282,21 @@ def represent(elem):
 # relation verification as operators
 # ---------------------------------------------------------------------------
 
-def _rel_images(rel, params, x, dom):
-    """Images of a basis vector under both sides of a relation instance:
-    the sums of words of :func:`btkit.algebra.relation_terms`.  A side of
-    one word with coefficient 1 is that word's image, with no sum made."""
+def _side_images(sides, x, dom):
+    """Images of a basis vector under both sides of a relation instance,
+    given as the (coefficient, word) terms of
+    :func:`btkit.algebra.relation_terms`: the sums of the words' images."""
     vec = unit_vector(x, dom)
-    images = []
-    for side in relation_terms(rel, params, dom):
-        if len(side) == 1 and side[0][0] is None:
-            images.append(apply_word(side[0][1], vec, dom))
-            continue
-        img = {}
+    images = tuple({} for _ in sides)
+    for img, side in zip(images, sides):
         for c, word in side:
             vec_add(img, apply_word(word, vec, dom), c)
-        images.append(img)
-    return tuple(images)
+    return images
+
+
+def _rel_images(rel, params, x, dom):
+    """Images of a basis vector under both sides of a relation instance."""
+    return _side_images(relation_terms(rel, params, dom), x, dom)
 
 
 @functools.lru_cache(maxsize=1)
@@ -345,9 +345,9 @@ def verify_relations_in_rep(n, seed=0):
     for rel, params in relation_instances(n):
         touched = sorted({p + d for p in params for d in (0, 1)})
         rparams = tuple(touched.index(i) + 1 for i in params)
+        sides = relation_terms(rel, rparams, dom)
         ok = all(lhs == rhs for lhs, rhs in (
-            _rel_images(rel, rparams, x, dom)
-            for x in index_types(len(touched))))
+            _side_images(sides, x, dom) for x in index_types(len(touched))))
         checks.append({"id": "rep-" + rel, "instance": list(params), "ok": ok})
     rng = random.Random(seed)
     exhaustive = n <= 3
