@@ -22,6 +22,7 @@ stated once, with its index condition, and both the engine
 """
 
 import itertools
+import re
 from functools import reduce
 from operator import add, mul
 
@@ -354,15 +355,16 @@ def instances(n, groups):
             if cond is None or cond(n, *params)]
 
 
-def _adjacent(n, i, j):
+# index conditions of two-generator identities
+def adjacent(n, i, j):
     return abs(i - j) == 1
 
 
-def _far(n, i, j):
+def far(n, i, j):
     return abs(i - j) > 1
 
 
-def _before(n, i, j):
+def before(n, i, j):
     return i < j
 
 
@@ -375,25 +377,30 @@ RELATIONS = (
     (2, [("braid-commute", lambda n, i, j: j - i > 1, "Ti Tj = Tj Ti")]),  # 1
     (2, [("braid", lambda n, i, j: j == i + 1, "Ti Tj Ti = Tj Ti Tj")]),   # 2
     (1, [("quadratic", None, "Ti Ti = 1 + (u-1) Ei + (u-1) Ei Ti")]),      # 3
-    (2, [("tie-commute", _before, "Ei Ej = Ej Ei")]),                      # 4
+    (2, [("tie-commute", before, "Ei Ej = Ej Ei")]),                       # 4
     (1, [("tie-idempotent", None, "Ei Ei = Ei")]),                         # 5
-    (2, [("tie-far-braid-commute", _far, "Ei Tj = Tj Ei")]),               # 6
+    (2, [("tie-far-braid-commute", far, "Ei Tj = Tj Ei")]),                # 6
     (1, [("tie-own-braid-commute", None, "Ei Ti = Ti Ei")]),               # 7
-    (2, [("tie-pair-slide", _adjacent, "Ei Ej Ti = Ti Ei Ej"),             # 8
-         ("tie-pair-project", _adjacent, "Ei Ej Ti = Ej Ti Ej")]),
-    (2, [("tie-cross", _adjacent, "Ei Tj Ti = Tj Ti Ej")]),                # 9
+    (2, [("tie-pair-slide", adjacent, "Ei Ej Ti = Ti Ei Ej"),              # 8
+         ("tie-pair-project", adjacent, "Ei Ej Ti = Ej Ti Ej")]),
+    (2, [("tie-cross", adjacent, "Ei Tj Ti = Tj Ti Ej")]),                 # 9
 )
 
 
 def _sides(text):
-    """The sides of a relation's text, each a list of (coefficient,
-    word) terms: the coefficient is None for 1 or names a constant of the
-    domain, and each letter of the word is (generator, position of its
-    index in params)."""
+    """Both sides of a relation's text, as lists of (coefficient, word)
+    terms: None for 1 or a domain constant's name, and (generator, position
+    of its index in params) per letter.  Text of another shape than stated
+    above raises ValueError."""
+    sides = [side.split(" + ") for side in text.split(" = ")]
+    if len(sides) != 2 or not all(
+            re.fullmatch(r"(\(u-1\) )?(1|[TE][ij]( [TE][ij])*)", term)
+            for side in sides for term in side):
+        raise ValueError("malformed relation %r" % text)
     return [[("u_minus_1" if term.startswith("(u-1)") else None,
               [(g[0], "ij".index(g[1])) for g in term.split() if g[0] in "TE"])
-             for term in side.split(" + ")]
-            for side in text.split(" = ")]
+             for term in side]
+            for side in sides]
 
 
 _SIDES = {name: _sides(text) for _, entries in RELATIONS
@@ -444,8 +451,8 @@ LEMMAS = (
     (1, [(name, None) for name in ("idem-L-square", "idem-EL",
                                    "idem-T-from-L", "idem-EL-EF",
                                    "idem-F-from-L", "F-square")]),
-    (2, [("tie-transport-left", _adjacent),
-         ("tie-transport-right", _adjacent)]),
+    (2, [("tie-transport-left", adjacent),
+         ("tie-transport-right", adjacent)]),
     (0, [("steinberg-absorb-%d" % k, lambda n: n >= 3) for k in range(1, 6)]),
 )
 

@@ -182,28 +182,24 @@ _INHERITED = {
     "quot-tie-commute": (algebra.relation_sides, "tie-commute"),
 }
 
-# the forms of both presentations, over the family's generator X = F or L:
-# the one-generator form, the two forms of far pairs, the adjacent ones
-_FORMS = ("E-own", "commute", "E-commute", "tie-slide-a", "tie-slide-b",
-          "cross", "sandwich")
-_FORM_OF = {"quot-%s-%s" % (x, form): (x, form)
-            for x in "FL" for form in _FORMS}
-
-
-def _forms(forms, cond):
+def _forms(cond, *forms):
     """Entries (id, cond) of both families' ids of forms, F first."""
-    return [(pid, cond) for pid, (_, form) in _FORM_OF.items()
-            if form in forms]
+    return [("quot-%s-%s" % (x, form), cond) for x in "FL" for form in forms]
 
 
-# the presentation identities, as groups of :func:`algebra.instances`
+# the presentation identities, as groups of :func:`algebra.instances`: the
+# forms over the family's generator X = F or L, of one generator, a far pair
+# and an adjacent pair, with the identities they inherit
 PRESENTATIONS = (
     (1, [("quot-F-square", None), ("quot-L-idempotent", None)]
-     + _forms(_FORMS[:1], None) + [("quot-tie-idempotent", None)]),
-    (2, _forms(_FORMS[1:3], algebra._far)
-     + [("quot-tie-commute", algebra._before)]),
-    (2, _forms(_FORMS[3:], algebra._adjacent)),
+     + _forms(None, "E-own") + [("quot-tie-idempotent", None)]),
+    (2, _forms(algebra.far, "commute", "E-commute")
+     + [("quot-tie-commute", algebra.before)]),
+    (2, _forms(algebra.adjacent,
+               "tie-slide-a", "tie-slide-b", "cross", "sandwich")),
 )
+_FORM_OF = {pid: tuple(pid.split("-", 2)[1:]) for _, entries in PRESENTATIONS
+            for pid, _ in entries if pid not in _INHERITED}
 
 
 def presentation_instances(n):

@@ -108,6 +108,16 @@ def test_instance_order_pinned(family, count, digest):
     assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("text", [
+    "Ti Ti = 2 Ei", "Ti Ti = (u - 1) Ei", "Ei (u-1) = Ei", "Ti Xj = Xj Ti",
+    "Ti Tk = Tk Ti", "Ei 1 = Ei", "Ei Ei = Ei = Ei", "Ei Ei", "Ei + = Ei",
+])
+def test_malformed_relation_text_is_refused(text):
+    # a mistyped table entry must not parse as some other identity
+    with pytest.raises(ValueError):
+        alg._sides(text)
+
+
 def test_negative_power_is_refused():
     # a negative power used to return one: the loop ran no times
     for x in (T(1, 3), gamma(3)):
