@@ -1,4 +1,4 @@
-"""Exact row-echelon machinery shared by the quotient, trace and rank
+"""Exact row-echelon machinery shared by the quotient and trace
 computations.
 
 Both echelon classes maintain a reduced row echelon form (every pivot column
@@ -9,20 +9,19 @@ There is one echelon class per kind of field, and each owns its row format.
 :class:`Echelon` is the one RREF over domain elements (Scalar, Fraction or
 IntMod), on sparse rows {column: nonzero coefficient}; it loops over the
 rows of a block and keys a packed table by source column.
-:class:`ModPEchelon` serves the bulk GF(p) closures and the rank's
-fallback, on int64 numpy rows in a matrix allocated once (numpy imported on
-first use).  It packs a table in layers with distinct targets, one
-gather-multiply-add each, and inserts a block with two exact float64 BLAS
-products (delayed modular reduction on balanced residues, as in
-FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), one reducing
-the block against the basis and one clearing the block's new pivots from
-the old rows (per CHUNK old rows, so the temporaries stay bounded as the
-basis grows), with the block echelonized in between; ``insert`` is its
-one-row case.  Both convert domain coefficient lists to rows and back
-(``from_entries`` makes a block from sparse (row, column, coefficient)
-entries), count the nonzero rows of a block, and pack and apply the
-generator action tables of :func:`btkit.quotient.generator_actions`, so
-callers run one body of code in every domain and read no row format.
+:class:`ModPEchelon` serves the bulk GF(p) closures of the quotient, on
+int64 numpy rows in a matrix allocated once (numpy imported on first use).
+It packs a table in layers with distinct targets, one gather-multiply-add
+each, and inserts a block with two exact float64 BLAS products (delayed
+modular reduction on balanced residues, as in FFLAS-FFPACK: Dumas, Giorgi
+and Pernet, ACM TOMS 35(3), 2008), one reducing the block against the basis
+and one clearing the block's new pivots from the old rows (per CHUNK old
+rows, so the temporaries stay bounded as the basis grows), with the block
+echelonized in between; ``insert`` is its one-row case.  Both convert domain
+coefficient lists to rows and back, count the nonzero rows of a block, and
+pack and apply the generator action tables of
+:func:`btkit.quotient.generator_actions`, so callers run one body of code
+in every domain and read no row format.
 
 The affine system :class:`LinearSystem` is an :class:`Echelon` whose last
 columns hold the right-hand sides.  The trace solver feeds one system per
@@ -110,15 +109,6 @@ class Echelon:
     @staticmethod
     def from_coeffs(vec):
         return {j: c for j, c in enumerate(vec) if c}
-
-    @staticmethod
-    def from_entries(m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries."""
-        rows = [{} for _ in range(m)]
-        for i, j, c in entries:
-            if c:
-                rows[i][j] = c
-        return rows
 
     def to_coeffs(self, row):
         return [row.get(j, self.zero) for j in range(self.width)]
@@ -380,14 +370,6 @@ class ModPEchelon:
     @staticmethod
     def from_coeffs(vec):
         return np.array([c.v for c in vec], dtype=np.int64)
-
-    def from_entries(self, m, entries):
-        """m rows, zero but for the (row, column, coefficient) entries."""
-        out = np.zeros((m, self.width), dtype=np.int64)
-        if entries:
-            i, j, c = zip(*entries)
-            out[i, j] = [x.v for x in c]
-        return out
 
     def to_coeffs(self, row):
         from .domains import IntMod

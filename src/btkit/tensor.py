@@ -15,7 +15,7 @@ A tensor basis vector is a tuple of n factors, each factor a pair
 This representation is faithful (Ryom-Hansen, "On the representation theory
 of an algebra of braids and ties", J. Algebraic Combin. 2011): the rank of
 the represented basis equals dim E_n at every sqrt(u) != 0 (proved at
-:func:`_rank_rows`, and certified on the rows at n = 2 to 5), so it does not
+:func:`_rank`, and certified on the images at n = 2 to 6), so it does not
 kill the two-sided ideal that defines the partition Temperley-Lieb quotient.  A
 small dim-2 harness for the classical Hecke/Temperley-Lieb operators lives
 at the bottom; it runs act_T on the factors v_1^1 and v_2^1, where all upper
@@ -34,9 +34,10 @@ values of x: which of them are equal.
 Every operator here keeps the multiset of lower values, compares lower values
 only by order and upper values only by equality.  So an operator identity
 holds at an index iff it holds at every index of the same order-and-equality
-type, and the relation checks, the exhaustive homomorphism check and the rank
-rows run over one index per type (:func:`index_types`): 6, 65 and 1125 types
-for 2, 3 and 4 factors, against n^(2k) indices.
+type, and the relation checks and the exhaustive homomorphism check run
+over one index per type (:func:`index_types`): 6, 65 and 1125 types for 2,
+3 and 4 factors, against n^(2k) indices.  The rank needs only the Bell(n)
+types with distinct lower values.
 
 The homomorphism check would repeat much of its work, so some is kept: act_T
 memoizes its coefficient products (:func:`_braid_coeffs`), the check's batch
@@ -46,9 +47,8 @@ element finds the coefficients it keeps once per kernel.
 
 Vectors are sparse dicts {factor-tuple: coefficient}, operators are
 functions from vectors to vectors; nothing is ever stored as a dense n^(2n)
-matrix.  The rank rows of one index type are one sparse bundle of (row,
-column, coefficient) entries; :func:`_rank` reads leading columns off them,
-and only if they fall short makes blocks of rows (``from_entries``).
+matrix, and the rank keeps only the leading position of each row it
+reads off the braid images (:func:`_leads`).
 """
 
 import functools
@@ -202,14 +202,14 @@ def apply_word(word, vec, dom=SYMBOLIC):
 
 def _kept(word, up, terms):
     """The values v of the (block leaders of I, v) pairs in terms whose E_I
-    keeps T_word x, for x with upper values up.  Every term of T_word x has
-    the upper values up with two adjacent ones swapped by each letter, the
-    rightmost letter first."""
+    keeps T_word x, for x with upper values up, lazily and in their order.
+    Every term of T_word x has the upper values up with two adjacent ones
+    swapped by each letter, the rightmost letter first."""
     up = list(up)
     for i in reversed(word):
         up[i - 1], up[i] = up[i], up[i - 1]
-    return [v for leaders, v in terms
-            if all(up[m] == up[k] for m, k in leaders)]
+    return (v for leaders, v in terms
+            if all(up[m] == up[k] for m, k in leaders))
 
 
 def _split(vec, dom):
@@ -294,11 +294,6 @@ def _side_images(sides, x, dom):
     return images
 
 
-def _rel_images(rel, params, x, dom):
-    """Images of a basis vector under both sides of a relation instance."""
-    return _side_images(relation_terms(rel, params, dom), x, dom)
-
-
 @functools.lru_cache(maxsize=1)
 def _tagged_batch(xs, dom):
     """The sum of e_{x_t (x) (t, 0)} over the t-th index x_t of xs, split
@@ -375,39 +370,51 @@ def verify_relations_in_rep(n, seed=0):
 # rank of the image of the algebra inside End(V^(x)n)
 # ---------------------------------------------------------------------------
 
-def _rank_types(n):
-    """The index types of the rank rows: first the Bell(n) indices
-    x_J = ((1, r_1), ..., (n, r_n)) with r = rgs(J) + 1, one per set
-    partition J in :func:`enumerate_partitions` order, then the other types
-    of :func:`index_types` in its order, which is made only if asked for."""
-    firsts = [tuple((i, r + 1) for i, r in enumerate(J.rgs, start=1))
-              for J in enumerate_partitions(n)]
-    yield from firsts
-    firsts = set(firsts)
-    yield from (x for x in index_types(n) if x not in firsts)
+def _leads(n, dom):
+    """Per set partition J, in :func:`enumerate_partitions` order, the
+    leading positions of the rows of x_J = ((1, r_1), ..., (n, r_n)), with
+    r = rgs(J) + 1: {output index y: the least position of a basis element
+    that sends x_J to a nonzero multiple of y plus other indices}, with the
+    columns (I, w) placed by the length of w, then the blocks of I, then
+    the column, as :func:`_rank`'s proof orders them.  Each braid image
+    T_w x_J is made at most once per reduced word (an image holds no zero
+    coefficient), and reaches its outputs from the least position among the
+    columns (I, w) whose E_I keeps it: the first that :func:`_kept` finds,
+    as each word's columns are listed in position order."""
+    pairs = BasisIndex(n).pairs
+    order = sorted(range(len(pairs)), key=lambda col: (
+        len(pairs[col][1].reduced_word()), pairs[col][0].block_count()))
+    words = _by_word((pairs[col], k) for k, col in enumerate(order))
+    for J in enumerate_partitions(n):
+        up = tuple(r + 1 for r in J.rgs)
+        braided = {(): unit_vector(tuple(enumerate(up, start=1)), dom)}
+        first = {}
+        for word, terms in words.items():
+            least = next(_kept(word, up, terms), None)
+            if least is not None:
+                for y in _braid_image(word, braided, dom):
+                    if least < first.get(y, len(pairs)):
+                        first[y] = least
+        yield first
 
 
-def _rank_rows(n, dom):
-    """The flattened-operator matrix as one sparse bundle (m, entries) per
-    index type x, in :func:`_rank_types` order: row i is the i-th output
-    index y of the images of x, in sorted order, and the entry (i, col, c)
-    says that basis element col sends x to c y + (other indices).  Each
-    braid image T_w x is made once per type; every term of it has the upper
-    values of x permuted by w, so E_I T_w keeps all of T_w x or none of it,
-    and the columns of w that keep it are found once per word and
-    upper-value tuple of x.
-
-    The first Bell(n) bundles, those of the x_J, have full rank
-    Bell(n) n! = dim E_n wherever s = sqrt(u) is nonzero:
+def _rank(n, dom):
+    """The number of distinct leading positions of the rows of the flattened
+    operators at the Bell(n) indices x_J (:func:`_leads`): row (x_J, y)
+    holds the coefficients of y in the images of x_J under the basis
+    elements, the columns.  Rows with distinct leading (first nonzero)
+    columns are independent, so the number is a lower bound on the rank
+    over dom, and the rank when it reaches Bell(n) n! = dim E_n, the most
+    it can be.  It does wherever s = sqrt(u) is nonzero:
 
     - Rows.  T_w x_J is c_w (w x_J) plus terms at v x_J for shorter v, with
       c_w a product of factors -1 and s, one per letter.  The lower values
       of x_J are distinct, so the n! indices w x_J are distinct, and the
       T_w x_J are unitriangular, hence independent when s != 0.  Every
-      output index is some v x_J, so each of these bundles has n! rows.
+      output index is some v x_J, so each x_J has n! rows.
     - Columns.  E_I T_w x_J is T_w x_J if the upper values permuted by w
       are constant on the blocks of I, that is if I <= w(J), and 0
-      otherwise (the kept columns below).
+      otherwise (:func:`_kept`).
     - So if b = sum c_{I,w} E_I T_w kills every x_J, then for each w,
       sum_{I <= K} c_{I,w} = 0 for every K = w(J), and K runs over all
       partitions as J does.  The zeta matrix of the partition lattice is
@@ -416,53 +423,9 @@ def _rank_rows(n, dom):
       of blocks of I, the row v x_J leads at the column (v(J), v): only T_v
       and longer T_w reach v x_J, and v(J) is the coarsest I <= v(J).
 
-    The rank is still computed, not assumed: :func:`_rank` checks these
-    distinct leading columns on the entries, or else runs an echelon."""
-    words = _by_word((pair, col)
-                     for col, pair in enumerate(BasisIndex(n).pairs))
-    kept = {}   # (word, upper values of x) -> the columns keeping T_word x
-    for x in _rank_types(n):
-        up = tuple(r for _, r in x)
-        braided = {(): unit_vector(x, dom)}
-        images = {word: _braid_image(word, braided, dom) for word in words}
-        rows = {y: i for i, y in enumerate(sorted(
-            set().union(*images.values())))}
-        entries = []
-        for word, img in images.items():
-            cols = kept.get((word, up))
-            if cols is None:
-                cols = kept[word, up] = _kept(word, up, words[word])
-            entries.extend((rows[y], col, c)
-                           for y, c in img.items() for col in cols)
-        yield len(rows), entries
-
-
-def _rank(n, dom, dim):
-    """Rank of the bundles over dom.  With the columns ordered by (length
-    of w, blocks of I, column), rows with distinct leading (first nonzero)
-    columns are independent, so dim of them in the Bell(n) bundles prove
-    rank dim.  Otherwise each bundle is inserted into an echelon as one
-    block, until its rank reaches dim, the most it can be."""
-    pairs = BasisIndex(n).pairs
-    order = sorted(range(dim), key=lambda col: (
-        len(pairs[col][1].reduced_word()), pairs[col][0].block_count()))
-    pos = {col: k for k, col in enumerate(order)}
-    leads = set()
-    for _, entries in itertools.islice(_rank_rows(n, dom),
-                                       len(enumerate_partitions(n))):
-        first = {}
-        for i, col, c in entries:
-            if c and pos[col] < first.get(i, dim):
-                first[i] = pos[col]
-        leads.update(first.values())
-    if len(leads) == dim:
-        return dim
-    ech = dom.echelon(dim)
-    for m, entries in _rank_rows(n, dom):
-        ech.insert_block(ech.from_entries(m, entries))
-        if ech.rank == dim:
-            break
-    return ech.rank
+    The rank is still computed, not assumed: the leading positions are read
+    off the images, and a count short of dim E_n is reported as it is."""
+    return len(set().union(*(first.values() for first in _leads(n, dom))))
 
 
 def representation_rank(n, points):
@@ -470,25 +433,25 @@ def representation_rank(n, points):
 
     Symbolic (generic u) for n <= 3; every requested rational point of
     sqrt(u) is additionally checked, exactly for n <= 3 and in two prime
-    fields for n >= 4.  Full rank is proved at every s != 0 (see
-    :func:`_rank_rows`), and :func:`_rank` computes each rank anyway.
+    fields for n >= 4.  Full rank is proved at every s != 0, and
+    :func:`_rank` certifies each rank on the images (see there).
     """
     dim = len(BasisIndex(n))
     report = {"n": n, "algebra_dim": dim, "points": [str(p) for p in points],
               "ranks": []}
     if n <= 3:
-        report["symbolic_rank"] = _rank(n, SYMBOLIC, dim)
+        report["symbolic_rank"] = _rank(n, SYMBOLIC)
         report["kernel_dim"] = dim - report["symbolic_rank"]
     for pt in points:
         if n <= 3:
             report["ranks"].append(
                 {"point": str(pt), "mode": "rational",
-                 "rank": _rank(n, RationalDomain(pt), dim)})
+                 "rank": _rank(n, RationalDomain(pt))})
         else:
             for p in PRIMES:
                 report["ranks"].append(
                     {"point": str(pt), "mode": "prime", "p": p,
-                     "rank": _rank(n, PrimeDomain(pt, p), dim)})
+                     "rank": _rank(n, PrimeDomain(pt, p))})
     ranks = {r["rank"] for r in report["ranks"]}
     if "symbolic_rank" in report:
         ranks.add(report["symbolic_rank"])

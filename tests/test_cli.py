@@ -181,11 +181,11 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
 
 
 def test_rank_bounds_are_usage_errors(capsys, tmp_path, monkeypatch):
-    # rank runs up to n = 5, its operator export only up to n = 4; both
+    # rank runs up to n = 6, its operator export only up to n = 4; both
     # refusals come before the suite runs
     monkeypatch.setattr(suites, "rank_suite", None)
     ops = tmp_path / "ops"
-    for argv in (["rank", "--n", "6"],
+    for argv in (["rank", "--n", "7"],
                  ["rank", "--n", "5", "--export-ops", str(ops)],
                  ["rank", "--n", "2", "--n-max", "5",
                   "--export-ops", str(ops)]):

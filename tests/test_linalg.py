@@ -227,14 +227,9 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
                 piv: row[width:]
                 for piv, row in zip(dense.pivots, dense.rows)})
         kinds["inconsistent" if inconsistent else "consistent"] += 1
-        # from_entries, zero coefficients included, and to_coeffs invert
-        # each other
-        entries = [(i, j, c) for i, row in enumerate(rows)
-                   for j, c in enumerate(row)]
-        assert ech.from_entries(len(rows), entries) == [
-            ech.from_coeffs(row) for row in rows]
-        assert [ech.to_coeffs(row)
-                for row in ech.from_entries(len(rows), entries)] == rows
+        # from_coeffs drops the zero coefficients, and to_coeffs inverts it
+        assert all(all(ech.from_coeffs(row).values()) for row in rows)
+        assert [ech.to_coeffs(ech.from_coeffs(row)) for row in rows] == rows
         # full rank within the first width + k of these rows (unitriangular):
         # the stop leaves at least the last two unread
         full = [[dom.zero] * j + [dom.one] + [
@@ -262,11 +257,12 @@ def test_nonzero_rows_counts_rows_not_entries():
     for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7)),
                 PrimeDomain(Fraction(5, 7), PRIMES[0])):
         ech = dom.echelon(3)
-        rows = ech.from_entries(4, [(0, 0, dom.one), (2, 1, dom.u),
-                                    (3, 2, dom.zero)])
+        one, u, zero = dom.one, dom.u, dom.zero
+        rows = [ech.from_coeffs(row) for row in (
+            [one, zero, zero], [zero] * 3, [zero, u, zero], [zero] * 3)]
         assert ech.nonzero_rows(rows) == 2
-        assert ech.nonzero_rows(ech.from_entries(1, [(0, 0, dom.one)])) == 1
-        assert ech.nonzero_rows(ech.from_entries(0, [])) == 0
+        assert ech.nonzero_rows(rows[:1]) == 1
+        assert ech.nonzero_rows(ech.reduce_batch(rows)[:0]) == 0
         assert ech.nonzero_rows(ech.reduce_batch(rows)) == 2
         ech.insert(rows[0])
         assert ech.nonzero_rows(ech.reduce_batch(rows)) == 1
@@ -286,19 +282,6 @@ def test_modp_batch_reduce_matches_row_reduce():
     # reductions vanish at every pivot column
     for piv in ech.pivots:
         assert not np.any(batch[:, piv])
-
-
-def test_from_entries_without_entries_gives_zero_rows():
-    # a block whose rows all fold to zero has no entries; each echelon
-    # still makes its m rows, zero in its own field
-    exact = SYMBOLIC.echelon(4)
-    assert [exact.to_coeffs(row) for row in exact.from_entries(3, [])] \
-        == [[SYMBOLIC.zero] * 4] * 3
-    rational = RationalDomain(Fraction(5, 7)).echelon(2)
-    assert [rational.to_coeffs(row) for row in rational.from_entries(1, [])] \
-        == [[Fraction(0)] * 2]
-    modp = PrimeDomain(Fraction(5, 7)).echelon(4).from_entries(3, [])
-    assert modp.shape == (3, 4) and not modp.any()
 
 
 def test_modp_echelon_rejects_int64_overflow():

@@ -23,10 +23,15 @@ def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
     """The operator check of a relation instance on every tensor basis
     vector, without the touched-window reduction (oracle for it)."""
     for x in tensor_basis(n):
-        lhs, rhs = tn._rel_images(rel, params, x, dom)
+        lhs, rhs = _rel_images(rel, params, x, dom)
         if lhs != rhs:
             return False
     return True
+
+
+def _rel_images(rel, params, x, dom):
+    """Images of a basis vector under both sides of a relation instance."""
+    return tn._side_images(alg.relation_terms(rel, params, dom), x, dom)
 
 
 def _project(I, vec):
@@ -456,8 +461,8 @@ def test_type_dedup_matches_naive_enumeration():
     dom = RationalDomain(Fraction(5, 7))
     from btkit.linalg import Echelon
     e1, e2 = Echelon(width=30), Echelon(width=30)
-    for m, entries in tn._rank_rows(3, dom):
-        e1.insert_block(e1.from_entries(m, entries))
+    for rows in _dense_bundles(3, dom):
+        e1.insert_block(map(e1.from_coeffs, rows))
     for row in _rank_rows_full(3, dom):
         e2.insert(e2.from_coeffs(row))
     assert e1.rank == e2.rank
@@ -473,8 +478,8 @@ def _distinct_lowers_first(n):
 
 def _dense_bundles(n, dom):
     """Per index type, the dense rows of the projected images of every
-    basis element, rows sorted by output index (oracle for the sparse
-    bundles of _rank_rows, in their order)."""
+    basis element, rows sorted by output index; the first Bell(n) are those
+    of the x_J that tn._leads reads, in its order (its oracle)."""
     pairs = [(I, [("T", i) for i in w.reduced_word()])
              for I, w in alg.BasisIndex(n).pairs]
     for x in _distinct_lowers_first(n):
@@ -484,25 +489,25 @@ def _dense_bundles(n, dom):
                for y in sorted(set().union(*images))]
 
 
-def test_rank_bundles_match_dense_rows():
-    # every bundle at n = 3, exact; the first 20 at n = 4 in GF(p)
-    for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7))):
-        ech = dom.echelon(30)
-        bundles = list(tn._rank_rows(3, dom))
-        dense = list(_dense_bundles(3, dom))
-        assert len(bundles) == len(dense) == len(tn.index_types(3))
-        for (m, entries), rows in zip(bundles, dense):
-            assert m == len(rows)
-            assert ech.from_entries(m, entries) == [
-                ech.from_coeffs(row) for row in rows]
-    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
-    ech = dom.echelon(360)
-    for (m, entries), rows in itertools.islice(
-            zip(tn._rank_rows(4, dom), _dense_bundles(4, dom)), 20):
-        block = ech.from_entries(m, entries)
-        assert block.shape == (len(rows), 360)
-        assert all((block[k] == ech.from_coeffs(row)).all()
-                   for k, row in enumerate(rows))
+def test_leading_positions_match_dense_rows():
+    # the leading position of every row of the x_J, read off the braid
+    # images, is that of the dense row: at n = 3 exactly, over Q(s) and at
+    # 5/7, and at n = 4 in GF(p).  The positions order the columns (I, w)
+    # by the length of w, then the blocks of I, then the column
+    for n, doms in ((3, (SYMBOLIC, RationalDomain(Fraction(5, 7)))),
+                    (4, (PrimeDomain(Fraction(5, 7), PRIMES[0]),))):
+        pairs = alg.BasisIndex(n).pairs
+        order = sorted(range(len(pairs)), key=lambda col: (
+            len(pairs[col][1].reduced_word()), pairs[col][0].block_count()))
+        pos = {col: k for k, col in enumerate(order)}
+        bell = len(enumerate_partitions(n))
+        for dom in doms:
+            leads = list(tn._leads(n, dom))
+            assert len(leads) == bell
+            for first, rows in zip(leads, _dense_bundles(n, dom)):
+                assert [first[y] for y in sorted(first)] == [
+                    min(pos[col] for col, c in enumerate(row) if c)
+                    for row in rows], (n, dom)
 
 
 def test_rank_bundles_as_blocks_match_row_inserts():
@@ -510,8 +515,8 @@ def test_rank_bundles_as_blocks_match_row_inserts():
     # leaves the same rank after every bundle, up to full rank 360
     dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
     block, rows = dom.echelon(360), dom.echelon(360)
-    for m, entries in tn._rank_rows(4, dom):
-        mat = block.from_entries(m, entries)
+    for bundle in _dense_bundles(4, dom):
+        mat = [block.from_coeffs(row) for row in bundle]
         block.insert_block(mat)
         for row in mat:
             rows.insert(row)
@@ -537,12 +542,12 @@ def test_rank_reaches_full_rank_after_bell_bundles():
         dim = bell * math.factorial(n)
         for dom in doms:
             ech = dom.echelon(dim)
-            bundles = itertools.islice(tn._rank_rows(n, dom), bell)
-            for k, (m, entries) in enumerate(bundles, start=1):
-                assert m == math.factorial(n), (n, dom, k)
+            bundles = itertools.islice(_dense_bundles(n, dom), bell)
+            for k, rows in enumerate(bundles, start=1):
+                assert len(rows) == math.factorial(n), (n, dom, k)
                 if k == bell:
                     assert ech.rank < dim, (n, dom)
-                ech.insert_block(ech.from_entries(m, entries))
+                ech.insert_block([ech.from_coeffs(row) for row in rows])
             assert ech.rank == dim, (n, dom)
 
 
@@ -558,36 +563,35 @@ def _spy_echelons(monkeypatch):
 
 
 def test_leading_columns_certify_full_rank(monkeypatch):
-    # the distinct leading columns of the Bell(n) bundles alone prove the
+    # the distinct leading columns of the Bell(n) indices alone prove the
     # rank dim E_n, at every domain of the rank suite: no echelon is built
     built = _spy_echelons(monkeypatch)
     for n, doms in ((2, _EXACT), (3, _EXACT), (4, _PRIMED)):
         dim = len(BasisIndex(n))
         for dom in doms:
-            assert tn._rank(n, dom, dim) == dim, (n, dom)
+            assert tn._rank(n, dom) == dim, (n, dom)
     assert built == []
 
 
-def test_short_certificate_falls_back_to_the_echelon(monkeypatch):
-    # zero the entry at row x_J, column E_J T_1 of the first bundle (J the
-    # one-block partition): that row then leads at another row's leading
-    # column, the certificate falls short, and the echelon over every type
-    # still finds the full rank
-    rank_rows = tn._rank_rows
-
-    def zeroed(n, dom):
-        bundles = rank_rows(n, dom)
-        m, entries = next(bundles)
-        assert (0, 0) in {(i, col) for i, col, _ in entries}
-        yield m, [(i, col, dom.zero if (i, col) == (0, 0) else c)
-                  for i, col, c in entries]
-        yield from bundles
-
-    monkeypatch.setattr(tn, "_rank_rows", zeroed)
+def test_short_certificate_is_reported(monkeypatch):
+    # drop position 0, the column (one-block partition, identity), from
+    # every kept list: the row x_J of the one-block J then leads at the
+    # position of another x_J's row, the count falls one short of 30, and
+    # the rank suite reports that count at every domain, with no echelon
+    # built
+    kept = tn._kept
+    monkeypatch.setattr(tn, "_kept", lambda word, up, terms: (
+        v for v in kept(word, up, terms) if v))
     built = _spy_echelons(monkeypatch)
-    assert tn._rank(3, SYMBOLIC, 30) == 30
-    assert tn._rank(4, PrimeDomain(Fraction(5, 7), PRIMES[0]), 360) == 360
-    assert built == [30, 360]
+    rank = tn._rank(3, SYMBOLIC)
+    assert rank == 29
+    from btkit import suites
+    report = suites.rank_suite([3])
+    res = report["ranks"][0]
+    assert res["symbolic_rank"] == res["rank"] == rank
+    assert [r["rank"] for r in res["ranks"]] == [rank] * 2
+    assert res["kernel_dim"] == 30 - rank
+    assert built == []
 
 
 def test_export_triplets_deterministic():
