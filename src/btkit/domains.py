@@ -115,7 +115,8 @@ class IntMod:
 
 
 # primes sized so that a 6240-term dot product of residue products fits in
-# int64 (6240 * (p-1)^2 < 2^63), which the batched numpy reductions rely on
+# int64 (6240 * (p-1)^2 < 2^63) and a product of two balanced residues in
+# float64 ((p // 2)^2 < 2^53), which the batched numpy reductions rely on
 PRIMES = (9999991, 9999973)
 
 

@@ -12,16 +12,18 @@ rows of a block and keys a packed table by source column.
 :class:`ModPEchelon` serves the bulk GF(p) closures of the quotient, on
 int64 numpy rows in a matrix allocated once (numpy imported on first use).
 It packs a table in layers with distinct targets, one gather-multiply-add
-each, and inserts a block with two exact float64 BLAS products (delayed
-modular reduction on balanced residues, as in FFLAS-FFPACK: Dumas, Giorgi
-and Pernet, ACM TOMS 35(3), 2008), one reducing the block against the basis
+each, and inserts a block with two exact products (delayed modular
+reduction on balanced residues, as in FFLAS-FFPACK: Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008), one reducing the block against the basis
 and one clearing the block's new pivots from the old rows (per CHUNK old
 rows, so the temporaries stay bounded as the basis grows), with the block
-echelonized in between; ``insert`` is its one-row case.  Both convert domain
-coefficient lists to rows and back, count the nonzero rows of a block, and
-pack and apply the generator action tables of
-:func:`btkit.quotient.generator_actions`, so callers run one body of code
-in every domain and read no row format.
+echelonized in between; ``insert`` is its one-row case.  Each product has
+one rule: a float64 BLAS product per run of inner rows short enough that no
+sum passes 2^53, the runs summed in int64, which needs (p // 2)^2 < 2^53
+and width * (p-1)^2 < 2^63.  Both convert domain coefficient lists to rows
+and back, count the nonzero rows of a block, and pack and apply the
+generator action tables of :func:`btkit.quotient.generator_actions`, so
+callers run one body of code in every domain and read no row format.
 
 The affine system :class:`LinearSystem` is an :class:`Echelon` whose last
 columns hold the right-hand sides.  The trace solver feeds one system per
@@ -32,7 +34,6 @@ loads no numpy.
 
 np = None
 
-LIMB = 12   # bits per limb of a coefficient operand too wide for one product
 CHUNK = 512  # old rows cleared of a block's new pivots at once
 
 
@@ -86,14 +87,8 @@ class Echelon:
         return True
 
     def insert_block(self, rows):
-        """Insert the rows up to width rows, after which every row reduces
-        to zero; returns the growth in rows."""
-        before = len(self.rows)
-        for row in rows:
-            if len(self.rows) == self.width:
-                break
-            self.insert(row)
-        return len(self.rows) - before
+        """Insert the rows one at a time; returns the growth in rows."""
+        return sum(self.insert(row) for row in rows)
 
     def reduce_batch(self, rows):
         return [self.reduce(row) for row in rows]
@@ -226,26 +221,25 @@ class ModPLinearSystem(LinearSystem):
 
 class ModPEchelon:
     """Same contract over GF(p) with a preallocated int64 numpy matrix of
-    RREF rows in [0, p).  Every product with the basis is one float64 matmul
-    on balanced residues, in (-p/2, p/2], exact below 2^53 and reduced mod p
-    in int64: at inner dimension r the coefficient operand is used whole
-    while r * (p // 2)^2 < 2^53 (r <= 360 = dim E_4 at both ``PRIMES``), else
-    in LIMB-bit limbs, exact while width * (2^LIMB - 1) * (p-1) < 2^53.  The
-    rank-one updates inside a block and the scatters stay in int64, which
-    needs width * (p-1)^2 < 2^63 (see ``PRIMES`` in domains)."""
+    RREF rows in [0, p).  Every product with the basis is exact: balanced
+    residues, in (-p/2, p/2], multiplied in float64 over runs of
+    2^53 // (p // 2)^2 inner rows (360 = dim E_4 at both ``PRIMES``), so no
+    sum passes 2^53, which needs (p // 2)^2 < 2^53; the runs are summed in
+    int64 and reduced mod p.  That sum, the rank-one updates inside a block
+    and the scatters stay in int64, which needs width * (p-1)^2 < 2^63 (see
+    ``PRIMES`` in domains)."""
 
     def __init__(self, width, p):
+        if (p // 2) ** 2 >= 2 ** 53:
+            raise ValueError("float64 products are inexact at p %d" % p)
         if width * (p - 1) ** 2 >= 2 ** 63:
             raise ValueError("int64 row products overflow at width %d, p %d"
                              % (width, p))
-        if width * ((1 << LIMB) - 1) * (p - 1) >= 2 ** 53:
-            raise ValueError("float64 limb products are inexact at width %d,"
-                             " p %d" % (width, p))
         _import_numpy()
         self.width = width
         self.p = p
         self.pivots = []
-        self._limbs = -(-(p - 1).bit_length() // LIMB)
+        self._run = 2 ** 53 // (p // 2) ** 2   # inner rows per product
         # rank <= width; np.zeros pages stay unbacked until a row is written
         self._mat = np.zeros((width, width), dtype=np.int64)
         self._pivots = np.array(self.pivots, dtype=np.intp)
@@ -269,20 +263,14 @@ class ModPEchelon:
         return x - x // self.p * self.p
 
     def _mul(self, a, b):
-        """An int64 matrix congruent to a @ b mod p, below 2^54 in absolute
-        value, for an int64 a in [0, p) and a float64 b of balanced residues:
-        one float64 product of b with a balanced, whole while len(b) *
-        (p // 2)^2 < 2^53 and else as stacked LIMB-bit limbs (the top one
-        signed), recombined in int64 and left for the caller to reduce."""
-        m, p, mask = len(a), self.p, (1 << LIMB) - 1
-        n = 1 if len(b) * (p // 2) ** 2 < 2 ** 53 else self._limbs
-        a = self._balanced(a)
-        limbs = [(a >> (LIMB * k)) & mask for k in range(n - 1)]
-        limbs.append(np.right_shift(a, LIMB * (n - 1), out=a))
-        part = (np.concatenate(limbs, dtype=np.float64) @ b).astype(np.int64)
-        out = part[(n - 1) * m:]
-        for k in reversed(range(n - 1)):
-            out = (self._mod(out) << LIMB) + part[k * m:(k + 1) * m]
+        """The integer product a @ b, for an int64 a in [0, p) and a float64
+        b of balanced residues: one float64 product of b with a balanced
+        per run of inner rows, exact, and the runs summed in int64, below
+        width * (p-1)^2 / 4 < 2^61; the caller reduces it."""
+        a, k = self._balanced(a).astype(np.float64), self._run
+        out = (a[:, :k] @ b[:k]).astype(np.int64)
+        for lo in range(k, len(b), k):
+            out += (a[:, lo:lo + k] @ b[lo:lo + k]).astype(np.int64)
         return out
 
     def reduce(self, row):

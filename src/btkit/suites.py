@@ -226,8 +226,8 @@ def rank_suite(ns, points=DEFAULT_POINTS):
                                        res["agreement"],
                                        ranks=res["ranks"],
                                        symbolic=res.get("symbolic_rank")))
-        report["checks"].append(_info(
-            "representation-rank", [n],
+        report["checks"].append(_entry(
+            "representation-rank", [n], res.get("rank") == res["algebra_dim"],
             rank=res.get("rank"), algebra_dim=res["algebra_dim"],
             kernel_dim=res.get("kernel_dim")))
     return _summarize(report)

@@ -100,9 +100,9 @@ MARKDOWN_SHA256 = {
     "quotient_n4.json":
         "38994a6d0c9fcb43ccdb94211d6cc51ca7da06a30b80e3292cdc4d02b83919e4",
     "rank.json":
-        "fed86737f546094a746ec5a9f8d575f3d45b533239ab02ab85bcc561aa1d9f62",
+        "731f6f60eff6277b60929d8d30cb46815fa2a879d379f4135cfefd20139ea3dc",
     "rank_n4.json":
-        "a26964643fe240b5544d2a7f8b340d4f050162fb6a5de7435567584ea1f7268d",
+        "073c2135cad011bb1dae3163f28e306251401de54b8cacbfa6eb70fc9c41f83d",
     "relations.json":
         "ae441dfdc9fd064083cebc951e86c8beb7093de1e80961688301b323df3834b8",
     "relations_n4.json":

@@ -10,6 +10,9 @@ from btkit.linalg import Echelon, LinearSystem, ModPEchelon, merge_classes
 from oracles import DenseEchelon
 
 P = 1000000007
+# the largest prime with (p // 2)^2 < 2^53, the bound of ModPEchelon's
+# float64 products: one inner row per product
+BIG = 189812507
 
 
 def _fractions(ech, *rows):
@@ -53,11 +56,11 @@ def test_modp_matches_exact():
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(7)]
         exact = Echelon(width=5)
-        modp = ModPEchelon(width=5, p=P)
+        modp = ModPEchelon(width=5, p=BIG)
         for r in rows:
             exact.insert(*_fractions(exact, r))
             modp.insert(r)
-        # generic small integers: rank mod a huge prime equals exact rank
+        # generic small integers: rank mod a large prime equals exact rank
         assert exact.rank == modp.rank
 
 
@@ -186,7 +189,7 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
     # oracle's RREF rows under the same pivots, in the same order, reduce
     # other rows alike and agree on which lie in the span, and the system
     # reads the same rank, inconsistency and solution.  A last block of
-    # dense rows reaches width + k rows, where insert_block stops.
+    # dense rows reaches width + k rows midway, and insert_block reads on.
     rng = random.Random(11)
     width, k = 7, 2
     kinds = {"consistent": 0, "inconsistent": 0}
@@ -230,8 +233,8 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
         # from_coeffs drops the zero coefficients, and to_coeffs inverts it
         assert all(all(ech.from_coeffs(row).values()) for row in rows)
         assert [ech.to_coeffs(ech.from_coeffs(row)) for row in rows] == rows
-        # full rank within the first width + k of these rows (unitriangular):
-        # the stop leaves at least the last two unread
+        # full rank within the first width + k of these rows (unitriangular),
+        # and the rows after them are read too, each reducing to zero
         full = [[dom.zero] * j + [dom.one] + [
             dom.of_int(rng.randint(-3, 3)) for _ in range(width + k - j - 1)]
             for j in range(width + k)] + [
@@ -244,7 +247,7 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
             assert insert(offered) == width + k - rank
             assert [sparse.to_coeffs(row) for row in sparse.rows] \
                 == dense.rows
-            assert len(list(offered)) >= 2
+            assert next(offered, None) is None
         assert sys_.rank == width
         assert sorted(sys_.inconsistent) == list(sys_.rhs)
     assert min(kinds.values()) >= trials // 4, kinds
@@ -289,44 +292,57 @@ def test_modp_echelon_rejects_int64_overflow():
     with pytest.raises(ValueError):
         ModPEchelon(10**6, 9999991)
     assert ModPEchelon(6240, 9999991).rank == 0
-    # and width * (2^12 - 1) * (p-1) below 2^53 for the float64 limb
-    # products: 3 * 10^6 * 1048572^2 < 2^63, but the limb sums would not be
-    # exact
-    assert 3 * 10**6 * (1048573 - 1) ** 2 < 2 ** 63
-    with pytest.raises(ValueError):
-        ModPEchelon(3 * 10**6, 1048573)
+    # and (p // 2)^2 below 2^53 for the float64 products, whatever the
+    # width: BIG is the largest such prime, and the next one is 189812533
+    assert ModPEchelon(2, BIG).rank == 0
+    for p in (189812533, P):
+        assert 2 * (p - 1) ** 2 < 2 ** 63 and (p // 2) ** 2 >= 2 ** 53
+        with pytest.raises(ValueError):
+            ModPEchelon(2, p)
 
 
 def test_modp_pack_rejects_int64_scatter_overflow():
     # a scatter sums one product below (p-1)^2 per layer in int64: at the
-    # prime p = 2147483659 one layer fits, and is exact, but two do not
-    p = 2147483659
+    # prime BIG 256 layers fit, and are exact, but 257 do not
+    p = BIG
+    assert 256 * (p - 1) ** 2 < 2 ** 63 <= 257 * (p - 1) ** 2
     ech = ModPEchelon(1, p)
-    table = ech.pack([0], [0], [IntMod(-1, p)])
-    assert ech.scatter_batch(table, [[p - 1]]).tolist() == [[1]]
+    table = ech.pack([0] * 256, [0] * 256, [IntMod(-1, p)] * 256)
+    assert len(table) == 256
+    assert ech.scatter_batch(table, [[p - 1]]).tolist() == [[256]]
     with pytest.raises(ValueError):
-        ech.pack([0, 0], [0, 0], [IntMod(1, p), IntMod(2, p)])
+        ech.pack([0] * 257, [0] * 257, [IntMod(1, p)] * 257)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_modp_products_exact_at_worst_case(p):
-    # every entry p - 1 at width 6240 (dim E_5), against Python integers
+    # every entry p - 1, and every entry +-(p // 2), the largest balanced
+    # residues, at width 6240 (dim E_5), against Python integers: the
+    # product is the integer product of the balanced operands
     import numpy as np
-    width = 6240
+    width, h = 6240, p // 2
     ech = ModPEchelon(width, p)
     a = np.full((2, width), p - 1, dtype=np.int64)
     b = np.full((width, 3), p - 1, dtype=np.float64)
     exact = sum((p - 1) * (p - 1) for _ in range(width)) % p
-    assert (ech._mul(a, ech._balanced(b)) % p == exact).all()
+    got = ech._mul(a, ech._balanced(b))
+    assert (got % p == exact).all()
+    assert got.tolist() == [[width] * 3] * 2
+    a = np.array([[h] * width, [p - h] * width], dtype=np.int64)
+    b = ech._balanced(a[:1].T.astype(np.float64))
+    assert ech._mul(a, b).tolist() == [[width * h * h], [-width * h * h]]
+    assert 2 ** 53 < width * h * h < 2 ** 61
     rng = random.Random(p)
     a = np.array([[rng.randrange(p) for _ in range(width)] for _ in range(2)],
                  dtype=np.int64)
     b = [[rng.randrange(p) for _ in range(3)] for _ in range(width)]
-    got = ech._mul(a, ech._balanced(np.array(b, dtype=np.float64))) % p
+    balanced = ech._balanced(np.array(b, dtype=np.float64))
+    got = ech._mul(a, balanced)
+    assert got.tolist() == _exact_product(ech._balanced(a), balanced)
     for i in range(2):
         for j in range(3):
             want = sum(int(a[i, k]) * b[k][j] for k in range(width)) % p
-            assert got[i, j] == want
+            assert got[i, j] % p == want
 
 
 def _exact_product(a, b):
@@ -357,9 +373,10 @@ def test_modp_product_is_one_exact_float64_product_up_to_360(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_modp_product_beyond_360_splits_into_limbs(p):
-    # at r = 361 the extreme sums pass 2^53, so a is split into limbs: the
-    # result is no longer the integer product, but it is congruent to it
+def test_modp_product_beyond_360_splits_inner_rows(p):
+    # at r = 361 the extreme sums pass 2^53, so the inner rows are split
+    # into a run of 360 and a run of 1: each is exact in float64, and their
+    # sum in int64 is the integer product
     import numpy as np
     r, h = 361, p // 2
     ech = ModPEchelon(r, p)
@@ -371,9 +388,7 @@ def test_modp_product_beyond_360_splits_into_limbs(p):
          for _ in range(r)], dtype=np.float64))
     want = _exact_product(ech._balanced(a), b)
     assert want[0][0] == r * h * h > 2 ** 53
-    got = ech._mul(a, b)
-    assert got[0, 0] != want[0][0]
-    assert (got % p).tolist() == [[x % p for x in row] for row in want]
+    assert ech._mul(a, b).tolist() == want
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -430,13 +445,14 @@ def _rref(ech):
     return [list(map(int, ech.rows[k])) for k in order]
 
 
-@pytest.mark.parametrize("p", PRIMES + (16777259,))
+@pytest.mark.parametrize("p", PRIMES + (16777259, BIG))
 def test_block_insert_matches_row_inserts(p, monkeypatch):
     # 150 rows of width 40 spanning 25 dimensions, with zero rows and
     # repeated rows; inserted one by one, in blocks of 64 (as the quotient
     # closure does) and as one block, they give the same RREF, also when
-    # the old rows are cleared of new pivots in chunks of 7 rows.  The last
-    # prime is the least above 2^24, whose entries take three limbs.
+    # the old rows are cleared of new pivots in chunks of 7 rows.  At BIG
+    # each float64 product takes one inner row, so every product with more
+    # than one is split.
     import numpy as np
     rng = random.Random(p % 1000)
     width, dim = 40, 25
@@ -497,7 +513,8 @@ def test_exact_batch_methods_are_loops_over_rows():
         grown = sum(one.insert(row) for row in images)
         assert block.insert_block(images) == grown == block.rank
         assert (block.rows, block.pivots) == (one.rows, one.pivots)
-    # a block that reaches full rank midway, as the last rank bundle does
+    # a block that reaches full rank midway: the rows after it reduce to
+    # zero, in a block as one at a time
     one, block = Echelon(3), Echelon(3)
     rows = _fractions(one, (0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1),
                       (1, 0, 1), (2, 2, 2))

@@ -578,7 +578,7 @@ def test_short_certificate_is_reported(monkeypatch):
     # every kept list: the row x_J of the one-block J then leads at the
     # position of another x_J's row, the count falls one short of 30, and
     # the rank suite reports that count at every domain, with no echelon
-    # built
+    # built, and fails its representation-rank check
     kept = tn._kept
     monkeypatch.setattr(tn, "_kept", lambda word, up, terms: (
         v for v in kept(word, up, terms) if v))
@@ -591,7 +591,23 @@ def test_short_certificate_is_reported(monkeypatch):
     assert res["symbolic_rank"] == res["rank"] == rank
     assert [r["rank"] for r in res["ranks"]] == [rank] * 2
     assert res["kernel_dim"] == 30 - rank
+    assert [c["status"] for c in report["checks"]
+            if c["id"] == "representation-rank"] == ["fail"]
+    assert report["summary"]["failed"] == 1
     assert built == []
+
+
+def test_disagreeing_points_fail_the_rank_check(monkeypatch):
+    # with a rank that differs between the domains there is no one rank,
+    # so the representation-rank check fails beside the agreement check
+    monkeypatch.setattr(tn, "_rank", lambda n, dom: 4 if dom is SYMBOLIC
+                        else 3)
+    from btkit import suites
+    report = suites.rank_suite([2])
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status == {"rank-point-agreement": "fail",
+                      "representation-rank": "fail"}
+    assert "rank" not in report["ranks"][0]
 
 
 def test_export_triplets_deterministic():
