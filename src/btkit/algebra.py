@@ -14,7 +14,7 @@ Left multiplication is its mirror: every relation below reads the same
 backwards ((3) by (7), (9) with i and j swapped), so reversing products is
 an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
 E_{w^-1 I} T_{w^-1}.  Thus g x = mirror(mirror(x) g), which is how
-:func:`btkit.quotient.build_ideal` closes an ideal on the left.
+:func:`btkit.trace.right_products` gives the commutators x g - g x.
 
 The defining relations (1)-(9) are the table RELATIONS below: each is
 stated once, with its index condition, and both the engine
@@ -257,6 +257,18 @@ def steinberg(i, j, n, dom=SYMBOLIC):
     return (one(n, dom) + ti + tj + ti * tj + tj * ti + ti * tj * ti)
 
 
+def ideal_generator_element(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
+    """E_i E_j T_{ij} (tied; the generator of the ideal that defines the
+    partition Temperley-Lieb quotient), or the bare Steinberg element
+    T_{ij} (untied; the generator the sandwich identities are equivalent
+    to)."""
+    i, j = pair
+    st = steinberg(i, j, n, dom)
+    if not tied:
+        return st
+    return E(i, n, dom) * E(j, n, dom) * st
+
+
 def gamma(n, dom=SYMBOLIC):
     """The cycle element T_1 T_2 ... T_{n-1}."""
     return T_word(range(1, n), n, dom)
@@ -318,20 +330,6 @@ class BasisIndex:
 
     def __len__(self):
         return len(self.pairs)
-
-    def vector(self, elem):
-        """Dense coefficient vector of an element."""
-        vec = [self.dom.zero] * len(self.pairs)
-        for key, c in elem.terms.items():
-            vec[self.index[key]] = c
-        return vec
-
-    def element(self, vec):
-        terms = {}
-        for k, c in enumerate(vec):
-            if c:
-                terms[self.pairs[k]] = c
-        return AlgebraElement(self.n, terms, self.dom)
 
     def basis_elem(self, k):
         I, w = self.pairs[k]

@@ -13,10 +13,8 @@ exactly when zero, so engine code is agnostic to the domain:
   rational growth is prohibitive.  Agreement across two (point, prime)
   choices is reported as genericity evidence, never as proof.
 
-Each domain names the echelon class for its rows (``echelon(width)``), so
+The one echelon, :class:`btkit.linalg.Echelon`, takes the domain's zero, so
 the linear algebra above the engine never asks which domain it runs in.
-``btkit.linalg`` is imported by the first ``echelon`` call, and by the
-trace at load time, for its affine system.
 """
 
 from fractions import Fraction
@@ -40,10 +38,6 @@ class SymbolicDomain:
     def of_int(k):
         return Scalar.from_int(k)
 
-    def echelon(self, width):
-        from .linalg import Echelon
-        return Echelon(width, self.zero)
-
     def __repr__(self):
         return "SymbolicDomain()"
 
@@ -66,10 +60,6 @@ class RationalDomain:
     @staticmethod
     def of_int(k):
         return Fraction(k)
-
-    def echelon(self, width):
-        from .linalg import Echelon
-        return Echelon(width, self.zero)
 
     def __repr__(self):
         return "RationalDomain(s=%s)" % self.s
@@ -114,9 +104,9 @@ class IntMod:
         return "IntMod(%d, %d)" % (self.v, self.p)
 
 
-# primes sized so that a 6240-term dot product of residue products fits in
-# int64 (6240 * (p-1)^2 < 2^63) and a product of two balanced residues in
-# float64 ((p // 2)^2 < 2^53), which the batched numpy reductions rely on
+# the two primes of the specializations at n >= 4, the k-th point paired
+# with the k-th prime; IntMod arithmetic is exact at any p, and the golden
+# reports pin the values at these
 PRIMES = (9999991, 9999973)
 
 
@@ -141,10 +131,6 @@ class PrimeDomain:
 
     def of_int(self, k):
         return IntMod(k, self.p)
-
-    def echelon(self, width):
-        from .linalg import ModPEchelon
-        return ModPEchelon(width, self.p)
 
     def __repr__(self):
         return "PrimeDomain(s=%s, p=%d)" % (self.point, self.p)

@@ -28,12 +28,11 @@ row is added.
 """
 
 from . import scalars
-from .algebra import BasisIndex
+from .algebra import AlgebraElement, BasisIndex, ideal_generator_element
 from .domains import SYMBOLIC
 from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
 from .permutations import Permutation, intern_perm
-from .quotient import ideal_generator_element, right_products
 from .scalars import ParamPoly
 
 
@@ -82,10 +81,28 @@ class TraceFunctional:
 _CACHE = {}
 
 
+def right_products(index):
+    """(rows, mirror): rows[g, i][k] is the sparse row {position:
+    coefficient} of the engine's product x_k g_i of basis element k by
+    g_i = T_i, E_i (coefficients 1, u, u - 1 for T_i, 1 for E_i), and the
+    involution mirror[k] is the position of (w^-1 I, w^-1) for (I, w) at k:
+    g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`)."""
+    basis = [index.basis_elem(k) for k in range(len(index))]
+    rows = {(g, i): [{index.index[pair]: c
+                      for pair, c in product(x, i).terms.items()}
+                     for x in basis]
+            for g, product in (("T", AlgebraElement.right_mul_T),
+                               ("E", AlgebraElement.right_mul_E))
+            for i in range(1, index.n)}
+    mirror = [index.index[I.apply(w.inverse()), w.inverse()]
+              for I, w in index.pairs]
+    return rows, mirror
+
+
 def _commutators(rows, mirror):
     """The sparse rows {position: coefficient} of x g - mirror(mirror(x) g)
     = x g - g x for every basis element x and generator g = T_i, E_i, from
-    :func:`btkit.quotient.right_products`: they span every ab - ba."""
+    :func:`right_products`: they span every ab - ba."""
     for images in rows.values():
         for k, row in enumerate(images):
             row = dict(row)

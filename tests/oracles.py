@@ -1,16 +1,21 @@
 """Reference code for the tests that the library itself does not need: the
 permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
-specialized into a prime field, the mirror anti-involution of the basis, the
-dense oracles of the trace's commutator classes, and the dense-list RREF the
+specialized into a prime field, dense and sparse coefficient rows, the
+mirror anti-involution of the basis, the full-width ideal closure and the
+tie idempotents the quotient's blocks are checked against, the dense
+oracles of the trace's commutator classes, and the dense-list RREF the
 sparse echelons are checked against."""
 
 import random
-from math import prod
+from math import factorial, prod
 
-from btkit.algebra import AlgebraElement, E, T
+from btkit.algebra import AlgebraElement, BasisIndex, E, T
 from btkit.domains import IntMod
+from btkit.linalg import Echelon
+from btkit.partitions import enumerate_partitions
 from btkit.permutations import Permutation
+from btkit.trace import right_products
 
 
 def from_word(word, n):
@@ -51,6 +56,31 @@ def random_braid_walk(word, steps, rng=None):
     return word
 
 
+def vector(index, elem):
+    """Dense coefficient vector of an element over a BasisIndex."""
+    vec = [index.dom.zero] * len(index)
+    for key, c in elem.terms.items():
+        vec[index.index[key]] = c
+    return vec
+
+
+def element(index, vec):
+    """The element of a dense coefficient vector over a BasisIndex."""
+    return AlgebraElement(index.n, {index.pairs[k]: c
+                                    for k, c in enumerate(vec) if c},
+                          index.dom)
+
+
+def sparse(vec):
+    """A dense row as a sparse row {column: nonzero coefficient}."""
+    return {j: c for j, c in enumerate(vec) if c}
+
+
+def dense(row, width, zero):
+    """A sparse row as a dense row of the given width."""
+    return [row.get(j, zero) for j in range(width)]
+
+
 def mirror(x):
     """The reversal anti-involution on the basis: E_I T_w -> E_{w^-1 I}
     T_{w^-1}."""
@@ -61,18 +91,56 @@ def mirror(x):
     return AlgebraElement(x.n, terms, x.dom)
 
 
+def ideal_by_closure(n, dom, g):
+    """(index, echelon) of the two-sided ideal of g, closed in the full
+    basis: each row's images under right multiplication by every T_i and
+    E_i, and its mirror, inserted once.  This spans the two-sided ideal
+    when the mirror fixes g, as g x = mirror(mirror(x) g)."""
+    index = BasisIndex(n, dom)
+    rows, mirrored = right_products(index)
+    ech = Echelon(len(index), dom.zero)
+    ech.insert({index.index[key]: c for key, c in g.terms.items()})
+    done = 0
+    while done < ech.rank:
+        row, done = ech.rows[done], done + 1
+        images = [{mirrored[k]: c for k, c in row.items()}]
+        for table in rows.values():
+            image = {}
+            for k, c in row.items():
+                for d, b in table[k].items():
+                    image[d] = image[d] + c * b if d in image else c * b
+            images.append(image)
+        ech.insert_block(images)
+    return index, ech
+
+
+def tie_idempotent(I, dom):
+    """eps_I = sum over the J coarser than I of mu(I, J) E_J, by Moebius
+    inversion on the partition lattice: mu(I, J) is the product over the
+    blocks of J of (-1)^(b-1) (b-1)!, b the number of blocks of I it
+    merges."""
+    e, terms = Permutation.identity(I.n), {}
+    for J in enumerate_partitions(I.n):
+        if J.join(I) == J:
+            merged = [len({I.rgs[m - 1] for m in block})
+                      for block in J.blocks()]
+            terms[J, e] = dom.of_int(prod((-1) ** (b - 1) * factorial(b - 1)
+                                          for b in merged))
+    return AlgebraElement(I.n, terms, dom)
+
+
 def in_prime_field(scalar, dom):
     """A symbolic scalar evaluated at the point of a PrimeDomain, in GF(p)."""
     q = scalar.evaluate(s=dom.point)
     return IntMod(q.numerator, dom.p) / IntMod(q.denominator, dom.p)
 
 
-def commutator_rows(index, ech):
-    """The rows x g - g x of every basis element x and every generator
-    g = T_i, E_i, from the engine's general products, in ech's format."""
+def commutator_rows(index):
+    """The sparse rows x g - g x of every basis element x and every
+    generator g = T_i, E_i, from the engine's general products."""
     n, dom = index.n, index.dom
     basis = [index.basis_elem(k) for k in range(len(index))]
-    return [ech.from_coeffs(index.vector(x * g - g * x))
+    return [sparse(vector(index, x * g - g * x))
             for g in [gen(i, n, dom) for gen in (T, E) for i in range(1, n)]
             for x in basis]
 

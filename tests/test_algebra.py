@@ -17,7 +17,8 @@ from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
 from btkit.permutations import (Permutation, enumerate_permutations,
                                 intern_perm)
-from oracles import from_word, in_prime_field, mirror, random_braid_walk
+from oracles import (element, from_word, in_prime_field, mirror,
+                     random_braid_walk, vector)
 
 ONE, U = sc.ONE, sc.U
 
@@ -215,7 +216,7 @@ def test_dimension_and_basis_index():
         # round trip vector <-> element
         rng = random.Random(n)
         elem = alg.random_basis_element(n, rng) + alg.random_basis_element(n, rng).scale(U)
-        assert idx.element(idx.vector(elem)) == elem
+        assert element(idx, vector(idx, elem)) == elem
 
 
 def test_basis_index_holds_interned_permutations():

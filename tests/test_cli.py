@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from btkit import cli, quotient, suites, trace
+from btkit import blocks, cli, quotient, suites, trace
 from btkit.domains import PRIMES, PointError, PrimeDomain
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -224,9 +224,10 @@ class _RecordingCache(dict):
 
 @pytest.mark.parametrize("suite, levels", [("quotient", [4])])
 def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
-    # each (n, sqrt(u)) table set is built once, and only the last is kept
+    # each (n, sqrt(u)) block structure is built once, and only the last is
+    # kept
     tables = _RecordingCache()
-    monkeypatch.setattr(quotient, "_ACTIONS", tables)
+    monkeypatch.setattr(blocks, "_CACHE", tables)
     monkeypatch.setattr(trace, "_CACHE", {})
     run_cli([suite, "--n", "4", "--format", "json"], capsys)
     expected = [(n, PrimeDomain(pt, p).sqrt_u)
@@ -238,9 +239,9 @@ def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
 
 def test_trace_suite_builds_no_action_tables(capsys, monkeypatch):
     # the trace solve works on the engine's sparse right products, so it
-    # packs no action table
+    # builds no block structure of the quotient
     tables = _RecordingCache()
-    monkeypatch.setattr(quotient, "_ACTIONS", tables)
+    monkeypatch.setattr(blocks, "_CACHE", tables)
     monkeypatch.setattr(trace, "_CACHE", {})
     assert run_cli(["trace", "--n", "4", "--format", "json"], capsys)[0] == 0
     assert tables.built == []
@@ -373,15 +374,16 @@ def test_refused_stdout_is_a_usage_error(unbuffered):
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
 
-def test_exact_suites_do_not_load_numpy(tmp_path):
-    # numpy serves the GF(p) echelon only; the four suites at their
-    # default n are exact, and each run is one process; the GF(p) rank at
-    # n = 4 is proved by its leading columns, with no echelon, and the
-    # GF(p) trace solves on sparse rows; ast serves only the scalar text
-    # parser, which no suite calls
+def test_no_suite_loads_numpy(tmp_path):
+    # no suite needs numpy: the four suites at their default n are exact,
+    # and each run is one process; the GF(p) rank at n = 4 is proved by its
+    # leading columns, with no echelon, and the GF(p) quotient and trace
+    # eliminate on sparse rows; ast serves only the scalar text parser,
+    # which no suite calls
     runs = [["relations", "--n", "3"], ["quotient", "--n", "3"],
             ["rank", "--n", "2", "--n-max", "3"],
             ["trace", "--n", "2", "--n-max", "3"],
+            ["quotient", "--n", "4"],
             ["rank", "--n", "4", "--points", "5/7"],
             ["trace", "--n", "4", "--points", "5/7"]]
     code = ("import sys\nfrom btkit import cli\n"
@@ -406,9 +408,10 @@ ENGINE = {"btkit.cli", "btkit.suites", "btkit.algebra", "btkit.domains",
 @pytest.mark.parametrize("argv, loaded", [
     (["--help"], {"btkit.cli"}),
     (["relations"], ENGINE | {"btkit.tensor"}),
-    (["quotient"], ENGINE | {"btkit.quotient", "btkit.linalg"}),
+    (["quotient"], ENGINE | {"btkit.quotient", "btkit.blocks",
+                             "btkit.linalg"}),
     (["rank"], ENGINE | {"btkit.tensor"}),
-    (["trace"], ENGINE | {"btkit.trace", "btkit.quotient", "btkit.linalg"}),
+    (["trace"], ENGINE | {"btkit.trace", "btkit.linalg"}),
 ], ids=["help", "relations", "quotient", "rank", "trace"])
 def test_each_run_loads_only_its_modules(argv, loaded, tmp_path):
     # a process compiles only the modules its command runs: --help loads

@@ -3,52 +3,55 @@ from fractions import Fraction
 
 import pytest
 
-from btkit import linalg
 from btkit.domains import (PRIMES, SYMBOLIC, IntMod, PrimeDomain,
                            RationalDomain)
-from btkit.linalg import Echelon, LinearSystem, ModPEchelon, merge_classes
-from oracles import DenseEchelon
+from btkit.linalg import Echelon, LinearSystem, merge_classes
+from oracles import DenseEchelon, dense, sparse
 
 P = 1000000007
-# the largest prime with (p // 2)^2 < 2^53, the bound of ModPEchelon's
-# float64 products: one inner row per product
+# the largest prime p with (p // 2)^2 < 2^53
 BIG = 189812507
 
 
-def _fractions(ech, *rows):
-    """Integer rows as the echelon's rows over Q."""
-    return [ech.from_coeffs([Fraction(x) for x in row]) for row in rows]
+def _fractions(*rows):
+    """Integer rows as sparse rows over Q."""
+    return [sparse([Fraction(x) for x in row]) for row in rows]
+
+
+def _residues(p, *rows):
+    """Integer rows as sparse rows over GF(p)."""
+    return [sparse([IntMod(x, p) for x in row]) for row in rows]
 
 
 def test_echelon_rank_and_reduce():
     ech = Echelon(width=4)
-    a, b, c, d = _fractions(ech, [1, 2, 0, 0], [0, 1, 1, 0], [1, 3, 1, 0],
+    a, b, c, d = _fractions([1, 2, 0, 0], [0, 1, 1, 0], [1, 3, 1, 0],
                             [2, 4, 0, 1])
     assert ech.insert(a)
     assert ech.insert(b)
     assert not ech.insert(c)
     assert ech.rank == 2
-    red = ech.to_coeffs(ech.reduce(d))
+    red = dense(ech.reduce(d), 4, 0)
     assert red[0] == 0 and red[1] == 0
-    assert ech.spans(_fractions(ech, [1, 2, 0, 0]))
+    assert ech.spans(_fractions([1, 2, 0, 0]))
 
 
 def test_echelon_gives_unique_representatives():
     rng = random.Random(1)
     ech = Echelon(width=6)
-    rows = _fractions(ech, *([rng.randint(-3, 3) for _ in range(6)]
-                             for _ in range(4)))
+    rows = _fractions(*([rng.randint(-3, 3) for _ in range(6)]
+                        for _ in range(4)))
     for r in rows:
         ech.insert(r)
     # reduction is idempotent and kills the span
     for r in rows:
         assert ech.spans([r])
-    (v,) = _fractions(ech, [rng.randint(-3, 3) for _ in range(6)])
+    (v,) = _fractions([rng.randint(-3, 3) for _ in range(6)])
     red = ech.reduce(v)
     assert ech.reduce(red) == red
     # reduced vector vanishes at the pivots
     for piv in ech.pivots:
-        assert ech.to_coeffs(red)[piv] == 0
+        assert piv not in red
 
 
 def test_modp_matches_exact():
@@ -56,10 +59,10 @@ def test_modp_matches_exact():
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(7)]
         exact = Echelon(width=5)
-        modp = ModPEchelon(width=5, p=BIG)
+        modp = Echelon(5, IntMod(0, BIG))
         for r in rows:
-            exact.insert(*_fractions(exact, r))
-            modp.insert(r)
+            exact.insert(*_fractions(r))
+            modp.insert(*_residues(BIG, r))
         # generic small integers: rank mod a large prime equals exact rank
         assert exact.rank == modp.rank
 
@@ -196,43 +199,44 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
     for trial in range(trials):
         rows = _random_rows(dom, rng, width, k, trial % 2 == 0,
                             trial % 3 == 0)
-        dense = DenseEchelon()
+        oracle = DenseEchelon()
         ech = Echelon(width + k, dom.zero)
+
+        def as_dense(rows):
+            return [dense(row, width + k, dom.zero) for row in rows]
+
         sys_ = LinearSystem(dom, width, k)
         lo = 0
         while lo < len(rows):
             hi = lo + rng.randint(1, 3)
             block = rows[lo:hi]
             lo = hi
-            grown = dense.insert_block(block)
-            assert sum(ech.insert(ech.from_coeffs(row))
+            grown = oracle.insert_block(block)
+            assert sum(ech.insert(sparse(row))
                        for row in block) == grown
-            assert sys_.add(map(sys_.from_coeffs, block)) == grown
-            for sparse in (ech, sys_):
-                assert sparse.pivots == dense.pivots
-                assert [sparse.to_coeffs(row) for row in sparse.rows] \
-                    == dense.rows
+            assert sys_.add(map(sparse, block)) == grown
+            for each in (ech, sys_):
+                assert each.pivots == oracle.pivots
+                assert as_dense(each.rows) == oracle.rows
             probes = block + [[dom.of_int(rng.randint(-3, 3))
                                for _ in range(width + k)] for _ in range(3)]
-            reduced = [dense.reduce(row) for row in probes]
-            for sparse, batch in ((ech, ech.reduce_batch),
-                                  (sys_, sys_.reduce_batch)):
-                red = batch(map(sparse.from_coeffs, probes))
-                assert [sparse.to_coeffs(row) for row in red] == reduced
-                assert sparse.nonzero_rows(red) == sum(map(any, reduced))
-                assert sparse.spans(map(sparse.from_coeffs, block))
-                assert [sparse.spans([sparse.from_coeffs(row)])
+            reduced = [oracle.reduce(row) for row in probes]
+            for each in (ech, sys_):
+                assert as_dense(each.reduce_batch(map(sparse, probes))) \
+                    == reduced
+                assert each.spans(map(sparse, block))
+                assert [each.spans([sparse(row)])
                         for row in probes] == [not any(r) for r in reduced]
-            inconsistent = [piv for piv in dense.pivots if piv >= width]
+            inconsistent = [piv for piv in oracle.pivots if piv >= width]
             assert sys_.inconsistent == inconsistent
-            assert sys_.rank == len(dense.pivots) - len(inconsistent)
+            assert sys_.rank == len(oracle.pivots) - len(inconsistent)
             assert sys_.solution() == (None if inconsistent else {
                 piv: row[width:]
-                for piv, row in zip(dense.pivots, dense.rows)})
+                for piv, row in zip(oracle.pivots, oracle.rows)})
         kinds["inconsistent" if inconsistent else "consistent"] += 1
-        # from_coeffs drops the zero coefficients, and to_coeffs inverts it
-        assert all(all(ech.from_coeffs(row).values()) for row in rows)
-        assert [ech.to_coeffs(ech.from_coeffs(row)) for row in rows] == rows
+        # sparse drops the zero coefficients, and dense inverts it
+        assert all(all(sparse(row).values()) for row in rows)
+        assert as_dense(map(sparse, rows)) == rows
         # full rank within the first width + k of these rows (unitriangular),
         # and the rows after them are read too, each reducing to zero
         full = [[dom.zero] * j + [dom.one] + [
@@ -240,13 +244,12 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
             for j in range(width + k)] + [
             [dom.of_int(rng.randint(-3, 3)) for _ in range(width + k)]
             for _ in range(3)]
-        rank = dense.rank
-        assert dense.insert_block(full) == width + k - rank
-        for sparse, insert in ((ech, ech.insert_block), (sys_, sys_.add)):
-            offered = iter(map(sparse.from_coeffs, full))
+        rank = oracle.rank
+        assert oracle.insert_block(full) == width + k - rank
+        for each, insert in ((ech, ech.insert_block), (sys_, sys_.add)):
+            offered = iter(map(sparse, full))
             assert insert(offered) == width + k - rank
-            assert [sparse.to_coeffs(row) for row in sparse.rows] \
-                == dense.rows
+            assert as_dense(each.rows) == oracle.rows
             assert next(offered, None) is None
         assert sys_.rank == width
         assert sorted(sys_.inconsistent) == list(sys_.rhs)
@@ -255,260 +258,137 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
 
 def test_nonzero_rows_counts_rows_not_entries():
     # the row whose only entry is at column 0 (the candidate 1 in the
-    # spanning check) is nonzero, a row whose only entry is zero is zero,
-    # in every domain's echelon
+    # spanning check) is nonzero, and a row whose only entry is zero is
+    # zero: reduce drops zero coefficients in every domain, so the spanning
+    # check counts the nonzero reduced rows by their truth value
     for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7)),
                 PrimeDomain(Fraction(5, 7), PRIMES[0])):
-        ech = dom.echelon(3)
-        one, u, zero = dom.one, dom.u, dom.zero
-        rows = [ech.from_coeffs(row) for row in (
-            [one, zero, zero], [zero] * 3, [zero, u, zero], [zero] * 3)]
-        assert ech.nonzero_rows(rows) == 2
-        assert ech.nonzero_rows(rows[:1]) == 1
-        assert ech.nonzero_rows(ech.reduce_batch(rows)[:0]) == 0
-        assert ech.nonzero_rows(ech.reduce_batch(rows)) == 2
-        ech.insert(rows[0])
-        assert ech.nonzero_rows(ech.reduce_batch(rows)) == 1
+        ech = Echelon(3, dom.zero)
+        rows = [{0: dom.one}, {0: dom.zero}, {1: dom.u}, {2: dom.zero}]
+        assert list(map(bool, ech.reduce_batch(rows))) == [
+            True, False, True, False]
+        assert ech.insert(rows[0]) and not ech.insert(rows[3])
+        assert list(map(bool, ech.reduce_batch(rows))) == [
+            False, False, True, False]
 
 
 def test_modp_batch_reduce_matches_row_reduce():
-    import numpy as np
     rng = random.Random(5)
-    ech = ModPEchelon(width=6, p=9999991)
+    p = PRIMES[0]
+    ech = Echelon(6, IntMod(0, p))
     for _ in range(4):
-        ech.insert([rng.randint(0, 50) for _ in range(6)])
-    mat = np.array([[rng.randint(0, 50) for _ in range(6)] for _ in range(8)],
-                   dtype=np.int64)
-    batch = ech.reduce_batch(mat)
-    for k in range(8):
-        assert np.array_equal(batch[k], ech.reduce(mat[k]))
+        ech.insert(*_residues(p, [rng.randint(0, 50) for _ in range(6)]))
+    rows = _residues(p, *([rng.randint(0, 50) for _ in range(6)]
+                          for _ in range(8)))
+    batch = ech.reduce_batch(rows)
+    assert batch == [ech.reduce(row) for row in rows]
     # reductions vanish at every pivot column
     for piv in ech.pivots:
-        assert not np.any(batch[:, piv])
-
-
-def test_modp_echelon_rejects_int64_overflow():
-    # width * (p-1)^2 must stay below 2^63 for the int64 row products
-    with pytest.raises(ValueError):
-        ModPEchelon(10**6, 9999991)
-    assert ModPEchelon(6240, 9999991).rank == 0
-    # and (p // 2)^2 below 2^53 for the float64 products, whatever the
-    # width: BIG is the largest such prime, and the next one is 189812533
-    assert ModPEchelon(2, BIG).rank == 0
-    for p in (189812533, P):
-        assert 2 * (p - 1) ** 2 < 2 ** 63 and (p // 2) ** 2 >= 2 ** 53
-        with pytest.raises(ValueError):
-            ModPEchelon(2, p)
-
-
-def test_modp_pack_rejects_int64_scatter_overflow():
-    # a scatter sums one product below (p-1)^2 per layer in int64: at the
-    # prime BIG 256 layers fit, and are exact, but 257 do not
-    p = BIG
-    assert 256 * (p - 1) ** 2 < 2 ** 63 <= 257 * (p - 1) ** 2
-    ech = ModPEchelon(1, p)
-    table = ech.pack([0] * 256, [0] * 256, [IntMod(-1, p)] * 256)
-    assert len(table) == 256
-    assert ech.scatter_batch(table, [[p - 1]]).tolist() == [[256]]
-    with pytest.raises(ValueError):
-        ech.pack([0] * 257, [0] * 257, [IntMod(1, p)] * 257)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_modp_products_exact_at_worst_case(p):
-    # every entry p - 1, and every entry +-(p // 2), the largest balanced
-    # residues, at width 6240 (dim E_5), against Python integers: the
-    # product is the integer product of the balanced operands
-    import numpy as np
-    width, h = 6240, p // 2
-    ech = ModPEchelon(width, p)
-    a = np.full((2, width), p - 1, dtype=np.int64)
-    b = np.full((width, 3), p - 1, dtype=np.float64)
-    exact = sum((p - 1) * (p - 1) for _ in range(width)) % p
-    got = ech._mul(a, ech._balanced(b))
-    assert (got % p == exact).all()
-    assert got.tolist() == [[width] * 3] * 2
-    a = np.array([[h] * width, [p - h] * width], dtype=np.int64)
-    b = ech._balanced(a[:1].T.astype(np.float64))
-    assert ech._mul(a, b).tolist() == [[width * h * h], [-width * h * h]]
-    assert 2 ** 53 < width * h * h < 2 ** 61
-    rng = random.Random(p)
-    a = np.array([[rng.randrange(p) for _ in range(width)] for _ in range(2)],
-                 dtype=np.int64)
-    b = [[rng.randrange(p) for _ in range(3)] for _ in range(width)]
-    balanced = ech._balanced(np.array(b, dtype=np.float64))
-    got = ech._mul(a, balanced)
-    assert got.tolist() == _exact_product(ech._balanced(a), balanced)
-    for i in range(2):
-        for j in range(3):
-            want = sum(int(a[i, k]) * b[k][j] for k in range(width)) % p
-            assert got[i, j] % p == want
-
-
-def _exact_product(a, b):
-    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in b.T]
-            for row in a]
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_modp_product_is_one_exact_float64_product_up_to_360(p):
-    # at inner dimension r = 360 (dim E_4) the balanced operands give one
-    # float64 product, exact as an integer: r * (p // 2)^2 < 2^53.  The
-    # extremes +-(p // 2) of the balanced residues give the largest sums.
-    import numpy as np
-    r, h = 360, p // 2
-    assert r * h * h < 2 ** 53 <= (r + 1) * h * h
-    ech = ModPEchelon(r + 1, p)
-    a = np.array([[h] * r, [p - h] * r, [h, p - h] * (r // 2)], dtype=np.int64)
-    b = ech._balanced(a[:2].T.astype(np.float64))
-    want = _exact_product(ech._balanced(a), b)
-    assert want[0][0] == r * h * h and want[0][1] == -r * h * h
-    assert ech._mul(a, b).tolist() == want
-    rng = random.Random(p)
-    a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(3)],
-                 dtype=np.int64)
-    b = ech._balanced(np.array([[rng.randrange(p) for _ in range(4)]
-                                for _ in range(r)], dtype=np.float64))
-    assert ech._mul(a, b).tolist() == _exact_product(ech._balanced(a), b)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_modp_product_beyond_360_splits_inner_rows(p):
-    # at r = 361 the extreme sums pass 2^53, so the inner rows are split
-    # into a run of 360 and a run of 1: each is exact in float64, and their
-    # sum in int64 is the integer product
-    import numpy as np
-    r, h = 361, p // 2
-    ech = ModPEchelon(r, p)
-    rng = random.Random(p)
-    a = np.array([[h] * r, [p - h] * r,
-                  [rng.randrange(p) for _ in range(r)]], dtype=np.int64)
-    b = ech._balanced(np.array(
-        [[h, p - h] + [rng.randrange(p) for _ in range(2)]
-         for _ in range(r)], dtype=np.float64))
-    want = _exact_product(ech._balanced(a), b)
-    assert want[0][0] == r * h * h > 2 ** 53
-    assert ech._mul(a, b).tolist() == want
+        assert all(piv not in row for row in batch)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_modp_basis_products_exact_at_360(p):
     # 360 new pivot rows with p - 2 at the free column, against a row of
-    # p // 2 and one p // 2 - 1: unless the pivot rows are balanced (p - 2
-    # to -2), the product sums to an odd integer past 2^53, which no
-    # float64 holds.  Clearing the row of the 360 pivots and reducing it
-    # against them both stay exact.
-    import numpy as np
+    # p // 2 and one p // 2 - 1, over GF(p): clearing the row of the 360
+    # pivots, and reducing it against them, give the closed form, whose
+    # integer before reduction mod p is odd and past 2^53
     r, h = 360, p // 2
-    block = np.zeros((r, r + 2), dtype=np.int64)
-    block[:, 1:r + 1] = np.eye(r, dtype=np.int64)
-    block[:, r + 1] = p - 2
-    old = np.array([[1] + [h] * (r - 1) + [h - 1, 0]])
+    block = _residues(p, *([0] * (k + 1) + [1] + [0] * (r - k - 1) + [p - 2]
+                           for k in range(r)))
+    (old,) = _residues(p, [1] + [h] * (r - 1) + [h - 1, 0])
     assert (r * h - 1) * (p - 2) % 2 == 1 and (r * h - 1) * (p - 2) > 2 ** 53
-    want = [[1] + [0] * r + [-(r * h - 1) * (p - 2) % p]]
-    ech = ModPEchelon(r + 2, p)
-    ech.insert_block(old)
+    want = {0: IntMod(1, p), r + 1: IntMod(-(r * h - 1) * (p - 2), p)}
+    ech = Echelon(r + 2, IntMod(0, p))
+    ech.insert(old)
     assert ech.insert_block(block) == r
-    assert ech.rows[:1].tolist() == want
-    fresh = ModPEchelon(r + 2, p)
+    assert ech.rows[0] == want
+    fresh = Echelon(r + 2, IntMod(0, p))
     fresh.insert_block(block)
-    assert fresh.reduce_batch(old).tolist() == want
+    assert fresh.reduce_batch([old]) == [want]
 
 
 def test_modp_reduce_batch_takes_raw_rows_mod_p():
-    # rows with a negative entry, an entry >= p, or both kinds reduce as
-    # the same rows mod p, at rank 0 and above; the result is a new array
-    import numpy as np
+    # rows of residues of raw integers (a negative entry, an entry >= p, or
+    # both kinds) reduce as the same rows mod p, at rank 0 and above; the
+    # result is a new row, and reducing or inserting leaves the rows
+    # offered as they were
     p = PRIMES[0]
     rng = random.Random(7)
-    ech = ModPEchelon(8, p)
+    ech = Echelon(8, IntMod(0, p))
     for _ in range(3):
-        rows = np.array([[rng.randrange(p) for _ in range(8)]
-                         for _ in range(2)], dtype=np.int64)
-        negative, large = rows.copy(), rows.copy()
-        negative[0, 3] -= p
-        large[1, 5] += p
-        wild = rows + p * np.array([[rng.randrange(-3, 4) for _ in range(8)]
-                                    for _ in range(2)])
+        ints = [[rng.randrange(p) for _ in range(8)] for _ in range(2)]
+        negative, large = [list(r) for r in ints], [list(r) for r in ints]
+        negative[0][3] -= p
+        large[1][5] += p
+        wild = [[x + p * rng.randrange(-3, 4) for x in r] for r in ints]
+        rows = _residues(p, *ints)
+        copies = [dict(row) for row in rows]
         want = ech.reduce_batch(rows)
-        assert want is not rows
-        assert want.min() >= 0 and want.max() < p
+        assert all(a is not b for a, b in zip(want, rows))
         for raw in (negative, large, wild):
-            assert np.array_equal(ech.reduce_batch(raw), want)
+            assert ech.reduce_batch(_residues(p, *raw)) == want
         ech.insert_block(rows)
-        assert np.array_equal(rows, wild % p)
+        assert rows == copies == _residues(p, *wild)
     assert ech.rank == 6
 
 
 def _rref(ech):
     order = sorted(range(ech.rank), key=lambda k: ech.pivots[k])
-    return [list(map(int, ech.rows[k])) for k in order]
+    return [ech.rows[k] for k in order]
 
 
 @pytest.mark.parametrize("p", PRIMES + (16777259, BIG))
-def test_block_insert_matches_row_inserts(p, monkeypatch):
-    # 150 rows of width 40 spanning 25 dimensions, with zero rows and
-    # repeated rows; inserted one by one, in blocks of 64 (as the quotient
-    # closure does) and as one block, they give the same RREF, also when
-    # the old rows are cleared of new pivots in chunks of 7 rows.  At BIG
-    # each float64 product takes one inner row, so every product with more
-    # than one is split.
-    import numpy as np
+def test_block_insert_matches_row_inserts(p):
+    # 150 rows of width 40 spanning 25 dimensions over GF(p), with zero
+    # rows and repeated rows; inserted one by one, in blocks of 64 and as
+    # one block, they give the RREF of the dense oracle, and reduce alike
     rng = random.Random(p % 1000)
     width, dim = 40, 25
     base = [[rng.randrange(p) for _ in range(width)] for _ in range(dim)]
-    rows = []
+    ints = []
     for _ in range(150):
         kind = rng.random()
         if kind < 0.1:
-            rows.append([0] * width)
-        elif kind < 0.2 and rows:
-            rows.append(list(rng.choice(rows)))
+            ints.append([0] * width)
+        elif kind < 0.2 and ints:
+            ints.append(list(rng.choice(ints)))
         else:
             cs = [rng.randrange(p) if rng.random() < 0.3 else 0
                   for _ in range(dim)]
-            rows.append([sum(c * b[j] for c, b in zip(cs, base)) % p
+            ints.append([sum(c * b[j] for c, b in zip(cs, base)) % p
                          for j in range(width)])
-    one = ModPEchelon(width, p)
+    rows, zero = _residues(p, *ints), IntMod(0, p)
+    oracle = DenseEchelon()
+    oracle.insert_block([dense(row, width, zero) for row in rows])
+    one = Echelon(width, zero)
     grown = sum(one.insert(row) for row in rows)
-    chunked = ModPEchelon(width, p)
-    growth = [chunked.insert_block(np.array(rows[lo:lo + 64]))
+    chunked = Echelon(width, zero)
+    growth = [chunked.insert_block(rows[lo:lo + 64])
               for lo in range(0, len(rows), 64)]
-    whole = ModPEchelon(width, p)
-    assert whole.insert_block(np.array(rows)) == sum(growth) == grown
-    assert one.rank == chunked.rank == whole.rank == dim
-    monkeypatch.setattr(linalg, "CHUNK", 7)
-    small = ModPEchelon(width, p)
-    for lo in range(0, len(rows), 16):
-        small.insert_block(np.array(rows[lo:lo + 16]))
-    for ech in (chunked, whole, small):
-        assert sorted(ech.pivots) == sorted(one.pivots)
-        assert _rref(ech) == _rref(one)
-    assert whole.spans(rows) and not any(map(any, _rref(whole)[dim:]))
-    mat = np.array(rows[:70])
-    for k, red in enumerate(chunked.reduce_batch(mat)):
-        assert np.array_equal(red, one.reduce(mat[k]))
-        assert not red.any()
+    whole = Echelon(width, zero)
+    assert whole.insert_block(rows) == sum(growth) == grown == dim
+    want = [row for _, row in sorted(zip(oracle.pivots, oracle.rows))]
+    for ech in (one, chunked, whole):
+        assert [dense(row, width, zero) for row in _rref(ech)] == want
+    assert whole.spans(rows)
+    for k, red in enumerate(chunked.reduce_batch(rows[:70])):
+        assert red == one.reduce(rows[k]) == {}
 
 
 def test_exact_batch_methods_are_loops_over_rows():
-    # on the symbolic n = 3 tables, Echelon's batch methods agree with its
-    # one-row insert and reduce, and a scatter of the block with its rows
-    # scattered one at a time
+    # on the engine's right products of the symbolic n = 3 basis,
+    # Echelon's batch methods agree with its one-row insert and reduce
     from btkit.algebra import BasisIndex
-    from btkit.domains import SYMBOLIC
-    from btkit.quotient import build_ideal, generator_actions
+    from btkit.trace import right_products
     index = BasisIndex(3)
-    ib = build_ideal(3, tied=False)
-    tables = generator_actions(index, ib.ech)
-    rows = [SYMBOLIC.echelon(len(index)).from_coeffs(index.vector(
-        index.basis_elem(k))) for k in range(0, len(index), 3)]
-    for table in tables.values():
-        images = ib.ech.scatter_batch(table, rows)
-        assert images == [ib.ech.scatter_batch(table, [row])[0]
-                          for row in rows]
-        assert (ib.ech.reduce_batch(images)
-                == [ib.ech.reduce(row) for row in images])
+    tables, _ = right_products(index)
+    span = Echelon(len(index))
+    span.insert_block(tables["E", 1])
+    assert 0 < span.rank < len(index)
+    for images in tables.values():
+        assert (span.reduce_batch(images)
+                == [span.reduce(row) for row in images])
         one, block = Echelon(len(index)), Echelon(len(index))
         grown = sum(one.insert(row) for row in images)
         assert block.insert_block(images) == grown == block.rank
@@ -516,7 +396,7 @@ def test_exact_batch_methods_are_loops_over_rows():
     # a block that reaches full rank midway: the rows after it reduce to
     # zero, in a block as one at a time
     one, block = Echelon(3), Echelon(3)
-    rows = _fractions(one, (0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1),
+    rows = _fractions((0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1),
                       (1, 0, 1), (2, 2, 2))
     grown = sum(one.insert(row) for row in rows)
     assert block.insert_block(rows) == grown == 3

@@ -5,31 +5,64 @@ from fractions import Fraction
 import pytest
 
 from btkit import algebra as alg
-from btkit import cli
+from btkit import blocks, cli
 from btkit import quotient as qt
-from btkit.domains import SYMBOLIC, PRIMES, PrimeDomain
+from btkit.algebra import ideal_generator_element
+from btkit.blocks import Ideal, close
+from btkit.domains import SYMBOLIC, PRIMES, PrimeDomain, RationalDomain
 from btkit.linalg import Echelon
-from btkit.partitions import bell_number, enumerate_partitions
-from btkit.quotient import (IdealBasis, build_ideal, catalan_number,
-                            enumerate_F_reduced, ideal_generator_element,
+from btkit.partitions import SetPartition, bell_number
+from btkit.permutations import Permutation, enumerate_permutations
+from btkit.quotient import (build_ideal, catalan_number, enumerate_F_reduced,
                             spanning_check, verify_ideal_closure,
                             verify_presentations)
-from oracles import mirror
+from btkit.trace import right_products
+from oracles import (dense, element, ideal_by_closure, mirror, sparse,
+                     tie_idempotent, vector)
+
+P0 = PrimeDomain(Fraction(5, 7), PRIMES[0])
 
 
 def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
-    """The literal span of {b1 * g * b2} over all basis pairs (the slow
-    oracle for :func:`build_ideal` at small n)."""
+    """(index, echelon) of the literal span of {b1 * g * b2} over all basis
+    pairs (the slow oracle for :func:`build_ideal` at small n)."""
     index = alg.BasisIndex(n, dom)
     g = ideal_generator_element(n, dom, pair, tied)
-    ech = Echelon(width=len(index))
-    ib = IdealBasis(ech, index)
+    ech = Echelon(len(index), dom.zero)
     left = [index.basis_elem(k) * g for k in range(len(index))]
     for lg in left:
         for k in range(len(index)):
-            ech.insert(ech.from_coeffs(
-                index.vector(lg * index.basis_elem(k))))
-    return ib
+            ech.insert(sparse(vector(index, lg * index.basis_elem(k))))
+    return index, ech
+
+
+def _lifts(ib):
+    """Each row y of each J_mu as the element eps_I y of E_n, I = I_mu:
+    its one piece is y, at (I, I), as the transporter of I is 1."""
+    dom, unit = ib.blocks.dom, SetPartition.unit(ib.blocks.n)
+    for shape, ech in zip(ib.blocks.shapes, ib.echs):
+        eps = tie_idempotent(shape.I, dom)
+        for row in ech.rows:
+            yield eps * alg.AlgebraElement(ib.blocks.n, {
+                (unit, shape.W[j]): c for j, c in row.items()}, dom)
+
+
+def assert_same_ideal(ib, index, ech):
+    """The block ideal ib and the full-width echelon span one ideal: equal
+    dimensions, and each holds the other's rows."""
+    assert ib.dim == ech.rank
+    width, zero = len(index), index.dom.zero
+    assert all(ib.contains(element(index, dense(row, width, zero)))
+               for row in ech.rows)
+    assert ech.spans(sparse(vector(index, x)) for x in _lifts(ib))
+
+
+def _plus(x, y):
+    """The sum of two sparse rows."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
 
 
 def test_catalan():
@@ -45,16 +78,12 @@ def test_tied_ideal_n3_is_the_scalar_line():
     assert ib.quotient_dim == 29
     assert verify_ideal_closure(ib)
     g = ideal_generator_element(3)
-    assert ib.reduce(g).is_zero()
+    assert not ib.reduce(ib.blocks.form(g))
     assert ib.contains(alg.T(1, 3) * g * alg.E(2, 3))
 
 
 def test_tied_ideal_matches_pair_enumeration():
-    ib = build_ideal(3)
-    pairs = build_ideal_by_pairs(3)
-    assert pairs.dim == ib.dim
-    assert ib.ech.spans(pairs.ech.rows)
-    assert pairs.ech.spans(ib.ech.rows)
+    assert_same_ideal(build_ideal(3), *build_ideal_by_pairs(3))
 
 
 def test_steinberg_ideal_n3():
@@ -62,8 +91,9 @@ def test_steinberg_ideal_n3():
     assert ib.dim == 11
     assert ib.quotient_dim == 19
     assert verify_ideal_closure(ib)
-    pairs = build_ideal_by_pairs(3, tied=False)
-    assert pairs.dim == 11
+    index, pairs = build_ideal_by_pairs(3, tied=False)
+    assert pairs.rank == 11
+    assert_same_ideal(ib, index, pairs)
     # the tied generator lies inside the untied ideal, not conversely
     assert ib.contains(ideal_generator_element(3))
     tied = build_ideal(3)
@@ -71,19 +101,21 @@ def test_steinberg_ideal_n3():
 
 
 def test_reduction_is_linear_idempotent():
+    # the reduced block coordinates are a canonical form modulo the ideal
     rng = random.Random(5)
     ib = build_ideal(3)
+    form = ib.blocks.form
     g = ideal_generator_element(3)
     for _ in range(20):
         a = alg.random_basis_element(3, rng).scale(alg.one(3).dom.u)
         b = alg.random_basis_element(3, rng)
-        ra = ib.reduce(a)
+        ra = ib.reduce(form(a))
         assert ib.reduce(ra) == ra
-        assert ib.reduce(a + b) == ra + ib.reduce(b)
-        assert ib.reduce(a + g * b) == ra
+        assert ib.reduce(form(a + b)) == _plus(ra, ib.reduce(form(b)))
+        assert ib.reduce(form(a + g * b)) == ra
         assert ib.contains(a - (a + g * b))
-    assert ib.reduce(alg.one(3)) == alg.one(3)
-    assert ib.reduce(g).is_zero()
+    assert ib.reduce(form(alg.one(3))) == form(alg.one(3)) != {}
+    assert not ib.reduce(form(g))
 
 
 def test_equal_mod_ideal_is_equivalence():
@@ -157,6 +189,9 @@ def test_F_reduced_words():
     assert sorted(enumerate_F_reduced(3)) == [
         (), (1,), (1, 2), (2,), (2, 1)]
     assert enumerate_F_reduced(2) == [(), (1,)]
+    # each word extends the value of its prefix, in the same order
+    assert enumerate_F_reduced(5, "", lambda w, i: w + str(i)) == [
+        "".join(map(str, w)) for w in enumerate_F_reduced(5)]
 
 
 def test_spanning_n3():
@@ -208,9 +243,9 @@ def test_tied_ideal_calls_come_before_the_bare_steinberg_build(monkeypatch):
         return ib
 
     def record_span(*args):
-        ib = next(a for a in args if isinstance(a, IdealBasis))
+        ib = next(a for a in args if isinstance(a, Ideal))
         tied = not any(ib is u for u in untied)
-        calls.append((ib.index.dom, "span", tied))
+        calls.append((ib.blocks.dom, "span", tied))
         return span(*args)
 
     monkeypatch.setattr(qt, "build_ideal", record_build)
@@ -237,34 +272,35 @@ def test_tied_ideal_calls_come_before_the_bare_steinberg_build(monkeypatch):
 
 
 def test_n4_ideal_independent_of_generator_pair():
-    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
-    ib12 = build_ideal(4, dom)
-    ib23 = build_ideal(4, dom, pair=(2, 3))
+    ib12 = build_ideal(4, P0)
+    ib23 = build_ideal(4, P0, pair=(2, 3))
     assert ib12.dim == ib23.dim
-    assert ib12.ech.spans(ib23.ech.rows)
-    assert ib23.ech.spans(ib12.ech.rows)
+    for e12, e23 in zip(ib12.echs, ib23.echs):
+        assert e12.rank == e23.rank
+        assert e12.spans(e23.rows) and e23.spans(e12.rows)
 
 
-def test_closure_check_sees_a_missing_last_row():
-    # the n = 4 bare-Steinberg ideal (262 rows, five blocks) without its
-    # last RREF row, which sits in the last block, is not closed
-    dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
-    ib = build_ideal(4, dom, tied=False)
+def test_closure_check_sees_a_missing_last_row(monkeypatch):
+    # the n = 4 bare-Steinberg ideal, with any one block J_mu (of 3 to 10
+    # rows) without its last row, is not closed
+    ib = build_ideal(4, P0, tied=False)
     assert ib.dim == 262 and verify_ideal_closure(ib)
-    ech = dom.echelon(len(ib.index))
-    assert ech.insert_block(ib.ech.rows[:-1]) == 261
-    assert not verify_ideal_closure(IdealBasis(ech, ib.index))
-    # the check scatters every row under every right T_i and E_i table and
-    # the mirror's, in blocks of at most qt.BLOCK rows, the last block
-    # included
+    assert [ech.rank for ech in ib.echs] == [10, 5, 6, 3, 10]
+    for at, ech in enumerate(ib.echs):
+        short = Echelon(ech.width, P0.zero)
+        assert short.insert_block(ech.rows[:-1]) == ech.rank - 1
+        echs = ib.echs[:at] + [short] + ib.echs[at + 1:]
+        assert not verify_ideal_closure(Ideal(ib.blocks, echs)), at
+    # the check multiplies every row of every J_mu, the last included, by
+    # every generator of A_mu on either side
     seen = []
-    scatter_batch = ib.ech.scatter_batch
-    ib.ech.scatter_batch = lambda table, rows: (
-        seen.append(len(rows)) or scatter_batch(table, rows))
+    apply = blocks._apply
+    monkeypatch.setattr(blocks, "_apply", lambda table, row: (
+        seen.append((id(table), id(row))) or apply(table, row)))
     assert verify_ideal_closure(ib)
-    assert max(seen) <= qt.BLOCK
-    n = ib.index.n
-    assert sum(seen) == (2 * (n - 1) + 1) * ib.dim
+    assert len(seen) == len(set(seen)) == sum(
+        ech.rank * len(shape.right + shape.left)
+        for shape, ech in zip(ib.blocks.shapes, ib.echs))
 
 
 def test_flipped_generator_same_ideal():
@@ -278,39 +314,50 @@ def test_flipped_generator_same_ideal():
 
 
 def test_closure_check_refuses_a_right_ideal():
-    # the right ideal of E_1 T_2, closed under the right T_i and E_i tables
-    # only, passes every right table but is not two-sided
-    index = alg.BasisIndex(3)
-    ech = SYMBOLIC.echelon(len(index))
-    tables = qt.generator_actions(index, ech)
-    right = [tables[name, i] for name in ("RT", "RE") for i in (1, 2)]
-    ech.insert(ech.from_coeffs(index.vector(alg.E(1, 3) * alg.T(2, 3))))
-    done = 0
-    while done < ech.rank:
-        lo, done = done, ech.rank
-        for table in right:
-            ech.insert_block(ech.scatter_batch(table, ech.rows[lo:done]))
-    assert all(ech.spans(ech.scatter_batch(table, ech.rows))
-               for table in right)
-    assert not verify_ideal_closure(IdealBasis(ech, index))
+    # the right ideal of F_1: each block seeded with the pieces of F_1 and
+    # closed under the generators on the right only passes every right
+    # table, but the blocks H_3 and C[S_3] are not commutative, and it is
+    # not two-sided
+    bl = blocks.structure(3, SYMBOLIC)
+    echs = [Echelon(len(shape.W), SYMBOLIC.zero) for shape in bl.shapes]
+    for off, piece in bl.pieces(bl.form(alg.F(1, 3))).items():
+        echs[bl.shape_at[off]].insert(piece)
+    for shape, ech in zip(bl.shapes, echs):
+        close(ech, shape.right)
+        closed = Echelon(ech.width, SYMBOLIC.zero)
+        closed.insert_block(ech.rows)
+        close(closed, shape.right)
+        assert closed.rank == ech.rank
+    assert not verify_ideal_closure(Ideal(bl, echs))
+    assert verify_ideal_closure(bl.ideal(alg.F(1, 3)))
 
 
 @pytest.mark.parametrize("n, dom", [
-    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
-    ids=["n3-symbolic", "n4-prime"])
+    (3, SYMBOLIC), (4, P0)], ids=["n3-symbolic", "n4-prime"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 def test_mirror_built_ideal_holds_the_engine_left_products(n, dom, tied):
-    # the closure is the ideal as the mirror fixes its generator; then g r,
-    # from the engine's general product, lies in it for every row r of the
-    # ideal and every generator g
+    # the full-width closure of the oracle is the ideal as the mirror fixes
+    # its generator; then g r, from the engine's general product, lies in
+    # it for every row r of the ideal and every generator g
     seed = ideal_generator_element(n, dom, tied=tied)
     assert mirror(seed) == seed
-    ib = build_ideal(n, dom, tied=tied)
-    index, ech = ib.index, ib.ech
+    index, ech = ideal_by_closure(n, dom, seed)
     gens = [gen(i, n, dom) for gen in (alg.T, alg.E) for i in range(1, n)]
-    rows = [index.element(ech.to_coeffs(row)) for row in ech.rows]
-    assert ech.spans([ech.from_coeffs(index.vector(g * r))
-                      for r in rows for g in gens])
+    rows = [element(index, dense(row, len(index), dom.zero))
+            for row in ech.rows]
+    assert ech.spans(sparse(vector(index, g * r)) for r in rows for g in gens)
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (3, P0), (3, RationalDomain(1)), (4, P0)],
+    ids=["n3-symbolic", "n3-prime", "n3-u1", "n4-prime"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_block_ideals_match_the_full_width_closure(n, dom, tied):
+    # the blocks and the closure in the full basis give one ideal: equal
+    # dimensions, and containment both ways
+    index, ech = ideal_by_closure(n, dom, ideal_generator_element(
+        n, dom, tied=tied))
+    assert_same_ideal(build_ideal(n, dom, tied=tied), index, ech)
 
 
 def test_small_n_rejected():
@@ -334,43 +381,31 @@ def test_dimension_stability_at_u_equals_one():
     assert build_ideal(3, dom, tied=False).dim == 11
 
 
-@pytest.mark.parametrize("n, dom", [
-    (3, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0]))],
-    ids=["n3-symbolic", "n4-prime"])
+@pytest.mark.parametrize("n, dom", [(3, SYMBOLIC), (4, P0)],
+                         ids=["n3-symbolic", "n4-prime"])
 def test_action_tables_match_engine_products(n, dom):
-    # every table scatter of a basis row is the row of the engine's general
-    # product with the generator, on the table's side
+    # every one-generator product row of a basis element is the row of the
+    # engine's general product with the generator, and the mirror's entry
+    # is the position of the basis element's mirror
     index = alg.BasisIndex(n, dom)
-    ech = dom.echelon(len(index))
-    tables = qt.generator_actions(index, ech)
-    gens = {"T": alg.T, "E": alg.E, "F": alg.F}
-    assert set(tables) == {"mirror"} | {
-        (name, i) for name in ("RT", "RE", "RF") for i in range(1, n)}
-    for key, table in tables.items():
-        for k in range(len(index)):
-            x = index.basis_elem(k)
-            image = ech.to_coeffs(ech.scatter_batch(
-                table, [ech.from_coeffs(index.vector(x))])[0])
-            if key == "mirror":
-                expected = mirror(x)
-            else:
-                name, i = key
-                expected = x * gens[name[1]](i, n, dom)
-            assert image == index.vector(expected), (key, k)
+    rows, mirrored = right_products(index)
+    gens = {"T": alg.T, "E": alg.E}
+    assert set(rows) == {(g, i) for g in gens for i in range(1, n)}
+    for k in range(len(index)):
+        x = index.basis_elem(k)
+        assert sparse(vector(index, mirror(x))) == {mirrored[k]: dom.one}
+        for (g, i), images in rows.items():
+            assert images[k] == sparse(vector(index, x * gens[g](i, n, dom)))
 
 
 def test_action_table_coefficients_n3():
     # the one-generator products of the basis carry 1, u and u - 1 for T_i
     # and only 1 for E_i (symbolic, n = 3)
-    index = alg.BasisIndex(3)
-    tables = qt.generator_actions(index, SYMBOLIC.echelon(len(index)))
+    rows, _ = right_products(alg.BasisIndex(3))
     one, u = SYMBOLIC.one, SYMBOLIC.u
-    for name in ("RT", "RE"):
-        for i in (1, 2):
-            entries = tables[name, i]
-            want = {one, u, u - one} if name[1] == "T" else {one}
-            assert {c for images in entries.values()
-                    for _, c in images} == want, (name, i)
+    for (g, i), images in rows.items():
+        want = {one, u, u - one} if g == "T" else {one}
+        assert {c for row in images for c in row.values()} == want, (g, i)
 
 
 def test_single_point_pairs_with_both_primes(capsys):
@@ -396,3 +431,73 @@ def test_symbolic_n4_tied_ideal():
     assert (span["candidates"], span["nonzero_candidates"],
             span["spanning_rank"]) == (bell_number(4) * catalan_number(4),
                                        210, 210)
+
+
+def test_symbolic_n4_steinberg_ideal():
+    # the bare-Steinberg ideal at generic u: the numbers of
+    # tests/golden/quotient_n4.json, there from two specializations
+    ib = build_ideal(4, tied=False)
+    assert ib.dim == 262 and ib.quotient_dim == 98
+    assert verify_ideal_closure(ib)
+    assert spanning_check(ib)["spanning_rank"] == 98
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_blocks_cover_the_basis(n):
+    # k_mu |W_mu| = n! for each shape, the sum of k_mu^2 |W_mu| is dim E_n,
+    # the identity is the last column, and each transporter is a shortest
+    # permutation taking I_mu to its partition
+    bl = blocks.structure(n, P0)
+    e, perms = Permutation.identity(n), enumerate_permutations(n)
+    assert bl.dim == len(alg.BasisIndex(n)) == len(bl.start)
+    for shape in bl.shapes:
+        assert len(shape.parts) * len(shape.W) == len(perms)
+        assert shape.W[-1] == e and shape.transporter[shape.I] == e
+        for K, c in shape.transporter.items():
+            assert shape.I.apply(c) == K
+            assert all(len(w.reduced_word()) >= len(c.reduced_word())
+                       for w in perms if shape.I.apply(w) == K)
+
+
+@pytest.mark.parametrize("n, dom", [(3, SYMBOLIC), (4, P0)],
+                         ids=["n3-symbolic", "n4-prime"])
+def test_phi_is_the_block_isomorphism(n, dom):
+    # Phi sends eps_I T_v to the column v of the piece (I, I) and 1 to the
+    # unit of every diagonal piece, and Phi(x y) is the product of the
+    # block matrices Phi(x) Phi(y), each entry a product in A_mu
+    bl = blocks.structure(n, dom)
+    unit = SetPartition.unit(n)
+    one = {bl.offset[K, K] + len(shape.W) - 1: dom.one
+           for shape in bl.shapes for K in shape.parts}
+    assert bl.form(alg.one(n, dom)) == one
+    for shape in bl.shapes:
+        eps = tie_idempotent(shape.I, dom)
+        for j, v in enumerate(shape.W):
+            x = eps * alg.basis_element(unit, v, dom)
+            assert bl.form(x) == {bl.offset[shape.I, shape.I] + j: dom.one}
+    rng = random.Random(n)
+    for _ in range(6):
+        x = alg.random_basis_element(n, rng, dom)
+        y = alg.random_basis_element(n, rng, dom)
+        assert bl.form(x * y) == _block_product(bl, bl.form(x), bl.form(y))
+
+
+def _block_product(bl, fx, fy):
+    """The product of two rows of block coordinates as block matrices."""
+    unit = SetPartition.unit(bl.n)
+    px, py = bl.pieces(fx), bl.pieces(fy)
+    out = {}
+    for shape in bl.shapes:
+        for (K, L), off in bl.offset.items():
+            if K not in shape.parts:
+                continue
+            for M in shape.parts:
+                a, b = px.get(off, {}), py.get(bl.offset[L, M], {})
+                for i, c in a.items():
+                    for j, d in b.items():
+                        ab = shape.proj(
+                            alg.basis_element(unit, shape.W[i], bl.dom)
+                            * alg.basis_element(unit, shape.W[j], bl.dom))
+                        out = _plus(out, {bl.offset[K, M] + k: c * d * e
+                                          for k, e in ab.items()})
+    return out

@@ -13,8 +13,10 @@ from btkit.algebra import BasisIndex
 from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import SetPartition, arc_partition, enumerate_partitions
 from btkit.permutations import Permutation
+from btkit.linalg import Echelon
 from btkit.tensor import (act_E, act_T, act_T_inverse, represent,
                           tensor_basis, unit_vector)
+from oracles import sparse
 
 U, S, ONE = sc.U, sc.SQRT_U, sc.ONE
 
@@ -103,9 +105,9 @@ def _rank_rows_full(n, dom):
 
 
 def _naive_rank(n, dom):
-    ech = dom.echelon(len(alg.BasisIndex(n)))
+    ech = Echelon(len(alg.BasisIndex(n)), dom.zero)
     for row in _rank_rows_full(n, dom):
-        ech.insert(ech.from_coeffs(row))
+        ech.insert(sparse(row))
     return ech.rank
 
 
@@ -459,12 +461,11 @@ def test_type_dedup_matches_naive_enumeration():
     assert naive["symbolic_rank"] == typed["symbolic_rank"]
     assert naive["ranks"] == typed["ranks"]
     dom = RationalDomain(Fraction(5, 7))
-    from btkit.linalg import Echelon
     e1, e2 = Echelon(width=30), Echelon(width=30)
     for rows in _dense_bundles(3, dom):
-        e1.insert_block(map(e1.from_coeffs, rows))
+        e1.insert_block(map(sparse, rows))
     for row in _rank_rows_full(3, dom):
-        e2.insert(e2.from_coeffs(row))
+        e2.insert(sparse(row))
     assert e1.rank == e2.rank
 
 
@@ -514,9 +515,9 @@ def test_rank_bundles_as_blocks_match_row_inserts():
     # at n = 4 in GF(p), a bundle inserted as one block or row by row
     # leaves the same rank after every bundle, up to full rank 360
     dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
-    block, rows = dom.echelon(360), dom.echelon(360)
+    block, rows = Echelon(360, dom.zero), Echelon(360, dom.zero)
     for bundle in _dense_bundles(4, dom):
-        mat = [block.from_coeffs(row) for row in bundle]
+        mat = [sparse(row) for row in bundle]
         block.insert_block(mat)
         for row in mat:
             rows.insert(row)
@@ -541,24 +542,25 @@ def test_rank_reaches_full_rank_after_bell_bundles():
     for n, bell, doms in ((2, 2, _EXACT), (3, 5, _EXACT), (4, 15, _PRIMED)):
         dim = bell * math.factorial(n)
         for dom in doms:
-            ech = dom.echelon(dim)
+            ech = Echelon(dim, dom.zero)
             bundles = itertools.islice(_dense_bundles(n, dom), bell)
             for k, rows in enumerate(bundles, start=1):
                 assert len(rows) == math.factorial(n), (n, dom, k)
                 if k == bell:
                     assert ech.rank < dim, (n, dom)
-                ech.insert_block([ech.from_coeffs(row) for row in rows])
+                ech.insert_block([sparse(row) for row in rows])
             assert ech.rank == dim, (n, dom)
 
 
 def _spy_echelons(monkeypatch):
-    """The widths of the echelons the domains build from now on."""
+    """The widths of the echelons built from now on."""
     built = []
-    for cls in (type(SYMBOLIC), RationalDomain, PrimeDomain):
-        def spy(self, width, make=cls.echelon):
-            built.append(width)
-            return make(self, width)
-        monkeypatch.setattr(cls, "echelon", spy)
+    init = Echelon.__init__
+
+    def spy(self, width, zero=0):
+        built.append(width)
+        init(self, width, zero)
+    monkeypatch.setattr(Echelon, "__init__", spy)
     return built
 
 

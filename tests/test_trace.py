@@ -12,9 +12,11 @@ from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain
 from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
-from btkit.linalg import merge_classes
-from btkit.quotient import ideal_generator_element, right_products
-from oracles import commutator_rows, generic_trace_space_dim, in_prime_field
+from btkit.algebra import ideal_generator_element
+from btkit.linalg import Echelon, merge_classes
+from btkit.trace import right_products
+from oracles import (commutator_rows, generic_trace_space_dim, in_prime_field,
+                     sparse, vector)
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
 
@@ -187,11 +189,11 @@ def test_evaluate_requires_existence():
         bad.evaluate(alg.one(2))
 
 
-def _all_pair_rows(index, ech):
+def _all_pair_rows(index):
     """Oracle: the rows ab - ba of every pair of basis elements, from the
     engine's general products."""
     basis = [index.basis_elem(k) for k in range(len(index))]
-    return [ech.from_coeffs(index.vector(a * b - b * a))
+    return [sparse(vector(index, a * b - b * a))
             for k, a in enumerate(basis) for b in basis[k + 1:]]
 
 
@@ -202,9 +204,10 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
     # [ab, c] = [a, bc] + [b, ca], so the commutators with the generators
     # span the same symmetry rows as all basis pairs
     index = alg.BasisIndex(3, dom)
-    comm, pairs = dom.echelon(len(index)), dom.echelon(len(index))
-    comm_rows = commutator_rows(index, comm)
-    pair_rows = _all_pair_rows(index, pairs)
+    comm = Echelon(len(index), dom.zero)
+    pairs = Echelon(len(index), dom.zero)
+    comm_rows = commutator_rows(index)
+    pair_rows = _all_pair_rows(index)
     assert len(comm_rows) == 30 * 4
     for row in comm_rows:
         comm.insert(row)
@@ -234,15 +237,15 @@ def test_commutator_classes_match_dense_oracle(n, dom):
         width, tr._commutators(*right_products(index)), dom.one)
     live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
     assert (len(live), len(rest)) == CLASS_COUNTS[n]
-    folded = dom.echelon(len(live))
+    folded = Echelon(len(live), dom.zero)
     for row in rest:
         vec = [dom.zero] * len(live)
         for d, c in row.items():
             if root[d] is not None:
                 vec[live[root[d]]] = vec[live[root[d]]] + c * factor[d]
-        folded.insert(folded.from_coeffs(vec))
-    dense = dom.echelon(width)
-    dense.insert_block(commutator_rows(index, dense))
+        folded.insert(sparse(vec))
+    dense = Echelon(width, dom.zero)
+    dense.insert_block(commutator_rows(index))
     assert width - len(live) + folded.rank == dense.rank
     assert len(live) - folded.rank == width - dense.rank \
         == generic_trace_space_dim(n) == {3: 8, 4: 22}[n]
