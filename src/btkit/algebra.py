@@ -13,8 +13,9 @@ step is a single basis term, a descent step branches into three terms.
 Left multiplication is its mirror: every relation below reads the same
 backwards ((3) by (7), (9) with i and j swapped), so reversing products is
 an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
-E_{w^-1 I} T_{w^-1}.  Thus g x = mirror(mirror(x) g), which is how
-:func:`btkit.trace.right_products` gives the commutators x g - g x.
+E_{w^-1 I} T_{w^-1} (:func:`mirror_pair`).  Thus g x = mirror(mirror(x) g),
+which is how :func:`btkit.trace.right_products` gives the commutators
+x g - g x, and how :mod:`btkit.blocks` closes an ideal on the left.
 
 The defining relations (1)-(9) are the table RELATIONS below: each is
 stated once, with its index condition, and both the engine
@@ -199,6 +200,12 @@ def basis_element(I, w, dom=SYMBOLIC):
     if I.n != w.n:
         raise ValueError("partition and permutation sizes differ")
     return AlgebraElement(I.n, {(I, w): dom.one}, dom)
+
+
+def mirror_pair(I, w):
+    """The basis pair (w^-1 I, w^-1) of the mirror T_{w^-1} E_I of E_I T_w."""
+    v = w.inverse()
+    return I.apply(v), v
 
 
 def T(i, n, dom=SYMBOLIC):

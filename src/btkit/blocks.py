@@ -45,7 +45,13 @@ A_mu T_{c_K^-1} eps_K and eps_L E_n eps_I = eps_L T_{c_L} A_mu,
     J_mu = eps_I <g> eps_I = sum_{K,L} A_mu Phi(g)_{K,L} A_mu,
 
 so the pieces of Phi(g) are the seeds, and J_mu is their closure under the
-generators of A_mu on both sides, in an echelon of width |W|.  Then
+generators of A_mu on both sides.  The mirror of :mod:`btkit.algebra`
+fixes eps_I and sends eps_I T_v to eps_I T_{v^-1}, a permutation of the
+columns of A_mu.  It fixes the generators, all involutions, so s x =
+mirror(mirror(x) s), and a right ideal it maps onto itself is two-sided.
+If it fixes g, it sends the seed at (K, L) to the seed at (L, K), so J_mu
+is the closure of the seeds under the right generators and the mirror, in
+an echelon of width |W|.  Then
 dim <g> = sum_mu k_mu^2 dim J_mu, x lies in <g> exactly when every piece
 of Phi(x) lies in J_mu, and the pieces reduced against the J_mu are a
 canonical form of x modulo <g>.  Phi(1) reduces to itself unless some
@@ -58,7 +64,7 @@ they generate A_mu is checked when a block is built: closing the unit
 under them reaches rank |W|.
 """
 
-from .algebra import basis_element
+from .algebra import basis_element, mirror_pair
 from .linalg import Echelon
 from .partitions import SetPartition, enumerate_partitions, intern_partition
 from .permutations import Permutation, enumerate_permutations
@@ -120,10 +126,10 @@ def close(ech, tables):
 
 class Shape:
     """One block: I, its stabilizer W (the columns, identity last), the
-    partitions K of the shape with their transporters, and the generators
-    of A_mu as tables on both sides: right[s][j] is the row of the j-th
-    basis element times the s-th generator, left[s][j] that of the
-    generator times it."""
+    partitions K of the shape with their transporters, the generators of
+    A_mu as tables on the right, right[s][j] the row of the j-th basis
+    element times the s-th generator, and mirror[j], the row of the
+    mirror of the j-th: s x = mirror(mirror(x) s) (module docstring)."""
 
     def __init__(self, mu, n, dom, perms, parts):
         labels = [b for b, size in enumerate(mu) for _ in range(size)]
@@ -137,17 +143,12 @@ class Shape:
         self.parts = sorted(self.transporter, key=lambda K: K.rgs)
         gens = [Permutation.transposition(i, n) for i in range(1, n)
                 if labels[i - 1] == labels[i]]
-        start = [labels.index(b) for b in range(len(mu))]
-        for b in range(len(mu) - 1):
-            if mu[b] == mu[b + 1]:
-                img = list(range(1, n + 1))
-                lo, k = start[b], mu[b]
-                img[lo:lo + 2 * k] = img[lo + k:lo + 2 * k] + img[lo:lo + k]
-                gens.append(Permutation(img))
+        gens += [Permutation([p + 1 + k * ((b == c) - (b + 1 == c))
+                              for p, c in enumerate(labels)])
+                 for b, k in enumerate(mu[:-1]) if k == mu[b + 1]]
         self.right = [[self.proj(_braid(n, dom, v, s)) for v in self.W]
                       for s in gens]
-        self.left = [[self.proj(_braid(n, dom, s, v)) for v in self.W]
-                     for s in gens]
+        self.mirror = [{self.col[v.inverse()]: dom.one} for v in self.W]
         unit = Echelon(len(self.W), dom.zero)
         unit.insert({len(self.W) - 1: dom.one})
         close(unit, self.right)
@@ -221,12 +222,15 @@ class Blocks:
 
     def ideal(self, g):
         """The two-sided ideal of g: each J_mu seeded with the pieces of
-        Phi(g) of its shape and closed on both sides."""
+        Phi(g) of its shape and closed under the right tables and the
+        mirror, which is two-sided only if the mirror fixes g."""
+        if {mirror_pair(*key): c for key, c in g.terms.items()} != g.terms:
+            raise ValueError("the mirror does not fix the ideal's generator")
         echs = [Echelon(len(shape.W), self.dom.zero) for shape in self.shapes]
         for off, piece in self.pieces(self.form(g)).items():
             echs[self.shape_at[off]].insert(piece)
         for shape, ech in zip(self.shapes, echs):
-            close(ech, shape.right + shape.left)
+            close(ech, shape.right + [shape.mirror])
         return Ideal(self, echs)
 
     def pieces(self, row):
@@ -244,8 +248,7 @@ class Ideal:
     |W| per shape, in the order of ``blocks.shapes``."""
 
     def __init__(self, blocks, echs):
-        self.blocks = blocks
-        self.echs = echs
+        self.blocks, self.echs = blocks, echs
 
     @property
     def dim(self):
@@ -269,10 +272,10 @@ class Ideal:
         return not self.reduce(self.blocks.form(x))
 
     def closed(self):
-        """Whether every row of every J_mu, times every generator of A_mu
-        on either side, lies in J_mu: then each J_mu is a two-sided ideal
-        of A_mu, and the ideal is two-sided."""
+        """Whether every row of every J_mu, times every right generator of
+        A_mu and under the mirror, lies in J_mu: then each J_mu is a
+        two-sided ideal of A_mu (module docstring), and so is the ideal."""
         return all(ech.spans(_apply(table, row)
-                             for table in shape.right + shape.left)
+                             for table in shape.right + [shape.mirror])
                    for shape, ech in zip(self.blocks.shapes, self.echs)
                    for row in ech.rows)

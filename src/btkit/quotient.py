@@ -33,8 +33,8 @@ def build_ideal(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
 
 
 def verify_ideal_closure(ib):
-    """Whether each block of the ideal is closed under the generators of
-    its algebra A_mu on both sides: then the ideal is two-sided."""
+    """Whether each block of the ideal is closed under the right generators
+    of its algebra A_mu and the mirror: then the ideal is two-sided."""
     return ib.closed()
 
 

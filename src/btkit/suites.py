@@ -97,26 +97,16 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
         block = {"n": n, "conjectured_dim": conjectured,
                  "specialization_points": [label for label, _ in combos],
                  "presentation_checks": []}
-        dims, udims, spans = [], [], []
+        found = []   # (ideal dim, bare ideal dim, spanning rank) per combo
         for ci, (label, dom) in enumerate(combos):
-            # the tied ideal's own checks run before the bare-Steinberg
-            # ideal (8 times its size at n = 5) is built, so that the two
-            # live together only for the checks that need both
             ib = quotient.build_ideal(n, dom)
-            closed = quotient.verify_ideal_closure(ib)
-            dims.append(ib.dim)
-            span = quotient.spanning_check(ib)
-            spans.append(span["spanning_rank"])
-            if ci == 0:
-                sane = _reduction_sanity(ib, seed)
-                if n >= 4:
-                    alt_pair = _alt_pair_equality(ib)
-                flip = _flip_generator_contained(ib)
             ib_untied = quotient.build_ideal(n, dom, tied=False)
-            checks.append(_entry("ideal-closure", [n, label], closed))
+            span = quotient.spanning_check(ib)
+            found.append((ib.dim, ib_untied.dim, span["spanning_rank"]))
+            checks.append(_entry("ideal-closure", [n, label],
+                                 quotient.verify_ideal_closure(ib)))
             checks.append(_entry("steinberg-ideal-closure", [n, label],
                                  quotient.verify_ideal_closure(ib_untied)))
-            udims.append(ib_untied.dim)
             if ci == 0:
                 span_untied = quotient.spanning_check(ib_untied)
                 block.update(ideal_dim=ib.dim, quotient_dim=ib.quotient_dim,
@@ -124,7 +114,8 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
                              steinberg_ideal_dim=ib_untied.dim,
                              steinberg_quotient_dim=ib_untied.quotient_dim,
                              steinberg_spanning_rank=span_untied["spanning_rank"])
-                checks.append(_entry("reduction-sanity", [n, label], sane))
+                checks.append(_entry("reduction-sanity", [n, label],
+                                     _reduction_sanity(ib, seed)))
                 checks.append(_entry(
                     "spanning-rank-equals-quotient-dim", [n, label],
                     span["spanning_rank"] == ib.quotient_dim,
@@ -141,9 +132,8 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
                     span["nonzero_candidates"] == span["candidates"]))
                 for c in quotient.verify_presentations(ib, ib_untied):
                     block["presentation_checks"].append(c)
-                    ok = (c["holds_in_algebra"]
-                          == (not c["id"].endswith("sandwich")))
-                    ok = ok and c["holds_mod_ideal"]
+                    ok = (c["holds_in_algebra"] != c["id"].endswith("sandwich")
+                          and c["holds_mod_ideal"])
                     checks.append(_entry(
                         c["id"], [n] + c["instance"], ok,
                         holds_in_algebra=c["holds_in_algebra"],
@@ -153,15 +143,14 @@ def quotient_suite(ns, points=DEFAULT_POINTS, seed=0):
                 if n >= 4:
                     checks.append(_entry(
                         "ideal-independent-of-generator-pair", [n, label],
-                        alt_pair))
+                        _alt_pair_equality(ib)))
                 checks.append(_entry(
-                    "tied-generator-two-sided-flip", [n, label], flip))
-            # release this combination's ideals before the next is built
-            del ib, ib_untied
+                    "tied-generator-two-sided-flip", [n, label],
+                    _flip_generator_contained(ib)))
         if len(combos) > 1:
+            dims, udims, spans = map(list, zip(*found))
             checks.append(_entry("quotient-dim-agreement", [n],
-                                 len(set(dims)) == 1 and len(set(udims)) == 1
-                                 and len(set(spans)) == 1,
+                                 len(set(found)) == 1,
                                  dims=dims, steinberg_dims=udims, spans=spans))
         checks.append(_info(
             "quotient-dim-vs-conjecture", [n],

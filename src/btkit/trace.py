@@ -28,7 +28,8 @@ row is added.
 """
 
 from . import scalars
-from .algebra import AlgebraElement, BasisIndex, ideal_generator_element
+from .algebra import (AlgebraElement, BasisIndex, ideal_generator_element,
+                      mirror_pair)
 from .domains import SYMBOLIC
 from .linalg import LinearSystem, merge_classes
 from .partitions import SetPartition, intern_partition
@@ -85,8 +86,8 @@ def right_products(index):
     """(rows, mirror): rows[g, i][k] is the sparse row {position:
     coefficient} of the engine's product x_k g_i of basis element k by
     g_i = T_i, E_i (coefficients 1, u, u - 1 for T_i, 1 for E_i), and the
-    involution mirror[k] is the position of (w^-1 I, w^-1) for (I, w) at k:
-    g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`)."""
+    involution mirror[k] is the position of the mirror_pair of the pair at
+    k: g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`)."""
     basis = [index.basis_elem(k) for k in range(len(index))]
     rows = {(g, i): [{index.index[pair]: c
                       for pair, c in product(x, i).terms.items()}
@@ -94,8 +95,7 @@ def right_products(index):
             for g, product in (("T", AlgebraElement.right_mul_T),
                                ("E", AlgebraElement.right_mul_E))
             for i in range(1, index.n)}
-    mirror = [index.index[I.apply(w.inverse()), w.inverse()]
-              for I, w in index.pairs]
+    mirror = [index.index[mirror_pair(I, w)] for I, w in index.pairs]
     return rows, mirror
 
 

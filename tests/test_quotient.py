@@ -226,51 +226,6 @@ def test_n4_specialized_dimensions_agree():
     assert untied_rank == 98     # candidates span the untied quotient
 
 
-def test_tied_ideal_calls_come_before_the_bare_steinberg_build(monkeypatch):
-    # at n = 5 the bare-Steinberg ideal is 8 times the tied one, so each
-    # combination of the suite builds it only after every ideal build and
-    # spanning check on the tied side
-    from btkit import suites
-    build, span = qt.build_ideal, qt.spanning_check
-    calls, untied = [], []
-
-    def record_build(n, dom=SYMBOLIC, *args, **kwargs):
-        ib = build(n, dom, *args, **kwargs)
-        tied = kwargs.get("tied", True)
-        if not tied:
-            untied.append(ib)
-        calls.append((dom, "build", tied))
-        return ib
-
-    def record_span(*args):
-        ib = next(a for a in args if isinstance(a, Ideal))
-        tied = not any(ib is u for u in untied)
-        calls.append((ib.blocks.dom, "span", tied))
-        return span(*args)
-
-    monkeypatch.setattr(qt, "build_ideal", record_build)
-    monkeypatch.setattr(qt, "spanning_check", record_span)
-    report = suites.quotient_suite([4])
-    doms = []
-    for dom, _, _ in calls:
-        if not any(dom is d for d in doms):
-            doms.append(dom)
-    per_combo = [[(call, tied) for d, call, tied in calls if d is dom]
-                 for dom in doms]
-    for seq in per_combo:
-        cut = seq.index(("build", False))
-        assert all(not tied for _, tied in seq[cut:]), seq
-    # the first combination also builds the (2, 3) ideal
-    assert per_combo == [
-        [("build", True), ("span", True), ("build", True),
-         ("build", False), ("span", False)],
-        [("build", True), ("span", True), ("build", False)]]
-    agreement = [c for c in report["checks"]
-                 if c["id"] == "quotient-dim-agreement"]
-    assert [(c["status"], c["dims"], c["spans"]) for c in agreement] == [
-        ("pass", [26, 26], [210, 210])]
-
-
 def test_n4_ideal_independent_of_generator_pair():
     ib12 = build_ideal(4, P0)
     ib23 = build_ideal(4, P0, pair=(2, 3))
@@ -292,14 +247,14 @@ def test_closure_check_sees_a_missing_last_row(monkeypatch):
         echs = ib.echs[:at] + [short] + ib.echs[at + 1:]
         assert not verify_ideal_closure(Ideal(ib.blocks, echs)), at
     # the check multiplies every row of every J_mu, the last included, by
-    # every generator of A_mu on either side
+    # every generator of A_mu on the right, and takes its mirror
     seen = []
     apply = blocks._apply
     monkeypatch.setattr(blocks, "_apply", lambda table, row: (
         seen.append((id(table), id(row))) or apply(table, row)))
     assert verify_ideal_closure(ib)
     assert len(seen) == len(set(seen)) == sum(
-        ech.rank * len(shape.right + shape.left)
+        ech.rank * (len(shape.right) + 1)
         for shape, ech in zip(ib.blocks.shapes, ib.echs))
 
 
@@ -329,6 +284,39 @@ def test_closure_check_refuses_a_right_ideal():
         close(closed, shape.right)
         assert closed.rank == ech.rank
     assert not verify_ideal_closure(Ideal(bl, echs))
+    assert verify_ideal_closure(bl.ideal(alg.F(1, 3)))
+
+
+@pytest.mark.parametrize("n, dom", [(3, SYMBOLIC), (4, P0)],
+                         ids=["n3-symbolic", "n4-prime"])
+def test_mirror_of_the_right_tables_is_the_left_product(n, dom):
+    # the mirror table is the oracle's mirror of each basis element, and
+    # the left tables the closure does without hold: for every generator s
+    # of every A_mu, proj(T_s T_v) from the engine is the mirror of the row
+    # of right[s] at the mirror of v
+    bl = blocks.structure(n, dom)
+    unit = SetPartition.unit(n)
+    for shape in bl.shapes:
+        basis = [alg.basis_element(unit, v, dom) for v in shape.W]
+        assert shape.mirror == [shape.proj(mirror(x)) for x in basis]
+        for table in shape.right:
+            # the generator s is the unit times s, the last row
+            (j, c), = table[-1].items()
+            assert c == dom.one
+            left = [shape.proj(basis[j] * x) for x in basis]
+            assert left == [blocks._apply(shape.mirror, table[k])
+                            for (k,) in shape.mirror]
+
+
+def test_ideal_refuses_a_generator_the_mirror_moves():
+    # the closure under the right tables and the mirror is the two-sided
+    # ideal only when the mirror fixes the generator
+    bl = blocks.structure(3, SYMBOLIC)
+    g = alg.E(1, 3) * alg.T(2, 3)
+    assert mirror(g) != g
+    with pytest.raises(ValueError, match="mirror"):
+        bl.ideal(g)
+    assert mirror(alg.F(1, 3)) == alg.F(1, 3)
     assert verify_ideal_closure(bl.ideal(alg.F(1, 3)))
 
 
