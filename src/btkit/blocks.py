@@ -149,7 +149,7 @@ class Shape:
         self.right = [[self.proj(_braid(n, dom, v, s)) for v in self.W]
                       for s in gens]
         self.mirror = [{self.col[v.inverse()]: dom.one} for v in self.W]
-        unit = Echelon(len(self.W), dom.zero)
+        unit = Echelon(dom.zero)
         unit.insert({len(self.W) - 1: dom.one})
         close(unit, self.right)
         if unit.rank != len(self.W):
@@ -172,7 +172,9 @@ class Blocks:
     and the layout of the block coordinates.  The piece (K, L) of a shape
     takes |W| consecutive columns, from ``offset[K, L]``; ``start[c]`` is
     the first column of the piece of column c, and ``shape_at`` maps it
-    to the shape's position."""
+    to the shape's position.  Row block b, the pieces (K, L) of Phi(x) for
+    K = ``row_parts[b]`` and so Phi(eps_K x), is the k_mu |W| = n!
+    consecutive columns from b n!."""
 
     def __init__(self, n, dom):
         self.n, self.dom = n, dom
@@ -189,6 +191,7 @@ class Blocks:
                     self.shape_at[len(self.start)] = at
                     self.start += [len(self.start)] * len(shape.W)
         self.dim = len(self.start)
+        self.row_parts = [K for shape in self.shapes for K in shape.parts]
         self._shape_of = {K: s for s in self.shapes for K in s.parts}
         self._images = {}
 
@@ -226,7 +229,7 @@ class Blocks:
         mirror, which is two-sided only if the mirror fixes g."""
         if {mirror_pair(*key): c for key, c in g.terms.items()} != g.terms:
             raise ValueError("the mirror does not fix the ideal's generator")
-        echs = [Echelon(len(shape.W), self.dom.zero) for shape in self.shapes]
+        echs = [Echelon(self.dom.zero) for _ in self.shapes]
         for off, piece in self.pieces(self.form(g)).items():
             echs[self.shape_at[off]].insert(piece)
         for shape, ech in zip(self.shapes, echs):
@@ -240,6 +243,13 @@ class Blocks:
         for k, c in row.items():
             off = self.start[k]
             out.setdefault(off, {})[k - off] = c
+        return out
+
+    def row_blocks(self, row):
+        """A row of block coordinates cut into its row blocks {K: row}."""
+        out, width = {}, self.dim // len(self.row_parts)
+        for k, c in row.items():
+            out.setdefault(self.row_parts[k // width], {})[k % width] = c
         return out
 
 

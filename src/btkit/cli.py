@@ -96,12 +96,13 @@ def _n_values(args):
 
 
 def _points(args):
-    """The sqrt(u) points of a run.  How many a suite takes depends on its
-    n range, and the suites check that themselves (PointError)."""
+    """The sqrt(u) points of a run, each refused in every suite where the
+    engine constants have a pole (PointError); how many, each suite checks."""
     if args.points is None:
         from .suites import DEFAULT_POINTS
         return list(DEFAULT_POINTS)
-    return _parse_points(args.points)
+    from .domains import RationalDomain
+    return [RationalDomain(pt).s for pt in _parse_points(args.points)]
 
 
 def run_suite(args):

@@ -54,8 +54,6 @@ class RationalDomain:
         self.u = self.s * self.s
         self.sqrt_u = self.s
         self.u_minus_1 = self.u - 1
-        if self.u == -1:
-            raise PointError("1 + u must not vanish")
 
     @staticmethod
     def of_int(k):

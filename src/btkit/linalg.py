@@ -5,9 +5,9 @@ computations.
 every domain (Scalar, Fraction or IntMod), on sparse rows {column: nonzero
 coefficient}: every pivot column is zero in all other rows, so reducing a
 row against the span is a single pass and yields the unique representative
-with zero coordinates at the pivots.  It serves the quotient's ideal
-blocks, at most 120 columns wide at n = 5, and the spanning check, in
-every domain.
+with zero coordinates at the pivots.  It serves, in every domain, the
+quotient's ideal blocks, at most 120 wide at n = 5, and the spanning
+check's row blocks, n! wide: no quotient echelon is wider than n!.
 
 The affine system :class:`LinearSystem` is an :class:`Echelon` whose last
 columns hold the right-hand sides.  The trace solver feeds one system per
@@ -21,8 +21,7 @@ class Echelon:
     nonzero coefficient}, each pivot 1 at its row's first nonzero column,
     the rows in the order inserted (the ideal closure walks them)."""
 
-    def __init__(self, width, zero=0):
-        self.width = width
+    def __init__(self, zero=0):
         self.zero = zero
         self.rows = []
         self.pivots = []          # pivot column of each row
@@ -132,7 +131,7 @@ class LinearSystem(Echelon):
     reduce = Echelon.reduce   # own entry: perfbench/tracer.py wraps it here
 
     def __init__(self, dom, width, k):
-        super().__init__(width + k, dom.zero)
+        super().__init__(dom.zero)
         self.rhs = range(width, width + k)
 
     @property

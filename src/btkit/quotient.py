@@ -5,9 +5,9 @@ multiplied by the adjacent ties).
 Every ideal is built block by block (:mod:`btkit.blocks`): E_n is the sum
 of the matrix algebras Mat_{k_mu}(A_mu) over the shapes mu of n, and the
 ideal is the sum of the Mat_{k_mu}(J_mu), each J_mu closed in an echelon
-of width |W_mu|, at most 120 at n = 5.  Closure is verified, which
-certifies each J_mu is a two-sided ideal of A_mu.  Cosets are represented
-by block coordinates with every piece reduced against its J_mu.
+of width |W_mu|.  Closure is verified, so each J_mu is a two-sided ideal
+of A_mu.  Cosets are block coordinates, each piece reduced against its
+J_mu.  The spanning check ranks by row blocks: no echelon is wider than n!.
 """
 
 from math import comb
@@ -16,7 +16,6 @@ from . import algebra, blocks
 from .algebra import E, F, L, ideal_generator_element, one
 from .domains import SYMBOLIC
 from .linalg import Echelon
-from .partitions import enumerate_partitions
 
 
 def catalan_number(n):
@@ -186,27 +185,28 @@ def spanning_check(ib):
     evidence.  At n = 3 they span the bare-Steinberg quotient but not the
     defining one, where they stay independent (rank 25 < 29).
 
-    Each F_w is built by engine right products, from its prefix's value,
-    and reduced once.  eps_K E_I = eps_K if I is finer than K and 0
-    otherwise, so E_I F_w has the reduced pieces (K, L) of F_w with K
-    coarser than I, and no other."""
+    The rank is a sum over row blocks.  With K >= I for K coarser than I,
+    E_I = sum_{K >= I} eps_K (:mod:`btkit.blocks`): for each F_w the rows
+    E_I F_w are the unitriangular zeta matrix of the lattice times the
+    rows eps_K F_w, so both families span one space.  Modulo the ideal,
+    eps_K F_w is row block K of the reduced form of F_w, its pieces (K, L):
+    n! consecutive columns, shared with no other row block.  So the rank is
+    the sum over K of rank{row block K of F_w : w}, and E_I F_w is nonzero
+    exactly when some K >= I has a nonzero row block.  F_w is built by
+    engine right products, each from its prefix's value, and reduced once."""
     bl = ib.blocks
     n, dom = bl.n, bl.dom
     cu = dom.one / (dom.u + dom.one)
-    forms = [ib.reduce(bl.form(x)) for x in enumerate_F_reduced(
+    cuts = [bl.row_blocks(ib.reduce(bl.form(x))) for x in enumerate_F_reduced(
         n, one(n, dom), lambda x, i: (x + x.right_mul_T(i)).scale(cu))]
-    ech = Echelon(bl.dim, dom.zero)
-    parts = enumerate_partitions(n)
-    nonzero = 0
-    for I in parts:
-        coarser = set(bl.coarser[I])
-        keep = {off for (K, _), off in bl.offset.items() if K in coarser}
-        for form in forms:
-            row = {k: c for k, c in form.items() if bl.start[k] in keep}
-            nonzero += bool(row)
-            ech.insert(row)
+    parts = bl.row_parts
+    echs = {K: Echelon(dom.zero) for K in parts}
+    for cut in cuts:
+        for K, row in cut.items():
+            echs[K].insert(row)
     return {
-        "candidates": len(parts) * len(forms),
-        "nonzero_candidates": nonzero,
-        "spanning_rank": ech.rank,
+        "candidates": len(parts) * len(cuts),
+        "nonzero_candidates": sum(any(K in cut for K in bl.coarser[I])
+                                  for I in parts for cut in cuts),
+        "spanning_rank": sum(ech.rank for ech in echs.values()),
     }

@@ -2,19 +2,21 @@
 permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
 specialized into a prime field, dense and sparse coefficient rows, the
-mirror anti-involution of the basis, the full-width ideal closure and the
-tie idempotents the quotient's blocks are checked against, the dense
+mirror anti-involution of the basis, the full-width ideal closure, the
+tie idempotents and the candidate basis by engine products the quotient's
+blocks are checked against, the dense
 oracles of the trace's commutator classes, and the dense-list RREF the
 sparse echelons are checked against."""
 
 import random
 from math import factorial, prod
 
-from btkit.algebra import AlgebraElement, BasisIndex, E, T
+from btkit.algebra import AlgebraElement, BasisIndex, E, F, T, basis_element
 from btkit.domains import IntMod
 from btkit.linalg import Echelon
 from btkit.partitions import enumerate_partitions
 from btkit.permutations import Permutation
+from btkit.quotient import enumerate_F_reduced
 from btkit.trace import right_products
 
 
@@ -98,7 +100,7 @@ def ideal_by_closure(n, dom, g):
     when the mirror fixes g, as g x = mirror(mirror(x) g)."""
     index = BasisIndex(n, dom)
     rows, mirrored = right_products(index)
-    ech = Echelon(len(index), dom.zero)
+    ech = Echelon(dom.zero)
     ech.insert({index.index[key]: c for key, c in g.terms.items()})
     done = 0
     while done < ech.rank:
@@ -127,6 +129,26 @@ def tie_idempotent(I, dom):
             terms[J, e] = dom.of_int(prod((-1) ** (b - 1) * factorial(b - 1)
                                           for b in merged))
     return AlgebraElement(I.n, terms, dom)
+
+
+def spanning_by_products(ib):
+    """The three numbers of :func:`btkit.quotient.spanning_check` from the
+    candidates themselves: each E_I F_w an engine product, its form
+    reduced modulo the ideal ``ib`` and inserted into one echelon of width
+    dim E_n."""
+    n, dom = ib.blocks.n, ib.blocks.dom
+    e, ech, nonzero = Permutation.identity(n), Echelon(dom.zero), 0
+    candidates = [(I, w) for I in enumerate_partitions(n)
+                  for w in enumerate_F_reduced(n)]
+    for I, w in candidates:
+        x = basis_element(I, e, dom)
+        for i in w:
+            x = x * F(i, n, dom)
+        row = ib.reduce(ib.blocks.form(x))
+        nonzero += bool(row)
+        ech.insert(row)
+    return {"candidates": len(candidates), "nonzero_candidates": nonzero,
+            "spanning_rank": ech.rank}
 
 
 def in_prime_field(scalar, dom):

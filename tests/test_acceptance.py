@@ -81,7 +81,7 @@ def test_criterion_3a_steinberg_image_display():
 def _rank(vectors):
     """Rank of sparse tensor-space vectors over Q(sqrt(u))."""
     keys = sorted({k for v in vectors for k in v})
-    ech = Echelon(width=len(keys))
+    ech = Echelon()
     for v in vectors:
         ech.insert({j: v[k] for j, k in enumerate(keys) if v.get(k)})
     return ech.rank

@@ -148,6 +148,10 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     # bad specialization points: one `error:` line, no traceback
     assert_one_error_line(["quotient", "--n", "4", "--points", "0,1"])
     assert_one_error_line(["rank", "--n", "2", "--points", "1/0"])
+    # s = 0, a pole of the engine constants, is refused by every suite
+    assert_one_error_line(["trace", "--n", "2", "--points", "0"])
+    assert_one_error_line(["quotient", "--n", "3", "--points", "0"])
+    assert_one_error_line(["relations", "--n", "2", "--points", "0"])
     # an n range with no n at the suite's floor (quotient needs n >= 3)
     assert_one_error_line(["quotient", "--n", "2"])
     assert_one_error_line(["quotient", "--n", "1", "--n-max", "2"])

@@ -24,7 +24,7 @@ def _residues(p, *rows):
 
 
 def test_echelon_rank_and_reduce():
-    ech = Echelon(width=4)
+    ech = Echelon()
     a, b, c, d = _fractions([1, 2, 0, 0], [0, 1, 1, 0], [1, 3, 1, 0],
                             [2, 4, 0, 1])
     assert ech.insert(a)
@@ -38,7 +38,7 @@ def test_echelon_rank_and_reduce():
 
 def test_echelon_gives_unique_representatives():
     rng = random.Random(1)
-    ech = Echelon(width=6)
+    ech = Echelon()
     rows = _fractions(*([rng.randint(-3, 3) for _ in range(6)]
                         for _ in range(4)))
     for r in rows:
@@ -58,8 +58,8 @@ def test_modp_matches_exact():
     rng = random.Random(2)
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(7)]
-        exact = Echelon(width=5)
-        modp = Echelon(5, IntMod(0, BIG))
+        exact = Echelon()
+        modp = Echelon(IntMod(0, BIG))
         for r in rows:
             exact.insert(*_fractions(r))
             modp.insert(*_residues(BIG, r))
@@ -200,7 +200,7 @@ def test_sparse_system_matches_dense_echelon(dom, trials):
         rows = _random_rows(dom, rng, width, k, trial % 2 == 0,
                             trial % 3 == 0)
         oracle = DenseEchelon()
-        ech = Echelon(width + k, dom.zero)
+        ech = Echelon(dom.zero)
 
         def as_dense(rows):
             return [dense(row, width + k, dom.zero) for row in rows]
@@ -263,7 +263,7 @@ def test_nonzero_rows_counts_rows_not_entries():
     # check counts the nonzero reduced rows by their truth value
     for dom in (SYMBOLIC, RationalDomain(Fraction(5, 7)),
                 PrimeDomain(Fraction(5, 7), PRIMES[0])):
-        ech = Echelon(3, dom.zero)
+        ech = Echelon(dom.zero)
         rows = [{0: dom.one}, {0: dom.zero}, {1: dom.u}, {2: dom.zero}]
         assert list(map(bool, ech.reduce_batch(rows))) == [
             True, False, True, False]
@@ -275,7 +275,7 @@ def test_nonzero_rows_counts_rows_not_entries():
 def test_modp_batch_reduce_matches_row_reduce():
     rng = random.Random(5)
     p = PRIMES[0]
-    ech = Echelon(6, IntMod(0, p))
+    ech = Echelon(IntMod(0, p))
     for _ in range(4):
         ech.insert(*_residues(p, [rng.randint(0, 50) for _ in range(6)]))
     rows = _residues(p, *([rng.randint(0, 50) for _ in range(6)]
@@ -299,11 +299,11 @@ def test_modp_basis_products_exact_at_360(p):
     (old,) = _residues(p, [1] + [h] * (r - 1) + [h - 1, 0])
     assert (r * h - 1) * (p - 2) % 2 == 1 and (r * h - 1) * (p - 2) > 2 ** 53
     want = {0: IntMod(1, p), r + 1: IntMod(-(r * h - 1) * (p - 2), p)}
-    ech = Echelon(r + 2, IntMod(0, p))
+    ech = Echelon(IntMod(0, p))
     ech.insert(old)
     assert ech.insert_block(block) == r
     assert ech.rows[0] == want
-    fresh = Echelon(r + 2, IntMod(0, p))
+    fresh = Echelon(IntMod(0, p))
     fresh.insert_block(block)
     assert fresh.reduce_batch([old]) == [want]
 
@@ -315,7 +315,7 @@ def test_modp_reduce_batch_takes_raw_rows_mod_p():
     # offered as they were
     p = PRIMES[0]
     rng = random.Random(7)
-    ech = Echelon(8, IntMod(0, p))
+    ech = Echelon(IntMod(0, p))
     for _ in range(3):
         ints = [[rng.randrange(p) for _ in range(8)] for _ in range(2)]
         negative, large = [list(r) for r in ints], [list(r) for r in ints]
@@ -361,12 +361,12 @@ def test_block_insert_matches_row_inserts(p):
     rows, zero = _residues(p, *ints), IntMod(0, p)
     oracle = DenseEchelon()
     oracle.insert_block([dense(row, width, zero) for row in rows])
-    one = Echelon(width, zero)
+    one = Echelon(zero)
     grown = sum(one.insert(row) for row in rows)
-    chunked = Echelon(width, zero)
+    chunked = Echelon(zero)
     growth = [chunked.insert_block(rows[lo:lo + 64])
               for lo in range(0, len(rows), 64)]
-    whole = Echelon(width, zero)
+    whole = Echelon(zero)
     assert whole.insert_block(rows) == sum(growth) == grown == dim
     want = [row for _, row in sorted(zip(oracle.pivots, oracle.rows))]
     for ech in (one, chunked, whole):
@@ -383,19 +383,19 @@ def test_exact_batch_methods_are_loops_over_rows():
     from btkit.trace import right_products
     index = BasisIndex(3)
     tables, _ = right_products(index)
-    span = Echelon(len(index))
+    span = Echelon()
     span.insert_block(tables["E", 1])
     assert 0 < span.rank < len(index)
     for images in tables.values():
         assert (span.reduce_batch(images)
                 == [span.reduce(row) for row in images])
-        one, block = Echelon(len(index)), Echelon(len(index))
+        one, block = Echelon(), Echelon()
         grown = sum(one.insert(row) for row in images)
         assert block.insert_block(images) == grown == block.rank
         assert (block.rows, block.pivots) == (one.rows, one.pivots)
     # a block that reaches full rank midway: the rows after it reduce to
     # zero, in a block as one at a time
-    one, block = Echelon(3), Echelon(3)
+    one, block = Echelon(), Echelon()
     rows = _fractions((0, 2, 1), (1, 1, 0), (0, 0, 0), (3, 1, 1),
                       (1, 0, 1), (2, 2, 2))
     grown = sum(one.insert(row) for row in rows)

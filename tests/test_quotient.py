@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from btkit import algebra as alg
-from btkit import blocks, cli
+from btkit import blocks, cli, suites
 from btkit import quotient as qt
 from btkit.algebra import ideal_generator_element
 from btkit.blocks import Ideal, close
@@ -18,7 +18,7 @@ from btkit.quotient import (build_ideal, catalan_number, enumerate_F_reduced,
                             verify_presentations)
 from btkit.trace import right_products
 from oracles import (dense, element, ideal_by_closure, mirror, sparse,
-                     tie_idempotent, vector)
+                     spanning_by_products, tie_idempotent, vector)
 
 P0 = PrimeDomain(Fraction(5, 7), PRIMES[0])
 
@@ -28,7 +28,7 @@ def build_ideal_by_pairs(n, dom=SYMBOLIC, pair=(1, 2), tied=True):
     pairs (the slow oracle for :func:`build_ideal` at small n)."""
     index = alg.BasisIndex(n, dom)
     g = ideal_generator_element(n, dom, pair, tied)
-    ech = Echelon(len(index), dom.zero)
+    ech = Echelon(dom.zero)
     left = [index.basis_elem(k) * g for k in range(len(index))]
     for lg in left:
         for k in range(len(index)):
@@ -208,6 +208,34 @@ def test_spanning_n3():
     assert span_untied["spanning_rank"] == untied.quotient_dim == 19
 
 
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "bare"])
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (3, RationalDomain(1)), (4, SYMBOLIC),
+    (4, PrimeDomain(Fraction(5, 7), PRIMES[0])),
+    (4, PrimeDomain(Fraction(3, 2), PRIMES[1]))],
+    ids=["n3-symbolic", "n3-u1", "n4-symbolic", "n4-prime0", "n4-prime1"])
+def test_spanning_check_by_products(n, dom, tied):
+    # the sum of the row-block ranks is the rank of the candidates E_I F_w
+    # themselves, each an engine product reduced in the full width
+    ib = build_ideal(n, dom, tied=tied)
+    assert spanning_check(ib) == spanning_by_products(ib)
+
+
+def test_spanning_check_echelons_fit_in_a_row_block(monkeypatch):
+    # every echelon of the quotient suite, the spanning check's included,
+    # is offered columns below n! only: each row block has its own
+    widest = [0]
+    insert = Echelon.insert
+
+    def recording(self, row):
+        widest[0] = max([widest[0], *row])
+        return insert(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", recording)
+    suites.quotient_suite([4])
+    assert 0 < widest[0] < 24
+
+
 def test_n4_specialized_dimensions_agree():
     dims = []
     for pt, p in zip((Fraction(5, 7), Fraction(3, 2)), PRIMES):
@@ -242,7 +270,7 @@ def test_closure_check_sees_a_missing_last_row(monkeypatch):
     assert ib.dim == 262 and verify_ideal_closure(ib)
     assert [ech.rank for ech in ib.echs] == [10, 5, 6, 3, 10]
     for at, ech in enumerate(ib.echs):
-        short = Echelon(ech.width, P0.zero)
+        short = Echelon(P0.zero)
         assert short.insert_block(ech.rows[:-1]) == ech.rank - 1
         echs = ib.echs[:at] + [short] + ib.echs[at + 1:]
         assert not verify_ideal_closure(Ideal(ib.blocks, echs)), at
@@ -274,12 +302,12 @@ def test_closure_check_refuses_a_right_ideal():
     # table, but the blocks H_3 and C[S_3] are not commutative, and it is
     # not two-sided
     bl = blocks.structure(3, SYMBOLIC)
-    echs = [Echelon(len(shape.W), SYMBOLIC.zero) for shape in bl.shapes]
+    echs = [Echelon(SYMBOLIC.zero) for shape in bl.shapes]
     for off, piece in bl.pieces(bl.form(alg.F(1, 3))).items():
         echs[bl.shape_at[off]].insert(piece)
     for shape, ech in zip(bl.shapes, echs):
         close(ech, shape.right)
-        closed = Echelon(ech.width, SYMBOLIC.zero)
+        closed = Echelon(SYMBOLIC.zero)
         closed.insert_block(ech.rows)
         close(closed, shape.right)
         assert closed.rank == ech.rank

@@ -105,7 +105,7 @@ def _rank_rows_full(n, dom):
 
 
 def _naive_rank(n, dom):
-    ech = Echelon(len(alg.BasisIndex(n)), dom.zero)
+    ech = Echelon(dom.zero)
     for row in _rank_rows_full(n, dom):
         ech.insert(sparse(row))
     return ech.rank
@@ -461,7 +461,7 @@ def test_type_dedup_matches_naive_enumeration():
     assert naive["symbolic_rank"] == typed["symbolic_rank"]
     assert naive["ranks"] == typed["ranks"]
     dom = RationalDomain(Fraction(5, 7))
-    e1, e2 = Echelon(width=30), Echelon(width=30)
+    e1, e2 = Echelon(), Echelon()
     for rows in _dense_bundles(3, dom):
         e1.insert_block(map(sparse, rows))
     for row in _rank_rows_full(3, dom):
@@ -515,7 +515,7 @@ def test_rank_bundles_as_blocks_match_row_inserts():
     # at n = 4 in GF(p), a bundle inserted as one block or row by row
     # leaves the same rank after every bundle, up to full rank 360
     dom = PrimeDomain(Fraction(5, 7), PRIMES[0])
-    block, rows = Echelon(360, dom.zero), Echelon(360, dom.zero)
+    block, rows = Echelon(dom.zero), Echelon(dom.zero)
     for bundle in _dense_bundles(4, dom):
         mat = [sparse(row) for row in bundle]
         block.insert_block(mat)
@@ -542,7 +542,7 @@ def test_rank_reaches_full_rank_after_bell_bundles():
     for n, bell, doms in ((2, 2, _EXACT), (3, 5, _EXACT), (4, 15, _PRIMED)):
         dim = bell * math.factorial(n)
         for dom in doms:
-            ech = Echelon(dim, dom.zero)
+            ech = Echelon(dom.zero)
             bundles = itertools.islice(_dense_bundles(n, dom), bell)
             for k, rows in enumerate(bundles, start=1):
                 assert len(rows) == math.factorial(n), (n, dom, k)

@@ -204,8 +204,8 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
     # [ab, c] = [a, bc] + [b, ca], so the commutators with the generators
     # span the same symmetry rows as all basis pairs
     index = alg.BasisIndex(3, dom)
-    comm = Echelon(len(index), dom.zero)
-    pairs = Echelon(len(index), dom.zero)
+    comm = Echelon(dom.zero)
+    pairs = Echelon(dom.zero)
     comm_rows = commutator_rows(index)
     pair_rows = _all_pair_rows(index)
     assert len(comm_rows) == 30 * 4
@@ -237,14 +237,14 @@ def test_commutator_classes_match_dense_oracle(n, dom):
         width, tr._commutators(*right_products(index)), dom.one)
     live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
     assert (len(live), len(rest)) == CLASS_COUNTS[n]
-    folded = Echelon(len(live), dom.zero)
+    folded = Echelon(dom.zero)
     for row in rest:
         vec = [dom.zero] * len(live)
         for d, c in row.items():
             if root[d] is not None:
                 vec[live[root[d]]] = vec[live[root[d]]] + c * factor[d]
         folded.insert(sparse(vec))
-    dense = Echelon(width, dom.zero)
+    dense = Echelon(dom.zero)
     dense.insert_block(commutator_rows(index))
     assert width - len(live) + folded.rank == dense.rank
     assert len(live) - folded.rank == width - dense.rank \
