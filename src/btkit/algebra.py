@@ -24,7 +24,7 @@ stated once, with its index condition, and both the engine
 
 import itertools
 import re
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 from .domains import SYMBOLIC
@@ -314,9 +314,13 @@ def L(i, n, dom=SYMBOLIC):
             (one(n, dom) + E(i, n, dom).scale(delta))).scale(half)
 
 
+# the partitions and the permutations of n, enumerated once per n
+_factors = cache(lambda n: (tuple(enumerate_partitions(n)),
+                            tuple(enumerate_permutations(n))))
+
+
 def random_basis_element(n, rng, dom=SYMBOLIC):
-    parts = enumerate_partitions(n)
-    perms = enumerate_permutations(n)
+    parts, perms = _factors(n)
     return basis_element(rng.choice(parts), rng.choice(perms), dom)
 
 

@@ -31,12 +31,21 @@ Phi.  The piece of x at (K, L) moves into A_mu as Phi(x)_{K,L} =
 proj(T_{c_K^-1} x T_{c_L}), where proj(y) = eps_I y eps_I keeps the terms
 E_J T_v of y with J <= I and v in W, and sends E_J to 1.  By the display,
 Phi(E_J T_w) has one piece at (K, w^-1 K) for each K >= J, and that piece,
-proj(T_{c_K^-1} T_w T_{c_L}), depends on (K, w) only: Phi costs one braid
-product per basis element.  With the inverses above, Phi is an isomorphism
-of algebras from E_n onto the sum of the Mat_{k_mu}(A_mu), k_mu the
-number of partitions of shape mu, and Phi(1) is the unit of every
-diagonal piece.  Its coordinates, one row of width dim E_n, are the block
-coordinates.
+proj(T_{c_K^-1} T_w T_{c_L}), depends on (K, w) only: it is row block K
+of Phi(T_w), the pieces (K, L) over all L.  With the inverses above, Phi
+is an isomorphism of algebras from E_n onto the sum of the
+Mat_{k_mu}(A_mu), k_mu the number of partitions of shape mu, and Phi(1)
+is the unit of every diagonal piece.  Its coordinates, one row of width
+dim E_n, are the block coordinates.
+
+The images by recursion.  Phi(x T_s) = Phi(x) Phi(T_s), and Phi(T_s) has
+one piece per row block L, the step of (L, s) at (L, sL): proj(T_{c_L^-1}
+T_s T_{c_{sL}}), the unit of A_mu or eps_I T_t for a generator t of A_mu
+(asserted when the blocks are built).  So Phi(x T_s) moves each piece
+(K, L) of Phi(x) to (K, sL), times the step's right table unless it is
+the unit.  From Phi(1), Phi(T_w) is Phi(T_{ws}) times T_s, s the last
+letter of w's canonical reduced word: Bell(n) (n - 1) braid products for
+the steps, and none per image.
 
 Ideals.  A two-sided ideal <g> is the sum of its pieces eps_K <g> eps_L,
 which Phi sends onto one ideal J_mu of A_mu.  Since eps_I E_n eps_K =
@@ -146,6 +155,7 @@ class Shape:
         gens += [Permutation([p + 1 + k * ((b == c) - (b + 1 == c))
                               for p, c in enumerate(labels)])
                  for b, k in enumerate(mu[:-1]) if k == mu[b + 1]]
+        self.gens = gens
         self.right = [[self.proj(_braid(n, dom, v, s)) for v in self.W]
                       for s in gens]
         self.mirror = [{self.col[v.inverse()]: dom.one} for v in self.W]
@@ -171,10 +181,11 @@ class Blocks:
     """E_n over dom as the sum of the Mat_{k_mu}(A_mu): the shapes, Phi,
     and the layout of the block coordinates.  The piece (K, L) of a shape
     takes |W| consecutive columns, from ``offset[K, L]``; ``start[c]`` is
-    the first column of the piece of column c, and ``shape_at`` maps it
-    to the shape's position.  Row block b, the pieces (K, L) of Phi(x) for
-    K = ``row_parts[b]`` and so Phi(eps_K x), is the k_mu |W| = n!
-    consecutive columns from b n!."""
+    the first column of the piece of column c, and ``shape_at`` and
+    ``piece_at`` map it to the shape's position and to (K, L).  Row block
+    b, the pieces (K, L) of Phi(x) for K = ``row_parts[b]`` and so
+    Phi(eps_K x), is the k_mu |W| = n! consecutive columns from b n!.
+    ``steps[s][L]`` is (sL, the step's right table or None for the unit)."""
 
     def __init__(self, n, dom):
         self.n, self.dom = n, dom
@@ -183,33 +194,65 @@ class Blocks:
         self.shapes = [Shape(mu, n, dom, perms, parts) for mu in _shapes(n)]
         self.coarser = {J: [K for K in parts if K.join(J) == K]
                         for J in parts}
-        self.offset, self.start, self.shape_at = {}, [], {}
+        self.offset, self.start, self.shape_at, self.piece_at = {}, [], {}, {}
         for at, shape in enumerate(self.shapes):
             for K in shape.parts:
                 for L in shape.parts:
                     self.offset[K, L] = len(self.start)
                     self.shape_at[len(self.start)] = at
+                    self.piece_at[len(self.start)] = K, L
                     self.start += [len(self.start)] * len(shape.W)
         self.dim = len(self.start)
         self.row_parts = [K for shape in self.shapes for K in shape.parts]
         self._shape_of = {K: s for s in self.shapes for K in s.parts}
-        self._images = {}
+        self.steps = {s: {L: self._step(L, s) for L in parts}
+                      for s in range(1, n)}
+        unit = {K: (self.offset[K, K], {len(s.W) - 1: dom.one})
+                for s in self.shapes for K in s.parts}
+        self._images = {perms[0]: unit}
+        for w in sorted(perms, key=lambda w: len(w.reduced_word()))[1:]:
+            s = w.reduced_word()[-1]
+            prefix = self._images[w.right_mul_gen(s)].items()
+            self._images[w] = {K: self._times(off, piece, s)
+                               for K, (off, piece) in prefix}
+
+    def _step(self, L, s):
+        """(sL, the right table of the step of (L, s), or None if the step
+        is the unit of A_mu); any other step is refused."""
+        t, shape = Permutation.transposition(s, self.n), self._shape_of[L]
+        sL, c = L.apply(t), shape.transporter
+        piece = shape.proj(_braid(self.n, self.dom, c[L].inverse(), t, c[sL]))
+        for g, table in zip([shape.W[-1]] + shape.gens, [None] + shape.right):
+            if piece == {shape.col[g]: self.dom.one}:
+                return sL, table
+        raise AssertionError("the step of %s by T_%d is %r, not a generator"
+                             % (L, s, piece))
+
+    def _times(self, off, piece, s):
+        """The piece (K, L) of Phi(x) at off to (off, row) of Phi(x T_s)."""
+        K, L = self.piece_at[off]
+        sL, table = self.steps[s][L]
+        return self.offset[K, sL], (piece if table is None
+                                    else _apply(table, piece))
+
+    def times_T(self, row, s):
+        """Phi(x T_s) from the row Phi(x), piece by piece, with no engine
+        product (module docstring)."""
+        out = {}
+        for off, piece in self.pieces(row).items():
+            off, piece = self._times(off, piece, s)
+            out.update((off + j, c) for j, c in piece.items())
+        return out
 
     def _image(self, K, w):
         """(first column, row) of the one piece of Phi(E_J T_w), J <= K, at
-        (K, w^-1 K): proj(T_{c_K^-1} T_w T_{c_L})."""
-        if (K, w) not in self._images:
-            shape = self._shape_of[K]
-            L = K.apply(w.inverse())
-            c = shape.transporter
-            self._images[K, w] = (self.offset[K, L], shape.proj(_braid(
-                self.n, self.dom, c[K].inverse(), w, c[L])))
-        return self._images[K, w]
+        (K, w^-1 K): row block K of Phi(T_w), built by the recursion."""
+        return self._images[w][K]
 
     def form(self, x):
         """Phi(x) in block coordinates: a sparse row {column: coefficient}.
         The coefficients of E_J T_w over the J finer than K are summed
-        first, as they share one image."""
+        first, as they share one image, row block K of Phi(T_w)."""
         acc = {}
         for (J, w), c in x.terms.items():
             for K in self.coarser[J]:

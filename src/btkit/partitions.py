@@ -6,6 +6,7 @@ labelling where block labels appear in order of first occurrence; this makes
 equality and hashing O(n) and enumeration lexicographic.
 """
 
+from functools import cache
 from math import comb
 
 
@@ -47,10 +48,11 @@ class SetPartition:
     def block_count(self):
         return max(self.rgs) + 1
 
+    @cache
     def join(self, other):
         """Finest common coarsening: each position of other joined by an arc
         to the first position of its block; commutative, associative,
-        idempotent."""
+        idempotent; memoized, as is :meth:`join_arc`: Bell(n)^2 pairs."""
         if self.n != other.n:
             raise ValueError("mismatched n: %d vs %d" % (self.n, other.n))
         out, first = self, {}
@@ -60,6 +62,7 @@ class SetPartition:
                 out = out.join_arc(a, pos)
         return out
 
+    @cache
     def join_arc(self, a, b):
         """Join with the one-arc partition {{a, b}} (fast path for the
         multiplication engine)."""
@@ -71,13 +74,13 @@ class SetPartition:
             _canonical_rgs([lo if l == hi else l for l in self.rgs]))
 
     def apply(self, w):
-        """The image partition {w(block)}; blocks map elementwise."""
+        """The interned image partition {w(block)}; blocks map elementwise."""
         if self.n != w.n:
             raise ValueError("mismatched n: %d vs %d" % (self.n, w.n))
         labels = [0] * self.n
         for m, label in enumerate(self.rgs, start=1):
             labels[w.apply(m) - 1] = label
-        return SetPartition(_canonical_rgs(labels))
+        return intern_partition(_canonical_rgs(labels))
 
     def __eq__(self, other):
         return isinstance(other, SetPartition) and self.rgs == other.rgs
@@ -97,12 +100,7 @@ class SetPartition:
 
 def _canonical_rgs(labels):
     relabel = {}
-    out = []
-    for label in labels:
-        if label not in relabel:
-            relabel[label] = len(relabel)
-        out.append(relabel[label])
-    return out
+    return [relabel.setdefault(label, len(relabel)) for label in labels]
 
 
 # interning cache: the engine churns through few distinct partitions, and

@@ -8,6 +8,7 @@ elements come out as the natural action on set partitions.
 """
 
 import itertools
+from functools import cache
 
 
 class Permutation:
@@ -51,8 +52,9 @@ class Permutation:
         """True iff length(w * s_i) < length(w)."""
         return self.images[i - 1] > self.images[i]
 
+    @cache
     def right_mul_gen(self, i):
-        """w * s_i (swaps the entries at positions i, i+1)."""
+        """w * s_i (swaps the entries at positions i, i+1), memoized."""
         img = list(self.images)
         img[i - 1], img[i] = img[i], img[i - 1]
         return intern_perm(img)

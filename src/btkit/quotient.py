@@ -192,13 +192,22 @@ def spanning_check(ib):
     eps_K F_w is row block K of the reduced form of F_w, its pieces (K, L):
     n! consecutive columns, shared with no other row block.  So the rank is
     the sum over K of rank{row block K of F_w : w}, and E_I F_w is nonzero
-    exactly when some K >= I has a nonzero row block.  F_w is built by
-    engine right products, each from its prefix's value, and reduced once."""
+    exactly when some K >= I has a nonzero row block.  The reduced forms
+    are built in block coordinates, each from its prefix's reduced form x
+    as that of (x + x T_i)/(u + 1), x T_i by :meth:`Blocks.times_T
+    <btkit.blocks.Blocks.times_T>`: x differs from Phi of the prefix by
+    an element of the ideal, and the ideal times F_i stays in it."""
     bl = ib.blocks
     n, dom = bl.n, bl.dom
-    cu = dom.one / (dom.u + dom.one)
-    cuts = [bl.row_blocks(ib.reduce(bl.form(x))) for x in enumerate_F_reduced(
-        n, one(n, dom), lambda x, i: (x + x.right_mul_T(i)).scale(cu))]
+    cu, zero = dom.one / (dom.u + dom.one), dom.zero
+
+    def times_F(x, i):
+        y = bl.times_T(x, i)
+        return ib.reduce({k: (x.get(k, zero) + y.get(k, zero)) * cu
+                          for k in {*x, *y}})
+
+    cuts = [bl.row_blocks(x) for x in enumerate_F_reduced(
+        n, ib.reduce(bl.form(one(n, dom))), times_F)]
     parts = bl.row_parts
     echs = {K: Echelon(dom.zero) for K in parts}
     for cut in cuts:

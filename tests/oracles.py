@@ -3,15 +3,16 @@ permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
 specialized into a prime field, dense and sparse coefficient rows, the
 mirror anti-involution of the basis, the full-width ideal closure, the
-tie idempotents and the candidate basis by engine products the quotient's
-blocks are checked against, the dense
+tie idempotents, the images of Phi and the candidate basis by engine
+products the quotient's blocks are checked against, the dense
 oracles of the trace's commutator classes, and the dense-list RREF the
 sparse echelons are checked against."""
 
 import random
 from math import factorial, prod
 
-from btkit.algebra import AlgebraElement, BasisIndex, E, F, T, basis_element
+from btkit.algebra import (AlgebraElement, BasisIndex, E, F, T, T_word,
+                           basis_element)
 from btkit.domains import IntMod
 from btkit.linalg import Echelon
 from btkit.partitions import enumerate_partitions
@@ -129,6 +130,17 @@ def tie_idempotent(I, dom):
             terms[J, e] = dom.of_int(prod((-1) ** (b - 1) * factorial(b - 1)
                                           for b in merged))
     return AlgebraElement(I.n, terms, dom)
+
+
+def engine_image(bl, K, w):
+    """(first column, row) of row block K of Phi(T_w) in the blocks ``bl``,
+    by engine products: its one piece, at (K, L) for L = w^-1 K, is
+    proj(T_{c_K^-1} T_w T_{c_L})."""
+    shape = next(shape for shape in bl.shapes if K in shape.parts)
+    L, c = K.apply(w.inverse()), shape.transporter
+    word = (c[K].inverse().reduced_word() + w.reduced_word()
+            + c[L].reduced_word())
+    return bl.offset[K, L], shape.proj(T_word(word, bl.n, bl.dom))
 
 
 def spanning_by_products(ib):

@@ -322,3 +322,14 @@ def test_mirror_is_an_anti_involution_fixing_the_generators(n, dom):
         ab = a * b
         assert mirror(ab) == mirror(b) * mirror(a)
         assert mirror(mirror(ab)) == ab
+
+
+def test_random_basis_element_draws():
+    # one partition and then one permutation, each by rng.choice over its
+    # enumeration, so the seeded goldens keep their samples
+    a, b = random.Random(7), random.Random(7)
+    for n in (3, 4, 3):
+        x = alg.random_basis_element(n, a)
+        I, w = b.choice(enumerate_partitions(n)), b.choice(
+            enumerate_permutations(n))
+        assert x == alg.basis_element(I, w)

@@ -17,8 +17,8 @@ from btkit.quotient import (build_ideal, catalan_number, enumerate_F_reduced,
                             spanning_check, verify_ideal_closure,
                             verify_presentations)
 from btkit.trace import right_products
-from oracles import (dense, element, ideal_by_closure, mirror, sparse,
-                     spanning_by_products, tie_idempotent, vector)
+from oracles import (dense, element, engine_image, ideal_by_closure, mirror,
+                     sparse, spanning_by_products, tie_idempotent, vector)
 
 P0 = PrimeDomain(Fraction(5, 7), PRIMES[0])
 
@@ -517,3 +517,59 @@ def _block_product(bl, fx, fy):
                         out = _plus(out, {bl.offset[K, M] + k: c * d * e
                                           for k, e in ab.items()})
     return out
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (3, RationalDomain(1)), (4, SYMBOLIC), (4, P0)],
+    ids=["n3-symbolic", "n3-u1", "n4-symbolic", "n4-prime"])
+def test_phi_images_match_the_engine(n, dom):
+    # every image of the reduced-word recursion, row block K of Phi(T_w),
+    # is the engine's proj(T_{c_K^-1} T_w T_{c_L})
+    bl = blocks.Blocks(n, dom)
+    assert all(bl._image(K, w) == engine_image(bl, K, w)
+               for K in bl.row_parts for w in enumerate_permutations(n))
+
+
+@pytest.mark.parametrize("dom", [SYMBOLIC, P0], ids=["symbolic", "prime"])
+def test_times_T_is_the_right_product(dom):
+    # Phi(x T_s), from Phi(x) piece by piece, is the form of the engine's
+    # product, for random x at n = 4
+    bl, rng = blocks.structure(4, dom), random.Random(4)
+    for _ in range(4):
+        x = alg.AlgebraElement(4, {}, dom)
+        for _ in range(5):
+            c = dom.of_int(rng.randint(1, 9))
+            x = x + alg.random_basis_element(4, rng, dom).scale(c)
+        for s in range(1, 4):
+            assert bl.times_T(bl.form(x), s) == bl.form(x * alg.T(s, 4, dom))
+
+
+def test_no_engine_product_per_image(monkeypatch):
+    # the blocks at n = 4 and the forms of all 360 basis elements take one
+    # braid product per entry of the right tables and one per step (L, s),
+    # Bell(4) * 3 = 45, and none per image
+    calls = [0]
+    braid = blocks._braid
+
+    def counting(*args):
+        calls[0] += 1
+        return braid(*args)
+
+    monkeypatch.setattr(blocks, "_braid", counting)
+    monkeypatch.setattr(blocks, "_CACHE", {})
+    bl, index = blocks.structure(4, P0), alg.BasisIndex(4, P0)
+    for k in range(len(index)):
+        bl.form(index.basis_elem(k))
+    tables = sum(len(table) for shape in bl.shapes for table in shape.right)
+    assert calls[0] == tables + bell_number(4) * 3
+
+
+def test_a_step_that_is_no_generator_is_refused(monkeypatch):
+    # a step (L, s) of Phi(T_s) that is neither the unit nor a generator of
+    # A_mu stops the build: here every step, the one braid product of
+    # three permutations, is doubled
+    braid = blocks._braid
+    monkeypatch.setattr(blocks, "_braid", lambda n, dom, *w: (
+        braid(n, dom, *w).scale(dom.of_int(1 + (len(w) == 3)))))
+    with pytest.raises(AssertionError, match="not a generator"):
+        blocks.Blocks(3, SYMBOLIC)
