@@ -171,6 +171,7 @@ def enumerate_F_reduced(n, start=(), step=lambda word, i: word + (i,)):
                 rec(runs[i - j + 1], i, j)
 
     rec(start, 0, 0)
+    del rec   # ends the cycle through rec's own closure cell
     return out
 
 

@@ -2,18 +2,18 @@
 permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
 specialized into a prime field, dense and sparse coefficient rows, the
-mirror anti-involution of the basis, the full-width ideal closure, the
-tie idempotents, the images of Phi and the candidate basis by engine
-products the quotient's blocks are checked against, the dense
-oracles of the trace's commutator classes, and the dense-list RREF the
-sparse echelons are checked against."""
+mirror anti-involution of the basis, the inverse of the cycle element
+gamma, the full-width ideal closure, the tie idempotents, the images of Phi
+and the candidate basis by engine products the quotient's blocks are checked
+against, the dense oracles of the trace's commutator classes, and the
+dense-list RREF the sparse echelons are checked against."""
 
 import random
 from math import factorial, prod
 
 from btkit.algebra import (AlgebraElement, BasisIndex, E, F, T, T_word,
-                           basis_element)
-from btkit.domains import IntMod
+                           basis_element, inverse_T, one)
+from btkit.domains import SYMBOLIC, IntMod
 from btkit.linalg import Echelon
 from btkit.partitions import enumerate_partitions
 from btkit.permutations import Permutation
@@ -92,6 +92,14 @@ def mirror(x):
         v = w.inverse()
         terms[I.apply(v), v] = c
     return AlgebraElement(x.n, terms, x.dom)
+
+
+def gamma_inverse(n, dom=SYMBOLIC):
+    """gamma^{-1} = T_{n-1}^{-1} ... T_1^{-1}, as one element."""
+    out = one(n, dom)
+    for i in range(n - 1, 0, -1):
+        out = out * inverse_T(i, n, dom)
+    return out
 
 
 def ideal_by_closure(n, dom, g):

@@ -10,15 +10,15 @@ from btkit import algebra as alg
 from btkit import quotient as qt
 from btkit import scalars as sc
 from btkit.algebra import (BasisIndex, E, E_arc, E_of_partition, F, L, T,
-                           basis_element, gamma, gamma_inverse, inverse_T, one,
-                           steinberg, verify_relations)
+                           basis_element, gamma, inverse_T, one, steinberg,
+                           verify_relations)
 from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain, RationalDomain
 from btkit.partitions import (SetPartition, bell_number, enumerate_partitions,
                               generator_partition)
 from btkit.permutations import (Permutation, enumerate_permutations,
                                 intern_perm)
-from oracles import (element, from_word, in_prime_field, mirror,
-                     random_braid_walk, vector)
+from oracles import (element, from_word, gamma_inverse, in_prime_field,
+                     mirror, random_braid_walk, vector)
 
 ONE, U = sc.ONE, sc.U
 
@@ -187,14 +187,17 @@ def test_gamma_conjugation():
 
 
 def test_conjugation_by_gamma_one_step_at_a_time():
-    # k conjugations by gamma equal one conjugation by gamma^k, made with
-    # the inverse power, at n = 4 and k = 2
-    n = 4
-    gk, gki = gamma(n) ** 2, gamma_inverse(n) ** 2
-    for x in (T(1, n), E(1, n), steinberg(1, 2, n), E_arc(1, 3, n)):
-        assert alg.conjugate_by_gamma(x, 2) == gk * x * gki
-    assert alg.conjugate_by_gamma(T(1, n), 2) == T(3, n)
-    assert alg.conjugate_by_gamma(E(2, n), 0) == E(2, n)
+    # k conjugations by gamma, each by the inverse generators one at a
+    # time, equal one conjugation by gamma^k, made with the inverse power:
+    # at n = 4 for k = 2, and at n = 5 for k = 1..3
+    for n, ks in ((4, (2,)), (5, (1, 2, 3))):
+        g, gi = gamma(n), gamma_inverse(n)
+        for k in ks:
+            gk, gki = g ** k, gi ** k
+            for x in (T(1, n), E(1, n), steinberg(1, 2, n), E_arc(1, 3, n)):
+                assert alg.conjugate_by_gamma(x, k) == gk * (x * gki)
+        assert alg.conjugate_by_gamma(T(1, n), 2) == T(3, n)
+        assert alg.conjugate_by_gamma(E(2, n), 0) == E(2, n)
 
 
 def test_idempotents():

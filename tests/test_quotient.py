@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -192,6 +193,20 @@ def test_F_reduced_words():
     # each word extends the value of its prefix, in the same order
     assert enumerate_F_reduced(5, "", lambda w, i: w + str(i)) == [
         "".join(map(str, w)) for w in enumerate_F_reduced(5)]
+
+
+def test_F_reduced_words_leave_no_garbage_cycle():
+    # with the cyclic collector paused, the words and the recursion are
+    # freed by reference counting alone: nothing is left for gc.collect()
+    gc.collect()
+    gc.disable()
+    try:
+        words = enumerate_F_reduced(5)
+        assert len(words) == catalan_number(5)
+        del words
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_spanning_n3():

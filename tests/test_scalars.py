@@ -130,6 +130,53 @@ def test_products_by_one_are_the_other_factor():
         assert x * (y + m) == x * y - x
 
 
+def _plain_sum(x, y):
+    # a/b + c/d as (ad + cb)/(bd), reduced by the constructor
+    return Scalar(sc._p_add(sc._p_mul(x.num, y.den), sc._p_mul(y.num, x.den)),
+                  sc._p_mul(x.den, y.den))
+
+
+def _plain_product(x, y):
+    return Scalar(sc._p_mul(x.num, y.num), sc._p_mul(x.den, y.den))
+
+
+def test_memoized_arithmetic_is_the_uncached_arithmetic():
+    # sums and products through the memo, once as a miss and once as a
+    # hit, equal the plain fraction formulas, on random fractions and on 0,
+    # 1, negatives and denominators (1 + u)^k
+    rng = random.Random(23)
+    xs = [rand_scalar(rng) for _ in range(40)]
+    xs += [sc.ZERO, ONE, -ONE, -TWO, S, -U, U - ONE, -(S + TWO) / (ONE + U)]
+    xs += [Scalar.from_int(k) / (ONE + U) ** k for k in (-2, 1, 3, 5)]
+    sc._sum.cache_clear()
+    sc._product.cache_clear()
+    for _ in range(300):
+        x, y = rng.choice(xs), rng.choice(xs)
+        for _ in range(2):
+            for got, want in ((x + y, _plain_sum(x, y)),
+                              (x * y, _plain_product(x, y)),
+                              (x - y, _plain_sum(x, -y))):
+                assert (got.num, got.den) == (want.num, want.den)
+    # the second round of each pair is a hit, fast paths aside
+    assert sc._sum.cache_info().hits > 200
+    assert sc._product.cache_info().hits > 200
+
+
+def test_memo_stays_within_its_cap():
+    # more distinct pairs than the cap leave each memo at the cap, and an
+    # evicted pair is computed again
+    cap = sc._product.cache_info().maxsize
+    assert cap == sc._sum.cache_info().maxsize
+    xs = [Scalar((k, 1), (1, 0, 1)) for k in range(cap + 100)]
+    first = (xs[0] + xs[1], xs[0] * xs[1])
+    for x, y in zip(xs, xs[1:]):
+        x + y, x * y
+    for memo in (sc._sum, sc._product):
+        assert memo.cache_info().currsize == cap
+    assert (xs[0] + xs[1], xs[0] * xs[1]) == first
+    assert first == (_plain_sum(xs[0], xs[1]), _plain_product(xs[0], xs[1]))
+
+
 def test_evaluate_is_homomorphism():
     rng = random.Random(13)
     pt = dict(s=Fraction(5, 7), A=Fraction(2), B=Fraction(-3, 4))
