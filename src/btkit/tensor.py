@@ -39,9 +39,10 @@ over one index per type (:func:`index_types`): 6, 65 and 1125 types for 2,
 3 and 4 factors, against n^(2k) indices.  The rank needs only the Bell(n)
 types with distinct lower values.
 
-The homomorphism check would repeat much of its work, so some is kept: act_T
-memoizes its coefficient products (:func:`_braid_coeffs`), the check's batch
-vector carries its split by kernels and the braid images of its parts, which
+The checks would repeat much of their work, so some is kept: act_T memoizes
+its coefficient products (:func:`_braid_coeffs`), relation windows of one
+size share one batch's word images (:func:`_word_image`), the homomorphism
+batch carries its split by kernels and the braid images of its parts, which
 every operator applied to it shares (:class:`_Split`), each represented
 element finds the coefficients it keeps once per kernel, and op_a(op_b(v))
 is made from the batch's images of concatenated words (:class:`_Operator`).
@@ -70,9 +71,16 @@ def unit_vector(idx, dom=SYMBOLIC):
     return {idx: dom.one}
 
 def vec_add(target, src, c=None):
-    """target += c * src, dropping zeros."""
+    """target += c * src, dropping zeros (:func:`btkit.algebra._acc`)."""
     for idx, v in src.items():
-        _acc(target, idx, v if c is None else v * c)
+        v = v if c is None else v * c
+        old = target.get(idx)
+        if old is not None:
+            v = old + v
+        if v:
+            target[idx] = v
+        elif old is not None:
+            del target[idx]
     return target
 
 def encode_index(idx, n):
@@ -132,24 +140,35 @@ def act_T(i, vec, dom=SYMBOLIC):
     """Image under the braid operator acting at factors i, i+1.  The three
     products of each coefficient are memoized (:func:`_braid_coeffs`), as
     the homomorphism check braids with few distinct coefficients (46 at
-    n = 3 and 426 at n = 6, at seed 0)."""
+    n = 3 and 426 at n = 6, at seed 0).  Only an output with equal upper
+    values and lower values a < b at i, i+1 gets two terms, and a zero sum
+    is dropped; c (u - 1) is left out at u = 1, and no other term is 0."""
     out = {}
     k = i - 1
     um1 = dom.u_minus_1
     squ = dom.sqrt_u
     for idx, c in vec.items():
         (a, r), (b, s) = idx[k], idx[k + 1]
-        swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2:]
         neg, cum1, csqu = _braid_coeffs(c, um1, squ)
+        if r == s and a == b:
+            out[idx] = neg
+            continue
+        swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2:]
         if r != s:
-            _acc(out, swapped, neg)
-        elif a == b:
-            _acc(out, idx, neg)
-        elif a < b:
-            _acc(out, idx, cum1)
-            _acc(out, swapped, csqu)
+            out[swapped] = neg
+            continue
+        if a < b:
+            out[swapped] = csqu
+            if not um1:
+                continue
+            y, v = idx, cum1
         else:
-            _acc(out, swapped, csqu)
+            y, v = swapped, csqu
+        old = out.get(y)
+        if old is not None and not (v := old + v):
+            del out[y]
+        else:
+            out[y] = v
     return out
 
 
@@ -180,14 +199,15 @@ def _by_word(terms):
     return words
 
 
-def _braid_image(word, images, dom):
-    """T_word x for a tuple of braid letters (rightmost acts first), made
-    from the image of the word's suffix; ``images`` caches the images by
-    word and starts as {(): x}."""
+def _word_image(word, images, dom):
+    """The image of x under a tuple of letters, i for T_i and -i for E_i
+    (rightmost acts first), made from the image of the word's suffix;
+    ``images`` caches the images by word and starts as {(): x}."""
     img = images.get(word)
     if img is None:
-        img = images[word] = act_T(word[0],
-                                   _braid_image(word[1:], images, dom), dom)
+        i, rest = word[0], _word_image(word[1:], images, dom)
+        img = images[word] = (act_T(i, rest, dom) if i > 0
+                              else act_E(-i, rest, dom))
     return img
 
 
@@ -210,26 +230,35 @@ def _permuted(word, up):
     return up
 
 
-def _kept(word, up, terms):
+def _kept(up, terms, keeps):
     """The values v of the (block leaders of I, v) pairs in terms whose E_I
-    keeps T_word x, for x with upper values up, lazily and in their order."""
-    up = _permuted(word, up)
-    return (v for leaders, v in terms
-            if all(up[m] == up[k] for m, k in leaders))
+    keeps a term with upper values up, in their order; their places are
+    memoized in keeps by the kernel of up, for terms with one order of I."""
+    up = tuple(map(up.index, up))
+    places = keeps.get(up)
+    if places is None:
+        places = keeps[up] = [t for t, (leaders, _) in enumerate(terms)
+                              if all(up[m] == up[k] for m, k in leaders)]
+    return (terms[t][1] for t in places)
+
+
+@functools.lru_cache(maxsize=256)   # 4^4 upper values in a batch at n = 4
+def _kernel(up):
+    """The kernel of a tuple of upper values: its equality pattern, each
+    value replaced by the position of its first occurrence."""
+    return tuple(map(up.index, up))
 
 
 def _split(vec, dom):
     """vec split by the kernel of its upper values, as {kernel: braid cache
-    {(): part} of :func:`_braid_image`}.  The kernel of a tuple of upper
-    values is its equality pattern, each value replaced by the position of
-    its first occurrence.  A :class:`_Split` vector of dom carries its own,
-    so every operator applied to it shares the braid images of its parts."""
+    {(): part} of :func:`_word_image`}.  A :class:`_Split` vector of dom
+    carries its own, so every operator applied to it shares the braid
+    images of its parts."""
     if isinstance(vec, _Split) and vec.dom is dom:
         return vec.parts
     parts = {}
     for x, c in vec.items():
-        up = tuple(r for _, r in x)
-        parts.setdefault(tuple(map(up.index, up)), {})[x] = c
+        parts.setdefault(_kernel(tuple([r for _, r in x])), {})[x] = c
     return {kernel: {(): part} for kernel, part in parts.items()}
 
 
@@ -285,7 +314,9 @@ class _Operator:
         if words is None:
             words = self.plans[kernel] = [
                 (word, c) for word, terms in self.ties.items()
-                if (c := sum(_kept(word, kernel, terms), self.dom.zero))]
+                for up in [_permuted(word, kernel)]
+                if (c := sum([v for leaders, v in terms if all(
+                    up[m] == up[k] for m, k in leaders)], self.dom.zero))]
         return words
 
     def __call__(self, vec, after=None):
@@ -294,11 +325,11 @@ class _Operator:
         for kernel, braided in _split(vec, dom).items():
             for word, c in self.plan(kernel):
                 if after is None:
-                    vec_add(out, _braid_image(word, braided, dom), c)
+                    vec_add(out, _word_image(word, braided, dom), c)
                     continue
                 up = _permuted(word, kernel)
                 for first, c_first in after.plan(tuple(map(up.index, up))):
-                    vec_add(out, _braid_image(first + word, braided, dom),
+                    vec_add(out, _word_image(first + word, braided, dom),
                             c_first * c)
         return out
 
@@ -307,24 +338,29 @@ class _Operator:
 # relation verification as operators
 # ---------------------------------------------------------------------------
 
-def _side_images(sides, x, dom):
-    """Images of a basis vector under both sides of a relation instance,
-    given as the (coefficient, word) terms of
-    :func:`btkit.algebra.relation_terms`: the sums of the words' images."""
-    vec = unit_vector(x, dom)
-    images = tuple({} for _ in sides)
-    for img, side in zip(images, sides):
-        for c, word in side:
-            vec_add(img, apply_word(word, vec, dom), c)
-    return images
+def _tagged(xs, dom):
+    """The sum of e_{x_t (x) (t, 0)} over the t-th index x_t of xs."""
+    return {x + ((t, 0),): dom.one for t, x in enumerate(xs)}
 
 
 @functools.lru_cache(maxsize=1)
 def _tagged_batch(xs, dom):
-    """The sum of e_{x_t (x) (t, 0)} over the t-th index x_t of xs, split
-    once; kept for the next call, as at n <= 3 every pair checks the same
-    indices."""
-    return _Split({x + ((t, 0),): dom.one for t, x in enumerate(xs)}, dom)
+    """:func:`_tagged`, split once and kept (at n <= 3 for every pair)."""
+    return _Split(_tagged(xs, dom), dom)
+
+
+def _side_image(side, images, dom):
+    """The image of images[()] under a side of a relation instance, the
+    (coefficient, word) terms of :func:`btkit.algebra.relation_terms`; a
+    side of one word with coefficient 1 is that word's image, not a copy."""
+    side = [(c, tuple(i if g == "T" else -i for g, i in word))
+            for c, word in side]
+    if len(side) == 1 and side[0][0] is None:
+        return _word_image(side[0][1], images, dom)
+    out = {}
+    for c, word in side:
+        vec_add(out, _word_image(word, images, dom), c)
+    return out
 
 
 def _agree_on(lhs, rhs, xs, dom):
@@ -349,15 +385,16 @@ def verify_relations_in_rep(n, seed=0):
     exhaustive, on one index per type; at n >= 4 it samples 64 random
     indices per pair.
 
-    The three operators of a pair are applied once each, to one vector
-    (:func:`_agree_on`): the t-th test index x_t gets an extra last factor
-    (t, 0).  No operator touches factor n + 1, so each sends
-    e_{x_t (x) (t, 0)} to op(e_{x_t}) (x) (t, 0), by linearity the batch
-    image is the sum of these, and images of different tags share no
-    index.  So the two sides agree on the batch iff they agree on every
-    e_{x_t}, repeated indices included.  The tag's upper value 0 equals no
-    other, so :func:`represent` braids all indices of one kernel as one
-    part.  The batch is split once (:func:`_tagged_batch`).  The right side
+    Both checks apply each operator once, to one vector (:func:`_tagged`):
+    the t-th test index x_t gets an extra last factor (t, 0).  No operator
+    touches it, so each sends e_{x_t (x) (t, 0)} to op(e_{x_t}) (x) (t, 0),
+    by linearity the batch image is the sum of these, and images of
+    different tags share no index.  So the two sides agree on the batch iff
+    they agree on every e_{x_t}, repeated indices included.  The windows on
+    k factors share the word images of the batch of the k-factor types
+    (:func:`_word_image`).  The tag's upper value 0 equals no other, so
+    :func:`represent` braids all indices of one kernel as one part.  The
+    homomorphism batch is split once (:func:`_tagged_batch`).  The right side
     is op_b(batch, after=op_a), by linearity op_a(op_b(batch)) made term by
     term from the images of the words w_a + w_b (:class:`_Operator`), so
     the operators of a * b and of b share the batch's split and braid
@@ -368,16 +405,20 @@ def verify_relations_in_rep(n, seed=0):
     dom = SYMBOLIC
     checks = []
     windows = {}   # (relation, relative params) -> ok
+    batches = {}   # touched factors k -> word images of the k-factor batch
     for rel, params in relation_instances(n):
         touched = sorted({p + d for p in params for d in (0, 1)})
         window = (rel, tuple(touched.index(i) + 1 for i in params))
         if window not in windows:
-            sides = relation_terms(*window, dom)
-            windows[window] = all(lhs == rhs for lhs, rhs in (
-                _side_images(sides, x, dom)
-                for x in index_types(len(touched))))
+            k = len(touched)
+            if k not in batches:
+                batches[k] = {(): _tagged(index_types(k), dom)}
+            lhs, rhs = (_side_image(side, batches[k], dom)
+                        for side in relation_terms(*window, dom))
+            windows[window] = lhs == rhs
         checks.append({"id": "rep-" + rel, "instance": list(params),
                        "ok": windows[window]})
+    del batches   # the window images, freed before the homomorphism check
     rng = random.Random(seed)
     exhaustive = n <= 3
     hom_ok, hom_checked = True, 0
@@ -414,19 +455,22 @@ def _leads(n, dom):
     T_w x_J is made at most once per reduced word (an image holds no zero
     coefficient), and reaches its outputs from the least position among the
     columns (I, w) whose E_I keeps it: the first that :func:`_kept` finds,
-    as each word's columns are listed in position order."""
+    as each word's columns are listed in position order.  Each word lists
+    its I in one order, so :func:`_kept` tests each I once per kernel of
+    the upper values of T_w x_J, at most Bell(n)^2 tests per call."""
     pairs = BasisIndex(n).pairs
     order = sorted(range(len(pairs)), key=lambda col: (
         len(pairs[col][1].reduced_word()), pairs[col][0].block_count()))
     words = _by_word((pairs[col], k) for k, col in enumerate(order))
+    keeps = {}   # kernel -> places of the kept columns in each word's list
     for J in enumerate_partitions(n):
         up = tuple(r + 1 for r in J.rgs)
         braided = {(): unit_vector(tuple(enumerate(up, start=1)), dom)}
         first = {}
         for word, terms in words.items():
-            least = next(_kept(word, up, terms), None)
+            least = next(_kept(_permuted(word, up), terms, keeps), None)
             if least is not None:
-                for y in _braid_image(word, braided, dom):
+                for y in _word_image(word, braided, dom):
                     if least < first.get(y, len(pairs)):
                         first[y] = least
         yield first

@@ -3,21 +3,24 @@ permutation a word spells, random walks on the braid-move graph of reduced
 words (the oracle of the Matsumoto-invariance checks), symbolic scalars
 specialized into a prime field, dense and sparse coefficient rows, the
 mirror anti-involution of the basis, the inverse of the cycle element
-gamma, the full-width ideal closure, the tie idempotents, the images of Phi
-and the candidate basis by engine products the quotient's blocks are checked
-against, the dense oracles of the trace's commutator classes, and the
-dense-list RREF the sparse echelons are checked against."""
+gamma, the relation sides and the braid action on the tensor space one
+index and one term at a time, the full-width ideal closure, the tie
+idempotents, the images of Phi and the candidate basis by engine products
+the quotient's blocks are checked against, the dense oracles of the
+trace's commutator classes, and the dense-list RREF the sparse echelons are
+checked against."""
 
 import random
 from math import factorial, prod
 
 from btkit.algebra import (AlgebraElement, BasisIndex, E, F, T, T_word,
-                           basis_element, inverse_T, one)
+                           _acc, basis_element, inverse_T, one)
 from btkit.domains import SYMBOLIC, IntMod
 from btkit.linalg import Echelon
 from btkit.partitions import enumerate_partitions
 from btkit.permutations import Permutation
 from btkit.quotient import enumerate_F_reduced
+from btkit.tensor import apply_word, unit_vector
 from btkit.trace import right_products
 
 
@@ -169,6 +172,46 @@ def spanning_by_products(ib):
         ech.insert(row)
     return {"candidates": len(candidates), "nonzero_candidates": nonzero,
             "spanning_rank": ech.rank}
+
+
+def side_images(sides, x, dom):
+    """Images of a basis vector under both sides of a relation instance,
+    given as the (coefficient, word) terms of
+    :func:`btkit.algebra.relation_terms`: the sums of the words' images,
+    each applied to e_x alone (the oracle of the relation windows' batch)."""
+    vec = unit_vector(x, dom)
+    images = tuple({} for _ in sides)
+    for img, side in zip(images, sides):
+        for c, word in side:
+            acc_add(img, apply_word(word, vec, dom), c)
+    return images
+
+
+def acc_add(target, src, c=None):
+    """target += c * src, one :func:`btkit.algebra._acc` call per entry."""
+    for idx, v in src.items():
+        _acc(target, idx, v if c is None else v * c)
+    return target
+
+
+def act_T_by_terms(i, vec, dom):
+    """The braid operator at factors i, i+1 by its displayed action, each
+    term added by :func:`btkit.algebra._acc`."""
+    out = {}
+    k = i - 1
+    for idx, c in vec.items():
+        (a, r), (b, s) = idx[k], idx[k + 1]
+        swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2:]
+        if r != s:
+            _acc(out, swapped, -c)
+        elif a == b:
+            _acc(out, idx, -c)
+        elif a < b:
+            _acc(out, idx, c * dom.u_minus_1)
+            _acc(out, swapped, c * dom.sqrt_u)
+        else:
+            _acc(out, swapped, c * dom.sqrt_u)
+    return out
 
 
 def in_prime_field(scalar, dom):

@@ -16,7 +16,8 @@ from btkit.permutations import Permutation
 from btkit.linalg import Echelon
 from btkit.tensor import (act_E, act_T, act_T_inverse, represent,
                           tensor_basis, unit_vector)
-from oracles import gamma_inverse, sparse
+from oracles import (acc_add, act_T_by_terms, gamma_inverse, side_images,
+                     sparse)
 
 U, S, ONE = sc.U, sc.SQRT_U, sc.ONE
 
@@ -33,7 +34,7 @@ def verify_relation_full_space(n, rel, params, dom=SYMBOLIC):
 
 def _rel_images(rel, params, x, dom):
     """Images of a basis vector under both sides of a relation instance."""
-    return tn._side_images(alg.relation_terms(rel, params, dom), x, dom)
+    return side_images(alg.relation_terms(rel, params, dom), x, dom)
 
 
 def _project(I, vec):
@@ -450,6 +451,102 @@ def test_window_reduction_matches_full_space():
     # the touched-window check equals the brute-force full-space check
     for rel, params in alg.relation_instances(3):
         assert verify_relation_full_space(3, rel, params)
+
+
+def _windows(n):
+    """{relation window: touched factor count} over the relation instances
+    at n, as verify_relations_in_rep groups them."""
+    windows = {}
+    for rel, params in alg.relation_instances(n):
+        touched = sorted({p + d for p in params for d in (0, 1)})
+        window = (rel, tuple(touched.index(i) + 1 for i in params))
+        windows[window] = len(touched)
+    return windows
+
+
+def _batch_holds(sides, k, dom=SYMBOLIC):
+    """The verdict of two sides on the tagged batch of the k-factor types,
+    as the relations check makes it."""
+    images = {(): tn._tagged(tn.index_types(k), dom)}
+    lhs, rhs = (tn._side_image(side, images, dom) for side in sides)
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_window_batch_matches_each_index(n):
+    # every relation window's verdict on its tagged batch equals the
+    # verdict index type by index type, for its own two sides and for its
+    # left side against the right side of the next window of its size; the
+    # suite reports each instance with its window's verdict
+    windows = _windows(n)
+    seen = set()
+    for window, k in windows.items():
+        sides = alg.relation_terms(*window)
+        others = [w for w, kw in windows.items() if kw == k and w != window]
+        pairs = [sides]
+        if others:
+            pairs.append([sides[0], alg.relation_terms(*others[0])[1]])
+        for pair in pairs:
+            by_index = all(lhs == rhs for lhs, rhs in (
+                side_images(pair, x, SYMBOLIC) for x in tn.index_types(k)))
+            assert _batch_holds(pair, k) == by_index, (window, pair)
+            seen.add(by_index)
+    assert seen == {True, False}
+    assert len(windows) == {3: 11, 4: 15, 5: 15, 6: 15}[n]
+    assert all(c["ok"] for c in tn.verify_relations_in_rep(n)
+               if c["id"] != "rep-homomorphism")
+
+
+def test_wrong_image_at_one_index_type_fails_its_window(monkeypatch):
+    # a tie projector that keeps twice the one 2-factor type x0 it should
+    # kill breaks E_1 E_1 = E_1 at x0 alone; the batch of the six types sees
+    # it, as the check index by index does
+    x0 = ((1, 1), (1, 2))
+    sides = alg.relation_terms("tie-idempotent", (1,))
+    assert _batch_holds(sides, 2)
+    real = tn.act_E
+
+    def act_E_with_fault(i, vec, dom=SYMBOLIC):
+        out = real(i, vec, dom)
+        for y, c in vec.items():
+            if y[:2] == x0:
+                out[y] = c + c
+        return out
+
+    monkeypatch.setattr(tn, "act_E", act_E_with_fault)
+    images = {x: side_images(sides, x, SYMBOLIC) for x in tn.index_types(2)}
+    assert [x for x, (lhs, rhs) in images.items() if lhs != rhs] == [x0]
+    assert not _batch_holds(sides, 2)
+    oks = [c["ok"] for c in tn.verify_relations_in_rep(3)
+           if c["id"] == "rep-tie-idempotent"]
+    assert oks == [False, False]
+
+
+def test_braid_action_and_sum_store_no_zero_at_s_one():
+    # at s = 1, where u - 1 = 0, act_T leaves out every c (u - 1) term and
+    # vec_add every zero product or sum; both equal their term-by-term
+    # versions on the 3-factor index types
+    dom = RationalDomain(1)
+    assert not dom.u_minus_1
+    vec = {x: dom.of_int(t + 1) for t, x in enumerate(tn.index_types(3))}
+    for i in (1, 2):
+        for x in vec:
+            img = act_T(i, unit_vector(x, dom), dom)
+            assert img == act_T_by_terms(i, unit_vector(x, dom), dom), x
+            assert all(img.values()), x
+        img = act_T(i, vec, dom)
+        assert img == act_T_by_terms(i, vec, dom)
+        assert all(img.values())
+        for c in (None, dom.u_minus_1, -dom.one, dom.of_int(3)):
+            for target in ({}, dict(vec), {y: -v for y, v in img.items()}):
+                out = tn.vec_add(dict(target), img, c)
+                assert out == acc_add(dict(target), img, c), (i, c)
+                assert all(out.values())
+    assert tn.vec_add(act_T(1, vec, dom), act_T(1, vec, dom), -dom.one) == {}
+    # over Q(s), a term c (u - 1) and its swap's c' sqrt(u) cancel
+    x, y = ((1, 1), (2, 1)), ((2, 1), (1, 1))
+    v = {x: ONE, y: -(U - ONE) / S}
+    assert act_T(1, v) == act_T_by_terms(1, v, SYMBOLIC) == {y: S}
 
 
 def test_identity_representation():
