@@ -14,8 +14,9 @@ Left multiplication is its mirror: every relation below reads the same
 backwards ((3) by (7), (9) with i and j swapped), so reversing products is
 an anti-automorphism that fixes each T_i and E_i and sends E_I T_w to
 E_{w^-1 I} T_{w^-1} (:func:`mirror_pair`).  Thus g x = mirror(mirror(x) g),
-which is how :func:`btkit.trace.right_products` gives the commutators
-x g - g x, and how :mod:`btkit.blocks` closes an ideal on the left.
+which is how :mod:`btkit.blocks` closes an ideal on the left and how
+:mod:`btkit.trace` gives the commutators x g - g x, both on the shape
+blocks.
 
 The defining relations (1)-(9) are the table RELATIONS below: each is
 stated once, with its index condition, and both the engine

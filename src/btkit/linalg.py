@@ -11,8 +11,9 @@ check's row blocks, n! wide: no quotient echelon is wider than n!.
 
 The affine system :class:`LinearSystem` is an :class:`Echelon` whose last
 columns hold the right-hand sides.  The trace solver feeds one system per
-level with sparse rows folded onto the class roots of a weighted union-find
-(:func:`merge_classes`), at most 11 entries in an RREF row at n = 5.
+level, on the columns of the diagonal algebras of :mod:`btkit.blocks`:
+308 unknowns and 15 right-hand sides at n = 5, where each RREF row ends
+with its pivot and at most 6 right-hand-side entries.
 """
 
 
@@ -69,43 +70,6 @@ class Echelon:
     def spans(self, rows):
         """True iff every row lies in the span."""
         return not any(self.reduce(row) for row in rows)
-
-
-def merge_classes(width, rows, one):
-    """Weighted union-find on homogeneous sparse rows {column: nonzero
-    coefficient} over a field: a x + b y = 0 puts x = (-b/a) y in one class;
-    a x = 0, a cycle whose factors do not close to 1 or a merge with a
-    killed class kills the class.  Returns (root, factor, rest): x_k =
-    factor[k] x_root[k], root[k] None when killed, and the longer rows."""
-    parent, factor, killed, rest = list(range(width)), [one] * width, set(), []
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        f = one
-        for y in reversed(path):   # compress: each factor relative to x
-            f = factor[y] = factor[y] * f
-            parent[y] = x
-        return x, f
-
-    for row in filter(None, rows):   # a zero row says nothing
-        if len(row) > 2:
-            rest.append(row)
-            continue
-        (x, a), *more = row.items()
-        y, b = more[0] if more else (x, a - a)
-        (rx, fx), (ry, fy) = find(x), find(y)
-        if rx != ry:
-            parent[rx], factor[rx] = ry, -(b * fy) / (a * fx)
-            if rx in killed:
-                killed.add(ry)
-        elif a * fx + b * fy:
-            killed.add(rx)
-    found = [find(x) for x in range(width)]
-    return ([None if r in killed else r for r, _ in found],
-            [f for _, f in found], rest)
 
 
 def _subtract(out, c, row):

@@ -4,24 +4,24 @@ words (the oracle of the Matsumoto-invariance checks), symbolic scalars
 specialized into a prime field, dense and sparse coefficient rows, the
 mirror anti-involution of the basis, the inverse of the cycle element
 gamma, the relation sides and the braid action on the tensor space one
-index and one term at a time, the full-width ideal closure, the tie
+index and one term at a time, the engine's one-generator products of the
+whole basis and the full-width ideal closure on them, the tie
 idempotents, the images of Phi and the candidate basis by engine products
 the quotient's blocks are checked against, the dense oracles of the
-trace's commutator classes, and the dense-list RREF the sparse echelons are
+trace's commutator rows, and the dense-list RREF the sparse echelons are
 checked against."""
 
 import random
 from math import factorial, prod
 
 from btkit.algebra import (AlgebraElement, BasisIndex, E, F, T, T_word,
-                           _acc, basis_element, inverse_T, one)
+                           _acc, basis_element, inverse_T, mirror_pair, one)
 from btkit.domains import SYMBOLIC, IntMod
 from btkit.linalg import Echelon
 from btkit.partitions import enumerate_partitions
 from btkit.permutations import Permutation
 from btkit.quotient import enumerate_F_reduced
 from btkit.tensor import apply_word, unit_vector
-from btkit.trace import right_products
 
 
 def from_word(word, n):
@@ -103,6 +103,23 @@ def gamma_inverse(n, dom=SYMBOLIC):
     for i in range(n - 1, 0, -1):
         out = out * inverse_T(i, n, dom)
     return out
+
+
+def right_products(index):
+    """(rows, mirror): rows[g, i][k] is the sparse row {position:
+    coefficient} of the engine's product x_k g_i of basis element k by
+    g_i = T_i, E_i (coefficients 1, u, u - 1 for T_i, 1 for E_i), and the
+    involution mirror[k] is the position of the mirror_pair of the pair at
+    k: g x is the mirror of mirror(x) g (see :mod:`btkit.algebra`)."""
+    basis = [index.basis_elem(k) for k in range(len(index))]
+    rows = {(g, i): [{index.index[pair]: c
+                      for pair, c in product(x, i).terms.items()}
+                     for x in basis]
+            for g, product in (("T", AlgebraElement.right_mul_T),
+                               ("E", AlgebraElement.right_mul_E))
+            for i in range(1, index.n)}
+    mirror = [index.index[mirror_pair(I, w)] for I, w in index.pairs]
+    return rows, mirror
 
 
 def ideal_by_closure(n, dom, g):

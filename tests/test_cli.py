@@ -226,7 +226,8 @@ class _RecordingCache(dict):
         super().__setitem__(key, value)
 
 
-@pytest.mark.parametrize("suite, levels", [("quotient", [4])])
+@pytest.mark.parametrize("suite, levels", [("quotient", [4]),
+                                           ("trace", [2, 3, 4])])
 def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
     # each (n, sqrt(u)) block structure is built once, and only the last is
     # kept
@@ -239,16 +240,6 @@ def test_each_table_set_is_built_once(suite, levels, capsys, monkeypatch):
                 for n in levels]
     assert tables.built == expected
     assert list(tables) == expected[-1:]
-
-
-def test_trace_suite_builds_no_action_tables(capsys, monkeypatch):
-    # the trace solve works on the engine's sparse right products, so it
-    # builds no block structure of the quotient
-    tables = _RecordingCache()
-    monkeypatch.setattr(blocks, "_CACHE", tables)
-    monkeypatch.setattr(trace, "_CACHE", {})
-    assert run_cli(["trace", "--n", "4", "--format", "json"], capsys)[0] == 0
-    assert tables.built == []
 
 
 def test_points_beyond_the_primes_are_refused_at_n4(capsys):
@@ -415,7 +406,7 @@ ENGINE = {"btkit.cli", "btkit.suites", "btkit.algebra", "btkit.domains",
     (["quotient"], ENGINE | {"btkit.quotient", "btkit.blocks",
                              "btkit.linalg"}),
     (["rank"], ENGINE | {"btkit.tensor"}),
-    (["trace"], ENGINE | {"btkit.trace", "btkit.linalg"}),
+    (["trace"], ENGINE | {"btkit.trace", "btkit.blocks", "btkit.linalg"}),
 ], ids=["help", "relations", "quotient", "rank", "trace"])
 def test_each_run_loads_only_its_modules(argv, loaded, tmp_path):
     # a process compiles only the modules its command runs: --help loads

@@ -5,8 +5,8 @@ import pytest
 
 from btkit.domains import (PRIMES, SYMBOLIC, IntMod, PrimeDomain,
                            RationalDomain)
-from btkit.linalg import Echelon, LinearSystem, merge_classes
-from oracles import DenseEchelon, dense, sparse
+from btkit.linalg import Echelon, LinearSystem
+from oracles import DenseEchelon, dense, right_products, sparse
 
 P = 1000000007
 # the largest prime p with (p // 2)^2 < 2^53
@@ -380,7 +380,6 @@ def test_exact_batch_methods_are_loops_over_rows():
     # on the engine's right products of the symbolic n = 3 basis,
     # Echelon's batch methods agree with its one-row insert and reduce
     from btkit.algebra import BasisIndex
-    from btkit.trace import right_products
     index = BasisIndex(3)
     tables, _ = right_products(index)
     span = Echelon()
@@ -401,65 +400,3 @@ def test_exact_batch_methods_are_loops_over_rows():
     grown = sum(one.insert(row) for row in rows)
     assert block.insert_block(rows) == grown == 3
     assert (block.rows, block.pivots) == (one.rows, one.pivots)
-
-
-# the union-find of the trace solver on hand-made rows, in Q(s) and GF(p);
-# no level of the trace kills a class, so these are the only kills tested
-CLASS_DOMAINS = (SYMBOLIC, PrimeDomain(Fraction(5, 7), PRIMES[0]))
-
-
-def _classes(dom, width, *rows):
-    """merge_classes on rows given as {column: integer or "u"}."""
-    def coeff(c):
-        return dom.u if c == "u" else dom.of_int(c)
-    return merge_classes(width, [{j: coeff(c) for j, c in row.items()}
-                                 for row in rows], dom.one)
-
-
-def _same_class(root, factor, x, y, ratio):
-    """x and y share a live root, and x = ratio * y."""
-    return root[x] is not None and root[x] == root[y] \
-        and factor[x] == ratio * factor[y]
-
-
-@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
-def test_merge_classes_one_term_row_kills_its_class(dom):
-    # x0 = u x1, then u x1 = 0 kills both; x2 stays its own root, the zero
-    # row says nothing, and the three-term row is returned as it is
-    three = {2: dom.one, 3: dom.one, 4: dom.u}
-    root, factor, rest = merge_classes(5, [
-        {0: dom.one, 1: -dom.u}, {}, three, {1: dom.u}], dom.one)
-    assert root == [None, None, 2, 3, 4] and rest == [three]
-    assert factor[2] == factor[3] == dom.one
-
-
-@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
-def test_merge_classes_open_cycle_kills_its_root(dom):
-    # x0 = -u x1, x1 = x2, x2 = x0: then x0 = -u x0, and u != -1
-    root, _, _ = _classes(dom, 4, {0: 1, 1: "u"}, {1: 1, 2: -1},
-                          {2: 1, 0: -1})
-    assert root == [None, None, None, 3]
-
-
-@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
-def test_merge_classes_closed_cycle_keeps_its_root(dom):
-    # x0 = -u x1 (the row x0 + u x1), x1 = x2, u x2 = -x0: consistent
-    root, factor, rest = _classes(dom, 4, {0: 1, 1: "u"}, {1: 1, 2: -1},
-                                  {2: "u", 0: 1})
-    assert rest == [] and root[3] == 3 and root[0] is not None
-    assert _same_class(root, factor, 0, 1, -dom.u)
-    assert _same_class(root, factor, 1, 2, dom.one)
-    assert factor[root[0]] == dom.one
-
-
-@pytest.mark.parametrize("dom", CLASS_DOMAINS, ids=["symbolic", "prime"])
-def test_merge_classes_merge_with_a_killed_class_kills(dom):
-    # {x0} is killed, {x1, x2} and {x3, x4} are live; a row joining x0 and
-    # x1 kills x1, x2, and one joining x4 and x0 (killed class second)
-    # kills x3, x4; x5 stays
-    root, factor, _ = _classes(dom, 6, {0: 2}, {1: 1, 2: 1}, {3: "u", 4: 1})
-    assert root[0] is None and _same_class(root, factor, 1, 2, -dom.one)
-    assert _same_class(root, factor, 3, 4, -dom.one / dom.u)
-    root, _, _ = _classes(dom, 6, {0: 2}, {1: 1, 2: 1}, {3: "u", 4: 1},
-                          {0: 1, 1: -1}, {4: 3, 0: 1})
-    assert root == [None] * 5 + [5]

@@ -17,9 +17,9 @@ from btkit.permutations import Permutation, enumerate_permutations
 from btkit.quotient import (build_ideal, catalan_number, enumerate_F_reduced,
                             spanning_check, verify_ideal_closure,
                             verify_presentations)
-from btkit.trace import right_products
 from oracles import (dense, element, engine_image, ideal_by_closure, mirror,
-                     sparse, spanning_by_products, tie_idempotent, vector)
+                     right_products, sparse, spanning_by_products,
+                     tie_idempotent, vector)
 
 P0 = PrimeDomain(Fraction(5, 7), PRIMES[0])
 
@@ -557,6 +557,22 @@ def test_times_T_is_the_right_product(dom):
             x = x + alg.random_basis_element(4, rng, dom).scale(c)
         for s in range(1, 4):
             assert bl.times_T(bl.form(x), s) == bl.form(x * alg.T(s, 4, dom))
+
+
+@pytest.mark.parametrize("n, dom", [
+    (3, SYMBOLIC), (3, P0), (4, SYMBOLIC), (4, P0)],
+    ids=["n3-symbolic", "n3-prime", "n4-symbolic", "n4-prime"])
+def test_times_E_is_the_right_product(n, dom):
+    # Phi(x E_s), the pieces (K, L) of Phi(x) with s and s + 1 in one block
+    # of L, is the form of the engine's product, for random x
+    bl, rng = blocks.structure(n, dom), random.Random(n)
+    for _ in range(4):
+        x = alg.AlgebraElement(n, {}, dom)
+        for _ in range(5):
+            c = dom.of_int(rng.randint(1, 9))
+            x = x + alg.random_basis_element(n, rng, dom).scale(c)
+        for s in range(1, n):
+            assert bl.times_E(bl.form(x), s) == bl.form(x.right_mul_E(s))
 
 
 def test_no_engine_product_per_image(monkeypatch):

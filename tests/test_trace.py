@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from btkit import algebra as alg
+from btkit import blocks
 from btkit import scalars as sc
 from btkit import trace as tr
 from btkit.domains import PRIMES, SYMBOLIC, PrimeDomain
@@ -13,10 +14,9 @@ from btkit.partitions import (SetPartition, arc_partition,
                               generator_partition)
 from btkit.permutations import Permutation
 from btkit.algebra import ideal_generator_element
-from btkit.linalg import Echelon, merge_classes
-from btkit.trace import right_products
+from btkit.linalg import Echelon
 from oracles import (commutator_rows, generic_trace_space_dim, in_prime_field,
-                     sparse, vector)
+                     right_products, sparse, vector)
 
 ONE, TWO, U, A, B = sc.ONE, sc.TWO, sc.U, sc.A, sc.B
 
@@ -217,37 +217,28 @@ def test_commutator_rows_span_all_pair_symmetry(dom):
     assert comm.spans(pair_rows) and pairs.spans(comm_rows)
 
 
-# (live class roots, commutator rows of three or more terms) at n = 3, 4
-CLASS_COUNTS = {3: (14, 28), 4: (78, 645)}
-
-
 @pytest.mark.parametrize("n, dom", [
     (3, SYMBOLIC), (3, PrimeDomain(Fraction(5, 7), PRIMES[0])),
-    (4, PrimeDomain(Fraction(5, 7), PRIMES[0])),
+    (4, SYMBOLIC), (4, PrimeDomain(Fraction(5, 7), PRIMES[0])),
     (4, PrimeDomain(Fraction(3, 2), PRIMES[1]))],
-    ids=["n3-symbolic", "n3-prime", "n4-5_7", "n4-3_2"])
-def test_commutator_classes_match_dense_oracle(n, dom):
-    # the one- and two-term commutator rows merge the positions into
-    # classes, and the longer rows, folded onto the live roots, leave a
-    # trace space as large as the dense rank of every commutator row says,
-    # and as the generic count of simple modules: 8 at n = 3, 22 at n = 4
+    ids=["n3-symbolic", "n3-prime", "n4-symbolic", "n4-5_7", "n4-3_2"])
+def test_shape_commutators_match_dense_oracle(n, dom):
+    # each diagonal algebra A_mu has a trace space of |W_mu| less the rank
+    # of its commutators with its generators, and their sum is as large as
+    # the dense rank of every commutator row of E_n says, and as the
+    # generic count of simple modules: 8 at n = 3, 22 at n = 4
+    bl = blocks.structure(n, dom)
+    columns = ranks = 0
+    for shape in bl.shapes:
+        ech = Echelon(dom.zero)
+        ech.insert_block(tr._commutators(
+            shape.right, [min(row) for row in shape.mirror]))
+        columns, ranks = columns + len(shape.W), ranks + ech.rank
     index = alg.BasisIndex(n, dom)
-    width = len(index)
-    root, factor, rest = merge_classes(
-        width, tr._commutators(*right_products(index)), dom.one)
-    live = {r: k for k, r in enumerate(sorted(set(root) - {None}))}
-    assert (len(live), len(rest)) == CLASS_COUNTS[n]
-    folded = Echelon(dom.zero)
-    for row in rest:
-        vec = [dom.zero] * len(live)
-        for d, c in row.items():
-            if root[d] is not None:
-                vec[live[root[d]]] = vec[live[root[d]]] + c * factor[d]
-        folded.insert(sparse(vec))
     dense = Echelon(dom.zero)
     dense.insert_block(commutator_rows(index))
-    assert width - len(live) + folded.rank == dense.rank
-    assert len(live) - folded.rank == width - dense.rank \
+    assert bl.dim - columns + ranks == dense.rank
+    assert columns - ranks == len(index) - dense.rank \
         == generic_trace_space_dim(n) == {3: 8, 4: 22}[n]
 
 
@@ -258,7 +249,8 @@ def test_commutators_match_engine_products(n, dom):
     # each commutator row, from the right products and the mirror, is the
     # row of x g - g x by the engine's general product, with no zero entry
     index = alg.BasisIndex(n, dom)
-    rows = tr._commutators(*right_products(index))
+    tables, mirrored = right_products(index)
+    rows = tr._commutators(tables.values(), mirrored)
     for g in (alg.T, alg.E):
         for i in range(1, n):
             gi = g(i, n, dom)
