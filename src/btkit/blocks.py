@@ -1,8 +1,8 @@
 """The braids-and-ties algebra as a sum of matrix algebras over shape
 blocks, and its two-sided ideals built block by block.  The quotient
 builds its ideals here, and :mod:`btkit.trace` solves the tower trace as
-one trace of each diagonal algebra A_mu, its rows the block coordinates of
-products by T_s and E_s.
+one trace of each diagonal algebra A_mu, each of its rows the diagonal
+pieces of the image of one basis element (:meth:`Blocks.image`).
 
 The ties as orthogonal idempotents.  Write J <= K when the set partition J
 is finer than K.  Moebius inversion on the partition lattice (Rota, "On
@@ -49,11 +49,6 @@ T_s T_{c_{sL}}), the unit of A_mu or eps_I T_t for a generator t of A_mu
 the unit.  From Phi(1), Phi(T_w) is Phi(T_{ws}) times T_s, s the last
 letter of w's canonical reduced word: Bell(n) (n - 1) braid products for
 the steps, and none per image.
-
-Products by E_s.  With J the tie of s and s + 1, E_J = sum_{J <= L} eps_L
-gives eps_K x eps_L E_J = [J <= L] eps_K x eps_L.  So Phi(x E_s) keeps the
-pieces (K, L) of Phi(x) with s and s + 1 in one block of L and drops the
-others, with no product at all.
 
 Ideals.  A two-sided ideal <g> is the sum of its pieces eps_K <g> eps_L,
 which Phi sends onto one ideal J_mu of A_mu.  Since eps_I E_n eps_K =
@@ -252,14 +247,7 @@ class Blocks:
             out.update((off + j, c) for j, c in piece.items())
         return out
 
-    def times_E(self, row, s):
-        """Phi(x E_s) from the row Phi(x): its pieces (K, L) with s and
-        s + 1 in one block of L (module docstring)."""
-        tied = {L: L.rgs[s - 1] == L.rgs[s] for L in self.row_parts}
-        return {k: c for k, c in row.items()
-                if tied[self.piece_at[self.start[k]][1]]}
-
-    def _image(self, K, w):
+    def image(self, K, w):
         """(first column, row) of the one piece of Phi(E_J T_w), J <= K, at
         (K, w^-1 K): row block K of Phi(T_w), built by the recursion."""
         return self._images[w][K]
@@ -275,7 +263,7 @@ class Blocks:
         out = {}
         for (K, w), c in acc.items():
             if c:
-                off, row = self._image(K, w)
+                off, row = self.image(K, w)
                 for j, b in row.items():
                     k = off + j
                     out[k] = out[k] + c * b if k in out else c * b

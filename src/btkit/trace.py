@@ -17,14 +17,18 @@ a_LL e_KL and rho(a_KK) = rho(a_KL e_LK) = rho(e_LK a_KL) = rho(a_LL).  So
 a symmetric rho vanishes on the off-diagonal pieces and is sum_K
 t_mu(Phi(x)_{K,K}) for one trace t_mu of each A_mu: the unknowns are the
 values of t_mu on the columns of A_mu, 66 at n = 4 and 308 at n = 5
-against dim E_n = 360 and 6240, and a row reads only the diagonal pieces
-of its block coordinates.  Symmetry in A_mu needs only the commutators
-x s - s x of its columns x with its generators s: since
-[ab, c] = [a, bc] + [b, ca], these span every [a, b].  The system has one
-right-hand-side column per monomial A^a B^b with a + b < n, so the
-elimination stays in the domain's field (Q(s) on the symbolic path) and
-each solved value is a :class:`~btkit.scalars.ParamPoly` in A and B over
-that field.  Its rank plus dim E_n less the unknowns, the conditions that
+against dim E_n = 360 and 6240.  Every other row, and every value read
+out, is one basis element E_J T_w: Phi(E_J T_w) is the piece (K, w^-1 K),
+row block K of Phi(T_w), for each K >= J, and the row sums the diagonal
+ones, wK = K.  For x = E_J T_v at level n - 1 (v fixes n), the tower
+products are basis elements too: x T_{n-1} = E_J T_{v s_{n-1}} with no
+descent at n - 1, and x E_{n-1} = E_{J'} T_v, J' tying v(n-1) to n.
+Symmetry in A_mu needs only the commutators x s - s x of its columns x
+with its generators s: since [ab, c] = [a, bc] + [b, ca], these span
+every [a, b].  The system has one right-hand-side column per monomial
+A^a B^b with a + b < n, so the elimination stays in the domain's field
+(Q(s) on the symbolic path) and each solved value is a
+:class:`~btkit.scalars.ParamPoly` in A and B over that field.  Its rank plus dim E_n less the unknowns, the conditions that
 the off-diagonal pieces vanish and the diagonal pieces of a shape agree,
 is the rank on the basis.  Existence (consistency) and uniqueness (full
 rank) are computed, not assumed.  The solver also reports how many
@@ -36,8 +40,7 @@ system in one batch before any middle row is added.
 from itertools import accumulate
 
 from . import scalars
-from .algebra import (BasisIndex, basis_element, ideal_generator_element,
-                      one)
+from .algebra import BasisIndex, basis_element, ideal_generator_element
 from .blocks import structure
 from .domains import SYMBOLIC
 from .linalg import LinearSystem
@@ -131,11 +134,13 @@ def solve_trace(n, dom=SYMBOLIC):
 
 def _solve(bl, prev):
     """(coeffs, exists, rank, implied middle rules) of one level, on the
-    columns of the A_mu, each shape's from ``base``: the commutators of each
-    A_mu, the normalization, and x T_{n-1}, x E_{n-1} and x E_{n-1} T_{n-1}
-    for each basis element x of the level below, their products taken on
-    the block coordinates and their right-hand sides in the columns after.
-    The middle rows go last, after one reduction counts those implied."""
+    columns of the A_mu, each shape's from ``base``.  The rows are the
+    commutators of each A_mu, then rows of single basis elements E_J T_w,
+    each its diagonal pieces with a right-hand side in the columns after:
+    the normalization at (unit, identity), and for each basis element x of
+    the level below the engine's one-term products x T_{n-1}, x E_{n-1}
+    and x E_{n-1} T_{n-1}.  The middle rows go last, after one reduction
+    counts those implied.  The values are read off the same rows."""
     n, dom = bl.n, bl.dom
     monos = {(a, b): k for k, (a, b) in enumerate(
         (a, b) for a in range(n) for b in range(n - a))}
@@ -143,14 +148,15 @@ def _solve(bl, prev):
                               initial=0)
     system = LinearSystem(dom, width, len(monos))
 
-    def fold(row, value, da=0, db=0):
-        """The diagonal pieces of a row of block coordinates, summed onto
-        the columns of their A_mu, as a system row whose right-hand side is
-        A^da B^db times the value {(a, b): c} of the level below."""
+    def row(J, w, value, da=0, db=0):
+        """The diagonal pieces of Phi(E_J T_w), the pieces (K, w^-1 K) for
+        K >= J with wK = K, summed onto the columns of their A_mu, as a
+        system row whose right-hand side is A^da B^db times the value
+        {(a, b): c} of the level below."""
         out = {}
-        for off, piece in bl.pieces(row).items():
-            K, L = bl.piece_at[off]
-            if K == L:
+        for K in bl.coarser[J]:
+            off, piece = bl.image(K, w)
+            if bl.piece_at[off][1] == K:
                 at = base[bl.shape_at[off]]
                 for j, c in piece.items():
                     out[at + j] = out[at + j] + c if at + j in out else c
@@ -160,32 +166,36 @@ def _solve(bl, prev):
 
     for at, shape in zip(base, bl.shapes):
         # the mirror permutes the columns of A_mu
-        mirror = [min(row) for row in shape.mirror]
-        system.add({at + j: c for j, c in row.items()}
-                   for row in _commutators(shape.right, mirror))
-    system.add([fold(bl.form(one(n, dom)), {(0, 0): dom.one})])
-    below = [(bl.form(basis_element(*embed_pair(I, w, n), dom)), value)
-             for (I, w), value in prev.coeffs.items()]
-    system.add(fold(bl.times_T(x, n - 1), value, 1) for x, value in below)
-    tied = [(bl.times_E(x, n - 1), value) for x, value in below]
-    system.add(fold(x, value, 0, 1) for x, value in tied)
-    middle = [fold(bl.times_T(x, n - 1), value, 1) for x, value in tied]
-    implied = sum(1 for row in system.reduce_batch(middle) if not row)
+        mirror = [min(r) for r in shape.mirror]
+        system.add({at + j: c for j, c in r.items()}
+                   for r in _commutators(shape.right, mirror))
+    system.add([row(SetPartition.unit(n), Permutation.identity(n),
+                    {(0, 0): dom.one})])
+    below = []
+    for (I, w), value in prev.coeffs.items():
+        x = basis_element(*embed_pair(I, w, n), dom)
+        xe = x.right_mul_E(n - 1)
+        # each product is one basis element: v fixes n, so no descent
+        [t], [e], [m] = (x.right_mul_T(n - 1).terms, xe.terms,
+                         xe.right_mul_T(n - 1).terms)
+        below.append((t, e, m, value))
+    system.add(row(*t, value, 1) for t, _, _, value in below)
+    system.add(row(*e, value, 0, 1) for _, e, _, value in below)
+    middle = [row(*m, value, 1) for _, _, m, value in below]
+    implied = sum(1 for r in system.reduce_batch(middle) if not r)
     system.add(middle)
     sol = system.solution()
 
-    def value(row):
-        """{(a, b): c} of the solution on a row of block coordinates, with
-        the free columns zero."""
+    def read(J, w):
+        """{(a, b): c} of the solution on E_J T_w, the free columns zero."""
         out = {}
-        for k, c in fold(row, {}).items():
+        for k, c in row(J, w, {}).items():
             for m, v in zip(monos, sol.get(k, ())):
                 out[m] = out[m] + c * v if m in out else c * v
         return {m: out[m] for m in monos if out.get(m)}
 
     coeffs = {} if sol is None else {
-        pair: value(bl.form(basis_element(*pair, dom)))
-        for pair in BasisIndex(n, dom).pairs}
+        pair: read(*pair) for pair in BasisIndex(n, dom).pairs}
     return coeffs, sol is not None, bl.dim - width + system.rank, implied
 
 

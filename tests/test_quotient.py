@@ -541,7 +541,7 @@ def test_phi_images_match_the_engine(n, dom):
     # every image of the reduced-word recursion, row block K of Phi(T_w),
     # is the engine's proj(T_{c_K^-1} T_w T_{c_L})
     bl = blocks.Blocks(n, dom)
-    assert all(bl._image(K, w) == engine_image(bl, K, w)
+    assert all(bl.image(K, w) == engine_image(bl, K, w)
                for K in bl.row_parts for w in enumerate_permutations(n))
 
 
@@ -557,22 +557,6 @@ def test_times_T_is_the_right_product(dom):
             x = x + alg.random_basis_element(4, rng, dom).scale(c)
         for s in range(1, 4):
             assert bl.times_T(bl.form(x), s) == bl.form(x * alg.T(s, 4, dom))
-
-
-@pytest.mark.parametrize("n, dom", [
-    (3, SYMBOLIC), (3, P0), (4, SYMBOLIC), (4, P0)],
-    ids=["n3-symbolic", "n3-prime", "n4-symbolic", "n4-prime"])
-def test_times_E_is_the_right_product(n, dom):
-    # Phi(x E_s), the pieces (K, L) of Phi(x) with s and s + 1 in one block
-    # of L, is the form of the engine's product, for random x
-    bl, rng = blocks.structure(n, dom), random.Random(n)
-    for _ in range(4):
-        x = alg.AlgebraElement(n, {}, dom)
-        for _ in range(5):
-            c = dom.of_int(rng.randint(1, 9))
-            x = x + alg.random_basis_element(n, rng, dom).scale(c)
-        for s in range(1, n):
-            assert bl.times_E(bl.form(x), s) == bl.form(x.right_mul_E(s))
 
 
 def test_no_engine_product_per_image(monkeypatch):

@@ -65,27 +65,50 @@ def test_steinberg_values():
         assert tf.evaluate(alg.E_of_partition(I) * t12) == expected
 
 
-def test_trace_symmetry_on_products():
+P57 = PrimeDomain(Fraction(5, 7), PRIMES[0])
+TOWER_CASES = pytest.mark.parametrize(
+    "n, dom", [(3, SYMBOLIC), (4, SYMBOLIC), (4, P57)],
+    ids=["n3-symbolic", "n4-symbolic", "n4-prime"])
+
+
+@TOWER_CASES
+def test_trace_symmetry_on_products(n, dom):
     rng = random.Random(3)
-    tf = tr.solve_trace(3)
+    tf = tr.solve_trace(n, dom)
     for _ in range(100):
-        a = alg.random_basis_element(3, rng)
-        b = alg.random_basis_element(3, rng)
+        a = alg.random_basis_element(n, rng, dom)
+        b = alg.random_basis_element(n, rng, dom)
         assert tf.evaluate(a * b) == tf.evaluate(b * a)
 
 
-def test_tower_rules_on_arbitrary_elements():
+@TOWER_CASES
+def test_tower_rules_on_arbitrary_elements(n, dom):
+    # the rules against the engine's products, A and B over the field
     rng = random.Random(9)
-    tf2 = tr.solve_trace(2)
-    tf3 = tr.solve_trace(3)
-    tlast = alg.T(2, 3)
-    elast = alg.E(2, 3)
+    below, tf = tr.solve_trace(n - 1, dom), tr.solve_trace(n, dom)
+    a, b = sc.ParamPoly({(1, 0): dom.one}), sc.ParamPoly({(0, 1): dom.one})
+    tlast, elast = alg.T(n - 1, n, dom), alg.E(n - 1, n, dom)
     for _ in range(20):
-        x2 = alg.random_basis_element(2, rng)
-        x = embed_element(x2, 3, x2.dom)
-        assert tf3.evaluate(x * tlast) == A * tf2.evaluate(x2)
-        assert tf3.evaluate(x * elast * tlast) == A * tf2.evaluate(x2)
-        assert tf3.evaluate(x * elast) == B * tf2.evaluate(x2)
+        y = alg.random_basis_element(n - 1, rng, dom)
+        x = embed_element(y, n, dom)
+        assert tf.evaluate(x * tlast) == a * below.evaluate(y)
+        assert tf.evaluate(x * elast * tlast) == a * below.evaluate(y)
+        assert tf.evaluate(x * elast) == b * below.evaluate(y)
+
+
+@pytest.mark.parametrize("dom", [SYMBOLIC, P57], ids=["symbolic", "prime"])
+def test_trace_builds_no_forms(monkeypatch, dom):
+    # every row is read off the Phi images of one basis element: the solve
+    # takes no block coordinates of an element and no product on them
+    def refuse(*args):
+        raise AssertionError("the trace built block coordinates")
+
+    for name in ("form", "times_T", "pieces"):
+        monkeypatch.setattr(blocks.Blocks, name, refuse)
+    monkeypatch.setattr(blocks, "_CACHE", {})
+    monkeypatch.setattr(tr, "_CACHE", {})
+    tf = tr.solve_trace(4, dom)
+    assert tf.exists and tf.unique and tf.rank == 360
 
 
 def test_factorization_condition():
