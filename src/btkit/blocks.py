@@ -78,7 +78,7 @@ under them reaches rank |W|.
 
 from .algebra import basis_element, mirror_pair
 from .linalg import Echelon
-from .partitions import SetPartition, enumerate_partitions, intern_partition
+from .partitions import SetPartition, enumerate_partitions
 from .permutations import Permutation, enumerate_permutations
 
 _CACHE = {}
@@ -145,7 +145,7 @@ class Shape:
 
     def __init__(self, mu, n, dom, perms, parts):
         labels = [b for b, size in enumerate(mu) for _ in range(size)]
-        self.I = I = intern_partition(labels)
+        self.I = I = SetPartition(labels)
         self.W = [w for w in perms if I.apply(w) == I][::-1]
         self.col = {w: j for j, w in enumerate(self.W)}
         self.finer = {J for J in parts if I.join(J) == I}

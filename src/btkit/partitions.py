@@ -2,8 +2,10 @@
 
 The product is the join: I * J is the finest partition coarser than both.
 Partitions are stored as restricted growth strings (rgs), the canonical
-labelling where block labels appear in order of first occurrence; this makes
-equality and hashing O(n) and enumeration lexicographic.
+labelling where block labels appear in order of first occurrence, which
+makes enumeration lexicographic.  The constructor returns the one instance
+of each rgs from an intern table, so equality is identity and hashing is
+the object's own, not an O(n) compare and hash of the rgs.
 """
 
 from functools import cache
@@ -13,19 +15,20 @@ from math import comb
 class SetPartition:
     """A set partition of {1..n} in restricted growth form."""
 
-    __slots__ = ("n", "rgs", "_hash")
+    __slots__ = ("n", "rgs")
 
-    def __init__(self, rgs):
+    def __new__(cls, rgs):
+        """The one instance for rgs; an rgs not seen before is validated,
+        as its own first-occurrence relabelling, before it is interned."""
         rgs = tuple(rgs)
-        mx = -1
-        for label in rgs:
-            if label > mx + 1 or label < 0:
-                raise ValueError("not a restricted growth string: %r" % (rgs,))
-            if label == mx + 1:
-                mx = label
-        self.n = len(rgs)
-        self.rgs = rgs
-        self._hash = None
+        self = _INTERN.get(rgs)
+        if self is None:
+            if list(rgs) != _canonical_rgs(rgs):
+                raise ValueError("not a restricted growth string: %r"
+                                 % (rgs,))
+            self = _INTERN[rgs] = object.__new__(cls)
+            self.n, self.rgs = len(rgs), rgs
+        return self
 
     @staticmethod
     def unit(n):
@@ -70,25 +73,17 @@ class SetPartition:
         if la == lb:
             return self
         lo, hi = (la, lb) if la < lb else (lb, la)
-        return intern_partition(
+        return SetPartition(
             _canonical_rgs([lo if l == hi else l for l in self.rgs]))
 
     def apply(self, w):
-        """The interned image partition {w(block)}; blocks map elementwise."""
+        """The image partition {w(block)}; blocks map elementwise."""
         if self.n != w.n:
             raise ValueError("mismatched n: %d vs %d" % (self.n, w.n))
         labels = [0] * self.n
         for m, label in enumerate(self.rgs, start=1):
             labels[w.apply(m) - 1] = label
-        return intern_partition(_canonical_rgs(labels))
-
-    def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.rgs == other.rgs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rgs)
-        return self._hash
+        return SetPartition(_canonical_rgs(labels))
 
     def __str__(self):
         return "{%s}" % ",".join(
@@ -103,17 +98,11 @@ def _canonical_rgs(labels):
     return [relabel.setdefault(label, len(relabel)) for label in labels]
 
 
-# interning cache: the engine churns through few distinct partitions, and
-# shared instances reuse their cached hashes
+# the one SetPartition of each rgs tuple
 _INTERN = {}
 
-
-def intern_partition(rgs):
-    rgs = tuple(rgs)
-    part = _INTERN.get(rgs)
-    if part is None:
-        part = _INTERN[rgs] = SetPartition(rgs)
-    return part
+# an alias of the constructor, kept for perfbench/checks.py (ROADMAP item 1b)
+intern_partition = SetPartition
 
 
 def generator_partition(i, n):
@@ -130,8 +119,10 @@ def arc_partition(i, j, n):
     return SetPartition(_canonical_rgs(labels))
 
 
+@cache
 def enumerate_partitions(n):
-    """All partitions of {1..n} in lexicographic rgs order; Bell(n) many."""
+    """All partitions of {1..n} in lexicographic rgs order, a tuple of
+    Bell(n), enumerated once per n."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
@@ -144,7 +135,7 @@ def enumerate_partitions(n):
             grow(prefix + [label], max(mx, label))
 
     grow([0], 0)
-    return out
+    return tuple(out)
 
 
 def bell_number(n):

@@ -1,10 +1,12 @@
 """The symmetric group S_n on {1..n}.
 
-Composition is function composition: ``(v * w)(m) = v(w(m))``, so in a
+Composition is function composition: ``(v w)(m) = v(w(m))``, so in a
 product the rightmost factor acts first.  A word [i1, ..., ik] denotes the
 product s_{i1} ... s_{ik} under that convention (s_{ik} applied first).
 This is the convention that makes conjugation of tie elements by braid
-elements come out as the natural action on set partitions.
+elements come out as the natural action on set partitions.  The
+constructor returns the one instance of each one-line tuple from an intern
+table, so equality is identity and hashing is the object's own.
 """
 
 import itertools
@@ -14,16 +16,19 @@ from functools import cache
 class Permutation:
     """A permutation in one-line notation ``images = (w(1), ..., w(n))``."""
 
-    __slots__ = ("n", "images", "_word", "_hash")
+    __slots__ = ("n", "images", "_word")
 
-    def __init__(self, images):
+    def __new__(cls, images):
+        """The one instance for images; images not seen before are
+        validated before they are interned."""
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a bijection of 1..n: %r" % (images,))
-        self.n = len(images)
-        self.images = images
-        self._word = None
-        self._hash = None
+        self = _INTERN.get(images)
+        if self is None:
+            if sorted(images) != list(range(1, len(images) + 1)):
+                raise ValueError("not a bijection of 1..n: %r" % (images,))
+            self = _INTERN[images] = object.__new__(cls)
+            self.n, self.images, self._word = len(images), images, None
+        return self
 
     @staticmethod
     def identity(n):
@@ -41,13 +46,6 @@ class Permutation:
     def apply(self, m):
         return self.images[m - 1]
 
-    def __mul__(self, other):
-        """Function composition; ``other`` acts first."""
-        if self.n != other.n:
-            raise ValueError("mismatched n: %d vs %d" % (self.n, other.n))
-        img = self.images
-        return Permutation(tuple(img[m - 1] for m in other.images))
-
     def has_right_descent(self, i):
         """True iff length(w * s_i) < length(w)."""
         return self.images[i - 1] > self.images[i]
@@ -57,14 +55,14 @@ class Permutation:
         """w * s_i (swaps the entries at positions i, i+1), memoized."""
         img = list(self.images)
         img[i - 1], img[i] = img[i], img[i - 1]
-        return intern_perm(img)
+        return Permutation(img)
 
     def inverse(self):
         """w^-1, which any reduced word of w spells read backwards."""
         img = [0] * self.n
         for m, image in enumerate(self.images, start=1):
             img[image - 1] = m
-        return intern_perm(img)
+        return Permutation(img)
 
     def reduced_word(self):
         """Canonical reduced word: repeatedly strip the smallest right
@@ -84,14 +82,6 @@ class Permutation:
             self._word = tuple(reversed(rev))
         return self._word
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
-
     def __str__(self):
         return "[%s]" % ",".join(str(m) for m in self.images)
 
@@ -99,19 +89,15 @@ class Permutation:
         return "Permutation(%s)" % (self.images,)
 
 
-# interning cache shared by the multiplication engine; instances are
-# immutable and reuse their cached hash and reduced word
+# the one Permutation of each one-line tuple; each keeps its reduced word
 _INTERN = {}
 
-
-def intern_perm(images):
-    images = tuple(images)
-    w = _INTERN.get(images)
-    if w is None:
-        w = _INTERN[images] = Permutation(images)
-    return w
+# an alias of the constructor, kept for perfbench/checks.py (ROADMAP item 1b)
+intern_perm = Permutation
 
 
+@cache
 def enumerate_permutations(n):
-    """All of S_n in lexicographic one-line order, interned."""
-    return [intern_perm(p) for p in itertools.permutations(range(1, n + 1))]
+    """All of S_n in lexicographic one-line order, a tuple of n!, enumerated
+    once per n."""
+    return tuple(map(Permutation, itertools.permutations(range(1, n + 1))))

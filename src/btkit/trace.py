@@ -44,16 +44,16 @@ from .algebra import BasisIndex, basis_element, ideal_generator_element
 from .blocks import structure
 from .domains import SYMBOLIC
 from .linalg import LinearSystem
-from .partitions import SetPartition, intern_partition
-from .permutations import Permutation, intern_perm
+from .partitions import SetPartition
+from .permutations import Permutation
 from .scalars import ParamPoly
 
 
 def embed_pair(I, w, n):
     """Embedding of a level-(n-1) basis pair: the partition gains the
     singleton {n}, the permutation fixes n."""
-    return (intern_partition(I.rgs + (max(I.rgs) + 1,)),
-            intern_perm(w.images + (n,)))
+    return (SetPartition(I.rgs + (max(I.rgs) + 1,)),
+            Permutation(w.images + (n,)))
 
 
 class TraceFunctional:

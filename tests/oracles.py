@@ -1,15 +1,15 @@
 """Reference code for the tests that the library itself does not need: the
-permutation a word spells, random walks on the braid-move graph of reduced
-words (the oracle of the Matsumoto-invariance checks), symbolic scalars
-specialized into a prime field, dense and sparse coefficient rows, the
-mirror anti-involution of the basis, the inverse of the cycle element
-gamma, the relation sides and the braid action on the tensor space one
-index and one term at a time, the engine's one-generator products of the
-whole basis and the full-width ideal closure on them, the tie
-idempotents, the images of Phi and the candidate basis by engine products
-the quotient's blocks are checked against, the dense oracles of the
-trace's commutator rows, and the dense-list RREF the sparse echelons are
-checked against."""
+permutation a word spells, the composite of two permutations, random walks
+on the braid-move graph of reduced words (the oracle of the
+Matsumoto-invariance checks), symbolic scalars specialized into a prime
+field, dense and sparse coefficient rows, the mirror anti-involution of the
+basis, the inverse of the cycle element gamma, the relation sides and the
+braid action on the tensor space one index and one term at a time, the
+engine's one-generator products of the whole basis and the full-width ideal
+closure on them, the tie idempotents, the images of Phi and the candidate
+basis by engine products the quotient's blocks are checked against, the
+dense oracles of the trace's commutator rows, and the dense-list RREF the
+sparse echelons are checked against."""
 
 import random
 from math import factorial, prod
@@ -31,6 +31,13 @@ def from_word(word, n):
     for i in word:
         w = w.right_mul_gen(i)
     return w
+
+
+def compose(v, w):
+    """The permutation m -> v(w(m)): w acts first."""
+    if v.n != w.n:
+        raise ValueError("mismatched n: %d vs %d" % (v.n, w.n))
+    return Permutation(v.images[m - 1] for m in w.images)
 
 
 def braid_move_sites(word):

@@ -17,11 +17,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def _load_run_module():
+def _load_perfbench(name):
     saved = list(sys.path)
     try:
         spec = importlib.util.spec_from_file_location(
-            "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+            "perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
@@ -30,12 +30,31 @@ def _load_run_module():
 
 
 def test_parser_accepts_every_workload_run():
-    run = _load_run_module()
+    run = _load_perfbench("run")
     parser = cli.build_parser()
     for workload in run.WORKLOADS.values():
         for r in workload:
             args = parser.parse_args(r.argv(101, "report.json"))
             assert args.suite == r.suite
+
+
+def test_checks_pass_every_golden_report():
+    # the benchmark's own checks, the trace table checks at n = 3 among
+    # them, accept each golden report as the run that wrote it
+    checks = _load_perfbench("checks")
+    ref = checks.load_reference_dims()
+    golden = os.path.join(ROOT, "tests", "golden")
+    names = sorted(os.listdir(golden))
+    assert len(names) == 8
+    for name in names:
+        with open(os.path.join(golden, name)) as fh:
+            text = fh.read()
+        report = json.loads(text)
+        code = 1 if report["summary"]["failed"] else 0
+        problems = checks.check_run(
+            report["suite"], report["params"]["n"], None,
+            report["params"].get("seed", 0), code, "", text, ref)
+        assert problems == [], (name, problems)
 
 
 def _tracer_env():

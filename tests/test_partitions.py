@@ -7,7 +7,7 @@ from btkit import partitions as pt
 from btkit.partitions import (SetPartition, arc_partition, bell_number,
                               enumerate_partitions, generator_partition)
 from btkit.permutations import Permutation, enumerate_permutations
-from oracles import from_word
+from oracles import compose, from_word
 
 
 def bell_oracle(n):
@@ -77,7 +77,7 @@ def test_action_laws_exhaustive():
         for v in perms:
             for w in perms:
                 for I in parts:
-                    assert I.apply(v * w) == I.apply(w).apply(v)
+                    assert I.apply(compose(v, w)) == I.apply(w).apply(v)
 
 
 def test_action_examples():
@@ -137,3 +137,27 @@ def test_mismatched_sizes_rejected():
         SetPartition.unit(3).join(SetPartition.unit(4))
     with pytest.raises(ValueError):
         SetPartition.unit(3).apply(Permutation.identity(4))
+
+
+def test_every_route_returns_the_one_instance():
+    # the constructor interns, so each rgs has one SetPartition, equality
+    # is identity and hashing is the object's own
+    assert "__eq__" not in vars(SetPartition)
+    assert "__hash__" not in vars(SetPartition)
+    for n in (1, 2, 3, 4):
+        parts = enumerate_partitions(n)
+        routes = [SetPartition.unit(n), SetPartition.full(n), *parts]
+        routes += [arc_partition(i, j, n)
+                   for i in range(1, n) for j in range(i + 1, n + 1)]
+        for I in parts:
+            routes += [I.apply(w) for w in enumerate_permutations(n)]
+            routes += [I.join(J) for J in parts]
+            routes += [I.join_arc(a, b)
+                       for a in range(1, n) for b in range(a + 1, n + 1)]
+        for I in routes:
+            assert SetPartition(list(I.rgs)) is I
+    size = len(pt._INTERN)
+    for bad in ((1, 0), (0, 2), (0, -1), (0, 0, 2)):
+        with pytest.raises(ValueError):
+            SetPartition(bad)
+    assert len(pt._INTERN) == size

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from btkit import permutations as pm
 from btkit.permutations import Permutation, enumerate_permutations
-from oracles import braid_move_sites, from_word, random_braid_walk
+from oracles import braid_move_sites, compose, from_word, random_braid_walk
 
 
 def inversions(images):
@@ -15,11 +16,11 @@ def inversions(images):
 def test_compose_convention():
     s1 = Permutation.transposition(1, 3)
     s2 = Permutation.transposition(2, 3)
-    assert s1 * s1 == Permutation.identity(3)
+    assert compose(s1, s1) == Permutation.identity(3)
     # s_2 after s_1: 1 -> 3, 2 -> 1, 3 -> 2
-    assert (s2 * s1).images == (3, 1, 2)
+    assert compose(s2, s1).images == (3, 1, 2)
     v = Permutation((2, 3, 1))
-    assert v * Permutation.identity(3) == v
+    assert compose(v, Permutation.identity(3)) == v
 
 
 def test_enumeration():
@@ -65,7 +66,7 @@ def test_descents_match_length():
 def test_inverse():
     for n in (2, 3, 4, 5):
         for w in enumerate_permutations(n):
-            assert w * w.inverse() == Permutation.identity(n)
+            assert compose(w, w.inverse()) == Permutation.identity(n)
             # the reversed word of w spells w^-1 and is reduced
             word = w.reduced_word()
             assert from_word(word[::-1], n) == w.inverse()
@@ -97,3 +98,24 @@ def test_validation_and_round_trip():
     with pytest.raises(IndexError):
         Permutation.transposition(3, 3)
     assert str(Permutation((2, 1, 3))) == "[2,1,3]"
+
+
+def test_every_route_returns_the_one_instance():
+    # the constructor interns, so each one-line tuple has one Permutation,
+    # equality is identity and hashing is the object's own
+    assert "__eq__" not in vars(Permutation)
+    assert "__hash__" not in vars(Permutation)
+    for n in (1, 2, 3, 4):
+        perms = enumerate_permutations(n)
+        routes = [Permutation.identity(n), *perms]
+        routes += [Permutation.transposition(i, n) for i in range(1, n)]
+        for w in perms:
+            routes.append(w.inverse())
+            routes += [w.right_mul_gen(i) for i in range(1, n)]
+        for w in routes:
+            assert Permutation(list(w.images)) is w
+    size = len(pm._INTERN)
+    for bad in ((1, 1, 2), (0, 1), (2, 3), (1, 2, 4)):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    assert len(pm._INTERN) == size
